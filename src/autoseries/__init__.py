@@ -37,18 +37,12 @@ from .evaluator import (
     ZETA_SERIES,
     ZeroOneSeries,
     depth_for,
-    eval_composite9,
-    eval_f_via_odd_split,
     eval_functional_equation,
     eval_naive,
-    eval_odd_series,
     eval_phi_gamma,
-    odd_split_factor,
     partial_sum,
 )
 from .identities import (
-    Add,
-    CoefficientFunction,
     Eta,
     Expr,
     HurwitzZeta,
@@ -63,7 +57,6 @@ from .identities import (
     Ratio,
     Route,
     Sqrt,
-    TwoPowPoly,
     TwoPowerRatio,
     ValidityDomain,
     VerificationRecord,
@@ -74,7 +67,6 @@ from .identities import (
     get_identity,
     make_corollary2_identity,
     verify,
-    verify_corollary2,
     verify_woods_robbins,
 )
 from .solver import (

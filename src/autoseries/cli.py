@@ -30,14 +30,13 @@ from .evaluator import (
     F_SERIES,
     G_SERIES,
     GAMMA_SERIES,
+    IndexShift,
     ODD_PLUS_MINUS_SERIES,
     PHI_SERIES,
     SeriesSpec,
     depth_for,
-    eval_f_via_odd_split,
     eval_functional_equation,
     eval_naive,
-    eval_odd_series,
     eval_phi_gamma,
 )
 from .identities import (
@@ -156,7 +155,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def _precision(cfg: RunConfig, eps: float) -> Precision:
     if cfg.precision_bits == 53:
-        return Precision.for_eps(eps) if eps < 1e-12 else Precision(53, eps)
+        return Precision.for_eps(eps)
     return Precision(cfg.precision_bits, eps)
 
 
@@ -167,10 +166,8 @@ def _precision(cfg: RunConfig, eps: float) -> Precision:
 _EVAL_CATALOG = "f, g, phi, gamma, delta, odd-epsilon, composite9, digitsum:B, affine:A:B[:shifted]"
 
 
-def _catalog_series(name: str) -> tuple[str, SeriesSpec | None]:
-    """Resolve a catalog name to (canonical-name, spec); spec None for the
-    two entries that are not plain SeriesSpec sums (phi/gamma handled by
-    their dedicated evaluator)."""
+def _catalog_series(name: str) -> tuple[str, SeriesSpec]:
+    """Resolve a catalog name to (canonical-name, spec)."""
     name = name.strip().lower()
     if name in ("f", "g", "phi", "gamma", "delta", "odd-epsilon", "composite9"):
         spec = {
@@ -196,40 +193,27 @@ def _catalog_series(name: str) -> tuple[str, SeriesSpec | None]:
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "shifted"):
             raise UsageError(f"affine series syntax is affine:A:B[:shifted], got {name!r}")
         low, high = parse_real(parts[1]), parse_real(parts[2])
-        from .evaluator import IndexShift
-
         shift = IndexShift.BY_ONE if len(parts) == 4 else IndexShift.NONE
         return name, SeriesSpec(CoefficientSequence.affine(low, high), shift)
     raise UsageError(f"unknown series {name!r}; catalog: {_EVAL_CATALOG}")
 
 
 def _evaluate_catalog(
-    name: str, spec: SeriesSpec | None, s: float, eps: float, method: str, cfg: RunConfig
+    name: str, spec: SeriesSpec, s: float, eps: float, method: str, cfg: RunConfig
 ) -> EvalResult:
     prec = _precision(cfg, eps)
     depth = cfg.depth
-    if name == "f":
-        if method in ("auto", "functional"):
-            return eval_functional_equation(
-                s, eps, depth=depth if depth is not None else depth_for(s, eps), prec=prec,
-                max_terms=cfg.max_terms,
-            )
-        if method == "odd":
-            return eval_f_via_odd_split(s, eps, prec, cfg.max_terms)
-        return eval_naive(F_SERIES, s, eps, prec, cfg.max_terms)
-    if name in ("phi", "gamma"):
-        if method in ("auto", "functional"):
-            return eval_phi_gamma(name, s, eps, prec, depth, cfg.max_terms)
-        if method == "naive":
-            return eval_naive(spec, s, eps, prec, cfg.max_terms)
-        raise UsageError(f"method {method!r} does not apply to {name}")
-    if name == "odd-epsilon":
-        if method not in ("auto", "naive"):
-            raise UsageError(f"method {method!r} does not apply to {name}")
-        return eval_odd_series(s, eps, prec, cfg.max_terms)
-    if name == "g" and method == "odd":
+    functional = method in ("auto", "functional")
+    if method == "odd" and name in ("f", "g"):
         return eval_series_spec(spec, s, eps, Route.ODD_SPLIT, prec, cfg.max_terms)
-    if method == "naive":
+    if functional and name == "f":
+        return eval_functional_equation(
+            s, eps, depth=depth if depth is not None else depth_for(s, eps), prec=prec,
+            max_terms=cfg.max_terms,
+        )
+    if functional and name in ("phi", "gamma"):
+        return eval_phi_gamma(name, s, eps, prec, depth, cfg.max_terms)
+    if method == "naive" or (method == "auto" and name == "odd-epsilon"):
         return eval_naive(spec, s, eps, prec, cfg.max_terms)
     if method == "auto":
         return eval_series_spec(spec, s, eps, Route.AUTO, prec, cfg.max_terms)

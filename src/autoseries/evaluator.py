@@ -1,16 +1,13 @@
 """Bounded evaluation of Dirichlet series with digit-parity coefficients.
 
-Three routes are implemented and cross-validated:
+Two summation routes live here; ``identities.eval_series_spec`` picks
+between them and adds the odd-index split:
 
 * ``eval_naive``: direct summation of the first N terms with an analytic
   tail bound by integral comparison.  For a coefficient majorant C(n) that
   is constant, sum_{n>N} C/n^s <= C N^(1-s)/(s-1); digit-sum coefficients
-  use the (b-1)(log_b n + 1) majorant and the corresponding integral.
-
-* ``eval_odd_series`` / ``eval_f_via_odd_split``: every n >= 1 factors
-  uniquely as 2^k (2m+1), and e_{2^k(2m+1)-1} = (-1)^k e_m, so the shifted
-  +/-1 series satisfies  f(s) = 2^s/(2^s+1) * A(s)  with
-  A(s) = sum_{m>=0} e_m/(2m+1)^s.
+  use the (b-1)(log_b n + 1) majorant and the corresponding integral, and
+  their truncation point comes from ``_truncation_search``.
 
 * ``eval_functional_equation``: the binomial acceleration
   f(s) = sum_{k>=1} 2^(-s-k) binom(s+k-1, k) f(s+k), truncated at depth K.
@@ -19,6 +16,12 @@ Three routes are implemented and cross-validated:
   (the first term of f is 1/1^p; everything else is dominated by
   sum_{n>=2} n^(-p)) together with zeta(p) - 1 <= 2^(-p) (1 + 2/(p-1)) and
   a geometric majorant for the weights.
+
+* The odd-index split (``Route.ODD_SPLIT``) needs no kernel of its own:
+  every n >= 1 factors uniquely as 2^k (2m+1), and e_{2^k(2m+1)-1} =
+  (-1)^k e_m, so f(s) = 2^s/(2^s+1) A(s) and g(s) = -2^s/(2^s-1) A(s) with
+  A(s) = sum_{m>=0} e_m/(2m+1)^s, which is ``ODD_PLUS_MINUS_SERIES``
+  summed by ``eval_naive``.
 
 Every partial-sum loop uses compensated (Kahan) accumulation over fixed
 2^14-term chunks, so results are bit-reproducible, and every reported
@@ -35,7 +38,7 @@ import numpy as np
 from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError, ResourceLimitError
-from .precision import Precision
+from .precision import Precision, _check_eps, _check_s
 from .result import EvalResult, Method
 from .sequences import CoefficientSequence, SequenceKind
 from .special_functions import riemann_zeta
@@ -76,8 +79,8 @@ class DenominatorForm(Enum):
 class SeriesSpec:
     """A Dirichlet series: coefficient stream, index shift, denominator form.
 
-    The shifted +/-1 stream with no index shift and the unshifted stream
-    with a by-one shift denote the same series; both are accepted.
+    A by-one index shift reads coefficient n-1 at denominator n, which is
+    how the shifted series such as f(s) = sum e_{n-1}/n^s are written.
     """
 
     coeffs: CoefficientSequence
@@ -186,50 +189,65 @@ class SeriesSpec:
     def required_counters(self, s: float, eps_tail: float, max_terms: int) -> int:
         """Smallest counter count whose tail bound undershoots eps_tail."""
         min_n = max(2, self.counter_start + 1)
-        if self.coeffs.bound_constant is None:
-            min_n = max(min_n, self.coeffs.base, 16)
-            n = min_n
-            while self.tail_bound(n, s) > eps_tail:
-                if n > 4 * max_terms:
-                    raise ResourceLimitError(
-                        f"naive evaluation of {self.label()} at s={s:g} to "
-                        f"eps={eps_tail:g} needs more than {n} terms "
-                        f"(cap {max_terms})"
-                    )
-                n *= 2
-            lo, hi = n // 2, n
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if self.tail_bound(mid, s) <= eps_tail:
-                    hi = mid
-                else:
-                    lo = mid
-            n = max(min_n, hi)
+        c = self.coeffs.bound_constant
+        if c is None:
+            return _truncation_search(
+                lambda n: self.tail_bound(n, s),
+                max(min_n, self.coeffs.base, 16),
+                eps_tail,
+                max_terms,
+                f"naive evaluation of {self.label()} at s={s:g}",
+            )
+        if c == 0.0:
+            return min_n
+        if self.denom is DenominatorForm.POWER_OF_ODD_N:
+            log_root = (math.log(c) - math.log(2.0 * (s - 1.0)) - math.log(eps_tail)) / (s - 1.0)
+            log_req = log_root - math.log(2.0)
         else:
-            c = self.coeffs.bound_constant
-            if c == 0.0:
-                return min_n
-            if self.denom is DenominatorForm.POWER_OF_ODD_N:
-                log_root = (math.log(c) - math.log(2.0 * (s - 1.0)) - math.log(eps_tail)) / (s - 1.0)
-                log_req = log_root - math.log(2.0)
-            else:
-                log_root = (math.log(c) - math.log(s - 1.0) - math.log(eps_tail)) / (s - 1.0)
-                log_req = log_root
-            if log_req > math.log(4.0 * max_terms):
-                raise ResourceLimitError(
-                    f"naive evaluation of {self.label()} at s={s:g} to "
-                    f"eps={eps_tail:g} needs N~{math.exp(min(log_req, 700.0)):.3g} "
-                    f"terms (cap {max_terms})"
-                )
-            n = max(min_n, math.ceil(math.exp(log_req)))
-            while self.tail_bound(n, s) > eps_tail:
-                n = n + max(1, n // 16)
+            log_root = (math.log(c) - math.log(s - 1.0) - math.log(eps_tail)) / (s - 1.0)
+            log_req = log_root
+        if log_req > math.log(4.0 * max_terms):
+            raise ResourceLimitError(
+                f"naive evaluation of {self.label()} at s={s:g} to "
+                f"eps={eps_tail:g} needs N~{math.exp(min(log_req, 700.0)):.3g} "
+                f"terms (cap {max_terms})"
+            )
+        n = max(min_n, math.ceil(math.exp(log_req)))
+        while self.tail_bound(n, s) > eps_tail:
+            n = n + max(1, n // 16)
         if n > max_terms:
             raise ResourceLimitError(
                 f"naive evaluation of {self.label()} at s={s:g} to "
                 f"eps={eps_tail:g} needs N={n} terms (cap {max_terms})"
             )
         return n
+
+
+def _truncation_search(tail, start: int, eps: float, max_terms: int, what: str) -> int:
+    """Smallest n >= ``start`` with ``tail(n) <= eps``, for a tail bound that
+    does not increase from ``start`` on.
+
+    Doubles n from ``start`` until the tail fits, then bisects the last
+    doubling step.  Refuses with a ``ResourceLimitError`` naming the cap
+    once n passes ``max_terms``; ``what`` opens the message.
+    """
+    n = start
+    while tail(n) > eps:
+        if n > 4 * max_terms:
+            raise ResourceLimitError(
+                f"{what} to eps={eps:g} needs more than {n} terms (cap {max_terms})"
+            )
+        n *= 2
+    lo, hi = max(n // 2, start - 1), n
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if tail(mid) <= eps:
+            hi = mid
+        else:
+            lo = mid
+    if hi > max_terms:
+        raise ResourceLimitError(f"{what} to eps={eps:g} needs N={hi} terms (cap {max_terms})")
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -261,20 +279,6 @@ ZETA_SERIES = SeriesSpec(CoefficientSequence.affine(1.0, 1.0))
 # ---------------------------------------------------------------------------
 # summation kernels
 # ---------------------------------------------------------------------------
-
-
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not (s > 1.0) or not math.isfinite(s):
-        raise DomainError(f"series exponent must satisfy s > 1, got {s}")
-    return s
-
-
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise DomainError(f"eps must be positive, got {eps}")
-    return eps
 
 
 def chunked_kahan_sum(block_fn, start: int, count: int) -> float:
@@ -361,47 +365,6 @@ def eval_naive(
         )
     value = _sum_f64(spec, s, n) if prec.is_double else _sum_mp(spec, s, n, prec)
     return EvalResult(value, bound, n, Method.NAIVE)
-
-
-# ---------------------------------------------------------------------------
-# odd-index split
-# ---------------------------------------------------------------------------
-
-
-def odd_split_factor(s: float) -> float:
-    """2^s/(2^s + 1), the factor linking f(s) to the odd-denominator series."""
-    return 1.0 / (1.0 + 2.0 ** (-_check_s(s)))
-
-
-def eval_odd_series(
-    s: float,
-    eps: float,
-    prec: Precision | None = None,
-    max_terms: int | None = None,
-) -> EvalResult:
-    """A(s) = sum_{m>=0} e_m/(2m+1)^s by bounded direct summation."""
-    return eval_naive(ODD_PLUS_MINUS_SERIES, s, eps, prec, max_terms)
-
-
-def eval_f_via_odd_split(
-    s: float,
-    eps: float,
-    prec: Precision | None = None,
-    max_terms: int | None = None,
-) -> EvalResult:
-    """f(s) through the unique factorization n = 2^k (2m+1):  f = 2^s/(2^s+1) A."""
-    s = _check_s(s)
-    eps = _check_eps(eps)
-    prec = prec if prec is not None else Precision.for_eps(eps)
-    ctx = _combine_ctx(prec)
-    if ctx is None:
-        factor = odd_split_factor(s)
-    else:
-        factor = 1 / (1 + ctx.power(2, -ctx.mpf(s)))
-    inner = eval_odd_series(s, eps * 0.98 / float(factor), prec, max_terms)
-    value = factor * inner.value
-    bound = float(factor) * inner.abs_error_bound + 4.0 * prec.unit_roundoff * abs(float(value))
-    return EvalResult(value, bound, inner.terms_used, Method.ODD_DECOMPOSITION)
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +567,3 @@ def eval_phi_gamma(
         )
     return EvalResult(value, bound, z.terms_used + f_result.terms_used, f_result.method)
 
-
-def eval_composite9(
-    s: float,
-    eps: float,
-    prec: Precision | None = None,
-    max_terms: int | None = None,
-) -> EvalResult:
-    """The period-doubling composite series, summed directly.
-
-    Each term is bounded by n^-s (the numerator never exceeds (4n+3)^s and
-    the coefficient is a bit), so the usual integral tail applies.
-    """
-    return eval_naive(COMPOSITE9_SERIES, s, eps, prec, max_terms)

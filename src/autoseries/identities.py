@@ -9,9 +9,9 @@ inside the combined bounds.  Because the bounds are rigorous, a false
 identity is detected as soon as they shrink below its defect; the
 registry test suite includes a deliberately wrong pairing to prove that.
 
-Left-side coefficients are affine in 2^s; the few rational-in-2^s factors
-(the shifted-to-unshifted ratio, the odd-series bridge) get a dedicated
-polynomial-ratio node instead of being forced into the affine form.
+Left-side coefficients and the powers of 2^s on right sides share one
+type, ``TwoPowerRatio``: a ratio of polynomials in 2^s evaluated by
+Horner's rule, a plain polynomial when its denominator is left at 1.
 
 Two classical digit-sum checks and the alternating binary product have no
 exponent parameter; they are registered as fixed-form entries and verified
@@ -30,10 +30,9 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError, ResourceLimitError
-from .precision import Precision
+from .precision import Precision, _check_eps, _check_s
 from .result import EvalResult, Method
 from .sequences import CoefficientSequence, SequenceKind, digit_sum_block, pm_thue_morse_block
 from .special_functions import dirichlet_eta, hurwitz_zeta, riemann_zeta
@@ -54,9 +53,9 @@ from .evaluator import (
     depth_for,
     eval_functional_equation,
     eval_naive,
-    eval_odd_series,
     _combine_ctx,
     _gamma_f_coefficient,
+    _truncation_search,
 )
 
 #: Above this many naive terms, auto-routed series fall back to the
@@ -66,90 +65,13 @@ AUTO_NAIVE_CAP = 30_000_000
 _SQRT2 = math.sqrt(2.0)
 
 
-def _pow2s(s: float, prec: Precision):
-    if prec.is_double:
-        return 2.0**s
-    ctx = MPContext()
-    ctx.prec = prec.working_bits + 20
-    return ctx.power(2, ctx.mpf(s))
+def _pow2s(s: float, prec: Precision | None):
+    ctx = None if prec is None else _combine_ctx(prec)
+    return 2.0**s if ctx is None else ctx.power(2, ctx.mpf(s))
 
 
 # ---------------------------------------------------------------------------
-# left-side coefficient functions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoefficientFunction:
-    """c(s) = alpha * 2^s + beta."""
-
-    alpha: float
-    beta: float
-
-    def value(self, s: float, prec: Precision | None = None):
-        x = _pow2s(s, prec or Precision())
-        return self.alpha * x + self.beta
-
-    @property
-    def is_zero(self) -> bool:
-        return self.alpha == 0.0 and self.beta == 0.0
-
-    def describe(self) -> str:
-        if self.alpha == 0.0:
-            return f"{self.beta:g}"
-        if self.beta == 0.0:
-            return f"{self.alpha:g}*2^s" if self.alpha != 1.0 else "2^s"
-        sign = "+" if self.beta > 0 else "-"
-        lead = "2^s" if self.alpha == 1.0 else f"{self.alpha:g}*2^s"
-        return f"({lead} {sign} {abs(self.beta):g})"
-
-
-@dataclass(frozen=True)
-class TwoPowerRatio:
-    """P(2^s)/Q(2^s) with constant-first coefficient tuples.
-
-    Dedicated form for factors like (1-2^s)/(1+2^s) and -4^s/(4^s-1) that
-    are rational, not affine, in 2^s.
-    """
-
-    num: tuple[float, ...]
-    den: tuple[float, ...]
-
-    def _poly(self, coeffs, x):
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    def value(self, s: float, prec: Precision | None = None):
-        x = _pow2s(s, prec or Precision())
-        den = self._poly(self.den, x)
-        if den == 0:
-            raise DomainError(f"coefficient denominator vanishes at s={s:g}")
-        return self._poly(self.num, x) / den
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.num)
-
-    def describe(self) -> str:
-        def poly(coeffs):
-            parts = []
-            for i, c in enumerate(coeffs):
-                if c == 0.0:
-                    continue
-                base = "1" if i == 0 else ("2^s" if i == 1 else f"2^{i}s")
-                parts.append(base if c == 1.0 else f"{c:g}*{base}" if c != -1.0 else f"-{base}")
-            return " + ".join(parts).replace("+ -", "- ") or "0"
-
-        return f"({poly(self.num)})/({poly(self.den)})"
-
-
-SeriesCoefficient = CoefficientFunction | TwoPowerRatio
-
-
-# ---------------------------------------------------------------------------
-# right-side closed forms
+# closed forms and coefficients in 2^s
 # ---------------------------------------------------------------------------
 
 
@@ -185,11 +107,10 @@ class Num(Expr):
         return float(self.value)
 
     def bracket(self, s, budget, prec, cache):
-        if prec.is_double:
+        ctx = _combine_ctx(prec)
+        if ctx is None:
             v = self.value.numerator / self.value.denominator
             return v, 0.5 * prec.unit_roundoff * abs(v)
-        ctx = MPContext()
-        ctx.prec = prec.working_bits + 20
         return _const_pair(ctx.mpf(self.value.numerator) / self.value.denominator, prec)
 
     def describe(self):
@@ -202,11 +123,8 @@ class Pi(Expr):
         return math.pi
 
     def bracket(self, s, budget, prec, cache):
-        if prec.is_double:
-            return _const_pair(math.pi, prec)
-        ctx = MPContext()
-        ctx.prec = prec.working_bits + 20
-        return _const_pair(+ctx.pi, prec)
+        ctx = _combine_ctx(prec)
+        return _const_pair(math.pi if ctx is None else +ctx.pi, prec)
 
     def describe(self):
         return "pi"
@@ -220,11 +138,8 @@ class Sqrt(Expr):
         return math.sqrt(self.arg)
 
     def bracket(self, s, budget, prec, cache):
-        if prec.is_double:
-            return _const_pair(math.sqrt(self.arg), prec)
-        ctx = MPContext()
-        ctx.prec = prec.working_bits + 20
-        return _const_pair(ctx.sqrt(self.arg), prec)
+        ctx = _combine_ctx(prec)
+        return _const_pair(math.sqrt(self.arg) if ctx is None else ctx.sqrt(self.arg), prec)
 
     def describe(self):
         return f"sqrt({self.arg})"
@@ -238,37 +153,66 @@ class Log(Expr):
         return math.log(self.arg)
 
     def bracket(self, s, budget, prec, cache):
-        if prec.is_double:
+        ctx = _combine_ctx(prec)
+        if ctx is None:
             return _const_pair(math.log(self.arg.numerator / self.arg.denominator), prec)
-        ctx = MPContext()
-        ctx.prec = prec.working_bits + 20
         return _const_pair(ctx.log(ctx.mpf(self.arg.numerator) / self.arg.denominator), prec)
 
     def describe(self):
         return f"log({self.arg})"
 
 
+def _horner(coeffs: tuple[float, ...], x):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 @dataclass(frozen=True)
-class TwoPowPoly(Expr):
-    """Polynomial in 2^s, constant-first coefficients."""
+class TwoPowerRatio(Expr):
+    """P(2^s)/Q(2^s) with constant-first coefficient tuples; Q defaults to 1.
 
-    coeffs: tuple[float, ...]
+    One type for every factor that is rational in 2^s: left-side
+    coefficients such as 2^s+1 or (1-2^s)/(1+2^s), and right-side factors
+    such as 2^s or 4^s.
+    """
 
-    def _eval(self, x):
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    num: tuple[float, ...]
+    den: tuple[float, ...] = (1.0,)
+
+    def value(self, s: float, prec: Precision | None = None):
+        x = _pow2s(s, prec)
+        den = _horner(self.den, x)
+        if den == 0:
+            raise DomainError(f"coefficient denominator vanishes at s={s:g}")
+        return _horner(self.num, x) / den
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0.0 for c in self.num)
 
     def rough(self, s):
-        return self._eval(2.0**s)
+        return self.value(s)
 
     def bracket(self, s, budget, prec, cache):
-        v = self._eval(_pow2s(s, prec))
-        return v, 4.0 * len(self.coeffs) * prec.unit_roundoff * abs(float(v))
+        v = self.value(s, prec)
+        ops = len(self.num) + len(self.den) - 1
+        return v, 4.0 * ops * prec.unit_roundoff * abs(float(v))
 
     def describe(self):
-        return TwoPowerRatio(self.coeffs, (1.0,)).describe().removesuffix("/(1)")
+        def poly(coeffs):
+            parts = []
+            for i, c in enumerate(coeffs):
+                if c == 0.0:
+                    continue
+                base = "1" if i == 0 else ("2^s" if i == 1 else f"2^{i}s")
+                parts.append(base if c == 1.0 else f"{c:g}*{base}" if c != -1.0 else f"-{base}")
+            return " + ".join(parts).replace("+ -", "- ") or "0"
+
+        if self.den == (1.0,):
+            return poly(self.num)
+        return f"({poly(self.num)})/({poly(self.den)})"
 
 
 @dataclass(frozen=True)
@@ -316,28 +260,6 @@ class HurwitzZeta(Expr):
 
     def describe(self):
         return f"zeta(s,{self.a})"
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    terms: tuple[Expr, ...]
-
-    def rough(self, s):
-        return sum(t.rough(s) for t in self.terms)
-
-    def bracket(self, s, budget, prec, cache):
-        share = budget / max(len(self.terms), 1)
-        vals, bounds = [], []
-        for t in self.terms:
-            v, b = t.bracket(s, share, prec, cache)
-            vals.append(v)
-            bounds.append(b)
-        total = sum(vals)
-        rounding = 2.0 * len(vals) * prec.unit_roundoff * sum(abs(float(v)) for v in vals)
-        return total, sum(bounds) + rounding
-
-    def describe(self):
-        return " + ".join(t.describe() for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -459,7 +381,7 @@ class Route(Enum):
 
 @dataclass(frozen=True)
 class LhsTerm:
-    coefficient: SeriesCoefficient
+    coefficient: TwoPowerRatio
     series: SeriesSpec
     route: Route = Route.AUTO
 
@@ -521,10 +443,8 @@ class VerificationRecord:
 # -- routed evaluation of one LHS pair ---------------------------------------
 
 _DECOMPOSABLE_KINDS = {
-    SequenceKind.THUE_MORSE: (0.0, 1.0, False),
-    SequenceKind.SHIFTED_THUE_MORSE: (0.0, 1.0, True),
-    SequenceKind.PLUS_MINUS: (1.0, -1.0, False),
-    SequenceKind.SHIFTED_PLUS_MINUS: (1.0, -1.0, True),
+    SequenceKind.THUE_MORSE: (0.0, 1.0),
+    SequenceKind.PLUS_MINUS: (1.0, -1.0),
 }
 
 
@@ -535,14 +455,12 @@ def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
         return None
     kind = spec.coeffs.kind
     if kind is SequenceKind.AFFINE:
-        low, high, shifted = spec.coeffs.low, spec.coeffs.high, False
+        low, high = spec.coeffs.low, spec.coeffs.high
     elif kind in _DECOMPOSABLE_KINDS:
-        low, high, shifted = _DECOMPOSABLE_KINDS[kind]
+        low, high = _DECOMPOSABLE_KINDS[kind]
     else:
         return None
-    if spec.shift is IndexShift.BY_ONE:
-        shifted = not shifted
-    return low, high, shifted
+    return low, high, spec.shift is IndexShift.BY_ONE
 
 
 def _eval_decomposed(
@@ -641,10 +559,7 @@ def _eval_routed(
         # f = 2^s/(2^s+1) A, g = -2^s/(2^s-1) A from the even/odd index split
         ctx = _combine_ctx(prec)
         q = 2.0 ** (-s) if ctx is None else ctx.power(2, -ctx.mpf(s))
-        if spec == F_SERIES or (
-            spec.coeffs.kind is SequenceKind.SHIFTED_PLUS_MINUS
-            and spec.denom is DenominatorForm.POWER_OF_N
-        ):
+        if spec == F_SERIES:
             factor = 1.0 / (1.0 + q)
         elif spec == G_SERIES:
             factor = -1.0 / (1.0 - q)
@@ -654,7 +569,7 @@ def _eval_routed(
         a = cache.get_or_eval(
             ("A", s),
             eps * 0.98 / f_abs,
-            lambda e: eval_odd_series(s, e, prec, max_terms),
+            lambda e: eval_naive(ODD_PLUS_MINUS_SERIES, s, e, prec, max_terms),
         )
         value = factor * a.value
         bound = f_abs * a.abs_error_bound + 4.0 * prec.unit_roundoff * abs(float(value))
@@ -670,23 +585,19 @@ def eval_series_spec(
     prec: Precision | None = None,
     max_terms: int | None = None,
 ) -> EvalResult:
-    """Evaluate one series with route selection (naive when affordable,
-    the alphabet decomposition or odd split otherwise)."""
+    """Evaluate one series on ``route``; AUTO sums naively when affordable
+    and falls back to the alphabet decomposition otherwise.  ODD_SPLIT
+    applies to f and g only."""
+    s = _check_s(s)
+    eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
-    term = LhsTerm(CoefficientFunction(0.0, 1.0), spec, route)
+    term = LhsTerm(TwoPowerRatio((1.0,)), spec, route)
     return _eval_routed(term, s, eps, prec, max_terms, _EvalCache())
 
 
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise DomainError(f"eps must be positive, got {eps}")
-    return eps
 
 
 def verify(
@@ -774,12 +685,21 @@ def verify(
 # ---------------------------------------------------------------------------
 
 
+def _affine_coefficients(c: TwoPowerRatio) -> tuple[float, float]:
+    """(alpha, beta) of a coefficient alpha * 2^s + beta."""
+    if c.den != (1.0,) or len(c.num) > 2:
+        raise DomainError(f"expected a coefficient affine in 2^s, got {c.describe()}")
+    beta, alpha = (*c.num, 0.0)[:2]
+    return alpha, beta
+
+
 def make_corollary2_identity(
-    u: CoefficientFunction, v: CoefficientFunction, identity_id: str | None = None
+    u: TwoPowerRatio, v: TwoPowerRatio, identity_id: str | None = None
 ) -> Identity:
     """u * (shifted 0/1 series) + v * (0/1 series) against its closed form.
 
-    The equality, with x = 2^s and f the shifted +/-1 series:
+    ``u`` and ``v`` must be affine in 2^s.  The equality, with x = 2^s and
+    f the shifted +/-1 series:
 
         u phi + v gamma = (u+v)/2 zeta - f/2 (u + v (1+x)/(1-x))
 
@@ -788,14 +708,14 @@ def make_corollary2_identity(
     the naive route so the check exercises real partial sums against the
     accelerated right side.
     """
-    au, bu = u.alpha, u.beta
-    av, bv = v.alpha, v.beta
+    au, bu = _affine_coefficients(u)
+    av, bv = _affine_coefficients(v)
     f_num = (bu + bv, au - bu + av + bv, -au + av)
     pairs = [
         LhsTerm(u, PHI_SERIES, Route.NAIVE),
         LhsTerm(v, GAMMA_SERIES, Route.NAIVE),
         LhsTerm(
-            CoefficientFunction(-(au + av) / 2.0, -(bu + bv) / 2.0),
+            TwoPowerRatio((-(bu + bv) / 2.0, -(au + av) / 2.0)),
             ZETA_SERIES,
             Route.DECOMPOSED,
         ),
@@ -812,57 +732,19 @@ def make_corollary2_identity(
     )
 
 
-def verify_corollary2(
-    u: CoefficientFunction,
-    v: CoefficientFunction,
-    s: float,
-    eps: float,
-    prec: Precision | None = None,
-    max_terms: int | None = None,
-) -> VerificationRecord:
-    """Check the u,v combination of the 0/1 series at exponent s."""
-    return verify(make_corollary2_identity(u, v), s, eps, prec, max_terms)
-
-
 # ---------------------------------------------------------------------------
 # fixed digit-sum series
 # ---------------------------------------------------------------------------
 
 
-def _digit_harmonic_lhs(base: int) -> Callable[[float, Precision, int], EvalResult]:
-    """sum_{n>=1} s_b(n)/(n(n+1)) with the digit-sum integral tail."""
-
-    def tail(n: float) -> float:
-        lnb = math.log(base)
-        return (base - 1.0) * ((math.log(n) + 1.0) / (lnb * n) + 1.0 / n)
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        n = np.arange(lo, hi, dtype=np.float64)
-        c = digit_sum_block(lo, hi, base).astype(np.float64)
-        return c / (n * (n + 1.0))
+def _fixed_form_lhs(
+    block: Callable[[int, int], np.ndarray], tail: Callable[[int], float], start: int, what: str
+) -> Callable[[float, Precision, int], EvalResult]:
+    """Left side of a fixed positive-term series: the terms n >= 1 come from
+    ``block``, and ``tail(n)`` bounds the sum of the terms past n."""
 
     def evaluate(eps: float, prec: Precision, max_terms: int) -> EvalResult:
-        n = max(base, 16)
-        while tail(n) > 0.95 * eps:
-            n *= 2
-            if n > 4 * max_terms:
-                raise ResourceLimitError(
-                    f"digit-sum series (base {base}) needs more than {n} terms "
-                    f"for eps={eps:g} (cap {max_terms})"
-                )
-        lo, hi = n // 2, n
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if tail(mid) <= 0.95 * eps:
-                hi = mid
-            else:
-                lo = mid
-        n = hi
-        if n > max_terms:
-            raise ResourceLimitError(
-                f"digit-sum series (base {base}) needs {n} terms for eps={eps:g} "
-                f"(cap {max_terms})"
-            )
+        n = _truncation_search(tail, start, 0.95 * eps, max_terms, what)
         value = chunked_kahan_sum(block, 1, n)
         # positive terms: the partial sum itself caps the absolute sum
         bound = tail(n) + 32.0 * prec.unit_roundoff * (value + 1.0)
@@ -873,11 +755,26 @@ def _digit_harmonic_lhs(base: int) -> Callable[[float, Precision, int], EvalResu
     return evaluate
 
 
-def _binary_weighted_lhs(eps: float, prec: Precision, max_terms: int) -> EvalResult:
-    """sum_{n>=1} s_2(n)(2n+1)/(n^2 (n+1)^2), tail <= 2 (log2 n + 1)/n^2 style."""
+def _digit_harmonic_lhs(base: int) -> Callable[[float, Precision, int], EvalResult]:
+    """sum_{n>=1} s_b(n)/(n(n+1)) with the digit-sum integral tail."""
+    lnb = math.log(base)
 
     def tail(n: float) -> float:
-        ln2 = math.log(2.0)
+        return (base - 1.0) * ((math.log(n) + 1.0) / (lnb * n) + 1.0 / n)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        n = np.arange(lo, hi, dtype=np.float64)
+        c = digit_sum_block(lo, hi, base).astype(np.float64)
+        return c / (n * (n + 1.0))
+
+    return _fixed_form_lhs(block, tail, max(base, 16), f"digit-sum series (base {base})")
+
+
+def _binary_weighted_lhs() -> Callable[[float, Precision, int], EvalResult]:
+    """sum_{n>=1} s_2(n)(2n+1)/(n^2 (n+1)^2), tail <= 2 (log2 n + 1)/n^2 style."""
+    ln2 = math.log(2.0)
+
+    def tail(n: float) -> float:
         return 2.0 * ((math.log(n) / 2.0 + 0.25) / ln2 + 0.5) / (n * n)
 
     def block(lo: int, hi: int) -> np.ndarray:
@@ -885,26 +782,7 @@ def _binary_weighted_lhs(eps: float, prec: Precision, max_terms: int) -> EvalRes
         c = digit_sum_block(lo, hi, 2).astype(np.float64)
         return c * (2.0 * n + 1.0) / (n * n * (n + 1.0) * (n + 1.0))
 
-    n = 16
-    while tail(n) > 0.95 * eps:
-        n *= 2
-        if n > 4 * max_terms:
-            raise ResourceLimitError(f"binary weighted series needs more than {n} terms")
-    lo, hi = n // 2, n
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if tail(mid) <= 0.95 * eps:
-            hi = mid
-        else:
-            lo = mid
-    n = hi
-    if n > max_terms:
-        raise ResourceLimitError(f"binary weighted series needs {n} terms (cap {max_terms})")
-    value = chunked_kahan_sum(block, 1, n)
-    bound = tail(n) + 32.0 * prec.unit_roundoff * (value + 1.0)
-    if bound > eps:
-        raise ResourceLimitError(f"cannot certify eps={eps:g} at this precision")
-    return EvalResult(value, bound, n, Method.NAIVE)
+    return _fixed_form_lhs(block, tail, 16, "binary weighted series")
 
 
 # ---------------------------------------------------------------------------
@@ -983,16 +861,16 @@ def _affine_series(low: float, high: float, shifted: bool) -> SeriesSpec:
     )
 
 
-def _one() -> CoefficientFunction:
-    return CoefficientFunction(0.0, 1.0)
+def _one() -> TwoPowerRatio:
+    return TwoPowerRatio((1.0,))
 
 
-def _const(c: float) -> CoefficientFunction:
-    return CoefficientFunction(0.0, c)
+def _const(c: float) -> TwoPowerRatio:
+    return TwoPowerRatio((c,))
 
 
 def _build_registry() -> tuple[Identity, ...]:
-    two_pow_s = TwoPowPoly((0.0, 1.0))
+    two_pow_s = TwoPowerRatio((0.0, 1.0))
     entries: list[Identity] = []
 
     entries.append(
@@ -1012,8 +890,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="theorem3",
             lhs=(
-                LhsTerm(CoefficientFunction(1.0, 1.0), PHI_SERIES, Route.DECOMPOSED),
-                LhsTerm(CoefficientFunction(1.0, -1.0), GAMMA_SERIES, Route.DECOMPOSED),
+                LhsTerm(TwoPowerRatio((1.0, 1.0)), PHI_SERIES, Route.DECOMPOSED),
+                LhsTerm(TwoPowerRatio((-1.0, 1.0)), GAMMA_SERIES, Route.DECOMPOSED),
             ),
             rhs=Mul((two_pow_s, Zeta())),
             description="(2^s+1) sum(t[n-1]/n^s) + (2^s-1) sum(t[n]/n^s) = 2^s zeta(s)",
@@ -1060,8 +938,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="theorem5-pows",
             lhs=(
-                LhsTerm(CoefficientFunction(1.0, 1.0), _affine_series(0.0, 1.0, True)),
-                LhsTerm(CoefficientFunction(1.0, -1.0), _affine_series(0.0, 1.0, False)),
+                LhsTerm(TwoPowerRatio((1.0, 1.0)), _affine_series(0.0, 1.0, True)),
+                LhsTerm(TwoPowerRatio((-1.0, 1.0)), _affine_series(0.0, 1.0, False)),
             ),
             rhs=Mul((two_pow_s, Zeta())),
             description="alphabet k=0, l=0 combination equals 2^s zeta(s)",
@@ -1071,8 +949,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="theorem5-eta",
             lhs=(
-                LhsTerm(CoefficientFunction(1.0, 1.0), _affine_series(-1.0, 0.0, True)),
-                LhsTerm(CoefficientFunction(1.0, -1.0), _affine_series(1.0, 2.0, False)),
+                LhsTerm(TwoPowerRatio((1.0, 1.0)), _affine_series(-1.0, 0.0, True)),
+                LhsTerm(TwoPowerRatio((-1.0, 1.0)), _affine_series(1.0, 2.0, False)),
             ),
             rhs=Mul((two_pow_s, Eta())),
             description="alphabet k=1, l=1 combination equals 2^s eta(s)",
@@ -1140,7 +1018,7 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="example9",
             lhs=(LhsTerm(_one(), COMPOSITE9_SERIES, Route.NAIVE),),
-            rhs=Ratio(HurwitzZeta(Fraction(1, 4)), TwoPowPoly((0.0, 0.0, 1.0))),
+            rhs=Ratio(HurwitzZeta(Fraction(1, 4)), TwoPowerRatio((0.0, 0.0, 1.0))),
             default_s=(2.0, 3.0),
             default_eps=1e-6,
             description="period-doubling composite series equals 4^-s zeta(s, 1/4)",
@@ -1167,7 +1045,7 @@ def _build_registry() -> tuple[Identity, ...]:
             kind=IdentityKind.FIXED_SERIES,
             default_s=(),
             default_eps=1e-8,
-            fixed_lhs=_binary_weighted_lhs,
+            fixed_lhs=_binary_weighted_lhs(),
             description="sum(s_2(n)(2n+1)/(n^2 (n+1)^2)) = pi^2/9",
         )
     )

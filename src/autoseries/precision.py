@@ -59,8 +59,7 @@ class Precision:
         Doubles are kept whenever they leave comfortable headroom; tighter
         tolerances get 30 bits of mantissa beyond the tolerance itself.
         """
-        if not (eps > 0.0) or not math.isfinite(eps):
-            raise DomainError(f"eps must be positive, got {eps}")
+        eps = _check_eps(eps)
         if eps >= 1e-12:
             return cls(DOUBLE_BITS, eps)
         bits = max(DOUBLE_BITS, math.ceil(-math.log2(eps)) + 30)
@@ -79,3 +78,19 @@ class Precision:
     def unit_roundoff(self) -> float:
         """Upper bound on the relative error of one arithmetic operation."""
         return 2.0 ** (1 - self.working_bits)
+
+
+def _check_s(s: float) -> float:
+    """``s`` as a float, refused unless it is a finite exponent above 1."""
+    s = float(s)
+    if not (s > 1.0) or not math.isfinite(s):
+        raise DomainError(f"series exponent must satisfy s > 1, got {s}")
+    return s
+
+
+def _check_eps(eps: float) -> float:
+    """``eps`` as a float, refused unless it is a finite positive tolerance."""
+    eps = float(eps)
+    if not (eps > 0.0) or not math.isfinite(eps):
+        raise DomainError(f"eps must be positive, got {eps}")
+    return eps

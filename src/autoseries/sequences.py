@@ -145,16 +145,11 @@ def digit_sum_block(lo: int, hi: int, base: int) -> np.ndarray:
 
 class SequenceKind(Enum):
     THUE_MORSE = "t"
-    SHIFTED_THUE_MORSE = "t-shifted"
     PLUS_MINUS = "pm"
-    SHIFTED_PLUS_MINUS = "pm-shifted"
     DELTA = "delta"
     PERIOD_DOUBLING = "period-doubling"
     DIGIT_SUM = "digit-sum"
     AFFINE = "affine"
-
-
-_SHIFTED_KINDS = {SequenceKind.SHIFTED_THUE_MORSE, SequenceKind.SHIFTED_PLUS_MINUS}
 
 
 @dataclass(frozen=True)
@@ -184,16 +179,8 @@ class CoefficientSequence:
         return cls(SequenceKind.THUE_MORSE)
 
     @classmethod
-    def shifted_thue_morse(cls) -> "CoefficientSequence":
-        return cls(SequenceKind.SHIFTED_THUE_MORSE)
-
-    @classmethod
     def plus_minus(cls) -> "CoefficientSequence":
         return cls(SequenceKind.PLUS_MINUS)
-
-    @classmethod
-    def shifted_plus_minus(cls) -> "CoefficientSequence":
-        return cls(SequenceKind.SHIFTED_PLUS_MINUS)
 
     @classmethod
     def delta(cls) -> "CoefficientSequence":
@@ -218,8 +205,6 @@ class CoefficientSequence:
         """Smallest index at which the stream is defined."""
         if self.kind is SequenceKind.DELTA or self.kind is SequenceKind.DIGIT_SUM:
             return 1
-        if self.kind in _SHIFTED_KINDS:
-            return 1
         return 0
 
     def term(self, n: int) -> float:
@@ -228,12 +213,8 @@ class CoefficientSequence:
         k = self.kind
         if k is SequenceKind.THUE_MORSE:
             return float(thue_morse(n))
-        if k is SequenceKind.SHIFTED_THUE_MORSE:
-            return float(thue_morse(n - 1))
         if k is SequenceKind.PLUS_MINUS:
             return float(pm_thue_morse(n))
-        if k is SequenceKind.SHIFTED_PLUS_MINUS:
-            return float(pm_thue_morse(n - 1))
         if k is SequenceKind.DELTA:
             return float(delta(n))
         if k is SequenceKind.PERIOD_DOUBLING:
@@ -249,12 +230,8 @@ class CoefficientSequence:
         k = self.kind
         if k is SequenceKind.THUE_MORSE:
             return thue_morse_block(lo, hi).astype(np.float64)
-        if k is SequenceKind.SHIFTED_THUE_MORSE:
-            return thue_morse_block(lo - 1, hi - 1).astype(np.float64)
         if k is SequenceKind.PLUS_MINUS:
             return pm_thue_morse_block(lo, hi).astype(np.float64)
-        if k is SequenceKind.SHIFTED_PLUS_MINUS:
-            return pm_thue_morse_block(lo - 1, hi - 1).astype(np.float64)
         if k is SequenceKind.DELTA:
             return (thue_morse_block(lo, hi) - thue_morse_block(lo - 1, hi - 1)).astype(np.float64)
         if k is SequenceKind.PERIOD_DOUBLING:

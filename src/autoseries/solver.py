@@ -32,14 +32,12 @@ from enum import Enum
 from .errors import DomainError
 from .evaluator import IndexShift, SeriesSpec
 from .identities import (
-    CoefficientFunction,
     Eta,
     Identity,
     LhsTerm,
     Mul,
     Route,
     TwoPowerRatio,
-    TwoPowPoly,
     ValidityDomain,
     ZERO_RHS,
     Zeta,
@@ -99,11 +97,14 @@ def case_target(case: AlphabetCase, s: float) -> float:
 def _ratio_for_case(case: AlphabetCase, k: float, l: float) -> float:
     """The positive ratio whose base-2 log solves the case, with named guards."""
     if case is AlphabetCase.ZERO:
-        if k == l + 1.0:
+        # -k + l + 1 can round to 0 where k != l + 1 in floating point (and
+        # the reverse), so guard the denominator as computed as well
+        den = -k + l + 1.0
+        if den == 0.0 or k == l + 1.0:
             raise DomainError("case 'zero' needs k != l + 1 (denominator -k+l+1 vanishes)")
         if k + l == 0.0:
             raise DomainError("case 'zero' needs k + l != 0")
-        ratio = (k + l) / (-k + l + 1.0)
+        ratio = (k + l) / den
         if not ratio > 0.0:
             raise DomainError("case 'zero' needs (k+l)/(-k+l+1) > 0")
         return ratio
@@ -174,21 +175,21 @@ def mint_identity(sol: AlphabetSolution) -> Identity:
     default_s = (2.0, 3.0, 4.0) if valid.fixed_s is None else (sol.s,)
     if sol.case is AlphabetCase.ZERO:
         lhs = (
-            LhsTerm(CoefficientFunction(0.0, 1.0), q_spec, Route.AUTO),
+            LhsTerm(TwoPowerRatio((1.0,)), q_spec, Route.AUTO),
             LhsTerm(TwoPowerRatio((-1.0, 1.0), (1.0, 1.0)), r_spec, Route.AUTO),
         )
         rhs = ZERO_RHS
         stmt = "sum(q[n-1]/n^s) = (1-2^s)/(1+2^s) sum(r[n]/n^s)"
     else:
         lhs = (
-            LhsTerm(CoefficientFunction(1.0, 1.0), q_spec, Route.AUTO),
-            LhsTerm(CoefficientFunction(1.0, -1.0), r_spec, Route.AUTO),
+            LhsTerm(TwoPowerRatio((1.0, 1.0)), q_spec, Route.AUTO),
+            LhsTerm(TwoPowerRatio((-1.0, 1.0)), r_spec, Route.AUTO),
         )
         if sol.case is AlphabetCase.POW_S:
-            rhs = Mul((TwoPowPoly((0.0, 1.0)), Zeta()))
+            rhs = Mul((TwoPowerRatio((0.0, 1.0)), Zeta()))
             stmt = "(2^s+1) sum(q[n-1]/n^s) + (2^s-1) sum(r[n]/n^s) = 2^s zeta(s)"
         else:
-            rhs = Mul((TwoPowPoly((0.0, 1.0)), Eta()))
+            rhs = Mul((TwoPowerRatio((0.0, 1.0)), Eta()))
             stmt = "(2^s+1) sum(q[n-1]/n^s) + (2^s-1) sum(r[n]/n^s) = 2^s eta(s)"
     return Identity(
         identity_id=f"minted-{sol.case.value}[{sol.k:.10g},{sol.l:.10g}]",

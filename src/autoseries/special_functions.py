@@ -30,7 +30,7 @@ from fractions import Fraction
 from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError, ResourceLimitError
-from .precision import Precision
+from .precision import Precision, _check_s
 from .result import EvalResult, Method
 
 _N_SCHEDULE = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
@@ -55,13 +55,6 @@ def _context(prec: Precision) -> MPContext:
     ctx = MPContext()
     ctx.prec = prec.working_bits + _GUARD_BITS
     return ctx
-
-
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not (s > 1.0) or not math.isfinite(s):
-        raise DomainError(f"series exponent must satisfy s > 1, got {s}")
-    return s
 
 
 def _hurwitz_core(s: float, a, prec: Precision) -> EvalResult:

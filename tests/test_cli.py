@@ -95,6 +95,26 @@ def test_eval_resource_error_exit_one(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("series,reference", [("f", "functional"), ("g", "naive")])
+def test_eval_odd_method_reports_odd_decomposition(capsys, series, reference):
+    code, out, _ = run(capsys, "eval", series, "3", "1e-9", "--method", "odd")
+    assert code == 0
+    odd = json.loads(out)
+    assert odd["method"] == "odd-decomposition"
+    code, out, _ = run(capsys, "eval", series, "3", "1e-9", "--method", reference)
+    assert code == 0
+    ref = json.loads(out)
+    bounds = float(odd["abs_error_bound"]) + float(ref["abs_error_bound"])
+    assert abs(float(odd["value"]) - float(ref["value"])) <= bounds
+
+
+@pytest.mark.parametrize("ident", ["shallit:10", "allouche-shallit"])
+def test_verify_fixed_form_over_max_terms_names_the_cap(capsys, ident):
+    code, _, err = run(capsys, "verify", ident, "--eps", "1e-6", "--max-terms", "1000")
+    assert code == 1
+    assert "cap 1000" in err
+
+
 def test_eval_method_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "delta", "2", "1e-6", "--method", "functional")
     assert code == 2
@@ -214,6 +234,13 @@ def test_solve_eta_sqrt2_tokens(capsys):
 
 def test_solve_guard_violation_named(capsys):
     code, _, err = run(capsys, "solve", "zero", "2", "1")
+    assert code == 1
+    assert "k != l + 1" in err
+
+
+def test_solve_zero_denominator_rounding_to_zero_exits_one(capsys):
+    # "--" keeps the negative alphabet value from parsing as a flag
+    code, _, err = run(capsys, "solve", "--", "zero", "1/3", "-2/3")
     assert code == 1
     assert "k != l + 1" in err
 

@@ -19,18 +19,15 @@ from autoseries.evaluator import (
     ZETA_SERIES,
     _fe_weights,
     depth_for,
-    eval_composite9,
-    eval_f_via_odd_split,
     eval_functional_equation,
     eval_naive,
-    eval_odd_series,
     eval_phi_gamma,
-    odd_split_factor,
     partial_sum,
 )
+from autoseries.identities import Route, eval_series_spec
 from autoseries.precision import Precision
 from autoseries.result import Method
-from autoseries.sequences import CoefficientSequence, thue_morse
+from autoseries.sequences import CoefficientSequence, pm_thue_morse, thue_morse
 from autoseries.special_functions import riemann_zeta
 
 
@@ -38,11 +35,14 @@ from autoseries.special_functions import riemann_zeta
 
 
 def test_shift_equivalence_is_the_same_series():
-    # sum e_{n-1}/n^s written both ways gives identical partial sums
-    shifted_kind = SeriesSpec(CoefficientSequence.shifted_plus_minus())
-    by_one = F_SERIES
-    for n in (1, 2, 7, 100, 5000):
-        assert partial_sum(shifted_kind, 2.0, n) == partial_sum(by_one, 2.0, n)
+    # the by-one index shift reads coefficient n-1 at denominator n:
+    # f = sum e_{n-1}/n^s and phi = sum t_{n-1}/n^s, against scalar sums
+    for s in (2.0, 3.5):
+        for n in (1, 2, 7, 100, 5000):
+            f_ref = math.fsum(pm_thue_morse(m - 1) / m**s for m in range(1, n + 1))
+            phi_ref = math.fsum(thue_morse(m - 1) / m**s for m in range(1, n + 1))
+            assert partial_sum(F_SERIES, s, n) == pytest.approx(f_ref, rel=0, abs=1e-14)
+            assert partial_sum(PHI_SERIES, s, n) == pytest.approx(phi_ref, rel=0, abs=1e-14)
 
 
 def test_spec_validation():
@@ -113,21 +113,22 @@ def test_determinism_bit_identical():
 
 
 def test_odd_series_first_term_dominance_at_six():
-    r = eval_odd_series(6.0, 1e-12)
+    r = eval_naive(ODD_PLUS_MINUS_SERIES, 6.0, 1e-12)
     assert abs(r.value - 1.0) < 3.0**-6 * 1.1
 
 
 def test_odd_split_relation_at_four():
     f = eval_functional_equation(4.0, 1e-10, depth=depth_for(4.0, 1e-10))
-    a = eval_odd_series(4.0, 1e-10)
-    resid = abs(f.value - odd_split_factor(4.0) * a.value)
-    assert resid <= f.abs_error_bound + odd_split_factor(4.0) * a.abs_error_bound
+    a = eval_naive(ODD_PLUS_MINUS_SERIES, 4.0, 1e-10)
+    factor = 2.0**4 / (2.0**4 + 1.0)
+    resid = abs(f.value - factor * a.value)
+    assert resid <= f.abs_error_bound + factor * a.abs_error_bound
 
 
 def test_odd_series_even_odd_split_of_g():
     # A(s) = sum e_m/(2m)^s - sum e_m/m^s = (2^-s - 1) g(s)
     s = 2.0
-    a = eval_odd_series(s, 1e-7)
+    a = eval_naive(ODD_PLUS_MINUS_SERIES, s, 1e-7)
     g = eval_naive(G_SERIES, s, 1e-7)
     factor = 2.0**-s - 1.0
     resid = abs(a.value - factor * g.value)
@@ -135,7 +136,7 @@ def test_odd_series_even_odd_split_of_g():
 
 
 def test_f_via_odd_split_method_tag():
-    r = eval_f_via_odd_split(3.0, 1e-9)
+    r = eval_series_spec(F_SERIES, 3.0, 1e-9, Route.ODD_SPLIT)
     assert r.method is Method.ODD_DECOMPOSITION
     f = eval_functional_equation(3.0, 1e-10, depth=depth_for(3.0, 1e-10))
     assert abs(r.value - f.value) <= r.abs_error_bound + f.abs_error_bound
@@ -242,7 +243,7 @@ def test_composite9_against_hurwitz():
     from autoseries.special_functions import hurwitz_zeta
 
     for s, eps in ((2.0, 1e-6), (3.0, 1e-8)):
-        rc = eval_composite9(s, eps)
+        rc = eval_naive(COMPOSITE9_SERIES, s, eps)
         hz = hurwitz_zeta(s, 0.25, Precision(target_eps=1e-10))
         resid = abs(rc.value - 4.0**-s * hz.value)
         assert resid <= rc.abs_error_bound + 4.0**-s * hz.abs_error_bound
@@ -251,7 +252,7 @@ def test_composite9_against_hurwitz():
 def test_delta_bridge_to_odd_series():
     for s in (2.0, 3.0):
         rd = eval_naive(DELTA_SERIES, s, 1e-6)
-        ra = eval_odd_series(s, 1e-6)
+        ra = eval_naive(ODD_PLUS_MINUS_SERIES, s, 1e-6)
         factor = 4.0**s / (4.0**s - 1.0)
         resid = abs(rd.value - factor * ra.value)
         assert resid <= rd.abs_error_bound + factor * ra.abs_error_bound

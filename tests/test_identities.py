@@ -9,21 +9,19 @@ import pytest
 from autoseries.errors import DomainError
 from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES
 from autoseries.identities import (
-    CoefficientFunction,
     Identity,
     IdentityKind,
     LhsTerm,
     Mul,
     Num,
     Route,
-    TwoPowPoly,
+    TwoPowerRatio,
     ValidityDomain,
     Zeta,
     builtin_registry,
     get_identity,
     make_corollary2_identity,
     verify,
-    verify_corollary2,
     verify_woods_robbins,
 )
 from autoseries.precision import Precision
@@ -129,10 +127,10 @@ def test_swapped_pairing_is_detected():
     wrong = Identity(
         identity_id="theorem3-swapped",
         lhs=(
-            LhsTerm(CoefficientFunction(1.0, -1.0), PHI_SERIES, Route.DECOMPOSED),
-            LhsTerm(CoefficientFunction(1.0, 1.0), GAMMA_SERIES, Route.DECOMPOSED),
+            LhsTerm(TwoPowerRatio((-1.0, 1.0)), PHI_SERIES, Route.DECOMPOSED),
+            LhsTerm(TwoPowerRatio((1.0, 1.0)), GAMMA_SERIES, Route.DECOMPOSED),
         ),
-        rhs=Mul((TwoPowPoly((0.0, 1.0)), Zeta())),
+        rhs=Mul((TwoPowerRatio((0.0, 1.0)), Zeta())),
         description="wrong on purpose",
     )
     rec = verify(wrong, 2.0, 1e-8)
@@ -144,10 +142,10 @@ def test_wrong_constant_is_detected():
     wrong = Identity(
         identity_id="example4a-wrong",
         lhs=(
-            LhsTerm(CoefficientFunction(0.0, 5.0), PHI_SERIES, Route.DECOMPOSED),
-            LhsTerm(CoefficientFunction(0.0, 3.0), GAMMA_SERIES, Route.DECOMPOSED),
+            LhsTerm(TwoPowerRatio((5.0,)), PHI_SERIES, Route.DECOMPOSED),
+            LhsTerm(TwoPowerRatio((3.0,)), GAMMA_SERIES, Route.DECOMPOSED),
         ),
-        rhs=Mul((Num(Fraction(2, 3)), TwoPowPoly((0.0, 1.0)))),  # 2^(s+1)/3, not 2 pi^2/3
+        rhs=Mul((Num(Fraction(2, 3)), TwoPowerRatio((0.0, 1.0)))),  # 2^(s+1)/3, not 2 pi^2/3
         valid_s=ValidityDomain(2.0),
         description="wrong on purpose",
     )
@@ -188,7 +186,7 @@ def test_missing_terms_vanish():
 
 def test_corollary2_theorem_pairing_cancels_f():
     ident = make_corollary2_identity(
-        CoefficientFunction(1.0, 1.0), CoefficientFunction(1.0, -1.0)
+        TwoPowerRatio((1.0, 1.0)), TwoPowerRatio((-1.0, 1.0))
     )
     f_terms = [t for t in ident.lhs if t.series.coeffs.kind.value == "pm"]
     assert len(f_terms) == 1
@@ -200,13 +198,13 @@ def test_corollary2_theorem_pairing_cancels_f():
 @pytest.mark.parametrize(
     "u,v,s",
     [
-        (CoefficientFunction(0.0, 1.0), CoefficientFunction(0.0, 0.0), 2.0),
-        (CoefficientFunction(0.0, 0.0), CoefficientFunction(0.0, 1.0), 3.0),
-        (CoefficientFunction(1.0, 0.5), CoefficientFunction(-0.5, 2.0), 2.5),
+        (TwoPowerRatio((1.0,)), TwoPowerRatio((0.0,)), 2.0),
+        (TwoPowerRatio((0.0,)), TwoPowerRatio((1.0,)), 3.0),
+        (TwoPowerRatio((0.5, 1.0)), TwoPowerRatio((2.0, -0.5)), 2.5),
     ],
 )
 def test_corollary2_combinations(u, v, s):
-    rec = verify_corollary2(u, v, s, 1e-7)
+    rec = verify(make_corollary2_identity(u, v), s, 1e-7)
     assert rec.passed
 
 

@@ -209,9 +209,7 @@ def test_affine_value_bound():
     "seq",
     [
         CoefficientSequence.thue_morse(),
-        CoefficientSequence.shifted_thue_morse(),
         CoefficientSequence.plus_minus(),
-        CoefficientSequence.shifted_plus_minus(),
         CoefficientSequence.delta(),
         CoefficientSequence.period_doubling(),
         CoefficientSequence.digit_sum(3),
@@ -230,7 +228,7 @@ def test_min_index_enforced():
     with pytest.raises(DomainError):
         CoefficientSequence.delta().term(0)
     with pytest.raises(DomainError):
-        CoefficientSequence.shifted_plus_minus().block(0, 5)
+        CoefficientSequence.delta().block(0, 5)
 
 
 def test_generators_are_pure():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from autoseries.errors import DomainError
@@ -67,6 +67,10 @@ def test_solution_eta_case():
         ("zero", 2.0, 1.0, "k != l + 1"),
         ("zero", 1.0, -1.0, "k + l != 0"),
         ("zero", -2.0, -1.0, "> 0"),
+        # k != l + 1 in floating point, yet -k + l + 1 evaluates to exactly 0
+        ("zero", 1 / 3, -2 / 3, "k != l + 1"),
+        ("zero", 5 / 3, 2 / 3, "k != l + 1"),
+        ("zero", -1 / 6, -7 / 6, "k != l + 1"),
         ("pows", 1.0, 1.0, "k != l"),
         ("pows", 1.0, -1.0, "k + l != 0"),
         ("pows", 2.0, 1.0, "> 0"),
@@ -178,6 +182,7 @@ def test_round_trip_hundred_random_alphabets():
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
 )
 @settings(max_examples=150, deadline=None)
+@example(AlphabetCase.ZERO, 9.29e-60, -1.0)
 def test_solver_property_balance_hits_target(case, k, l):
     try:
         sol = solve_case(case, k, l)
