@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autoseries.errors import DomainError
+from autoseries.evaluator import F_SERIES, PHI_SERIES
 from autoseries.sequences import (
     CoefficientSequence,
     affine_seq,
@@ -205,11 +206,36 @@ def test_affine_value_bound():
 # -- stream plumbing -------------------------------------------------------------
 
 
+class _ShiftedStream:
+    """Coefficient at denominator n of a by-one shifted series, as a stream.
+
+    The shifted streams are written as ``SeriesSpec(..., IndexShift.BY_ONE)``;
+    at s = 0 its term block is the coefficient read at each denominator, and
+    the scalar term is the unshifted generator at n - 1.
+    """
+
+    min_index = 1
+
+    def __init__(self, spec, scalar, name):
+        self.spec, self.scalar, self.name = spec, scalar, name
+
+    def label(self):
+        return self.name
+
+    def block(self, lo, hi):
+        return self.spec.term_block(lo - 1, hi - 1, 0.0)
+
+    def term(self, n):
+        return self.scalar(n - 1)
+
+
 @pytest.mark.parametrize(
     "seq",
     [
         CoefficientSequence.thue_morse(),
+        _ShiftedStream(PHI_SERIES, thue_morse, "t-shifted"),
         CoefficientSequence.plus_minus(),
+        _ShiftedStream(F_SERIES, pm_thue_morse, "pm-shifted"),
         CoefficientSequence.delta(),
         CoefficientSequence.period_doubling(),
         CoefficientSequence.digit_sum(3),
