@@ -35,7 +35,6 @@ from .evaluator import (
     PHI_SERIES,
     SeriesSpec,
     ZETA_SERIES,
-    ZeroOneSeries,
     depth_for,
     eval_functional_equation,
     eval_naive,

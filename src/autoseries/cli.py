@@ -7,7 +7,7 @@ usage errors (unknown series or identity, malformed arguments).
 Configuration precedence is flags > environment variables > config file >
 defaults.  The environment understands AUTOSERIES_PRECISION_BITS and
 AUTOSERIES_MAX_TERMS; AUTOSERIES_CONFIG (or --config) points at a JSON
-file with any of the keys eps, precision_bits, max_terms, depth, format.
+file with any of the keys eps, precision_bits, max_terms, format.
 The effective snapshot is embedded in every report.
 """
 
@@ -18,6 +18,7 @@ import ast
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,10 +35,6 @@ from .evaluator import (
     ODD_PLUS_MINUS_SERIES,
     PHI_SERIES,
     SeriesSpec,
-    depth_for,
-    eval_functional_equation,
-    eval_naive,
-    eval_phi_gamma,
 )
 from .identities import (
     IdentityKind,
@@ -49,7 +46,6 @@ from .identities import (
 )
 from .precision import Precision
 from .report import ReportDocument, RunConfig
-from .result import EvalResult
 from .sequences import CoefficientSequence
 from .solver import AlphabetCase, mint_identity, solve_case
 
@@ -130,8 +126,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             cfg.precision_bits = int(data["precision_bits"])
         if "max_terms" in data:
             cfg.max_terms = int(data["max_terms"])
-        if "depth" in data and data["depth"] is not None:
-            cfg.depth = int(data["depth"])
         if "format" in data:
             cfg.out_format = str(data["format"])
     env_bits = os.environ.get("AUTOSERIES_PRECISION_BITS")
@@ -140,16 +134,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     env_terms = os.environ.get("AUTOSERIES_MAX_TERMS")
     if env_terms:
         cfg.max_terms = int(env_terms)
-    if getattr(args, "eps", None) is not None:
-        cfg.eps = args.eps
-    if getattr(args, "precision_bits", None) is not None:
-        cfg.precision_bits = args.precision_bits
-    if getattr(args, "max_terms", None) is not None:
-        cfg.max_terms = args.max_terms
-    if getattr(args, "depth", None) is not None:
-        cfg.depth = args.depth
-    if getattr(args, "out_format", None) is not None:
-        cfg.out_format = args.out_format
+    for key in ("eps", "precision_bits", "max_terms", "out_format"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     return cfg
 
 
@@ -163,23 +150,24 @@ def _precision(cfg: RunConfig, eps: float) -> Precision:
 # eval subcommand
 # ---------------------------------------------------------------------------
 
-_EVAL_CATALOG = "f, g, phi, gamma, delta, odd-epsilon, composite9, digitsum:B, affine:A:B[:shifted]"
+#: name -> (series, route of ``--method auto``); digitsum:B and affine
+#: names are parsed and go AUTO
+_CATALOG = {
+    "f": (F_SERIES, Route.FUNCTIONAL_EQUATION),
+    "g": (G_SERIES, Route.AUTO),
+    "phi": (PHI_SERIES, Route.DECOMPOSED),
+    "gamma": (GAMMA_SERIES, Route.DECOMPOSED),
+    "delta": (DELTA_SERIES, Route.AUTO),
+    "odd-epsilon": (ODD_PLUS_MINUS_SERIES, Route.NAIVE),
+    "composite9": (COMPOSITE9_SERIES, Route.AUTO),
+}
+_EVAL_CATALOG = ", ".join([*_CATALOG, "digitsum:B", "affine:A:B[:shifted]"])
 
 
-def _catalog_series(name: str) -> tuple[str, SeriesSpec]:
-    """Resolve a catalog name to (canonical-name, spec)."""
-    name = name.strip().lower()
-    if name in ("f", "g", "phi", "gamma", "delta", "odd-epsilon", "composite9"):
-        spec = {
-            "f": F_SERIES,
-            "g": G_SERIES,
-            "phi": PHI_SERIES,
-            "gamma": GAMMA_SERIES,
-            "delta": DELTA_SERIES,
-            "odd-epsilon": ODD_PLUS_MINUS_SERIES,
-            "composite9": COMPOSITE9_SERIES,
-        }[name]
-        return name, spec
+def _catalog_series(name: str) -> tuple[SeriesSpec, Route]:
+    """Resolve a catalog name to (spec, route of --method auto)."""
+    if name in _CATALOG:
+        return _CATALOG[name]
     if name.startswith("digitsum:"):
         try:
             base = int(name.split(":", 1)[1])
@@ -187,44 +175,37 @@ def _catalog_series(name: str) -> tuple[str, SeriesSpec]:
             raise UsageError(f"bad digit-sum base in {name!r}") from exc
         if base < 2:
             raise UsageError(f"digit-sum base must be >= 2, got {base}")
-        return name, SeriesSpec(CoefficientSequence.digit_sum(base))
+        return SeriesSpec(CoefficientSequence.digit_sum(base)), Route.AUTO
     if name.startswith("affine:"):
         parts = name.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "shifted"):
             raise UsageError(f"affine series syntax is affine:A:B[:shifted], got {name!r}")
         low, high = parse_real(parts[1]), parse_real(parts[2])
         shift = IndexShift.BY_ONE if len(parts) == 4 else IndexShift.NONE
-        return name, SeriesSpec(CoefficientSequence.affine(low, high), shift)
+        return SeriesSpec(CoefficientSequence.affine(low, high), shift), Route.AUTO
     raise UsageError(f"unknown series {name!r}; catalog: {_EVAL_CATALOG}")
 
 
-def _evaluate_catalog(
-    name: str, spec: SeriesSpec, s: float, eps: float, method: str, cfg: RunConfig
-) -> EvalResult:
-    prec = _precision(cfg, eps)
-    depth = cfg.depth
-    functional = method in ("auto", "functional")
-    if method == "odd" and name in ("f", "g"):
-        return eval_series_spec(spec, s, eps, Route.ODD_SPLIT, prec, cfg.max_terms)
-    if functional and name == "f":
-        return eval_functional_equation(
-            s, eps, depth=depth if depth is not None else depth_for(s, eps), prec=prec,
-            max_terms=cfg.max_terms,
-        )
-    if functional and name in ("phi", "gamma"):
-        return eval_phi_gamma(name, s, eps, prec, depth, cfg.max_terms)
-    if method == "naive" or (method == "auto" and name == "odd-epsilon"):
-        return eval_naive(spec, s, eps, prec, cfg.max_terms)
+def _method_route(name: str, method: str, auto: Route) -> Route:
+    """The route ``--method`` picks for series ``name``."""
     if method == "auto":
-        return eval_series_spec(spec, s, eps, Route.AUTO, prec, cfg.max_terms)
+        return auto
+    if method == "naive":
+        return Route.NAIVE
+    if method == "odd" and name in ("f", "g"):
+        return Route.ODD_SPLIT
+    if method == "functional" and auto in (Route.FUNCTIONAL_EQUATION, Route.DECOMPOSED):
+        return auto
     raise UsageError(f"method {method!r} does not apply to {name}")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     eps = args.eps_pos if args.eps_pos is not None else (cfg.eps or 1e-8)
-    name, spec = _catalog_series(args.series)
-    result = _evaluate_catalog(name, spec, args.s, eps, args.method, cfg)
+    name = args.series.strip().lower()
+    spec, auto = _catalog_series(name)
+    route = _method_route(name, args.method, auto)
+    result = eval_series_spec(spec, args.s, eps, route, _precision(cfg, eps), cfg.max_terms)
     if cfg.out_format == "json":
         payload = {
             "series": name,
@@ -359,7 +340,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, default=None, help="absolute tolerance")
     parser.add_argument("--precision-bits", type=int, default=None, dest="precision_bits")
     parser.add_argument("--max-terms", type=int, default=None, dest="max_terms")
-    parser.add_argument("--depth", type=int, default=None, help="functional-equation depth")
     parser.add_argument(
         "--format", choices=("json", "csv", "text"), default=None, dest="out_format"
     )
@@ -395,6 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="solve an alphabet case for s")
+    # argparse takes only -N and -N.N for negative numbers; alphabet values
+    # such as -2/3, -.5, -(1+sqrt2) or -sqrt2 are positionals too
+    p_solve._negative_number_matcher = re.compile(r"^-([\d.(]|sqrt2)")
     p_solve.add_argument("case", help="zero | pows | powsminus2")
     p_solve.add_argument("k")
     p_solve.add_argument("l")

@@ -1,7 +1,7 @@
 """Bounded evaluation of Dirichlet series with digit-parity coefficients.
 
-Two summation routes live here; ``identities.eval_series_spec`` picks
-between them and adds the odd-index split:
+Three routes live here; ``identities.eval_series_spec`` picks among them
+and adds the odd-index split:
 
 * ``eval_naive``: direct summation of the first N terms with an analytic
   tail bound by integral comparison.  For a coefficient majorant C(n) that
@@ -10,12 +10,19 @@ between them and adds the odd-index split:
   their truncation point comes from ``_truncation_search``.
 
 * ``eval_functional_equation``: the binomial acceleration
-  f(s) = sum_{k>=1} 2^(-s-k) binom(s+k-1, k) f(s+k), truncated at depth K.
+  f(s) = sum_{k>=1} 2^(-s-k) binom(s+k-1, k) f(s+k), truncated at depth K
+  (``depth_for`` sizes K from s and eps unless the caller fixes it).
   The inner values f(s+k) converge at the much cheaper exponents s+k and
   are obtained naively.  The k > K remainder uses |f(p) - 1| <= zeta(p) - 1
   (the first term of f is 1/1^p; everything else is dominated by
   sum_{n>=2} n^(-p)) together with zeta(p) - 1 <= 2^(-p) (1 + 2/(p-1)) and
   a geometric majorant for the weights.
+
+* The zeta + f decomposition (``_eval_decomposed``, and ``eval_phi_gamma``
+  for the 0/1 series): an alphabet series over t_n with an n^s denominator
+  is alpha(s) zeta(s) + beta(s) f(s), alpha and beta rational in 2^s.  The
+  zeta leaf gets 0.25 eps/|alpha| and the f leaf 0.45 eps/|beta|, whether
+  or not the other leaf is present; the rest absorbs rounding.
 
 * The odd-index split (``Route.ODD_SPLIT``) needs no kernel of its own:
   every n >= 1 factors uniquely as 2^k (2m+1), and e_{2^k(2m+1)-1} =
@@ -26,6 +33,8 @@ between them and adds the odd-index split:
 Every partial-sum loop uses compensated (Kahan) accumulation over fixed
 2^14-term chunks, so results are bit-reproducible, and every reported
 bound adds an explicit rounding budget on top of the analytic tail.
+Weighted sums of certified values (FE assembly, the decomposition, the
+left side of an identity) all go through ``_weighted_sum``.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from mpmath.ctx_mp import MPContext
@@ -51,7 +61,7 @@ CHUNK = 1 << 14
 #: rather than silently degrade.
 DEFAULT_MAX_TERMS = 10**9
 
-#: Default truncation depth of the functional-equation route.
+#: Smallest truncation depth ``depth_for`` picks for the functional equation.
 DEFAULT_DEPTH = 40
 
 # Fraction of the tolerance given to the analytic tail; the rest absorbs
@@ -96,10 +106,10 @@ class SeriesSpec:
                     "the composite denominator form is only valid with the "
                     "period-doubling coefficient stream"
                 )
-        if self.coeffs.min_index > self.first_coeff_index:
+        if self.coeffs.min_index > self.counter_start:
             raise DomainError(
                 f"{self.coeffs.label()} starts at index {self.coeffs.min_index}, "
-                f"but this series reads coefficient {self.first_coeff_index}"
+                f"but this series reads coefficient {self.counter_start}"
             )
 
     # -- indexing ------------------------------------------------------------
@@ -112,10 +122,6 @@ class SeriesSpec:
         if self.denom is DenominatorForm.POWER_OF_ODD_N:
             return 0
         return 1
-
-    @property
-    def first_coeff_index(self) -> int:
-        return self.counter_start
 
     def label(self) -> str:
         parts = [self.coeffs.label()]
@@ -303,13 +309,13 @@ def chunked_kahan_sum(block_fn, start: int, count: int) -> float:
     return total
 
 
-def _sum_f64(spec: SeriesSpec, s: float, n_counters: int) -> float:
-    return chunked_kahan_sum(
-        lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
-    )
-
-
-def _sum_mp(spec: SeriesSpec, s: float, n_counters: int, prec: Precision):
+def _sum(spec: SeriesSpec, s: float, n_counters: int, prec: Precision):
+    """The first ``n_counters`` terms: chunked float64 Kahan sum on the
+    double path, one mpmath ``fsum`` at the working precision otherwise."""
+    if prec.is_double:
+        return chunked_kahan_sum(
+            lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
+        )
     ctx = MPContext()
     ctx.prec = prec.working_bits + 20 + max(0, n_counters.bit_length())
     s_mp = ctx.mpf(s)
@@ -325,10 +331,32 @@ def partial_sum(spec: SeriesSpec, s: float, n_terms: int, prec: Precision | None
     s = _check_s(s)
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    prec = prec or Precision()
-    if prec.is_double:
-        return _sum_f64(spec, s, n_terms)
-    return _sum_mp(spec, s, n_terms, prec)
+    return _sum(spec, s, n_terms, prec or Precision())
+
+
+def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
+    """Certified sum_i c_i v_i over (c_i, EvalResult) pairs.
+
+    Returns the compensated (Kahan) value, its bound
+    remainder + sum_i |c_i| bound_i + 8u sum_i |c_i v_i|, and the terms the
+    leaves used; ``remainder`` bounds whatever the pairs leave out.
+    ``pairs`` may be a generator; each leaf is then evaluated as it is added.
+    """
+    total = 0.0
+    comp = 0.0
+    bound = 0.0
+    abs_sum = 0.0
+    terms = 0
+    for c, r in pairs:
+        contrib = c * r.value
+        y = contrib - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        bound += abs(float(c)) * r.abs_error_bound
+        abs_sum += abs(float(contrib))
+        terms += r.terms_used
+    return total, remainder + bound + 8.0 * prec.unit_roundoff * abs_sum, terms
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +391,7 @@ def eval_naive(
             f"rounding budget {rounding:g} at working precision "
             f"{prec.working_bits}; raise working_bits"
         )
-    value = _sum_f64(spec, s, n) if prec.is_double else _sum_mp(spec, s, n, prec)
-    return EvalResult(value, bound, n, Method.NAIVE)
+    return EvalResult(_sum(spec, s, n, prec), bound, n, Method.NAIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +441,11 @@ def _fe_truncation(s: float, depth: int, w_next: float) -> float:
     return f_abs * w_next / (1.0 - rho)
 
 
-def depth_for(s: float, eps: float, minimum: int = DEFAULT_DEPTH) -> int:
-    """Smallest truncation depth >= ``minimum`` whose remainder fits 0.45 eps."""
+def depth_for(s: float, eps: float) -> int:
+    """Smallest truncation depth >= ``DEFAULT_DEPTH`` whose remainder fits 0.45 eps."""
     s = _check_s(s)
     eps = _check_eps(eps)
-    k = max(minimum, 1)
+    k = DEFAULT_DEPTH
     w = s * 2.0 ** (-s - 1.0)
     for i in range(1, k):
         w = w * (s + i) / (2.0 * (i + 1.0))
@@ -434,11 +461,12 @@ def depth_for(s: float, eps: float, minimum: int = DEFAULT_DEPTH) -> int:
 def eval_functional_equation(
     s: float,
     eps: float,
-    depth: int = DEFAULT_DEPTH,
+    depth: int | None = None,
     prec: Precision | None = None,
     max_terms: int | None = None,
 ) -> EvalResult:
-    """f(s) via the binomial acceleration, truncated at ``depth`` terms.
+    """f(s) via the binomial acceleration, truncated at ``depth`` terms
+    (``depth_for(s, eps)`` when not given).
 
     45% of eps goes to the truncation remainder and 45% is spread across
     the inner naive evaluations in proportion to their weights (which is a
@@ -448,6 +476,8 @@ def eval_functional_equation(
     """
     s = _check_s(s)
     eps = _check_eps(eps)
+    if depth is None:
+        depth = depth_for(s, eps)
     if depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     prec = prec if prec is not None else Precision.for_eps(eps)
@@ -457,11 +487,6 @@ def eval_functional_equation(
     # geometric majorant for the skipped weights: ratios (s+k)/(2(k+1))
     # decrease in k, so sum_{k>K} w_k <= w_{K+1}/(1-rho)
     trunc = _fe_truncation(s, depth, float(w[depth + 1]))
-    if math.isinf(trunc):
-        raise ResourceLimitError(
-            f"truncation depth {depth} is too small to bound the remainder "
-            f"at s={s:g}; increase depth beyond {math.ceil(s)}"
-        )
     if trunc > 0.45 * eps:
         raise ResourceLimitError(
             f"depth {depth} leaves truncation remainder {trunc:g} > {0.45 * eps:g} "
@@ -469,101 +494,116 @@ def eval_functional_equation(
         )
 
     inner_eps = 0.45 * eps / float(w_sum)
-    total = 0.0
-    comp = 0.0
-    inner_bound = 0.0
-    abs_comb = 0.0
-    terms = depth
-    for k in range(1, depth + 1):
-        r = eval_naive(F_SERIES, s + k, inner_eps, prec, max_terms)
-        terms += r.terms_used
-        contrib = w[k] * r.value
-        y = contrib - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        inner_bound += float(w[k]) * r.abs_error_bound
-        abs_comb += float(w[k]) * abs(float(r.value))
-    rounding = 8.0 * prec.unit_roundoff * abs_comb
-    bound = trunc + inner_bound + rounding
+    total, bound, terms = _weighted_sum(
+        ((w[k], eval_naive(F_SERIES, s + k, inner_eps, prec, max_terms))
+         for k in range(1, depth + 1)),
+        prec,
+        remainder=trunc,
+    )
     if bound > eps:
         raise ResourceLimitError(
             f"functional-equation route certified only {bound:g} > eps={eps:g} "
             f"at s={s:g}; increase depth or working_bits"
         )
-    return EvalResult(total, bound, terms, Method.FUNCTIONAL_EQUATION)
+    return EvalResult(total, bound, depth + terms, Method.FUNCTIONAL_EQUATION)
 
 
 # ---------------------------------------------------------------------------
-# derived 0/1 series
+# the zeta + f decomposition
 # ---------------------------------------------------------------------------
 
 
-class ZeroOneSeries(Enum):
-    PHI = "phi"      # sum t_{n-1}/n^s
-    GAMMA = "gamma"  # sum t_n/n^s
+class _EvalCache(dict):
+    """Shares zeta / f evaluations across the pairs of one verification."""
+
+    def get_or_eval(self, key, eps: float, fn: Callable[[float], EvalResult]) -> EvalResult:
+        hit = self.get(key)
+        if hit is not None and hit.abs_error_bound <= eps:
+            return hit
+        out = fn(eps)
+        self[key] = out
+        return out
 
 
-def _gamma_f_coefficient(s: float) -> float:
-    """(1+2^s)/(2(2^s-1)), written in 2^-s so large s cannot overflow."""
-    q = 2.0 ** (-s)
-    return (q + 1.0) / (2.0 * (1.0 - q))
+# (value at t=0, value at t=1) of the fixed two-letter streams
+_DECOMPOSABLE_KINDS = {
+    SequenceKind.THUE_MORSE: (0.0, 1.0),
+    SequenceKind.PLUS_MINUS: (1.0, -1.0),
+}
+
+
+def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
+    """(value at t=0, value at t=1, shifted?) when the series is
+    an alphabet over t with an n^s denominator, else None."""
+    if spec.denom is not DenominatorForm.POWER_OF_N:
+        return None
+    kind = spec.coeffs.kind
+    if kind is SequenceKind.AFFINE:
+        low, high = spec.coeffs.low, spec.coeffs.high
+    elif kind in _DECOMPOSABLE_KINDS:
+        low, high = _DECOMPOSABLE_KINDS[kind]
+    else:
+        return None
+    return low, high, spec.shift is IndexShift.BY_ONE
+
+
+def _eval_decomposed(
+    spec: SeriesSpec,
+    s: float,
+    eps: float,
+    prec: Precision,
+    max_terms: int | None,
+    cache: _EvalCache,
+) -> EvalResult:
+    """An alphabet series {a, b} over t as alpha zeta(s) + beta f(s).
+
+    Substituting t_n = (1 - e_n)/2 gives alpha = (a+b)/2, and beta = (a-b)/2
+    for the shifted series, (b-a)(1+2^s)/(2(2^s-1)) for the unshifted one.
+    The leaves are cached under ("zeta", s) and ("f", s), so the two sides
+    of an identity share them.
+    """
+    form = _affine_form(spec)
+    if form is None:
+        raise DomainError(f"{spec.label()} has no alphabet decomposition")
+    low, high, shifted = form
+    ctx = _combine_ctx(prec)
+    # in q = 2^-s rather than 2^s, so large s cannot overflow
+    q = 2.0 ** (-s) if ctx is None else ctx.power(2, -ctx.mpf(s))
+    slope = high - low if ctx is None else ctx.mpf(high) - low
+    alpha = low + slope / 2
+    beta = -slope / 2 if shifted else slope * ((q + 1) / (2 * (1 - q)))
+    leaves = []
+    for coef, share, key, fn in (
+        (alpha, 0.25, "zeta", lambda e: riemann_zeta(s, prec.with_eps(e))),
+        (beta, 0.45, "f", lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms)),
+    ):
+        coef_abs = abs(float(coef))
+        if coef_abs != 0.0:
+            leaves.append((coef, cache.get_or_eval((key, s), share * eps / coef_abs, fn)))
+    value, bound, terms = _weighted_sum(leaves, prec)
+    if bound > eps:
+        raise ResourceLimitError(
+            f"{spec.label()} decomposition certified only {bound:g} > eps={eps:g} at s={s:g}"
+        )
+    # the all-zero alphabet has no leaf, and still counts as one term
+    return EvalResult(value, bound, max(terms, 1), Method.FUNCTIONAL_EQUATION)
 
 
 def eval_phi_gamma(
-    which: ZeroOneSeries | str,
+    which: str,
     s: float,
     eps: float,
     prec: Precision | None = None,
-    depth: int | None = None,
     max_terms: int | None = None,
-    f_result: EvalResult | None = None,
 ) -> EvalResult:
-    """The 0/1 series through their exact relation to zeta and f.
+    """The 0/1 series, ``which`` = "phi" or "gamma", through their exact
+    relation to zeta and f:
 
-    Substituting e_n = 1 - 2 t_n into the +/-1 series gives
-
-        sum t_{n-1}/n^s = zeta(s)/2 - f(s)/2
-        sum t_n/n^s     = zeta(s)/2 + (1+2^s)/(2(2^s-1)) f(s)
-
-    and the bounds propagate through the exact rational-in-2^s factors.
-    ``f_result`` lets a caller reuse one accelerated f evaluation for both
-    series; it must carry a bound tight enough for the requested eps.
+        phi(s)   = sum t_{n-1}/n^s = zeta(s)/2 - f(s)/2
+        gamma(s) = sum t_n/n^s     = zeta(s)/2 + (1+2^s)/(2(2^s-1)) f(s)
     """
-    which = ZeroOneSeries(which)
+    spec = {"phi": PHI_SERIES, "gamma": GAMMA_SERIES}[which]
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
-    ctx = _combine_ctx(prec)
-    if which is ZeroOneSeries.PHI:
-        f_coef = 0.5
-    elif ctx is None:
-        f_coef = _gamma_f_coefficient(s)
-    else:
-        q = ctx.power(2, -ctx.mpf(s))
-        f_coef = (q + 1) / (2 * (1 - q))
-    z = riemann_zeta(s, prec.with_eps(eps * 0.5))
-    if f_result is None:
-        f_eps = 0.45 * eps / float(f_coef)
-        f_result = eval_functional_equation(
-            s,
-            f_eps,
-            depth=depth if depth is not None else depth_for(s, f_eps),
-            prec=prec,
-            max_terms=max_terms,
-        )
-    if which is ZeroOneSeries.PHI:
-        value = z.value / 2 - f_result.value / 2
-    else:
-        value = z.value / 2 + f_coef * f_result.value
-    f_coef_abs = abs(float(f_coef))
-    rounding = 8.0 * prec.unit_roundoff * (
-        abs(float(z.value)) + f_coef_abs * abs(float(f_result.value))
-    )
-    bound = z.abs_error_bound / 2 + f_coef_abs * f_result.abs_error_bound + rounding
-    if bound > eps:
-        raise ResourceLimitError(
-            f"{which.value} evaluation certified only {bound:g} > eps={eps:g} at s={s:g}"
-        )
-    return EvalResult(value, bound, z.terms_used + f_result.terms_used, f_result.method)
-
+    return _eval_decomposed(spec, s, eps, prec, max_terms, _EvalCache())

@@ -9,6 +9,13 @@ inside the combined bounds.  Because the bounds are rigorous, a false
 identity is detected as soon as they shrink below its defect; the
 registry test suite includes a deliberately wrong pairing to prove that.
 
+Every Dirichlet-series value, here and in the command line, comes from
+``eval_series_spec`` or the pair router behind it.  A DECOMPOSED pair is
+``evaluator``'s one zeta + f kernel, alpha zeta(s) + beta f(s) with
+0.25 eps/|alpha| for zeta and 0.45 eps/|beta| for f; both leaves are
+cached per verification under ("zeta", s) and ("f", s), so the right side
+and other pairs reuse them.  Left-side pairs share eps/2 equally.
+
 Left-side coefficients and the powers of 2^s on right sides share one
 type, ``TwoPowerRatio``: a ratio of polynomials in 2^s evaluated by
 Horner's rule, a plain polynomial when its denominator is left at 1.
@@ -34,13 +41,12 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .precision import Precision, _check_eps, _check_s
 from .result import EvalResult, Method
-from .sequences import CoefficientSequence, SequenceKind, digit_sum_block, pm_thue_morse_block
+from .sequences import CoefficientSequence, digit_sum_block, pm_thue_morse_block
 from .special_functions import dirichlet_eta, hurwitz_zeta, riemann_zeta
 from .evaluator import (
     COMPOSITE9_SERIES,
     DEFAULT_MAX_TERMS,
     DELTA_SERIES,
-    DenominatorForm,
     F_SERIES,
     G_SERIES,
     GAMMA_SERIES,
@@ -50,12 +56,14 @@ from .evaluator import (
     SeriesSpec,
     ZETA_SERIES,
     chunked_kahan_sum,
-    depth_for,
     eval_functional_equation,
     eval_naive,
+    _EvalCache,
+    _affine_form,
     _combine_ctx,
-    _gamma_f_coefficient,
+    _eval_decomposed,
     _truncation_search,
+    _weighted_sum,
 )
 
 #: Above this many naive terms, auto-routed series fall back to the
@@ -350,23 +358,6 @@ ZERO_RHS = Num(Fraction(0))
 
 
 # ---------------------------------------------------------------------------
-# evaluation cache (per verify call)
-# ---------------------------------------------------------------------------
-
-
-class _EvalCache(dict):
-    """Shares zeta / f evaluations across the pairs of one verification."""
-
-    def get_or_eval(self, key, eps: float, fn: Callable[[float], EvalResult]) -> EvalResult:
-        hit = self.get(key)
-        if hit is not None and hit.abs_error_bound <= eps:
-            return hit
-        out = fn(eps)
-        self[key] = out
-        return out
-
-
-# ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
 
@@ -442,118 +433,37 @@ class VerificationRecord:
 
 # -- routed evaluation of one LHS pair ---------------------------------------
 
-_DECOMPOSABLE_KINDS = {
-    SequenceKind.THUE_MORSE: (0.0, 1.0),
-    SequenceKind.PLUS_MINUS: (1.0, -1.0),
-}
-
-
-def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
-    """(value at t=0, value at t=1, shifted?) when the series is
-    an alphabet over t with an n^s denominator, else None."""
-    if spec.denom is not DenominatorForm.POWER_OF_N:
-        return None
-    kind = spec.coeffs.kind
-    if kind is SequenceKind.AFFINE:
-        low, high = spec.coeffs.low, spec.coeffs.high
-    elif kind in _DECOMPOSABLE_KINDS:
-        low, high = _DECOMPOSABLE_KINDS[kind]
-    else:
-        return None
-    return low, high, spec.shift is IndexShift.BY_ONE
-
-
-def _eval_decomposed(
-    spec: SeriesSpec,
-    s: float,
-    eps: float,
-    prec: Precision,
-    max_terms: int | None,
-    cache: _EvalCache,
-) -> EvalResult:
-    """Alphabet series through  a*zeta + (b-a)*(0/1 series), reduced to
-    alpha*zeta(s) + beta*f(s) with exact rational-in-2^s factors."""
-    form = _affine_form(spec)
-    if form is None:
-        raise DomainError(f"{spec.label()} has no alphabet decomposition")
-    low, high, shifted = form
-    ctx = _combine_ctx(prec)
-    if ctx is None:
-        slope = high - low
-        alpha = low + slope / 2.0
-        beta = -slope / 2.0 if shifted else slope * _gamma_f_coefficient(s)
-    else:
-        slope = ctx.mpf(high) - low
-        alpha = low + slope / 2
-        if shifted:
-            beta = -slope / 2
-        else:
-            q = ctx.power(2, -ctx.mpf(s))
-            beta = slope * (q + 1) / (2 * (1 - q))
-    a_abs = abs(float(alpha))
-    b_abs = abs(float(beta))
-    value = 0.0
-    bound = 0.0
-    terms = 1
-    absacc = 0.0
-    if a_abs != 0.0:
-        ze = eps * 0.45 / (a_abs * (2.0 if b_abs != 0.0 else 1.0))
-        z = cache.get_or_eval(("zeta", s), ze, lambda e: riemann_zeta(s, prec.with_eps(e)))
-        value = value + alpha * z.value
-        bound += a_abs * z.abs_error_bound
-        terms += z.terms_used
-        absacc += a_abs * abs(float(z.value))
-    if b_abs != 0.0:
-        fe = eps * 0.45 / (b_abs * (2.0 if a_abs != 0.0 else 1.0))
-        f = cache.get_or_eval(
-            ("f", s),
-            fe,
-            lambda e: eval_functional_equation(
-                s, e, depth=depth_for(s, e), prec=prec, max_terms=max_terms
-            ),
-        )
-        value = value + beta * f.value
-        bound += b_abs * f.abs_error_bound
-        terms += f.terms_used
-        absacc += b_abs * abs(float(f.value))
-    bound += 8.0 * prec.unit_roundoff * absacc
-    return EvalResult(value, bound, terms, Method.FUNCTIONAL_EQUATION)
-
-
 def _eval_routed(
-    term: LhsTerm,
+    spec: SeriesSpec,
+    route: Route,
     s: float,
     eps: float,
     prec: Precision,
     max_terms: int | None,
     cache: _EvalCache,
 ) -> EvalResult:
-    spec = term.series
-    route = term.route
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     if route is Route.AUTO:
-        decomposable = _affine_form(spec) is not None
-        try:
-            needed = spec.required_counters(s, eps * 0.95, cap)
-        except ResourceLimitError:
-            if not decomposable:
-                raise
-            needed = None
-        if needed is not None and (needed <= AUTO_NAIVE_CAP or not decomposable):
-            route = Route.NAIVE
-        else:
-            route = Route.DECOMPOSED
+        route = Route.NAIVE
+        if _affine_form(spec) is not None:
+            try:
+                if spec.required_counters(s, eps * 0.95, cap) > AUTO_NAIVE_CAP:
+                    route = Route.DECOMPOSED
+            except ResourceLimitError:
+                route = Route.DECOMPOSED
     if route is Route.NAIVE:
         return eval_naive(spec, s, eps, prec, max_terms)
     if route is Route.DECOMPOSED:
         return _eval_decomposed(spec, s, eps, prec, max_terms, cache)
     if route is Route.FUNCTIONAL_EQUATION:
+        if spec != F_SERIES:
+            raise DomainError(
+                f"the functional-equation route evaluates f only, not {spec.label()}"
+            )
         return cache.get_or_eval(
             ("f", s),
             eps,
-            lambda e: eval_functional_equation(
-                s, e, depth=depth_for(s, e), prec=prec, max_terms=max_terms
-            ),
+            lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms),
         )
     if route is Route.ODD_SPLIT:
         # f = 2^s/(2^s+1) A, g = -2^s/(2^s-1) A from the even/odd index split
@@ -565,15 +475,12 @@ def _eval_routed(
             factor = -1.0 / (1.0 - q)
         else:
             raise DomainError(f"odd-split route does not apply to {spec.label()}")
-        f_abs = abs(float(factor))
         a = cache.get_or_eval(
             ("A", s),
-            eps * 0.98 / f_abs,
+            eps * 0.98 / abs(float(factor)),
             lambda e: eval_naive(ODD_PLUS_MINUS_SERIES, s, e, prec, max_terms),
         )
-        value = factor * a.value
-        bound = f_abs * a.abs_error_bound + 4.0 * prec.unit_roundoff * abs(float(value))
-        return EvalResult(value, bound, a.terms_used, Method.ODD_DECOMPOSITION)
+        return EvalResult(*_weighted_sum([(factor, a)], prec), Method.ODD_DECOMPOSITION)
     raise DomainError(f"unknown route {route}")
 
 
@@ -585,14 +492,16 @@ def eval_series_spec(
     prec: Precision | None = None,
     max_terms: int | None = None,
 ) -> EvalResult:
-    """Evaluate one series on ``route``; AUTO sums naively when affordable
-    and falls back to the alphabet decomposition otherwise.  ODD_SPLIT
-    applies to f and g only."""
+    """Evaluate one series on ``route``: the one way a series value is made.
+
+    AUTO sums naively when affordable and falls back to the zeta + f
+    decomposition otherwise.  FUNCTIONAL_EQUATION applies to f only,
+    ODD_SPLIT to f and g only, DECOMPOSED to alphabets over t with an n^s
+    denominator."""
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
-    term = LhsTerm(TwoPowerRatio((1.0,)), spec, route)
-    return _eval_routed(term, s, eps, prec, max_terms, _EvalCache())
+    return _eval_routed(spec, route, s, eps, prec, max_terms, _EvalCache())
 
 
 # ---------------------------------------------------------------------------
@@ -635,33 +544,20 @@ def verify(
     cache = _EvalCache()
 
     rhs_value, rhs_bound = identity.rhs.bracket(s, eps * 0.5, prec, cache)
-    terms = 0
 
     if identity.kind is IdentityKind.FIXED_SERIES:
-        lhs_res = identity.fixed_lhs(eps * 0.5, prec, max_terms or DEFAULT_MAX_TERMS)
-        lhs_value, lhs_bound = lhs_res.value, lhs_res.abs_error_bound
-        terms += lhs_res.terms_used
+        lhs = identity.fixed_lhs(eps * 0.5, prec, max_terms or DEFAULT_MAX_TERMS)
+        lhs_value, lhs_bound, terms = lhs.value, lhs.abs_error_bound, lhs.terms_used
     else:
         pairs = [t for t in identity.lhs if not t.coefficient.is_zero]
         share = eps * 0.5 * 0.98 / max(len(pairs), 1)
-        lhs_value = 0.0
-        comp = 0.0
-        lhs_bound = 0.0
-        absacc = 0.0
-        for pair in pairs:
-            coef = pair.coefficient.value(s, prec)
-            coef_abs = abs(float(coef))
-            series_eps = share / max(coef_abs, 1e-30)
-            r = _eval_routed(pair, s, series_eps, prec, max_terms, cache)
-            terms += r.terms_used
-            contrib = coef * r.value
-            y = contrib - comp
-            t = lhs_value + y
-            comp = (t - lhs_value) - y
-            lhs_value = t
-            lhs_bound += coef_abs * r.abs_error_bound
-            absacc += abs(float(contrib))
-        lhs_bound += 8.0 * prec.unit_roundoff * absacc
+        coefs = [(p, p.coefficient.value(s, prec)) for p in pairs]
+        lhs_value, lhs_bound, terms = _weighted_sum(
+            ((c, _eval_routed(p.series, p.route, s, share / max(abs(float(c)), 1e-30),
+                              prec, max_terms, cache))
+             for p, c in coefs),
+            prec,
+        )
 
     residual = abs(float(lhs_value - rhs_value))
     passed = residual <= lhs_bound + rhs_bound

@@ -50,7 +50,6 @@ class RunConfig:
     eps: float | None = None          # None: per-identity default tolerance
     precision_bits: int = 53
     max_terms: int = 10**9
-    depth: int | None = None          # None: sized from s and eps
     out_format: str = "json"
 
     def snapshot(self) -> dict:
@@ -58,7 +57,7 @@ class RunConfig:
             "eps": _num(self.eps),
             "precision_bits": self.precision_bits,
             "max_terms": self.max_terms,
-            "depth": self.depth,
+            "depth": None,  # add-only field; the FE depth is sized from s and eps
             "format": self.out_format,
         }
 
@@ -147,7 +146,6 @@ class ReportDocument:
             eps=None if cfg.get("eps") is None else float(cfg["eps"]),
             precision_bits=int(cfg.get("precision_bits", 53)),
             max_terms=int(cfg.get("max_terms", 10**9)),
-            depth=cfg.get("depth"),
             out_format=cfg.get("format", "json"),
         )
         return cls(

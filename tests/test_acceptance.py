@@ -23,7 +23,6 @@ from autoseries.evaluator import (
     SeriesSpec,
     ZETA_SERIES,
     IndexShift,
-    depth_for,
     eval_functional_equation,
     eval_naive,
 )
@@ -179,7 +178,7 @@ def test_criterion_09_cross_method_agreement():
     worst = 0.0
     for s, eps in naive_eps.items():
         rn = eval_naive(F_SERIES, s, eps)
-        rf = eval_functional_equation(s, 1e-10, depth=depth_for(s, 1e-10))
+        rf = eval_functional_equation(s, 1e-10)
         gap = abs(rn.value - rf.value)
         combined = rn.abs_error_bound + rf.abs_error_bound
         ok = ok and gap <= combined
@@ -232,8 +231,8 @@ def test_criterion_11_bound_honesty_random_triples():
             # exercise the accelerated route as well
             s = float(rng.uniform(1.5, 6.0))
             eps = float(10.0 ** rng.uniform(-9.0, -5.0))
-            coarse = eval_functional_equation(s, eps, depth=depth_for(s, eps))
-            fine = eval_functional_equation(s, eps / 100.0, depth=depth_for(s, eps / 100.0))
+            coarse = eval_functional_equation(s, eps)
+            fine = eval_functional_equation(s, eps / 100.0)
             functional_trials += 1
         else:
             spec = pool[int(rng.integers(len(pool)))]

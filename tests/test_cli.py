@@ -120,6 +120,31 @@ def test_eval_method_mismatch_is_usage_error(capsys):
     assert code == 2
 
 
+_GRID_NAMES = ("f", "g", "phi", "gamma", "delta", "odd-epsilon", "composite9", "digitsum:3")
+# every name has an auto and a naive route; odd is f and g only; functional
+# is f and the two decomposed 0/1 series only
+_GRID_OK = {("odd", "f"), ("odd", "g"), ("functional", "f"), ("functional", "phi"),
+            ("functional", "gamma")}
+
+
+@pytest.mark.parametrize("method", ["auto", "naive", "odd", "functional"])
+@pytest.mark.parametrize("name", _GRID_NAMES)
+def test_eval_name_method_exit_codes(capsys, name, method):
+    code, out, _ = run(capsys, "eval", name, "3", "1e-8", "--method", method)
+    expected = 0 if method in ("auto", "naive") or (method, name) in _GRID_OK else 2
+    assert code == expected
+    if code == 0:
+        assert float(json.loads(out)["abs_error_bound"]) <= 1e-8
+
+
+@pytest.mark.parametrize("command", [["eval", "f", "3", "1e-8"], ["verify", "lemma1"],
+                                     ["solve", "pows", "1", "9/7"]])
+def test_depth_flag_is_gone(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--depth", "40"])
+    assert exc.value.code == 2
+
+
 # -- verify ------------------------------------------------------------------------
 
 
@@ -243,6 +268,19 @@ def test_solve_zero_denominator_rounding_to_zero_exits_one(capsys):
     code, _, err = run(capsys, "solve", "--", "zero", "1/3", "-2/3")
     assert code == 1
     assert "k != l + 1" in err
+
+
+def test_solve_negative_fraction_needs_no_dashes(capsys):
+    code, _, err = run(capsys, "solve", "zero", "1/3", "-2/3")
+    assert code == 1
+    assert "k != l + 1" in err
+
+
+@pytest.mark.parametrize("k,l", [("-1", "-16/15"), ("-.5", "-sqrt2"), ("-sqrt2", "-(1+sqrt2)")])
+def test_solve_accepts_negative_alphabet_values(capsys, k, l):
+    code, out, _ = run(capsys, "solve", "pows", k, l, "--mint")
+    assert code == 0
+    assert "minted" in out
 
 
 def test_solve_exact_fractions(capsys):

@@ -1,6 +1,7 @@
 """Evaluator routes: cross-method oracles, tail-bound honesty, determinism."""
 
 import math
+import re
 
 import mpmath
 import pytest
@@ -18,7 +19,6 @@ from autoseries.evaluator import (
     SeriesSpec,
     ZETA_SERIES,
     _fe_weights,
-    depth_for,
     eval_functional_equation,
     eval_naive,
     eval_phi_gamma,
@@ -118,7 +118,7 @@ def test_odd_series_first_term_dominance_at_six():
 
 
 def test_odd_split_relation_at_four():
-    f = eval_functional_equation(4.0, 1e-10, depth=depth_for(4.0, 1e-10))
+    f = eval_functional_equation(4.0, 1e-10)
     a = eval_naive(ODD_PLUS_MINUS_SERIES, 4.0, 1e-10)
     factor = 2.0**4 / (2.0**4 + 1.0)
     resid = abs(f.value - factor * a.value)
@@ -138,7 +138,7 @@ def test_odd_series_even_odd_split_of_g():
 def test_f_via_odd_split_method_tag():
     r = eval_series_spec(F_SERIES, 3.0, 1e-9, Route.ODD_SPLIT)
     assert r.method is Method.ODD_DECOMPOSITION
-    f = eval_functional_equation(3.0, 1e-10, depth=depth_for(3.0, 1e-10))
+    f = eval_functional_equation(3.0, 1e-10)
     assert abs(r.value - f.value) <= r.abs_error_bound + f.abs_error_bound
 
 
@@ -164,7 +164,7 @@ def test_shift_ratio_on_wide_grid():
     # f = (1-2^s)/(1+2^s) g, down at s = 1.5 where naive g is still affordable
     grid_eps = {1.5: 1e-3, 2.0: 1e-7, 3.0: 1e-9, 4.0: 1e-9, 6.0: 1e-10}
     for s, eps in grid_eps.items():
-        rf = eval_functional_equation(s, 1e-10, depth=depth_for(s, 1e-10))
+        rf = eval_functional_equation(s, 1e-10)
         rg = eval_naive(G_SERIES, s, eps)
         ratio = (1.0 - 2.0**s) / (1.0 + 2.0**s)
         resid = abs(rf.value - ratio * rg.value)
@@ -190,7 +190,7 @@ def test_cross_method_grid():
     naive_eps = {1.5: 1e-3, 2.0: 1e-7, 3.0: 1e-9, 4.0: 1e-10, 6.0: 1e-12}
     for s, eps in naive_eps.items():
         rn = eval_naive(F_SERIES, s, eps)
-        rf = eval_functional_equation(s, 1e-10, depth=depth_for(s, 1e-10))
+        rf = eval_functional_equation(s, 1e-10)
         assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, s
 
 
@@ -205,6 +205,26 @@ def test_phi_gamma_against_naive():
         ga = eval_phi_gamma("gamma", s, 1e-9)
         gn = eval_naive(GAMMA_SERIES, s, 1e-7)
         assert abs(ga.value - gn.value) <= ga.abs_error_bound + gn.abs_error_bound
+
+
+@pytest.mark.parametrize(
+    "which,s,eps",
+    [(w, s, e) for w in ("phi", "gamma") for s in (2.0, 3.71) for e in (1e-8, 1e-12)]
+    + [("phi", 3.0, 1e-13), ("gamma", 4.0, 1e-14)],
+)
+def test_phi_gamma_is_the_decomposed_route(which, s, eps):
+    spec = PHI_SERIES if which == "phi" else GAMMA_SERIES
+    a = eval_phi_gamma(which, s, eps)
+    b = eval_series_spec(spec, s, eps, Route.DECOMPOSED)
+    assert a == b
+
+
+@pytest.mark.parametrize("spec", [G_SERIES, DELTA_SERIES, PHI_SERIES])
+def test_functional_equation_route_is_f_only(spec):
+    with pytest.raises(DomainError, match=re.escape(spec.label())):
+        eval_series_spec(spec, 3.0, 1e-8, Route.FUNCTIONAL_EQUATION)
+    f = eval_series_spec(F_SERIES, 3.0, 1e-8, Route.FUNCTIONAL_EQUATION)
+    assert f == eval_functional_equation(3.0, 1e-8)
 
 
 def test_theorem_combination_examples():
