@@ -4,10 +4,23 @@ Three routes live here; ``identities.eval_series_spec`` picks among them
 and adds the odd-index split:
 
 * ``eval_naive``: direct summation of the first N terms with an analytic
-  tail bound by integral comparison.  For a coefficient majorant C(n) that
-  is constant, sum_{n>N} C/n^s <= C N^(1-s)/(s-1); digit-sum coefficients
-  use the (b-1)(log_b n + 1) majorant and the corresponding integral, and
-  their truncation point comes from ``_truncation_search``.
+  tail.  The bit-valued streams have a mean mu and a discrepancy bound B,
+  |sum_{n<M} (c_n - mu)| <= B for every M (``CoefficientSequence.discrepancy``):
+
+      e_n: mu = 0, B = 1        t_n: mu = 1/2, B = 1/2
+      d_n: mu = 0, B = 1        alphabet {a, b}: mu = (a+b)/2, B = |b-a|/2
+
+  For weights w_n decreasing to 0, Abel summation gives
+  sum_{n>=N1} (c_n - mu) w_n = -R_{N1} w_{N1} + sum_{n>N1} R_n (w_{n-1} - w_n)
+  with |R_n| <= B, so it lies within 2B w_{N1}: the tail is
+  mu zeta(s, N1) +/- 2B N1^-s, N1 the first omitted denominator (for the
+  (2m+1)^s form, mu 2^-s zeta(s, M + 1/2) +/- 2B (2M+1)^-s).  The mean
+  part (mu != 0 only) comes from the Euler-Maclaurin engine, and
+  ``required_counters`` solves 2B w <= eps_tail in closed form.
+  Period-doubling and composite9 keep the constant majorant,
+  sum_{n>N} C/n^s <= C N^(1-s)/(s-1); digit sums keep the
+  (b-1)(log_b n + 1) majorant and its integral, with the truncation point
+  from ``_truncation_search``.
 
 * ``eval_functional_equation``: the binomial acceleration
   f(s) = sum_{k>=1} 2^(-s-k) binom(s+k-1, k) f(s+k), truncated at depth K
@@ -48,10 +61,10 @@ import numpy as np
 from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError, ResourceLimitError
-from .precision import Precision, _check_eps, _check_s
+from .precision import Precision, _check_eps, _check_s, _mp_context
 from .result import EvalResult, Method
 from .sequences import CoefficientSequence, SequenceKind
-from .special_functions import riemann_zeta
+from .special_functions import _hurwitz_core, riemann_zeta
 
 #: Fixed summation chunk; fixed so chunk boundaries (and hence rounding)
 #: never depend on how work is scheduled.
@@ -67,6 +80,9 @@ DEFAULT_DEPTH = 40
 # Fraction of the tolerance given to the analytic tail; the rest absorbs
 # the rounding budget.
 _TAIL_FRACTION = 0.95
+
+# Of that, the share of the mean part's zeta(s, a) leaf when mu != 0.
+_MEAN_FRACTION = 0.25
 
 # Conservative envelope for per-term power/multiply rounding, in-chunk
 # pairwise summation, and the cross-chunk Kahan combination, in units of
@@ -158,20 +174,39 @@ class SeriesSpec:
 
     # -- analytic bounds -------------------------------------------------------
 
+    @property
+    def mean(self) -> float:
+        """Mean mu of the coefficients; 0 where the tail is a plain majorant."""
+        disc = self.coeffs.discrepancy
+        return 0.0 if disc is None else disc[0]
+
+    def _power_law(self, s: float) -> tuple[float, float, float, float, float] | None:
+        """(K, D, alpha, beta, p) with tail_bound(n) = K (alpha n + beta)^-p / D,
+        or None for digit sums."""
+        odd = self.denom is DenominatorForm.POWER_OF_ODD_N
+        disc = self.coeffs.discrepancy
+        if disc is not None:
+            # Abel: 2B times the first omitted weight, (n+1)^-s or (2n+1)^-s
+            return 2.0 * disc[1], 1.0, 2.0 if odd else 1.0, 1.0, s
+        c = self.coeffs.bound_constant
+        if c is None:
+            return None
+        if odd:
+            # sum_{j>=M} C (2j+1)^-s <= C (2M-1)^(1-s) / (2(s-1))
+            return c, 2.0 * (s - 1.0), 2.0, -1.0, s - 1.0
+        # the last summed denominator is n; composite9 terms are at most n^-s
+        return c, s - 1.0, 1.0, 0.0, s - 1.0
+
     def tail_bound(self, n_counters: int, s: float) -> float:
-        """Upper bound on |sum of all terms beyond the first n_counters|."""
+        """Upper bound on |(sum of all terms beyond the first n_counters)
+        - (their mean part, ``mean_tail``)|."""
         n = n_counters
         if n < 1:
             raise DomainError("tail bound needs at least one summed term")
-        cbound = self.coeffs.bound_constant
-        if self.denom is DenominatorForm.POWER_OF_ODD_N:
-            # sum_{j>=M} C (2j+1)^-s <= C (2M-1)^(1-s) / (2(s-1))
-            return cbound * (2.0 * n - 1.0) ** (1.0 - s) / (2.0 * (s - 1.0))
-        if self.denom is DenominatorForm.COMPOSITE9:
-            return float(n) ** (1.0 - s) / (s - 1.0)
-        # n^s denominators: after n counters the last denominator is n
-        if cbound is not None:
-            return cbound * float(n) ** (1.0 - s) / (s - 1.0)
+        law = self._power_law(s)
+        if law is not None:
+            k, d, alpha, beta, p = law
+            return k * (alpha * n + beta) ** -p / d
         # digit-sum majorant (b-1)(log_b x + 1), decreasing after division
         # by x^s once log_b x >= 1, hence the n >= base floor in the schedule
         b = self.coeffs.base
@@ -182,6 +217,19 @@ class SeriesSpec:
             * float(n) ** (1.0 - s)
             * ((ln_n / (s - 1.0) + 1.0 / (s - 1.0) ** 2) / lnb + 1.0 / (s - 1.0))
         )
+
+    def mean_tail(self, n_counters: int, s: float, ctx: MPContext | None):
+        """(coefficient, a) with mu * (sum of the weights beyond the first
+        n_counters) = coefficient * zeta(s, a); for a series with mu != 0.
+
+        The omitted n^s weights sum to zeta(s, n+1), the (2m+1)^s ones to
+        2^-s zeta(s, n + 1/2).  ``ctx`` is ``_combine_ctx``'s context.
+        """
+        mu = self.mean if ctx is None else ctx.mpf(self.mean)
+        if self.denom is DenominatorForm.POWER_OF_ODD_N:
+            q = 2.0 ** (-s) if ctx is None else ctx.power(2, -ctx.mpf(s))
+            return mu * q, n_counters + 0.5
+        return mu, n_counters + 1
 
     def abs_sum_bound(self, n_counters: int, s: float) -> float:
         """Upper bound on sum of |terms|, used only for the rounding budget."""
@@ -195,36 +243,32 @@ class SeriesSpec:
     def required_counters(self, s: float, eps_tail: float, max_terms: int) -> int:
         """Smallest counter count whose tail bound undershoots eps_tail."""
         min_n = max(2, self.counter_start + 1)
-        c = self.coeffs.bound_constant
-        if c is None:
+        what = f"naive evaluation of {self.label()} at s={s:g}"
+        law = self._power_law(s)
+        if law is None:
             return _truncation_search(
                 lambda n: self.tail_bound(n, s),
                 max(min_n, self.coeffs.base, 16),
                 eps_tail,
                 max_terms,
-                f"naive evaluation of {self.label()} at s={s:g}",
+                what,
             )
-        if c == 0.0:
+        k, d, alpha, beta, p = law
+        if k == 0.0:
             return min_n
-        if self.denom is DenominatorForm.POWER_OF_ODD_N:
-            log_root = (math.log(c) - math.log(2.0 * (s - 1.0)) - math.log(eps_tail)) / (s - 1.0)
-            log_req = log_root - math.log(2.0)
-        else:
-            log_root = (math.log(c) - math.log(s - 1.0) - math.log(eps_tail)) / (s - 1.0)
-            log_req = log_root
-        if log_req > math.log(4.0 * max_terms):
+        # K (alpha n + beta)^-p / D <= eps_tail, solved in logs so nothing overflows
+        log_x = (math.log(k) - math.log(d) - math.log(eps_tail)) / p
+        if log_x > math.log(alpha * 4.0 * max_terms):
             raise ResourceLimitError(
-                f"naive evaluation of {self.label()} at s={s:g} to "
-                f"eps={eps_tail:g} needs N~{math.exp(min(log_req, 700.0)):.3g} "
-                f"terms (cap {max_terms})"
+                f"{what} to eps={eps_tail:g} needs "
+                f"N~{math.exp(min(log_x, 700.0)) / alpha:.3g} terms (cap {max_terms})"
             )
-        n = max(min_n, math.ceil(math.exp(log_req)))
+        n = max(min_n, math.ceil((math.exp(log_x) - beta) / alpha))
         while self.tail_bound(n, s) > eps_tail:
-            n = n + max(1, n // 16)
+            n += 1
         if n > max_terms:
             raise ResourceLimitError(
-                f"naive evaluation of {self.label()} at s={s:g} to "
-                f"eps={eps_tail:g} needs N={n} terms (cap {max_terms})"
+                f"{what} to eps={eps_tail:g} needs N={n} terms (cap {max_terms})"
             )
         return n
 
@@ -316,8 +360,7 @@ def _sum(spec: SeriesSpec, s: float, n_counters: int, prec: Precision):
         return chunked_kahan_sum(
             lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
         )
-    ctx = MPContext()
-    ctx.prec = prec.working_bits + 20 + max(0, n_counters.bit_length())
+    ctx = _mp_context(prec.working_bits + 20 + max(0, n_counters.bit_length()))
     s_mp = ctx.mpf(s)
     j0 = spec.counter_start
     return ctx.fsum(spec.term_mp(j, s_mp, ctx) for j in range(j0, j0 + n_counters))
@@ -364,6 +407,13 @@ def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
+def _naive_counters(spec: SeriesSpec, s: float, eps: float, max_terms: int) -> int:
+    """Counters ``eval_naive`` sums for ``eps``: the tail bound gets 0.95 eps,
+    or 0.7 eps when the mean part's leaf takes 0.25 eps."""
+    share = _TAIL_FRACTION - (_MEAN_FRACTION if spec.mean else 0.0)
+    return spec.required_counters(s, eps * share, max_terms)
+
+
 def eval_naive(
     spec: SeriesSpec,
     s: float,
@@ -373,25 +423,39 @@ def eval_naive(
 ) -> EvalResult:
     """Directly sum ``spec`` at s > 1 until the analytic tail is below eps.
 
-    The reported bound is the tail bound at the chosen truncation plus an
-    explicit rounding budget; if that total cannot undershoot eps at the
-    working precision, a resource error is raised instead of returning an
-    uncertified value.
+    For a stream with mean mu != 0 the omitted terms' mean part,
+    mu * zeta(s, a) (``SeriesSpec.mean_tail``), is added from the
+    Euler-Maclaurin engine.  The reported bound is the tail bound at the
+    chosen truncation, that leaf's bound, and an explicit rounding budget;
+    if the total cannot undershoot eps at the working precision, a resource
+    error is raised instead of returning an uncertified value.
     """
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
-    n = spec.required_counters(s, eps * _TAIL_FRACTION, cap)
-    rounding = _ROUNDING_OPS * prec.unit_roundoff * spec.abs_sum_bound(n, s)
+    n = _naive_counters(spec, s, eps, cap)
+    u = prec.unit_roundoff
+    abs_sum = spec.abs_sum_bound(n, s)
+    rounding = _ROUNDING_OPS * u * abs_sum
     bound = spec.tail_bound(n, s) + rounding
+    mean, terms = 0.0, n
+    if spec.mean:
+        coef, a = spec.mean_tail(n, s, _combine_ctx(prec))
+        # |coef| <= |mu| (2^-s < 1 for odd denominators), so this also
+        # survives 2^-s underflowing to 0
+        z = _hurwitz_core(s, a, prec.with_eps(_MEAN_FRACTION * eps / abs(spec.mean)))
+        mean = coef * z.value
+        # the leaf's bound, then the product and the final addition
+        bound += abs(float(coef)) * z.abs_error_bound + 4.0 * u * (abs_sum + abs(float(mean)))
+        terms += z.terms_used
     if bound > eps:
         raise ResourceLimitError(
             f"cannot certify eps={eps:g} for {spec.label()} at s={s:g}: "
             f"rounding budget {rounding:g} at working precision "
             f"{prec.working_bits}; raise working_bits"
         )
-    return EvalResult(_sum(spec, s, n, prec), bound, n, Method.NAIVE)
+    return EvalResult(_sum(spec, s, n, prec) + mean, bound, terms, Method.NAIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +473,7 @@ def _combine_ctx(prec: Precision) -> MPContext | None:
     """
     if prec.is_double:
         return None
-    ctx = MPContext()
-    ctx.prec = prec.working_bits + 20
-    return ctx
+    return _mp_context(prec.working_bits + 20)
 
 
 def _fe_weights(s: float, depth: int, ctx: MPContext | None = None):
@@ -585,8 +647,10 @@ def _eval_decomposed(
         raise ResourceLimitError(
             f"{spec.label()} decomposition certified only {bound:g} > eps={eps:g} at s={s:g}"
         )
-    # the all-zero alphabet has no leaf, and still counts as one term
-    return EvalResult(value, bound, max(terms, 1), Method.FUNCTIONAL_EQUATION)
+    # without an f leaf only the Euler-Maclaurin zeta ran (or, for the
+    # all-zero alphabet, nothing, which still counts as one term)
+    method = Method.FUNCTIONAL_EQUATION if float(beta) != 0.0 else Method.EULER_MACLAURIN
+    return EvalResult(value, bound, max(terms, 1), method)
 
 
 def eval_phi_gamma(

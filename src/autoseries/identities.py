@@ -62,6 +62,7 @@ from .evaluator import (
     _affine_form,
     _combine_ctx,
     _eval_decomposed,
+    _naive_counters,
     _truncation_search,
     _weighted_sum,
 )
@@ -447,7 +448,7 @@ def _eval_routed(
         route = Route.NAIVE
         if _affine_form(spec) is not None:
             try:
-                if spec.required_counters(s, eps * 0.95, cap) > AUTO_NAIVE_CAP:
+                if _naive_counters(spec, s, eps, cap) > AUTO_NAIVE_CAP:
                     route = Route.DECOMPOSED
             except ResourceLimitError:
                 route = Route.DECOMPOSED

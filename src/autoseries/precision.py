@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError
 
@@ -78,6 +81,19 @@ class Precision:
     def unit_roundoff(self) -> float:
         """Upper bound on the relative error of one arithmetic operation."""
         return 2.0 ** (1 - self.working_bits)
+
+
+@lru_cache(maxsize=128)
+def _mp_context(bits: int) -> MPContext:
+    """The one shared mpmath context with ``bits`` of mantissa.
+
+    Building a context costs far more than most of the calls made in it,
+    so every caller at a given width shares one.  Its precision is set
+    here, once; no caller may change it afterwards.
+    """
+    ctx = MPContext()
+    ctx.prec = bits
+    return ctx
 
 
 def _check_s(s: float) -> float:

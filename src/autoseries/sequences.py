@@ -252,6 +252,27 @@ class CoefficientSequence:
             return None
         return 1.0
 
+    @property
+    def discrepancy(self) -> tuple[float, float] | None:
+        """Mean mu and discrepancy bound B with |sum_{min_index<=n<M} (c_n - mu)| <= B
+        for every M, or None where only the majorant is used.
+
+        t_{2k} + t_{2k+1} = 1, so the partial sums of t_n - 1/2 are 0 or
+        +/-1/2, and those of e_n are 0 or +/-1; the partial sums of d_n
+        telescope to t_{M-1} - t_0, in {0, 1}; an alphabet is
+        (a+b)/2 + (b-a)(t_n - 1/2).  Digit sums and period-doubling
+        return None.  (The rounding of mu and B for an alphabet stays
+        within the evaluator's rounding budget.)
+        """
+        k = self.kind
+        if k is SequenceKind.THUE_MORSE:
+            return 0.5, 0.5
+        if k is SequenceKind.PLUS_MINUS or k is SequenceKind.DELTA:
+            return 0.0, 1.0
+        if k is SequenceKind.AFFINE:
+            return (self.low + self.high) / 2, abs(self.high - self.low) / 2
+        return None
+
     def value_bound(self, n: int) -> float:
         """Majorant C(n) with |c_m| <= C(m) for all m, nondecreasing in n."""
         c = self.bound_constant

@@ -1,7 +1,7 @@
 """Riemann zeta, alternating zeta, and Hurwitz zeta for real s > 1.
 
-One Euler-Maclaurin engine backs all three closed forms.  For 0 < a <= 1
-and real s > 1:
+One Euler-Maclaurin engine backs all three closed forms.  For a > 0 and
+real s > 1:
 
     zeta(s, a) = sum_{k<N} (k+a)^(-s)
                + (N+a)^(1-s)/(s-1) + (N+a)^(-s)/2
@@ -27,10 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from mpmath.ctx_mp import MPContext
-
 from .errors import DomainError, ResourceLimitError
-from .precision import Precision, _check_s
+from .precision import Precision, _check_s, _mp_context
 from .result import EvalResult, Method
 
 _N_SCHEDULE = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
@@ -51,14 +49,14 @@ def _b_over_fact(j: int) -> Fraction:
     return _B_OVER_FACT[j]
 
 
-def _context(prec: Precision) -> MPContext:
-    ctx = MPContext()
-    ctx.prec = prec.working_bits + _GUARD_BITS
-    return ctx
-
-
 def _hurwitz_core(s: float, a, prec: Precision) -> EvalResult:
-    ctx = _context(prec)
+    """zeta(s, a) to ``prec.target_eps``, valid for every a > 0.
+
+    The public ``hurwitz_zeta`` admits 0 < a <= 1 only; the naive route
+    calls this directly, at a = N+1 or N+1/2, for the mean part of a
+    truncated tail.
+    """
+    ctx = _mp_context(prec.working_bits + _GUARD_BITS)
     s_mp = ctx.mpf(s)
     a_mp = ctx.convert(a)
     eps_goal = prec.target_eps * 0.5
@@ -145,7 +143,7 @@ def dirichlet_eta(s: float, prec: Precision | None = None) -> EvalResult:
     """
     s = _check_s(s)
     prec = prec or Precision()
-    ctx = _context(prec)
+    ctx = _mp_context(prec.working_bits + _GUARD_BITS)
     factor = 1 - ctx.power(2, 1 - ctx.mpf(s))
     inner = _hurwitz_core(s, 1, prec.with_eps(prec.target_eps * 0.9 / float(factor)))
     value = factor * ctx.convert(inner.value)

@@ -108,6 +108,21 @@ def test_eval_odd_method_reports_odd_decomposition(capsys, series, reference):
     assert abs(float(odd["value"]) - float(ref["value"])) <= bounds
 
 
+def test_eval_g_at_two_to_1e12_is_naive_and_agrees_with_odd_split(capsys):
+    # the Abel tail makes the naive sum affordable where the majorant
+    # needed ~2e12 terms
+    code, out, _ = run(capsys, "eval", "g", "2", "1e-12")
+    assert code == 0
+    auto = json.loads(out)
+    assert auto["method"] == "naive"
+    assert float(auto["abs_error_bound"]) <= 1e-12
+    code, out, _ = run(capsys, "eval", "g", "2", "1e-12", "--method", "odd")
+    assert code == 0
+    odd = json.loads(out)
+    bounds = float(auto["abs_error_bound"]) + float(odd["abs_error_bound"])
+    assert abs(float(auto["value"]) - float(odd["value"])) <= bounds
+
+
 @pytest.mark.parametrize("ident", ["shallit:10", "allouche-shallit"])
 def test_verify_fixed_form_over_max_terms_names_the_cap(capsys, ident):
     code, _, err = run(capsys, "verify", ident, "--eps", "1e-6", "--max-terms", "1000")
@@ -363,7 +378,7 @@ def test_verify_all_completes_quickly(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--all", "--out", str(out_path))
     elapsed = time.perf_counter() - t0
     assert code == 0
-    assert elapsed < 60.0
+    assert elapsed < 10.0
     doc = ReportDocument.from_json(out_path.read_text())
     assert doc.all_passed
     ids = [r.identity_id for r in doc.records]

@@ -10,6 +10,7 @@ from autoseries.errors import DomainError, ResourceLimitError
 from autoseries.evaluator import (
     COMPOSITE9_SERIES,
     DELTA_SERIES,
+    DenominatorForm,
     F_SERIES,
     G_SERIES,
     GAMMA_SERIES,
@@ -29,6 +30,8 @@ from autoseries.precision import Precision
 from autoseries.result import Method
 from autoseries.sequences import CoefficientSequence, pm_thue_morse, thue_morse
 from autoseries.special_functions import riemann_zeta
+
+_R2 = 2.0**0.5
 
 
 # -- series spec plumbing -----------------------------------------------------
@@ -78,7 +81,7 @@ def test_naive_zeta_coefficients():
 
 def test_naive_reports_required_terms_beyond_cap():
     with pytest.raises(ResourceLimitError, match=r"N"):
-        eval_naive(ZETA_SERIES, 2.0, 1e-12, max_terms=10**6)
+        eval_naive(G_SERIES, 1.05, 1e-12, max_terms=10**6)
 
 
 def test_naive_rejects_bad_domain():
@@ -133,6 +136,12 @@ def test_odd_series_even_odd_split_of_g():
     factor = 2.0**-s - 1.0
     resid = abs(a.value - factor * g.value)
     assert resid <= a.abs_error_bound + abs(factor) * g.abs_error_bound
+
+
+def test_decomposed_zeta_only_is_tagged_euler_maclaurin():
+    # the all-ones alphabet has beta = 0, so only the zeta leaf runs
+    assert eval_series_spec(ZETA_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.EULER_MACLAURIN
+    assert eval_series_spec(PHI_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.FUNCTIONAL_EQUATION
 
 
 def test_f_via_odd_split_method_tag():
@@ -300,6 +309,93 @@ def test_tail_bound_is_truthful_for_positive_series():
     r = eval_naive(ZETA_SERIES, s, 1e-5)
     true_value = math.pi**2 / 6
     assert abs(r.value - true_value) <= r.abs_error_bound
+
+
+# -- discrepancy (Abel) tails ---------------------------------------------------------
+
+#: (stream, its values (low, high) where t_n = 0 and 1)
+_TWO_LETTER = [
+    (CoefficientSequence.plus_minus(), (1.0, -1.0)),
+    (CoefficientSequence.thue_morse(), (0.0, 1.0)),
+    (CoefficientSequence.affine(-1.0, 0.0), (-1.0, 0.0)),
+    (CoefficientSequence.affine(1.0 / 3.0, 4.0 / 3.0), (1.0 / 3.0, 4.0 / 3.0)),
+    (CoefficientSequence.affine(-_R2, 1.0 - _R2), (-_R2, 1.0 - _R2)),
+]
+_ABEL_CASES = [
+    (SeriesSpec(seq, shift, denom), letters)
+    for seq, letters in _TWO_LETTER
+    for shift, denom in (
+        (IndexShift.NONE, DenominatorForm.POWER_OF_N),
+        (IndexShift.BY_ONE, DenominatorForm.POWER_OF_N),
+        (IndexShift.NONE, DenominatorForm.POWER_OF_ODD_N),
+    )
+] + [(DELTA_SERIES, None)]
+_REF_BITS = 106
+_ref_leaves = {}
+
+
+def _zeta_f_reference(spec, letters, s):
+    """(value, bound) of ``spec`` from zeta(s) and f(s) at 106 bits.
+
+    With c = mu - delta e over t: sum c_{n-1}/n^s = mu zeta - delta f,
+    sum c_n/n^s = mu zeta + delta (2^s+1)/(2^s-1) f,
+    sum c_m/(2m+1)^s = mu (1-2^-s) zeta - delta (1+2^-s) f, and
+    sum d_n/n^s = 2^s/(2^s-1) f.
+    """
+    if s not in _ref_leaves:
+        _ref_leaves[s] = (
+            riemann_zeta(s, Precision(_REF_BITS, 1e-25)),
+            eval_functional_equation(s, 1e-12, prec=Precision(_REF_BITS, 1e-12)),
+        )
+    zeta, f = _ref_leaves[s]
+    with mpmath.workprec(_REF_BITS):
+        x = mpmath.mpf(2) ** s
+        if letters is None:
+            alpha, beta = 0, x / (x - 1)
+        else:
+            mu = (mpmath.mpf(letters[0]) + letters[1]) / 2
+            delta = (mpmath.mpf(letters[1]) - letters[0]) / 2
+            if spec.denom is DenominatorForm.POWER_OF_ODD_N:
+                alpha, beta = mu * (1 - 1 / x), -delta * (1 + 1 / x)
+            elif spec.shift is IndexShift.BY_ONE:
+                alpha, beta = mu, -delta
+            else:
+                alpha, beta = mu, delta * (x + 1) / (x - 1)
+        value = alpha * zeta.value + beta * f.value
+        bound = abs(alpha) * zeta.abs_error_bound + abs(beta) * f.abs_error_bound + 1e-25
+    return value, float(bound)
+
+
+@pytest.mark.parametrize("spec, letters", _ABEL_CASES, ids=[c[0].label() for c in _ABEL_CASES])
+def test_abel_tail_bound_honesty(spec, letters):
+    for s in (1.5, 2.0, 3.0, 4.0):
+        ref, ref_bound = _zeta_f_reference(spec, letters, s)
+        for eps in (1e-6, 1e-8, 1e-10):
+            r = eval_naive(spec, s, eps)
+            assert r.abs_error_bound <= eps
+            assert abs(r.value - ref) <= r.abs_error_bound + ref_bound, (s, eps)
+
+
+def test_abel_tail_counts_for_g_at_two():
+    # 2B (N+1)^-s <= 0.95 eps with B = 1: N = ceil(sqrt(2/(0.95e-8))) - 1
+    r = eval_naive(G_SERIES, 2.0, 1e-8)
+    assert r.terms_used == math.ceil(math.sqrt(2.0 / 0.95e-8)) - 1
+    assert G_SERIES.tail_bound(r.terms_used, 2.0) <= 0.95e-8 < G_SERIES.tail_bound(r.terms_used - 1, 2.0)
+
+
+def test_odd_mean_tail_at_huge_s():
+    # 2^-s underflows to 0 in the mean part's coefficient; t_0 = 0 and
+    # 3^-1100 underflows too, so the value is 0
+    spec = SeriesSpec(CoefficientSequence.thue_morse(), denom=DenominatorForm.POWER_OF_ODD_N)
+    r = eval_naive(spec, 1100.0, 1e-8)
+    assert r.value == 0.0 and r.abs_error_bound <= 1e-8
+
+
+def test_constant_alphabet_is_all_mean():
+    # B = 0: two summed terms, the rest is zeta(s, 3) from Euler-Maclaurin
+    r = eval_naive(ZETA_SERIES, 2.0, 1e-12)
+    assert r.terms_used < 30
+    assert abs(r.value - math.pi**2 / 6) <= r.abs_error_bound <= 1e-12
 
 
 # -- high working precision ----------------------------------------------------------

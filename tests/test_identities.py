@@ -33,6 +33,16 @@ GRID = (2.0, 3.0, 4.0)
 # -- registry contents ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("ident", ["lemma1", "corollary2-phi", "corollary2-gamma", "example8"])
+def test_s2_naive_records_stay_small(ident):
+    # deterministic work count: with the discrepancy (Abel) tails these
+    # records sum tens of thousands of terms, not 2.6e8-6.4e8
+    identity = get_identity(ident)
+    rec = verify(identity, 2.0, identity.default_eps)
+    assert rec.passed
+    assert rec.terms_used <= 10**6
+
+
 def test_registry_has_at_least_thirteen_identities():
     assert len(builtin_registry()) >= 13
 

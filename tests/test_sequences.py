@@ -1,5 +1,9 @@
 """Sequence generators: frozen prefixes, recurrence laws, block/scalar agreement."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +205,46 @@ def test_affine_value_bound():
     q = CoefficientSequence.affine(-2.5, 0.5)
     assert q.bound_constant == 2.5
     assert CoefficientSequence.plus_minus().bound_constant == 1.0
+
+
+# -- discrepancy (mean and bound for the Abel tail) ----------------------------------
+
+_R2 = 2.0**0.5
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        CoefficientSequence.plus_minus(),
+        CoefficientSequence.thue_morse(),
+        CoefficientSequence.delta(),
+        CoefficientSequence.affine(-1.0, 0.0),
+        CoefficientSequence.affine(1.0 / 3.0, 4.0 / 3.0),
+        CoefficientSequence.affine(-_R2, 1.0 - _R2),
+    ],
+    ids=lambda seq: seq.label(),
+)
+def test_discrepancy_bound_by_brute_force(seq):
+    # max_M |sum_{min_index<=n<M} (c_n - mu)| over M <= 2^16, in exact
+    # rational arithmetic on the stored coefficients, is exactly B
+    mu_f, b_f = seq.discrepancy
+    if seq.kind.value == "affine":
+        low, high = Fraction(seq.low), Fraction(seq.high)
+        mu, b = (low + high) / 2, abs(high - low) / 2
+    else:
+        mu, b = Fraction(mu_f), Fraction(b_f)
+    # the reported floats are mu and B to within one rounding
+    assert abs(Fraction(mu_f) - mu) <= Fraction(2) ** -53 * abs(mu)
+    assert abs(Fraction(b_f) - b) <= Fraction(2) ** -53 * b
+    diffs = [Fraction(seq.term(n)) - mu for n in range(seq.min_index, 2**16)]
+    scale = math.lcm(*{d.denominator for d in diffs})
+    partial = itertools.accumulate(int(d * scale) for d in diffs)
+    assert max(abs(p) for p in partial) == b * scale
+
+
+def test_majorant_streams_have_no_discrepancy():
+    assert CoefficientSequence.period_doubling().discrepancy is None
+    assert CoefficientSequence.digit_sum(3).discrepancy is None
 
 
 # -- stream plumbing -------------------------------------------------------------

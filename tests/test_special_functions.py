@@ -7,9 +7,10 @@ import mpmath
 import pytest
 
 from autoseries.errors import DomainError, ResourceLimitError
-from autoseries.precision import Precision
+from autoseries.evaluator import GAMMA_SERIES, eval_naive
+from autoseries.precision import Precision, _mp_context
 from autoseries.result import Method
-from autoseries.special_functions import dirichlet_eta, hurwitz_zeta, riemann_zeta
+from autoseries.special_functions import _hurwitz_core, dirichlet_eta, hurwitz_zeta, riemann_zeta
 
 P12 = Precision(target_eps=1e-12)
 GRID = [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5, 8.0]
@@ -131,6 +132,38 @@ def test_high_precision_path():
     mpmath.mp.prec = 200
     ref = mpmath.pi**2 / 6
     assert abs(r.value - ref) < mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("a", [3, 1000.5, 14_000, 26_000, 10**6])
+def test_hurwitz_core_beyond_one_against_mpmath(a):
+    # the naive route's mean-part leaf zeta(s, N+1) runs at large a
+    for s in (1.5, 2.0, 4.0):
+        for eps in (1e-8, 1e-12):
+            r = _hurwitz_core(s, a, Precision(target_eps=eps))
+            assert r.abs_error_bound <= eps
+            with mpmath.workprec(120):
+                assert abs(r.value - mpmath.zeta(s, a)) <= r.abs_error_bound
+
+
+def test_shared_contexts_give_fresh_context_results():
+    # one mpmath context per bit width, shared by every call: interleaved
+    # 80-, 120- and 80-bit calls must match calls made on fresh contexts
+    p80, p120 = Precision(80, 1e-15), Precision(120, 1e-20)
+    calls = [
+        lambda: riemann_zeta(3.0, p80),
+        lambda: riemann_zeta(3.0, p120),
+        lambda: eval_naive(GAMMA_SERIES, 4.0, 1e-15, p80),
+        lambda: eval_naive(GAMMA_SERIES, 6.0, 1e-20, p120),
+    ]
+    fresh = []
+    for call in calls:
+        _mp_context.cache_clear()
+        fresh.append(call())
+    order = [0, 1, 0, 2, 3, 2, 1, 3, 0]
+    assert [calls[i]() for i in order] == [fresh[i] for i in order]
+    # and no caller changed the precision of a context it was handed
+    for bits in range(90, 180):
+        assert _mp_context(bits).prec == bits
 
 
 # -- domain errors ----------------------------------------------------------------
