@@ -47,7 +47,9 @@ Every partial-sum loop uses compensated (Kahan) accumulation over fixed
 2^14-term chunks, so results are bit-reproducible, and every reported
 bound adds an explicit rounding budget on top of the analytic tail.
 Weighted sums of certified values (FE assembly, the decomposition, the
-left side of an identity) all go through ``_weighted_sum``.
+left side of an identity) all go through ``_weighted_sum``.  A zeta-type
+leaf whose share eps/|coefficient| is finer than the working width can
+certify runs wider on its own (``_zeta_leaf``).
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ import numpy as np
 from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError, ResourceLimitError
-from .precision import Precision, _check_eps, _check_s, _mp_context
+from .precision import GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
 from .result import EvalResult, Method
 from .sequences import CoefficientSequence, SequenceKind
 from .special_functions import _hurwitz_core, riemann_zeta
@@ -407,6 +409,25 @@ def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
+def _zeta_leaf(zeta: Callable[[Precision], EvalResult], eps: float, prec: Precision) -> EvalResult:
+    """``zeta(p)`` certified to a leaf's own ``eps``, a float on the double path.
+
+    A leaf's share eps/|coefficient| can fall below what ``prec``'s width
+    may certify (``GUARD_BITS`` under its unit roundoff), so the leaf runs
+    at the width its eps needs when that is wider; on the double path its
+    value is then rounded back to a float, one more u|value| in the bound.
+    """
+    bits = prec.working_bits
+    if 0.0 < eps < 2.0 ** (GUARD_BITS - bits):
+        bits = GUARD_BITS + math.ceil(-math.log2(eps))
+    z = zeta(Precision(bits, eps))
+    if not prec.is_double or bits == prec.working_bits:
+        return z
+    value = float(z.value)
+    bound = z.abs_error_bound + prec.unit_roundoff * abs(value)
+    return EvalResult(value, bound, z.terms_used, z.method)
+
+
 def _naive_counters(spec: SeriesSpec, s: float, eps: float, max_terms: int) -> int:
     """Counters ``eval_naive`` sums for ``eps``: the tail bound gets 0.95 eps,
     or 0.7 eps when the mean part's leaf takes 0.25 eps."""
@@ -444,7 +465,9 @@ def eval_naive(
         coef, a = spec.mean_tail(n, s, _combine_ctx(prec))
         # |coef| <= |mu| (2^-s < 1 for odd denominators), so this also
         # survives 2^-s underflowing to 0
-        z = _hurwitz_core(s, a, prec.with_eps(_MEAN_FRACTION * eps / abs(spec.mean)))
+        z = _zeta_leaf(
+            lambda p: _hurwitz_core(s, a, p), _MEAN_FRACTION * eps / abs(spec.mean), prec
+        )
         mean = coef * z.value
         # the leaf's bound, then the product and the final addition
         bound += abs(float(coef)) * z.abs_error_bound + 4.0 * u * (abs_sum + abs(float(mean)))
@@ -636,7 +659,7 @@ def _eval_decomposed(
     beta = -slope / 2 if shifted else slope * ((q + 1) / (2 * (1 - q)))
     leaves = []
     for coef, share, key, fn in (
-        (alpha, 0.25, "zeta", lambda e: riemann_zeta(s, prec.with_eps(e))),
+        (alpha, 0.25, "zeta", lambda e: _zeta_leaf(lambda p: riemann_zeta(s, p), e, prec)),
         (beta, 0.45, "f", lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms)),
     ):
         coef_abs = abs(float(coef))

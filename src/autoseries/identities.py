@@ -65,6 +65,7 @@ from .evaluator import (
     _naive_counters,
     _truncation_search,
     _weighted_sum,
+    _zeta_leaf,
 )
 
 #: Above this many naive terms, auto-routed series fall back to the
@@ -231,7 +232,7 @@ class Zeta(Expr):
 
     def bracket(self, s, budget, prec, cache):
         r = cache.get_or_eval(
-            ("zeta", s), budget, lambda e: riemann_zeta(s, prec.with_eps(e))
+            ("zeta", s), budget, lambda e: _zeta_leaf(lambda p: riemann_zeta(s, p), e, prec)
         )
         return r.value, r.abs_error_bound
 
@@ -246,7 +247,7 @@ class Eta(Expr):
 
     def bracket(self, s, budget, prec, cache):
         r = cache.get_or_eval(
-            ("eta", s), budget, lambda e: dirichlet_eta(s, prec.with_eps(e))
+            ("eta", s), budget, lambda e: _zeta_leaf(lambda p: dirichlet_eta(s, p), e, prec)
         )
         return r.value, r.abs_error_bound
 
@@ -263,7 +264,9 @@ class HurwitzZeta(Expr):
 
     def bracket(self, s, budget, prec, cache):
         r = cache.get_or_eval(
-            ("hurwitz", self.a, s), budget, lambda e: hurwitz_zeta(s, self.a, prec.with_eps(e))
+            ("hurwitz", self.a, s),
+            budget,
+            lambda e: _zeta_leaf(lambda p: hurwitz_zeta(s, self.a, p), e, prec),
         )
         return r.value, r.abs_error_bound
 

@@ -398,6 +398,32 @@ def test_constant_alphabet_is_all_mean():
     assert abs(r.value - math.pi**2 / 6) <= r.abs_error_bound <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "a, b, s, eps", [(2.0, 3.0, 4.0, 1e-12), (300.0, 301.0, 3.0, 1e-10), (2.0, 3.0, 2.0, 1e-12)]
+)
+def test_zeta_leaf_finer_than_double_guard_bits(a, b, s, eps):
+    # the zeta leaves' shares, 0.25 eps/|mu| on both routes, fall under
+    # 2^-43, which 53 bits with 10 guard bits cannot certify: the leaves run
+    # wider and the values come back as floats
+    spec = SeriesSpec(CoefficientSequence.affine(a, b))
+    naive = eval_naive(spec, s, eps)
+    decomposed = eval_series_spec(spec, s, eps, Route.DECOMPOSED)
+    for r in (naive, decomposed):
+        assert isinstance(r.value, float) and r.abs_error_bound <= eps
+    assert abs(naive.value - decomposed.value) <= naive.abs_error_bound + decomposed.abs_error_bound
+    if s >= 3.0:
+        # sum c_n/n^s = mu zeta + delta (2^s+1)/(2^s-1) f, both leaves to 1e-16
+        prec = Precision(_REF_BITS, 1e-16)
+        zeta = riemann_zeta(s, prec)
+        f = eval_functional_equation(s, 1e-16, prec=prec)
+        with mpmath.workprec(_REF_BITS):
+            x = mpmath.mpf(2) ** s
+            mu, delta = (mpmath.mpf(a) + b) / 2, (mpmath.mpf(b) - a) / 2
+            ref = mu * zeta.value + delta * (x + 1) / (x - 1) * f.value
+        ref_bound = abs(mu) * 1e-16 + abs(delta) * 2 * 1e-16
+        assert abs(naive.value - ref) <= naive.abs_error_bound + ref_bound
+
+
 # -- high working precision ----------------------------------------------------------
 
 

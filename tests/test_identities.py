@@ -4,11 +4,14 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from autoseries.errors import DomainError
 from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES
 from autoseries.identities import (
+    Eta,
+    HurwitzZeta,
     Identity,
     IdentityKind,
     LhsTerm,
@@ -18,6 +21,7 @@ from autoseries.identities import (
     TwoPowerRatio,
     ValidityDomain,
     Zeta,
+    _EvalCache,
     builtin_registry,
     get_identity,
     make_corollary2_identity,
@@ -127,6 +131,17 @@ def test_binary_weighted_identity():
     rec = verify(get_identity("allouche-shallit"), None, 1e-8)
     assert rec.passed
     assert rec.residual <= 1e-8
+
+
+def test_constant_leaves_finer_than_double_guard_bits():
+    # a budget under 2^-43 is more than 53 bits with 10 guard bits can
+    # certify: the leaf runs wider and its value comes back as a float
+    pi2 = mpmath.pi**2
+    cases = ((Zeta(), pi2 / 6), (Eta(), pi2 / 12), (HurwitzZeta(Fraction(1, 2)), pi2 / 2))
+    for expr, exact in cases:
+        value, bound = expr.bracket(2.0, 3e-14, Precision(), _EvalCache())
+        assert isinstance(value, float) and bound <= 4e-14
+        assert abs(value - exact) <= bound
 
 
 # -- false identities must fail ---------------------------------------------------
