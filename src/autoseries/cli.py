@@ -23,6 +23,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from mpmath.libmp import to_str
+
 from . import __version__
 from .errors import AutoseriesError
 from .evaluator import (
@@ -199,6 +201,19 @@ def _method_route(name: str, method: str, auto: Route) -> Route:
     raise UsageError(f"method {method!r} does not apply to {name}")
 
 
+def _value_text(value, bound: float) -> str:
+    """A float's repr; an mpf (the mpmath path) in enough significant
+    digits that its decimal rounding stays below bound/1000.  (A zero
+    bound only comes with the all-zero series, whose value is 0.)"""
+    if isinstance(value, float):
+        return repr(value)
+    digits = 17
+    if bound > 0.0:
+        scale = max(abs(float(value)), bound) / bound
+        digits = max(digits, 4 + math.ceil(math.log10(scale)))
+    return to_str(value._mpf_, digits)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     eps = args.eps_pos if args.eps_pos is not None else (cfg.eps or 1e-8)
@@ -206,12 +221,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec, auto = _catalog_series(name)
     route = _method_route(name, args.method, auto)
     result = eval_series_spec(spec, args.s, eps, route, _precision(cfg, eps), cfg.max_terms)
+    value = _value_text(result.value, result.abs_error_bound)
     if cfg.out_format == "json":
         payload = {
             "series": name,
             "s": repr(float(args.s)),
             "eps": repr(float(eps)),
-            "value": repr(float(result.value)),
+            "value": value,
             "abs_error_bound": repr(float(result.abs_error_bound)),
             "terms_used": result.terms_used,
             "method": result.method.value,
@@ -221,7 +237,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rendered = "\n".join(
             (
                 f"series : {name}   s = {args.s:g}   eps = {eps:g}",
-                f"value  = {float(result.value)!r}",
+                f"value  = {value}",
                 f"bound  = {result.abs_error_bound:.6e}",
                 f"terms  = {result.terms_used}",
                 f"method = {result.method.value}",

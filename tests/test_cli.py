@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from decimal import Decimal
 
 import pytest
 
@@ -75,6 +76,37 @@ def test_eval_catalog_variants(capsys):
         code, out, _ = run(capsys, "eval", name, "3", "1e-6")
         assert code == 0, name
         assert json.loads(out)["terms_used"] >= 1
+
+
+def test_eval_mp_value_printed_within_its_bound(capsys):
+    # on the mpmath path the printed value carries the digits its 8e-20
+    # bound needs; a float would be up to ~5e-17 off.  Reference: the
+    # functional equation at 120 bits to 1e-22 (bound 6.8e-23)
+    ref = Decimal("0.8531759200838268776858781")
+    code, out, _ = run(capsys, "eval", "f", "3.02", "1e-19")
+    assert code == 0
+    payload = json.loads(out)
+    bound = Decimal(payload["abs_error_bound"])
+    assert bound <= Decimal("1e-19")
+    assert abs(Decimal(payload["value"]) - ref) <= bound + Decimal("1e-22")
+    code, out, _ = run(capsys, "eval", "f", "3.02", "1e-19", "--format", "text")
+    assert code == 0
+    line = next(x for x in out.splitlines() if x.startswith("value"))
+    assert abs(Decimal(line.split("=")[1].strip()) - ref) <= bound + Decimal("1e-22")
+
+
+def test_eval_mp_zero_series_has_a_zero_bound(capsys):
+    code, out, _ = run(capsys, "eval", "affine:0:0", "3", "1e-13")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["abs_error_bound"]) == ("0.0", "0.0")
+
+
+def test_eval_double_value_is_a_float_repr(capsys):
+    code, out, _ = run(capsys, "eval", "f", "3.02", "1e-10")
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert value == repr(float(value))
 
 
 def test_eval_unknown_series_is_usage_error(capsys):

@@ -5,6 +5,7 @@ import re
 
 import mpmath
 import pytest
+from mpmath.ctx_base import StandardBaseContext
 
 from autoseries.errors import DomainError, ResourceLimitError
 from autoseries.evaluator import (
@@ -452,3 +453,162 @@ def test_mp_summation_path():
     assert abs(r.value - ref) < mpmath.mpf(10) ** -19
     double = eval_naive(F_SERIES, 6.0, 1e-12)
     assert abs(float(r.value) - double.value) <= double.abs_error_bound
+
+
+# -- the fixed-point kernel of the mpmath path ----------------------------------
+
+_KERNEL_STREAMS = {
+    "t": CoefficientSequence.thue_morse(),
+    "pm": CoefficientSequence.plus_minus(),
+    "delta": CoefficientSequence.delta(),
+    "pd": CoefficientSequence.period_doubling(),
+    "digitsum3": CoefficientSequence.digit_sum(3),
+    "third-five-halves": CoefficientSequence.affine(1 / 3, 2.5),
+    "neg": CoefficientSequence.affine(-2.0, 0.75),
+}
+_KERNEL_FORMS = {
+    "n": (IndexShift.NONE, DenominatorForm.POWER_OF_N),
+    "shifted": (IndexShift.BY_ONE, DenominatorForm.POWER_OF_N),
+    "odd": (IndexShift.NONE, DenominatorForm.POWER_OF_ODD_N),
+    "composite9": (IndexShift.NONE, DenominatorForm.COMPOSITE9),
+}
+
+# (stream, form, working bits) -> eval_naive's (terms_used, abs_error_bound)
+# at s = 6 and eps 1e-12 (64 bits) or 1e-16 (113 bits), as the per-term
+# mpmath loop that the kernel replaced reported them
+_KERNEL_COUNTS = {
+    ("t", "n", 64): (122, 6.669338617960209e-13),
+    ("t", "n", 113): (508, 6.967782049083893e-17),
+    ("t", "shifted", 64): (122, 6.669338617960209e-13),
+    ("t", "shifted", 113): (508, 6.967782049083893e-17),
+    ("t", "odd", 64): (69, 6.668452483021934e-13),
+    ("t", "odd", 113): (262, 6.969506078992407e-17),
+    ("pm", "n", 64): (113, 9.111772587044397e-13),
+    ("pm", "n", 113): (525, 9.443120481659301e-17),
+    ("pm", "shifted", 64): (113, 9.111772587044397e-13),
+    ("pm", "shifted", 113): (525, 9.443120481659301e-17),
+    ("pm", "odd", 64): (57, 8.646590082147597e-13),
+    ("pm", "odd", 113): (263, 9.336117403050857e-17),
+    ("delta", "n", 64): (113, 9.111772587044397e-13),
+    ("delta", "n", 113): (525, 9.443120481659301e-17),
+    ("pd", "n", 64): (184, 9.482935296737175e-13),
+    ("pd", "n", 113): (1161, 9.481322018526016e-17),
+    ("pd", "shifted", 64): (184, 9.482935296737175e-13),
+    ("pd", "shifted", 113): (1161, 9.481322018526016e-17),
+    ("pd", "odd", 64): (81, 9.244265556117075e-13),
+    ("pd", "odd", 113): (506, 9.467694199432756e-17),
+    ("pd", "composite9", 64): (184, 9.482935296737175e-13),
+    ("pd", "composite9", 113): (1161, 9.481322018526016e-17),
+    ("digitsum3", "n", 64): (307, 9.380404367029797e-13),
+    ("digitsum3", "n", 113): (2027, 9.483464434723061e-17),
+    ("third-five-halves", "n", 64): (136, 6.911604576227344e-13),
+    ("third-five-halves", "n", 113): (576, 6.953808831900479e-17),
+    ("third-five-halves", "shifted", 64): (136, 6.911604576227344e-13),
+    ("third-five-halves", "shifted", 113): (576, 6.953808831900479e-17),
+    ("third-five-halves", "odd", 64): (76, 6.910993232280728e-13),
+    ("third-five-halves", "odd", 113): (296, 6.95597613435343e-17),
+    ("neg", "n", 64): (141, 6.875193707399289e-13),
+    ("neg", "n", 113): (599, 6.933069353815635e-17),
+    ("neg", "shifted", 64): (141, 6.875193707399289e-13),
+    ("neg", "shifted", 113): (599, 6.933069353815635e-17),
+    ("neg", "odd", 64): (79, 6.556577958026314e-13),
+    ("neg", "odd", 113): (308, 6.862995261945697e-17),
+}
+
+
+def _kernel_spec(stream: str, form: str) -> SeriesSpec:
+    shift, denom = _KERNEL_FORMS[form]
+    return SeriesSpec(_KERNEL_STREAMS[stream], shift, denom)
+
+
+def _oracle_check(spec: SeriesSpec, s: float, n: int, bits: int) -> None:
+    """``partial_sum`` on the mpmath path against a plain mpmath fsum of
+    c_j times its denominators' powers, 40 bits wider than the kernel.
+
+    The kernel's error is at most 2^-P (|value| + sum_j |c_j| sum_d (Omega(d) + 2))
+    at its width P = bits + 20 + bit_length(n), and Omega(d) <= log2 d."""
+    value = partial_sum(spec, s, n, Precision(bits, 1e-3))
+    assert not isinstance(value, float)
+    width = bits + 20 + n.bit_length()
+    ctx = mpmath.MPContext()
+    ctx.prec = width + 40
+    neg_s = -ctx.mpf(s)
+    j0 = spec.counter_start
+    terms, units = [], 0.0
+    for j in range(j0, j0 + n):
+        if spec.denom is DenominatorForm.COMPOSITE9:
+            dens = ((1, j), (-1, 4 * j + 3))
+        elif spec.denom is DenominatorForm.POWER_OF_ODD_N:
+            dens = ((1, 2 * j + 1),)
+        else:
+            dens = ((1, j + 1 if spec.shift is IndexShift.BY_ONE else j),)
+        c = spec.coeffs.term(j)
+        terms.append(ctx.mpf(c) * ctx.fsum(sign * ctx.power(d, neg_s) for sign, d in dens))
+        units += abs(c) * sum(math.log2(d) + 2 for _, d in dens)
+    ref = ctx.fsum(terms)
+    allowed = 2.0**-width * (abs(float(ref)) + units) + n * 2.0 ** -(width + 38)
+    assert abs(ctx.mpf(value) - ref) <= allowed
+
+
+@pytest.mark.parametrize(
+    "stream, form, bits", list(_KERNEL_COUNTS), ids=["-".join(map(str, k)) for k in _KERNEL_COUNTS]
+)
+def test_fixed_point_kernel_against_mpmath_oracle(stream, form, bits):
+    spec = _kernel_spec(stream, form)
+    eps = 1e-12 if bits == 64 else 1e-16
+    r = eval_naive(spec, 6.0, eps, Precision(bits, eps))
+    assert not isinstance(r.value, float)
+    assert (r.terms_used, r.abs_error_bound) == _KERNEL_COUNTS[stream, form, bits]
+    _oracle_check(spec, 2.7183, 1200, bits)
+
+
+@pytest.mark.parametrize("form", list(_KERNEL_FORMS))
+def test_fixed_point_kernel_past_a_small_table(form, monkeypatch):
+    # with the table cut at 41 most denominators lie past it: odd ones
+    # split at their smallest prime factor or take a power, even ones whose
+    # odd part is past it take a power; 41 itself is the first cofactor
+    # outside the table
+    monkeypatch.setattr("autoseries.evaluator._TABLE_LIMIT", 41)
+    _oracle_check(_kernel_spec("pd" if form == "composite9" else "neg", form), 3.5, 1500, 64)
+
+
+@pytest.mark.parametrize("form", list(_KERNEL_FORMS))
+def test_fixed_point_kernel_first_terms(form):
+    for n in range(1, 6):
+        _oracle_check(_kernel_spec("pd" if form == "composite9" else "t", form), 2.5, n, 64)
+
+
+def test_fixed_point_kernel_past_the_table_cap():
+    # 4n+3 reaches 120,003: past the 32,768 cap, 3 (d/3) has its cofactor
+    # outside the table from d = 98,304 on
+    _oracle_check(COMPOSITE9_SERIES, 2.5, 30_000, 64)
+
+
+def test_mp_kernel_powers_only_at_primes(monkeypatch):
+    # N = 2061 denominators, and pi(2061) = 310 primes among them
+    power = StandardBaseContext.power
+    bases = []
+
+    def counted(ctx, x, y):
+        bases.append(x)
+        return power(ctx, x, y)
+
+    monkeypatch.setattr(StandardBaseContext, "power", counted)
+    r = eval_naive(G_SERIES, 4.02, 1e-13)
+    assert r.terms_used == 2061
+    primes = [p for p in range(2, 2062) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    assert len(primes) == 310
+    assert sorted(bases) == primes
+
+
+def test_functional_equation_sums_at_the_exact_exponent():
+    # float(3.02) + k is not 3.02 + k exactly; summing the inner series at
+    # the rounded exponent put the value 7.6e-18 off, 92 times its bound.
+    # Reference: the same route at 120 bits to 1e-22 (bound 6.8e-23); an
+    # independent odd-split sum gives ...877652 with tail <= 6.7e-20.
+    r = eval_functional_equation(3.02, 1e-19)
+    ctx = mpmath.MPContext()
+    ctx.prec = 200
+    ref = ctx.mpf("0.8531759200838268776858781")
+    assert r.abs_error_bound <= 1e-19
+    assert abs(ctx.mpf(r.value) - ref) <= r.abs_error_bound + 1e-22
