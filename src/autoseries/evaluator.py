@@ -48,15 +48,15 @@ accumulation over fixed 2^14-term chunks, so results are bit-reproducible,
 and every reported bound adds an explicit rounding budget,
 ``_ROUNDING_OPS`` u times the absolute-sum majorant, on top of the
 analytic tail.  Wider working precisions sum in fixed point
-(``_fixed_point_sum``) at P = working bits + 20 + log2 N bits: n^-s is
-completely multiplicative, so only the primes up to the last denominator
-D take an ``mpmath`` power, and every other weight is a product of two
-table entries, within Omega(n) + 2 units of 2^-P.  The sum of |c_n| times
-those units is at most C N (log2 D + 2) 2^-P <= C (log2 D + 2) 2^-21 u
-(C the coefficient majorant, twice that for composite9's two weights);
-with the one rounding of the final conversion it stays far inside the
-same ``_ROUNDING_OPS`` u envelope.  The table keeps the weights of the
-odd numbers below ``_TABLE_LIMIT`` = 2^15 (16,384 integers); a
+(``fixed_point.fixed_point_sum``) at P = working bits + 20 + log2 N bits:
+n^-s is completely multiplicative, so only the primes up to the last
+denominator D take an ``mpmath`` power, and every other weight is a
+product of two table entries, within Omega(n) + 2 units of 2^-P.  The sum
+of |c_n| times those units is at most C N (log2 D + 2) 2^-P <=
+C (log2 D + 2) 2^-21 u (C the coefficient majorant, twice that for
+composite9's two weights); with the one rounding of the final conversion
+it stays far inside the same ``_ROUNDING_OPS`` u envelope.  The table
+keeps the weights of the odd numbers below 2^15 (16,384 integers); a
 denominator whose odd part or cofactor lies past it takes a power of its
 own.
 
@@ -69,14 +69,12 @@ certify runs wider on its own (``_zeta_leaf``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import to_fixed
 
 from .errors import DomainError, ResourceLimitError
 from .precision import GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
@@ -87,14 +85,6 @@ from .special_functions import _hurwitz_core, riemann_zeta
 #: Fixed summation chunk; fixed so chunk boundaries (and hence rounding)
 #: never depend on how work is scheduled.
 CHUNK = 1 << 14
-
-#: The mpmath kernel keeps the fixed-point weights of the odd denominators
-#: below this (16,384 of them) for reuse as factors.
-_TABLE_LIMIT = 2 * CHUNK
-
-#: Terms per coefficient block in the mpmath kernel, kept small because a
-#: block lives as Python lists.
-_KERNEL_BLOCK = 1 << 11
 
 #: Default hard cap on naive term counts; beyond it the evaluator refuses
 #: rather than silently degrade.
@@ -379,129 +369,6 @@ def chunked_kahan_sum(block_fn, start: int, count: int) -> float:
     return total
 
 
-def _odd_primes(top: int) -> list[int]:
-    """The odd primes up to ``top``."""
-    sieve = bytearray([1]) * (top + 1)
-    for p in range(3, math.isqrt(top) + 1, 2):
-        if sieve[p]:
-            sieve[p * p :: 2 * p] = bytes(len(range(p * p, top + 1, 2 * p)))
-    return [p for p in range(3, top + 1, 2) if sieve[p]]
-
-
-def _smallest_odd_factors(d: int, step: int, count: int, primes: list[int]) -> list[int]:
-    """For each of d, d + step, ..., its smallest odd prime factor p with
-    p^2 <= it, or 0 where there is none (an odd number then is 1 or prime).
-    ``step`` is 1, 2 or 4; ``primes`` must reach the square root of the last."""
-    spf = [0] * count
-    last = d + step * (count - 1)
-    # largest prime first, so each entry ends at its smallest
-    for p in reversed(primes[: bisect_right(primes, math.isqrt(last))]):
-        # first index at or past p^2 whose number p divides
-        i = (-d * pow(step, -1, p)) % p
-        floor = max(0, -(-(p * p - d) // step))
-        if i < floor:
-            i += -(-(floor - i) // p) * p
-        spf[i::p] = [p] * len(range(i, count, p))
-    return spf
-
-
-def _weight_table(
-    limit: int, primes: list[int], power: Callable[[int], int], prec: int
-) -> list[int]:
-    """Fixed-point weights of the odd numbers below ``limit``, entry i for
-    2i + 1: ``power`` at primes, products of two earlier entries otherwise."""
-    table = [1 << prec]
-    spf = _smallest_odd_factors(3, 2, (limit - 2) // 2, primes)
-    for o, p in zip(range(3, limit, 2), spf):
-        table.append(power(o) if p == 0 else (table[p >> 1] * table[(o // p) >> 1]) >> prec)
-    return table
-
-
-def _fixed_point_sum(spec: SeriesSpec, s, n_counters: int, ctx: MPContext):
-    """The first ``n_counters`` terms as an mpf of ``ctx``, summed in fixed point.
-
-    With P = ctx.prec, denominator d gets an integer weight w(d) within
-    Omega(d) + 2 units of 2^P d^-s (Omega counts prime factors with
-    multiplicity).  n^-s is completely multiplicative, so only primes need
-    a power: w(1) = 2^P, a prime's weight is ``ctx.power`` (within about an
-    ulp, at most one unit) truncated to an integer, and every other d is a
-    product ab of smaller numbers, w(d) = (w(a) w(b)) >> P: 2^k = 2 2^(k-1),
-    d = 2^k o with o odd, and an odd d = p (d/p) with p its smallest prime
-    factor.  The shift truncates by less than a unit and carries each
-    factor's error scaled by the other factor's weight over 2^P, which is
-    below 1/2 for a factor above 1 (plus the product of the two errors over
-    2^P, negligible), so err(d) < (err(a) + err(b))/2 + 1 <= Omega(d)/2 + 3
-    <= Omega(d) + 2; a factor 1 is exact.
-
-    The weights of the odd numbers below ``limit`` (at most ``_TABLE_LIMIT``)
-    stay in a table; a d whose odd part or cofactor lies past it gets a
-    power of its own.  Coefficients are read by block and grouped by value;
-    the values are floats, hence dyadic rationals, so each group's weight
-    sum times its value is exact integer arithmetic, and the one rounding
-    after the weights is the final conversion to an mpf.
-    """
-    prec = ctx.prec
-    neg_s = -ctx.mpf(s)
-
-    def power(d: int) -> int:
-        return to_fixed(ctx.power(d, neg_s)._mpf_, prec)
-
-    j0 = spec.counter_start
-    end = j0 + n_counters
-    lasts = [(d + step * (n_counters - 1), step) for _, d, step in spec.denominators(j0)]
-    top = max(last for last, _ in lasts)
-    primes = _odd_primes(math.isqrt(top))
-    # an even d's odd part is at most d/2, an odd composite's cofactor at most d/3
-    needed = max(last // (2 if step == 1 else 3) for last, step in lasts) + 1
-    limit = max(2, min(_TABLE_LIMIT, needed))
-    weights = _weight_table(limit, primes, power, prec)
-    # weights[odd_count + k] is the weight of 2^k
-    odd_count = len(weights)
-    weights.append(1 << prec)
-    if top > 1:
-        w2 = power(2)
-        while len(weights) < odd_count + top.bit_length():
-            weights.append((weights[-1] * w2) >> prec)
-
-    sums: dict[float, int] = {}
-    for lo in range(j0, end, _KERNEL_BLOCK):
-        count = min(_KERNEL_BLOCK, end - lo)
-        letters = spec.coeffs.block(lo, lo + count).tolist()
-        for sign, d0, step in spec.denominators(lo):
-            # factors of the odd denominators past the table
-            spf = None
-            if d0 + step * (count - 1) >= limit:
-                spf = _smallest_odd_factors(d0, step, count, primes)
-            acc = dict.fromkeys(letters, 0)
-            for i, v in enumerate(letters):
-                if not v:
-                    continue
-                d = d0 + step * i
-                if d & 1:
-                    if d < limit:
-                        acc[v] += weights[d >> 1]
-                        continue
-                    # p (d/p) when the cofactor is in the table
-                    p = spf[i]
-                    if p and d // p < limit:
-                        acc[v] += (weights[p >> 1] * weights[(d // p) >> 1]) >> prec
-                        continue
-                else:
-                    # 2^k o, o odd, when o is in the table
-                    k = (d & -d).bit_length() - 1
-                    if d >> k < limit:
-                        acc[v] += (weights[odd_count + k] * weights[d >> (k + 1)]) >> prec
-                        continue
-                acc[v] += power(d)
-            for v, x in acc.items():
-                sums[v] = sums.get(v, 0) + sign * x
-    # sum_v v S_v over a common power-of-two denominator 2^scale
-    ratios = [(v.as_integer_ratio(), x) for v, x in sums.items()]
-    scale = max((den.bit_length() - 1 for (_, den), _ in ratios), default=0)
-    total = sum(num * x << (scale - den.bit_length() + 1) for (num, den), x in ratios)
-    return ctx.ldexp(ctx.mpf(total), -(prec + scale))
-
-
 def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision):
     """The first ``n_counters`` terms: chunked float64 Kahan sum on the
     double path, the fixed-point kernel at the working precision plus
@@ -510,8 +377,11 @@ def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision):
         return chunked_kahan_sum(
             lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
         )
+    # imported here, so that a process on the double path never loads it
+    from .fixed_point import fixed_point_sum
+
     ctx = _mp_context(prec.working_bits + 20 + max(0, n_counters.bit_length()))
-    return _fixed_point_sum(spec, s, n_counters, ctx)
+    return fixed_point_sum(spec, s, n_counters, ctx)
 
 
 def partial_sum(spec: SeriesSpec, s: float, n_terms: int, prec: Precision | None = None):
@@ -601,13 +471,15 @@ def eval_naive(
     if the total cannot undershoot eps at the working precision, a resource
     error is raised instead of returning an uncertified value.
     """
-    exact = s
-    s = _check_s(s)
+    checked = _check_s(s)
+    eps = _check_eps(eps)
+    prec = prec if prec is not None else Precision.for_eps(eps)
+    # an mpf exponent is kept exact on the mpmath path; any other s is the float
+    exact = s if hasattr(s, "_mpf_") and not prec.is_double else checked
+    s = checked
     if s > exact:
         # every bound decreases in s
         s = math.nextafter(s, 0.0)
-    eps = _check_eps(eps)
-    prec = prec if prec is not None else Precision.for_eps(eps)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     n = _naive_counters(spec, s, eps, cap)
     u = prec.unit_roundoff

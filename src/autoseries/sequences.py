@@ -238,8 +238,44 @@ class CoefficientSequence:
             return period_doubling_block(lo, hi).astype(np.float64)
         if k is SequenceKind.DIGIT_SUM:
             return digit_sum_block(lo, hi, self.base).astype(np.float64)
-        t = thue_morse_block(lo, hi).astype(np.float64)
-        return self.low + (self.high - self.low) * t
+        # the letters themselves: low + (high - low) t need not round to high
+        return np.where(thue_morse_block(lo, hi) != 0, self.high, self.low)
+
+    def values(self, lo: int, hi: int) -> list[float]:
+        """c_n for n in [lo, hi) as a list of floats, built without numpy.
+
+        The mpmath kernel reads its coefficients here: its sums are Python
+        integers anyway, and a process on the mpmath path then never pays
+        for numpy's array machinery."""
+        if lo < self.min_index:
+            raise DomainError(f"{self.kind.value} sequence needs n >= {self.min_index}, got {lo}")
+        k = self.kind
+        idx = range(lo, hi)
+        if k is SequenceKind.DELTA:
+            return [float((n.bit_count() & 1) - ((n - 1).bit_count() & 1)) for n in idx]
+        if k is SequenceKind.PERIOD_DOUBLING:
+            # parity of the 2-adic valuation of n + 1
+            return [float(((n + 1) & -(n + 1)).bit_length() & 1 ^ 1) for n in idx]
+        if k is SequenceKind.DIGIT_SUM:
+            # s(n + 1) = s(n) + 1 - (b - 1) v_b(n + 1)
+            b = self.base
+            out = []
+            total = digit_sum(lo, b)
+            for n in idx:
+                out.append(float(total))
+                total += 1
+                m = n + 1
+                while m % b == 0:
+                    m //= b
+                    total -= b - 1
+            return out
+        if k is SequenceKind.THUE_MORSE:
+            letters = (0.0, 1.0)
+        elif k is SequenceKind.PLUS_MINUS:
+            letters = (1.0, -1.0)
+        else:
+            letters = (self.low, self.high)
+        return [letters[n.bit_count() & 1] for n in idx]
 
     # -- majorant ------------------------------------------------------------
 

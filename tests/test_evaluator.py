@@ -2,6 +2,8 @@
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -465,6 +467,8 @@ _KERNEL_STREAMS = {
     "digitsum3": CoefficientSequence.digit_sum(3),
     "third-five-halves": CoefficientSequence.affine(1 / 3, 2.5),
     "neg": CoefficientSequence.affine(-2.0, 0.75),
+    # 3 + (0.1 - 3) rounds to 0.10000000000000009, not to the letter 0.1
+    "three-tenth": CoefficientSequence.affine(3.0, 0.1),
 }
 _KERNEL_FORMS = {
     "n": (IndexShift.NONE, DenominatorForm.POWER_OF_N),
@@ -513,6 +517,12 @@ _KERNEL_COUNTS = {
     ("neg", "shifted", 113): (599, 6.933069353815635e-17),
     ("neg", "odd", 64): (79, 6.556577958026314e-13),
     ("neg", "odd", 113): (308, 6.862995261945697e-17),
+    ("three-tenth", "n", 64): (142, 6.9180319412672e-13),
+    ("three-tenth", "n", 113): (604, 6.948155642542662e-17),
+    ("three-tenth", "shifted", 64): (142, 6.9180319412672e-13),
+    ("three-tenth", "shifted", 113): (604, 6.948155642542662e-17),
+    ("three-tenth", "odd", 64): (79, 6.917715529499621e-13),
+    ("three-tenth", "odd", 113): (310, 6.949895412637731e-17),
 }
 
 
@@ -568,7 +578,7 @@ def test_fixed_point_kernel_past_a_small_table(form, monkeypatch):
     # split at their smallest prime factor or take a power, even ones whose
     # odd part is past it take a power; 41 itself is the first cofactor
     # outside the table
-    monkeypatch.setattr("autoseries.evaluator._TABLE_LIMIT", 41)
+    monkeypatch.setattr("autoseries.fixed_point._TABLE_LIMIT", 41)
     _oracle_check(_kernel_spec("pd" if form == "composite9" else "neg", form), 3.5, 1500, 64)
 
 
@@ -599,6 +609,20 @@ def test_mp_kernel_powers_only_at_primes(monkeypatch):
     primes = [p for p in range(2, 2062) if all(p % q for q in range(2, math.isqrt(p) + 1))]
     assert len(primes) == 310
     assert sorted(bases) == primes
+
+
+def test_eval_naive_reads_a_non_mpf_exponent_as_its_float():
+    # only an mpf exponent is kept exact (on the mpmath path); an int,
+    # Fraction or Decimal is summed at its float, as a float is
+    for eps in (1e-10, 1e-14):
+        ref = eval_naive(G_SERIES, 3.01, eps)
+        for s in (Fraction(301, 100), Decimal("3.01")):
+            r = eval_naive(G_SERIES, s, eps)
+            assert type(r.value) is type(ref.value)
+            assert (r.value, r.abs_error_bound, r.terms_used) == (
+                ref.value, ref.abs_error_bound, ref.terms_used)
+        r = eval_naive(G_SERIES, 3, eps)
+        assert r.value == eval_naive(G_SERIES, 3.0, eps).value
 
 
 def test_functional_equation_sums_at_the_exact_exponent():

@@ -284,6 +284,8 @@ class _ShiftedStream:
         CoefficientSequence.period_doubling(),
         CoefficientSequence.digit_sum(3),
         CoefficientSequence.affine(-0.5, 0.5),
+        # 3 + (0.1 - 3) is 0.10000000000000009: the block must give the letter
+        CoefficientSequence.affine(3.0, 0.1),
     ],
     ids=lambda s: s.label(),
 )
@@ -292,6 +294,29 @@ def test_block_matches_term_everywhere(seq):
     blk = seq.block(lo, lo + 500)
     assert blk.dtype == np.float64
     assert [seq.term(n) for n in range(lo, lo + 500)] == blk.tolist()
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [
+        CoefficientSequence.thue_morse(),
+        CoefficientSequence.plus_minus(),
+        CoefficientSequence.delta(),
+        CoefficientSequence.period_doubling(),
+        CoefficientSequence.digit_sum(2),
+        CoefficientSequence.digit_sum(3),
+        CoefficientSequence.digit_sum(10),
+        CoefficientSequence.affine(3.0, 0.1),
+    ],
+    ids=lambda s: s.label(),
+)
+def test_values_match_block(seq):
+    # the mpmath kernel's numpy-free reads; far ranges carry digit-sum
+    # and 2-adic runs across many block boundaries
+    for lo in (seq.min_index, 99_999, 3**25 - 5, 2**40 - 7):
+        assert seq.values(lo, lo + 3000) == seq.block(lo, lo + 3000).tolist()
+    with pytest.raises(DomainError):
+        seq.values(seq.min_index - 1, seq.min_index + 5)
 
 
 def test_min_index_enforced():
