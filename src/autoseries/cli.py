@@ -277,10 +277,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             s_values = [None]
         for s in s_values:
-            rec = verify(
-                ident, s, eps, prec, cfg.max_terms,
-                product_terms=min(10**6, cfg.max_terms),
-            )
+            rec = verify(ident, s, eps, prec, cfg.max_terms)
             doc.records.append(rec)
             status = "PASS" if rec.passed else "FAIL"
             s_txt = "-" if rec.s is None else f"{rec.s:g}"

@@ -21,10 +21,10 @@ type, ``TwoPowerRatio``: a ratio of polynomials in 2^s evaluated by
 Horner's rule, a plain polynomial when its denominator is left at 1.
 
 Two classical digit-sum checks and the alternating binary product have no
-exponent parameter; they are registered as fixed-form entries and verified
-at their natural tolerance (the product check is heuristic: its partial
-products oscillate and no rigorous tail is claimed, so it carries a
-calibrated threshold and a ``heuristic`` flag).
+exponent parameter; they are registered as fixed-form entries whose left
+side is a float64 partial sum with a rigorous tail (for the product, the
+sum of its logs, paired so that Abel summation bounds the tail) and are
+verified at their natural tolerance like every other record.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .precision import Precision, _check_eps, _check_s
+from .precision import DOUBLE_BITS, Precision, _check_eps, _check_s
 from .result import EvalResult, Method
 from .sequences import CoefficientSequence, digit_sum_block, pm_thue_morse_block
 from .special_functions import dirichlet_eta, hurwitz_zeta, riemann_zeta
@@ -384,7 +384,6 @@ class LhsTerm:
 class IdentityKind(Enum):
     DIRICHLET = "dirichlet"       # parametrized by real s > 1
     FIXED_SERIES = "fixed"        # a single numerical series, no exponent
-    PRODUCT = "product"           # the alternating binary product
 
 
 @dataclass(frozen=True)
@@ -414,8 +413,7 @@ class Identity:
     kind: IdentityKind = IdentityKind.DIRICHLET
     default_s: tuple[float, ...] = (2.0, 3.0, 4.0)
     default_eps: float = 1e-8
-    fixed_lhs: Callable[[float, Precision, int], EvalResult] | None = None
-    heuristic: bool = False
+    fixed_lhs: Callable[[float, int], EvalResult] | None = None
 
 
 @dataclass(frozen=True)
@@ -432,6 +430,7 @@ class VerificationRecord:
     passed: bool
     terms_used: int
     wall_time_s: float
+    #: always False now; kept because report fields are add-only
     heuristic: bool = False
 
 
@@ -519,7 +518,6 @@ def verify(
     eps: float,
     prec: Precision | None = None,
     max_terms: int | None = None,
-    product_terms: int = 10**6,
 ) -> VerificationRecord:
     """Evaluate both sides of ``identity`` to eps/2 each and compare.
 
@@ -528,10 +526,6 @@ def verify(
     most the sum of the two reported bounds.
     """
     eps = _check_eps(eps)
-    if identity.kind is IdentityKind.PRODUCT:
-        if s is not None:
-            raise DomainError(f"{identity.identity_id} has no exponent parameter")
-        return verify_woods_robbins(product_terms, pairing=True, threshold=eps)
     if identity.kind is IdentityKind.FIXED_SERIES:
         if s is not None:
             raise DomainError(f"{identity.identity_id} has no exponent parameter")
@@ -550,7 +544,7 @@ def verify(
     rhs_value, rhs_bound = identity.rhs.bracket(s, eps * 0.5, prec, cache)
 
     if identity.kind is IdentityKind.FIXED_SERIES:
-        lhs = identity.fixed_lhs(eps * 0.5, prec, max_terms or DEFAULT_MAX_TERMS)
+        lhs = identity.fixed_lhs(eps * 0.5, max_terms or DEFAULT_MAX_TERMS)
         lhs_value, lhs_bound, terms = lhs.value, lhs.abs_error_bound, lhs.terms_used
     else:
         pairs = [t for t in identity.lhs if not t.coefficient.is_zero]
@@ -576,7 +570,6 @@ def verify(
         passed=passed,
         terms_used=max(terms, 1),
         wall_time_s=time.perf_counter() - t0,
-        heuristic=identity.heuristic,
     )
 
 
@@ -633,29 +626,46 @@ def make_corollary2_identity(
 
 
 # ---------------------------------------------------------------------------
-# fixed digit-sum series
+# fixed-form series
 # ---------------------------------------------------------------------------
+
+#: Unit roundoff of the float64 arithmetic every fixed-form sum runs in,
+#: whatever the working precision of the rest of the check.
+_DOUBLE_U = 2.0 ** (1 - DOUBLE_BITS)
 
 
 def _fixed_form_lhs(
-    block: Callable[[int, int], np.ndarray], tail: Callable[[int], float], start: int, what: str
-) -> Callable[[float, Precision, int], EvalResult]:
-    """Left side of a fixed positive-term series: the terms n >= 1 come from
-    ``block``, and ``tail(n)`` bounds the sum of the terms past n."""
+    block: Callable[[int, int], np.ndarray],
+    tail: Callable[[int], float],
+    start: int,
+    what: str,
+    first: int = 1,
+    abs_sum: float | None = None,
+) -> Callable[[float, int], EvalResult]:
+    """Left side of a fixed series sum_{n >= first} a_n.
 
-    def evaluate(eps: float, prec: Precision, max_terms: int) -> EvalResult:
+    ``block(lo, hi)`` gives the terms lo <= n < hi as float64, and
+    ``tail(n)`` bounds |sum of the terms from first + n on|, not increasing
+    from n = ``start`` on; the truncation keeps the n terms before that.
+    ``abs_sum`` majorizes sum |a_n|; left out, the terms are positive and
+    the partial sum itself caps it.  Terms and sum are float64 on every
+    path, so the rounding budget is 32 double unit roundoffs times
+    (abs_sum + 1), never the working precision's.
+    """
+
+    def evaluate(eps: float, max_terms: int) -> EvalResult:
         n = _truncation_search(tail, start, 0.95 * eps, max_terms, what)
-        value = chunked_kahan_sum(block, 1, n)
-        # positive terms: the partial sum itself caps the absolute sum
-        bound = tail(n) + 32.0 * prec.unit_roundoff * (value + 1.0)
+        value = chunked_kahan_sum(block, first, n)
+        majorant = value if abs_sum is None else abs_sum
+        bound = tail(n) + 32.0 * _DOUBLE_U * (majorant + 1.0)
         if bound > eps:
-            raise ResourceLimitError(f"cannot certify eps={eps:g} at this precision")
+            raise ResourceLimitError(f"cannot certify {what} to eps={eps:g} in double arithmetic")
         return EvalResult(value, bound, n, Method.NAIVE)
 
     return evaluate
 
 
-def _digit_harmonic_lhs(base: int) -> Callable[[float, Precision, int], EvalResult]:
+def _digit_harmonic_lhs(base: int) -> Callable[[float, int], EvalResult]:
     """sum_{n>=1} s_b(n)/(n(n+1)) with the digit-sum integral tail."""
     lnb = math.log(base)
 
@@ -670,7 +680,7 @@ def _digit_harmonic_lhs(base: int) -> Callable[[float, Precision, int], EvalResu
     return _fixed_form_lhs(block, tail, max(base, 16), f"digit-sum series (base {base})")
 
 
-def _binary_weighted_lhs() -> Callable[[float, Precision, int], EvalResult]:
+def _binary_weighted_lhs() -> Callable[[float, int], EvalResult]:
     """sum_{n>=1} s_2(n)(2n+1)/(n^2 (n+1)^2), tail <= 2 (log2 n + 1)/n^2 style."""
     ln2 = math.log(2.0)
 
@@ -685,68 +695,46 @@ def _binary_weighted_lhs() -> Callable[[float, Precision, int], EvalResult]:
     return _fixed_form_lhs(block, tail, 16, "binary weighted series")
 
 
-# ---------------------------------------------------------------------------
-# the alternating binary product
-# ---------------------------------------------------------------------------
+def _woods_robbins_lhs() -> Callable[[float, int], EvalResult]:
+    """prod_{n>=0} ((2n+1)/(2n+2))^(e_n), certified through its log.
 
+    Factors 2m and 2m+1 pair up: e_{2m+1} = -e_{2m} = -e_m, so their logs
+    sum to e_m a_m with a_m = log1p(-x_m), x_m = 1/((2m+1)(4m+3)).  Every
+    a_m is negative and |a_m| decreases.  The partial sums E_M =
+    sum_{m<M} e_m are 0 or +/-1, so Abel summation,
 
-def verify_woods_robbins(
-    n_factors: int,
-    pairing: bool = True,
-    threshold: float = 1e-3,
-    prec: Precision | None = None,
-) -> VerificationRecord:
-    """Partial product prod_{n<N} ((2n+1)/(2n+2))^(e_n) against sqrt(2)/2.
+        sum_{m>=M} e_m a_m = -E_M a_M + sum_{m>M} E_m (a_{m-1} - a_m),
 
-    Accumulated in the log domain.  With pairing on, factors 2m and 2m+1
-    are combined first (e_{2m+1} = -e_{2m}), which turns the term magnitude
-    from ~1/n into ~1/(8m^2).  The threshold is heuristic, calibrated at
-    1e-3 for N = 10^6; no rigorous tail is claimed for the product.
+    bounds the pairs from M on by |a_M| + sum_{m>M} (|a_{m-1}| - |a_m|)
+    = 2 |a_M|.  Since the factors tend to 1, the even partial products
+    have the limit of all of them.  As x_m <= 1/3, |a_m| <= x_m/(1 - x_m)
+    <= 1.5 x_m, and sum x_m = pi/4 - (log 2)/2 < 0.44, so sum |a_m| <= 1
+    majorizes the rounding.  With L the log sum and L* the computed one,
+    |L - L*| <= b gives |e^L - e^L*| = e^L* |expm1(L - L*)| <= e^L* expm1(b);
+    4 unit roundoffs more cover exp's own rounding.  Every partial log sum
+    is at most a_0 + 2|a_1| < -0.3, so e^L* < 0.75 and the bound stays
+    under eps whenever b does (the log sum refuses eps below its 64 unit
+    roundoffs).  ``terms_used`` counts factors, two per pair, and the
+    factor cap ``max_terms`` allows half as many pairs.
     """
-    if n_factors < 2:
-        raise DomainError(f"need at least 2 factors, got {n_factors}")
-    t0 = time.perf_counter()
 
-    if pairing:
-        m_pairs = n_factors // 2
+    def block(lo: int, hi: int) -> np.ndarray:
+        m = np.arange(lo, hi, dtype=np.float64)
+        e = pm_thue_morse_block(lo, hi).astype(np.float64)
+        return e * np.log1p(-1.0 / ((2.0 * m + 1.0) * (4.0 * m + 3.0)))
 
-        def block(lo: int, hi: int) -> np.ndarray:
-            m = np.arange(lo, hi, dtype=np.float64)
-            e = pm_thue_morse_block(lo, hi).astype(np.float64)
-            return e * np.log1p(-2.0 / (16.0 * m * m + 20.0 * m + 6.0))
+    def tail(m: int) -> float:
+        return -2.0 * math.log1p(-1.0 / ((2.0 * m + 1.0) * (4.0 * m + 3.0)))
 
-        log_total = chunked_kahan_sum(block, 0, m_pairs)
-        if n_factors % 2:
-            n = n_factors - 1
-            log_total += float(pm_thue_morse_block(n, n + 1)[0]) * math.log1p(
-                -1.0 / (2.0 * n + 2.0)
-            )
-    else:
+    log_sum = _fixed_form_lhs(block, tail, 1, "Woods-Robbins product", first=0, abs_sum=1.0)
 
-        def block(lo: int, hi: int) -> np.ndarray:
-            n = np.arange(lo, hi, dtype=np.float64)
-            e = pm_thue_morse_block(lo, hi).astype(np.float64)
-            return e * np.log1p(-1.0 / (2.0 * n + 2.0))
+    def evaluate(eps: float, max_terms: int) -> EvalResult:
+        log = log_sum(eps, max_terms // 2)
+        value = math.exp(log.value)
+        bound = value * (math.expm1(log.abs_error_bound) + 4.0 * _DOUBLE_U)
+        return EvalResult(value, bound, 2 * log.terms_used, Method.NAIVE)
 
-        log_total = chunked_kahan_sum(block, 0, n_factors)
-
-    value = math.exp(log_total)
-    target = _SQRT2 / 2.0
-    residual = abs(value - target)
-    rhs_bound = 4.0 * 2.0**-52 * target
-    return VerificationRecord(
-        identity_id="woods-robbins",
-        s=None,
-        lhs_value=value,
-        lhs_bound=threshold,
-        rhs_value=target,
-        rhs_bound=rhs_bound,
-        residual=residual,
-        passed=residual <= threshold + rhs_bound,
-        terms_used=n_factors,
-        wall_time_s=time.perf_counter() - t0,
-        heuristic=True,
-    )
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -954,11 +942,11 @@ def _build_registry() -> tuple[Identity, ...]:
             identity_id="woods-robbins",
             lhs=(),
             rhs=Mul((Sqrt(2), Num(Fraction(1, 2)))),
-            kind=IdentityKind.PRODUCT,
+            kind=IdentityKind.FIXED_SERIES,
             default_s=(),
-            default_eps=1e-3,
-            heuristic=True,
-            description="prod(((2n+1)/(2n+2))^(e_n)) = sqrt(2)/2  [heuristic threshold]",
+            default_eps=1e-8,
+            fixed_lhs=_woods_robbins_lhs(),
+            description="prod(((2n+1)/(2n+2))^(e_n)) = sqrt(2)/2",
         )
     )
     return tuple(entries)

@@ -26,7 +26,7 @@ from autoseries.evaluator import (
     eval_functional_equation,
     eval_naive,
 )
-from autoseries.identities import get_identity, verify, verify_woods_robbins
+from autoseries.identities import get_identity, verify
 from autoseries.sequences import (
     CoefficientSequence,
     digit_sum_block,
@@ -159,17 +159,19 @@ def test_criterion_08_classical_digit_sum_checks():
         assert rec.passed
         worst_shallit = max(worst_shallit, rec.residual)
     rec_as = verify(get_identity("allouche-shallit"), None, 1e-8)
-    rec_wr = verify_woods_robbins(10**6, pairing=True, threshold=1e-3)
+    rec_wr = verify(get_identity("woods-robbins"), None, 1e-8)
     ok = (
         worst_shallit <= 1e-4
         and rec_as.passed
         and rec_as.residual <= 1e-8
         and rec_wr.passed
-        and rec_wr.residual <= 1e-3
+        and rec_wr.residual <= 1e-8
+        and rec_wr.lhs_bound + rec_wr.rhs_bound <= 1e-8
     )
     _line(8, ok, f"digit-sum harmonic ≤ 1e-4 (worst {worst_shallit:.2e}); "
                  f"weighted binary ≤ 1e-8 ({rec_as.residual:.2e}); "
-                 f"alternating product ≤ 1e-3 at N=1e6 ({rec_wr.residual:.2e}, heuristic)")
+                 f"alternating product ≤ 1e-8 ({rec_wr.residual:.2e}, "
+                 f"{rec_wr.terms_used} factors)")
 
 
 def test_criterion_09_cross_method_agreement():

@@ -4,10 +4,14 @@ import json
 import math
 import os
 from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import autoseries.cli as cli
 from autoseries.cli import UsageError, main, parse_real
+from autoseries.identities import Identity, IdentityKind, Mul, Num, Sqrt, get_identity
 from autoseries.report import CSV_COLUMNS, ReportDocument
 
 
@@ -257,16 +261,30 @@ def test_verify_text_format(tmp_path, capsys):
     )
     assert code == 0
     text = out_path.read_text()
-    assert "woods-robbins" in text and "heuristic" in text
+    assert "woods-robbins" in text and " heuristic" not in text
+    # records of older reports may still carry the flag, and keep their marker
+    doc = ReportDocument.from_json(
+        (Path(__file__).parent / "data" / "golden_report.json").read_text()
+    )
+    flagged = [line for line in doc.to_text().splitlines() if line.endswith(" heuristic")]
+    assert len(flagged) == 1 and "woods-robbins" in flagged[0]
 
 
-def test_verify_failure_still_writes_report_and_exits_one(tmp_path, capsys):
-    # a short product cannot meet a tight threshold: deterministic failure
+def test_verify_failure_still_writes_report_and_exits_one(tmp_path, capsys, monkeypatch):
+    # a deliberately false constant, sqrt(2) * 0.500001, fails deterministically
+    wrong = Identity(
+        identity_id="woods-robbins-wrong",
+        lhs=(),
+        rhs=Mul((Sqrt(2), Num(Fraction(500001, 1000000)))),
+        kind=IdentityKind.FIXED_SERIES,
+        default_s=(),
+        fixed_lhs=get_identity("woods-robbins").fixed_lhs,
+        description="wrong on purpose",
+    )
+    monkeypatch.setattr(cli, "get_identity", lambda _ident: wrong)
     out_path = tmp_path / "report.json"
     code, out, _ = run(
-        capsys,
-        "verify", "woods-robbins", "--eps", "1e-12", "--max-terms", "1000",
-        "--out", str(out_path),
+        capsys, "verify", "woods-robbins", "--eps", "1e-8", "--out", str(out_path),
     )
     assert code == 1
     assert "[FAIL]" in out

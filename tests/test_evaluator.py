@@ -435,24 +435,24 @@ def test_mp_phi_matches_high_precision_reference():
     # sum with integral tail (tail at N=10^4, s=6 is ~2e-21)
     prec = Precision(working_bits=110, target_eps=1e-20)
     r = eval_phi_gamma("phi", 6.0, 1e-20, prec=prec)
-    mpmath.mp.prec = 200
     n_max = 10**4
-    ref = mpmath.fsum(
-        mpmath.mpf(thue_morse(n - 1)) / mpmath.power(n, 6) for n in range(1, n_max + 1)
-    )
-    tail = mpmath.mpf(n_max) ** -5 / 5
-    assert abs(r.value - ref) <= tail + mpmath.mpf(r.abs_error_bound)
+    with mpmath.workprec(200):
+        ref = mpmath.fsum(
+            mpmath.mpf(thue_morse(n - 1)) / mpmath.power(n, 6) for n in range(1, n_max + 1)
+        )
+        tail = mpmath.mpf(n_max) ** -5 / 5
+        assert abs(r.value - ref) <= tail + mpmath.mpf(r.abs_error_bound)
 
 
 def test_mp_summation_path():
     prec = Precision(working_bits=90, target_eps=1e-20)
     r = eval_naive(F_SERIES, 6.0, 1e-20, prec=prec)
-    mpmath.mp.prec = 140
-    ref = mpmath.nsum(
-        lambda n: mpmath.mpf(1 - 2 * thue_morse(int(n) - 1)) / mpmath.power(n, 6),
-        [1, mpmath.inf],
-    )
-    assert abs(r.value - ref) < mpmath.mpf(10) ** -19
+    with mpmath.workprec(140):
+        ref = mpmath.nsum(
+            lambda n: mpmath.mpf(1 - 2 * thue_morse(int(n) - 1)) / mpmath.power(n, 6),
+            [1, mpmath.inf],
+        )
+        assert abs(r.value - ref) < mpmath.mpf(10) ** -19
     double = eval_naive(F_SERIES, 6.0, 1e-12)
     assert abs(float(r.value) - double.value) <= double.abs_error_bound
 

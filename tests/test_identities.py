@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from autoseries.errors import DomainError
+from autoseries.errors import DomainError, ResourceLimitError
 from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES
 from autoseries.identities import (
     Eta,
@@ -18,6 +18,7 @@ from autoseries.identities import (
     Mul,
     Num,
     Route,
+    Sqrt,
     TwoPowerRatio,
     ValidityDomain,
     Zeta,
@@ -26,10 +27,9 @@ from autoseries.identities import (
     get_identity,
     make_corollary2_identity,
     verify,
-    verify_woods_robbins,
 )
 from autoseries.precision import Precision
-from autoseries.sequences import thue_morse
+from autoseries.sequences import pm_thue_morse, thue_morse
 
 GRID = (2.0, 3.0, 4.0)
 
@@ -175,6 +175,19 @@ def test_wrong_constant_is_detected():
         description="wrong on purpose",
     )
     assert not verify(wrong, 2.0, 1e-6).passed
+    # the product's left side against sqrt(2) * 0.500001, 1.4e-6 off
+    wrong_product = Identity(
+        identity_id="woods-robbins-wrong",
+        lhs=(),
+        rhs=Mul((Sqrt(2), Num(Fraction(500001, 1000000)))),
+        kind=IdentityKind.FIXED_SERIES,
+        default_s=(),
+        fixed_lhs=get_identity("woods-robbins").fixed_lhs,
+        description="wrong on purpose",
+    )
+    rec = verify(wrong_product, None, 1e-8)
+    assert not rec.passed
+    assert rec.residual > rec.lhs_bound + rec.rhs_bound
 
 
 # -- structural relations -----------------------------------------------------------
@@ -237,30 +250,47 @@ def test_corollary2_combinations(u, v, s):
 
 
 def test_product_two_factors_exact():
-    rec = verify_woods_robbins(2)
-    assert rec.lhs_value == pytest.approx(2.0 / 3.0, rel=1e-12)
+    # at a coarse eps the truncation keeps one pair: (1/2)/(3/4) = 2/3
+    ident = get_identity("woods-robbins")
+    lhs = ident.fixed_lhs(0.2, 10**6)
+    assert lhs.terms_used == 2
+    assert lhs.value == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert abs(lhs.value - math.sqrt(2.0) / 2.0) <= lhs.abs_error_bound
+    rec = verify(ident, None, 1e-8)
     assert rec.rhs_value == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
 
 
 def test_product_million_factors():
-    rec = verify_woods_robbins(10**6, pairing=True)
-    assert rec.passed and rec.heuristic
-    assert rec.residual <= 1e-3
-    raw = verify_woods_robbins(10**6, pairing=False)
-    assert raw.passed
-    assert abs(raw.lhs_value - rec.lhs_value) < 1e-5
+    rec = verify(get_identity("woods-robbins"), None, 1e-12)
+    assert rec.passed and not rec.heuristic
+    assert rec.terms_used >= 10**6
+    assert rec.lhs_bound <= 0.5e-12 and rec.rhs_bound <= 0.5e-12
+    assert rec.residual <= 1e-12
 
 
-def test_product_odd_factor_count():
-    # pairing with a leftover factor equals the raw product of the same length
-    a = verify_woods_robbins(101, pairing=True)
-    b = verify_woods_robbins(101, pairing=False)
-    assert a.lhs_value == pytest.approx(b.lhs_value, rel=1e-12)
+def test_product_pairs_match_raw_partial_product():
+    # the paired log sum, exponentiated, is the raw product of its factors
+    lhs = get_identity("woods-robbins").fixed_lhs(1e-5, 10**6)
+    with mpmath.workprec(120):
+        raw = mpmath.fprod(
+            (mpmath.mpf(2 * n + 1) / (2 * n + 2)) ** pm_thue_morse(n)
+            for n in range(lhs.terms_used)
+        )
+    assert lhs.terms_used % 2 == 0
+    assert abs(lhs.value - raw) <= 1e-13
+    # the product's exact value lies inside the certified bound
+    assert abs(lhs.value - math.sqrt(2.0) / 2.0) <= lhs.abs_error_bound
 
 
 def test_product_rejects_tiny_n():
+    ident = get_identity("woods-robbins")
+    with pytest.raises(ResourceLimitError):
+        verify(ident, None, 1e-8, max_terms=2)
+    # below the double rounding budget no factor count suffices
+    with pytest.raises(ResourceLimitError):
+        verify(ident, None, 1e-14)
     with pytest.raises(DomainError):
-        verify_woods_robbins(1)
+        verify(ident, 2.0, 1e-8)
 
 
 # -- verify() contract -------------------------------------------------------------------
@@ -291,6 +321,25 @@ def test_verify_budgets_each_side_to_half_eps():
     rec = verify(get_identity("example9"), 2.0, eps)
     assert rec.lhs_bound <= eps / 2
     assert rec.rhs_bound <= eps / 2
+    # every registry record at its default exponents and tolerance
+    for ident in builtin_registry():
+        s_values = ident.default_s if ident.kind is IdentityKind.DIRICHLET else (None,)
+        for s in s_values:
+            rec = verify(ident, s, ident.default_eps)
+            assert rec.lhs_bound <= ident.default_eps / 2, (ident.identity_id, s, rec)
+            assert rec.rhs_bound <= ident.default_eps / 2, (ident.identity_id, s, rec)
+            assert not rec.heuristic, (ident.identity_id, s)
+
+
+@pytest.mark.parametrize("ident", ["allouche-shallit", "woods-robbins"])
+def test_fixed_form_lhs_is_float64_at_any_working_precision(ident):
+    # the fixed-form sums run in float64 on every path, so a wider working
+    # precision must leave their value and rounding budget as they are
+    identity = get_identity(ident)
+    wide = verify(identity, None, 1e-8, prec=Precision(80, 1e-8))
+    double = verify(identity, None, 1e-8, prec=Precision(53, 1e-8))
+    assert (wide.lhs_value, wide.lhs_bound) == (double.lhs_value, double.lhs_bound)
+    assert wide.passed and double.passed
 
 
 def test_verify_numeric_fields_are_reproducible():

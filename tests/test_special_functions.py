@@ -118,20 +118,20 @@ def test_bound_covers_doubled_precision_deviation():
 
 
 def test_matches_mpmath_reference():
-    mpmath.mp.prec = 80
-    for s in (1.5, 2.0, 3.7, 6.0):
-        r = riemann_zeta(s, P12)
-        assert abs(r.value - float(mpmath.zeta(s))) <= r.abs_error_bound
-    h = hurwitz_zeta(2.5, 0.25, P12)
-    assert abs(h.value - float(mpmath.zeta(2.5, 0.25))) <= h.abs_error_bound
+    with mpmath.workprec(80):
+        for s in (1.5, 2.0, 3.7, 6.0):
+            r = riemann_zeta(s, P12)
+            assert abs(r.value - float(mpmath.zeta(s))) <= r.abs_error_bound
+        h = hurwitz_zeta(2.5, 0.25, P12)
+        assert abs(h.value - float(mpmath.zeta(2.5, 0.25))) <= h.abs_error_bound
 
 
 def test_high_precision_path():
     p = Precision(working_bits=140, target_eps=1e-35)
     r = riemann_zeta(2.0, p)
-    mpmath.mp.prec = 200
-    ref = mpmath.pi**2 / 6
-    assert abs(r.value - ref) < mpmath.mpf(10) ** -35
+    with mpmath.workprec(200):
+        ref = mpmath.pi**2 / 6
+        assert abs(r.value - ref) < mpmath.mpf(10) ** -35
 
 
 @pytest.mark.parametrize("a", [3, 1000.5, 14_000, 26_000, 10**6])
