@@ -2,7 +2,8 @@
 
 Exit codes: 0 when everything succeeded (and, for verify, every record
 passed), 1 for failed verifications and domain/resource errors, 2 for
-usage errors (unknown series or identity, malformed arguments).
+usage errors (unknown series or identity, malformed arguments or
+configuration values).
 
 Configuration precedence is flags > environment variables > config file >
 defaults.  The environment understands AUTOSERIES_PRECISION_BITS and
@@ -114,6 +115,17 @@ def _parse_s_list(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+_FORMATS = ("json", "csv", "text")
+
+
+def _setting(convert, value, name: str):
+    """``convert(value)``, or a usage error naming the setting."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {name}: {value!r}") from exc
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     path = args.config or os.environ.get("AUTOSERIES_CONFIG")
@@ -122,20 +134,19 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from exc
-        if "eps" in data and data["eps"] is not None:
-            cfg.eps = float(data["eps"])
-        if "precision_bits" in data:
-            cfg.precision_bits = int(data["precision_bits"])
-        if "max_terms" in data:
-            cfg.max_terms = int(data["max_terms"])
-        if "format" in data:
-            cfg.out_format = str(data["format"])
-    env_bits = os.environ.get("AUTOSERIES_PRECISION_BITS")
-    if env_bits:
-        cfg.precision_bits = int(env_bits)
-    env_terms = os.environ.get("AUTOSERIES_MAX_TERMS")
-    if env_terms:
-        cfg.max_terms = int(env_terms)
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+        for key, convert in (("eps", float), ("precision_bits", int), ("max_terms", int)):
+            if data.get(key) is not None:
+                setattr(cfg, key, _setting(convert, data[key], f"config key {key} in {path}"))
+        if data.get("format") is not None:
+            if data["format"] not in _FORMATS:
+                raise UsageError(f"malformed config key format in {path}: {data['format']!r}")
+            cfg.out_format = data["format"]
+    for key in ("precision_bits", "max_terms"):
+        var = f"AUTOSERIES_{key.upper()}"
+        if os.environ.get(var):
+            setattr(cfg, key, _setting(int, os.environ[var], var))
     for key in ("eps", "precision_bits", "max_terms", "out_format"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
@@ -354,7 +365,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--precision-bits", type=int, default=None, dest="precision_bits")
     parser.add_argument("--max-terms", type=int, default=None, dest="max_terms")
     parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default=None, dest="out_format"
+        "--format", choices=_FORMATS, default=None, dest="out_format"
     )
     parser.add_argument("--config", default=None, help="JSON config file")
 

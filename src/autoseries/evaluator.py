@@ -7,14 +7,15 @@ and adds the odd-index split:
   tail.  The bit-valued streams have a mean mu and a discrepancy bound B,
   |sum_{n<M} (c_n - mu)| <= B for every M (``CoefficientSequence.discrepancy``):
 
-      e_n: mu = 0, B = 1        t_n: mu = 1/2, B = 1/2
-      d_n: mu = 0, B = 1        alphabet {a, b}: mu = (a+b)/2, B = |b-a|/2
+      alphabet {a, b}: mu = (a+b)/2, B = |b-a|/2     d_n: mu = 0, B = 1
 
+  which for t_n = {0, 1} is (1/2, 1/2) and for e_n = {1, -1} is (0, 1).
   For weights w_n decreasing to 0, Abel summation gives
   sum_{n>=N1} (c_n - mu) w_n = -R_{N1} w_{N1} + sum_{n>N1} R_n (w_{n-1} - w_n)
   with |R_n| <= B, so it lies within 2B w_{N1}: the tail is
-  mu zeta(s, N1) +/- 2B N1^-s, N1 the first omitted denominator (for the
-  (2m+1)^s form, mu 2^-s zeta(s, M + 1/2) +/- 2B (2M+1)^-s).  The mean
+  mu a^-s zeta(s, N1/a) +/- 2B N1^-s, N1 the first omitted denominator
+  of the progression a j + b (``SeriesSpec`` derives every such formula
+  from its ``denominators`` table).  The mean
   part (mu != 0 only) comes from the Euler-Maclaurin engine, and
   ``required_counters`` solves 2B w <= eps_tail in closed form.
   Period-doubling and composite9 keep the constant majorant,
@@ -71,6 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -123,6 +125,16 @@ class SeriesSpec:
 
     A by-one index shift reads coefficient n-1 at denominator n, which is
     how the shifted series such as f(s) = sum e_{n-1}/n^s are written.
+
+    ``denominators`` is the one table of the forms; every other quantity
+    is one formula over its dominant (first) progression a j + b, with j0 =
+    ``counter_start``, B the discrepancy bound, C the majorant, mu the mean:
+
+    * Abel tail law (2B, 1, a, a j0 + b, s) (``_power_law``'s tuple);
+    * majorant tail law (C, a (s-1), a, a (j0-1) + b, s-1);
+    * mean part mu a^-s zeta(s, j0 + n + b/a) after n counters;
+    * terms majorant C (1 + 1/(a (s-1))); composite9's n^-s - (4n+3)^-s
+      is at most n^-s.
     """
 
     coeffs: CoefficientSequence
@@ -133,7 +145,7 @@ class SeriesSpec:
         if self.shift is IndexShift.BY_ONE and self.denom is not DenominatorForm.POWER_OF_N:
             raise DomainError("by-one shift is only defined for n^s denominators")
         if self.denom is DenominatorForm.COMPOSITE9:
-            if self.coeffs.kind is not SequenceKind.PERIOD_DOUBLING:
+            if self.coeffs != CoefficientSequence.period_doubling():
                 raise DomainError(
                     "the composite denominator form is only valid with the "
                     "period-doubling coefficient stream"
@@ -144,16 +156,29 @@ class SeriesSpec:
                 f"but this series reads coefficient {self.counter_start}"
             )
 
-    # -- indexing ------------------------------------------------------------
+    # -- the denominator table -------------------------------------------------
 
-    @property
-    def counter_start(self) -> int:
-        """First value of the summation counter j."""
+    def denominators(self, lo: int) -> tuple[tuple[int, int, int], ...]:
+        """(sign, d, step): the term of counter j >= ``lo`` is c_j times the
+        sum over these of sign (d + step (j - lo))^-s: d = j for n^s (j + 1
+        with the by-one shift), 2j + 1 for (2n+1)^s, and composite9 is
+        c_n (n^-s - (4n+3)^-s).  The first entry is the dominant one."""
         if self.denom is DenominatorForm.POWER_OF_N:
-            return 0 if self.shift is IndexShift.BY_ONE else 1
+            return ((1, lo + (1 if self.shift is IndexShift.BY_ONE else 0), 1),)
         if self.denom is DenominatorForm.POWER_OF_ODD_N:
-            return 0
-        return 1
+            return ((1, 2 * lo + 1, 2),)
+        return ((1, lo, 1), (-1, 4 * lo + 3, 4))
+
+    @cached_property
+    def counter_start(self) -> int:
+        """First summation counter j: the first at which every denominator is >= 1."""
+        return max(-((b - 1) // a) for _, b, a in self.denominators(0))
+
+    @cached_property
+    def _progression(self) -> tuple[float, float, int]:
+        """(a, b, j0): the dominant denominator a j + b and ``counter_start``."""
+        _, b, a = self.denominators(0)[0]
+        return float(a), float(b), self.counter_start
 
     def label(self) -> str:
         parts = [self.coeffs.label()]
@@ -167,26 +192,14 @@ class SeriesSpec:
 
     def term_block(self, lo: int, hi: int, s: float) -> np.ndarray:
         """Terms for counters j in [lo, hi) as float64."""
+        # coefficients first: made after the weights, the freed arrays let
+        # malloc trim the heap, and each chunk faulted in fresh pages
         c = self.coeffs.block(lo, hi)
-        if self.denom is DenominatorForm.POWER_OF_N:
-            off = 1 if self.shift is IndexShift.BY_ONE else 0
-            d = np.arange(lo + off, hi + off, dtype=np.float64)
-            return c * d ** (-s)
-        if self.denom is DenominatorForm.POWER_OF_ODD_N:
-            d = 2.0 * np.arange(lo, hi, dtype=np.float64) + 1.0
-            return c * d ** (-s)
-        nf = np.arange(lo, hi, dtype=np.float64)
-        # (4n+3)^s - n^s over (4n^2+3n)^s simplifies to n^-s - (4n+3)^-s
-        return c * (nf ** (-s) - (4.0 * nf + 3.0) ** (-s))
-
-    def denominators(self, lo: int) -> tuple[tuple[int, int, int], ...]:
-        """(sign, d, step): the term of counter j >= ``lo`` is c_j times the
-        sum over these of sign (d + step (j - lo))^-s."""
-        if self.denom is DenominatorForm.POWER_OF_N:
-            return ((1, lo + (1 if self.shift is IndexShift.BY_ONE else 0), 1),)
-        if self.denom is DenominatorForm.POWER_OF_ODD_N:
-            return ((1, 2 * lo + 1, 2),)
-        return ((1, lo, 1), (-1, 4 * lo + 3, 4))
+        weights = None
+        for sign, d, step in self.denominators(lo):
+            w = np.arange(d, d + step * (hi - lo), step, dtype=np.float64) ** (-s)
+            weights = w if weights is None else weights + sign * w
+        return c * weights
 
     # -- analytic bounds -------------------------------------------------------
 
@@ -199,19 +212,17 @@ class SeriesSpec:
     def _power_law(self, s: float) -> tuple[float, float, float, float, float] | None:
         """(K, D, alpha, beta, p) with tail_bound(n) = K (alpha n + beta)^-p / D,
         or None for digit sums."""
-        odd = self.denom is DenominatorForm.POWER_OF_ODD_N
+        a, b, j0 = self._progression
         disc = self.coeffs.discrepancy
         if disc is not None:
-            # Abel: 2B times the first omitted weight, (n+1)^-s or (2n+1)^-s
-            return 2.0 * disc[1], 1.0, 2.0 if odd else 1.0, 1.0, s
+            # Abel: 2B times the first omitted weight, (a (j0 + n) + b)^-s
+            return 2.0 * disc[1], 1.0, a, a * j0 + b, s
         c = self.coeffs.bound_constant
         if c is None:
             return None
-        if odd:
-            # sum_{j>=M} C (2j+1)^-s <= C (2M-1)^(1-s) / (2(s-1))
-            return c, 2.0 * (s - 1.0), 2.0, -1.0, s - 1.0
-        # the last summed denominator is n; composite9 terms are at most n^-s
-        return c, s - 1.0, 1.0, 0.0, s - 1.0
+        # sum_{j >= j0+n} C (a j + b)^-s <= C (a (j0+n-1) + b)^(1-s) / (a (s-1));
+        # composite9 terms are at most n^-s
+        return c, a * (s - 1.0), a, a * (j0 - 1) + b, s - 1.0
 
     def tail_bound(self, n_counters: int, s: float) -> float:
         """Upper bound on |(sum of all terms beyond the first n_counters)
@@ -235,26 +246,24 @@ class SeriesSpec:
         )
 
     def mean_tail(self, n_counters: int, s: float, ctx: MPContext | None):
-        """(coefficient, a) with mu * (sum of the weights beyond the first
-        n_counters) = coefficient * zeta(s, a); for a series with mu != 0.
+        """(coefficient, x) with mu * (sum of the weights beyond the first
+        n_counters) = coefficient * zeta(s, x); for a series with mu != 0.
 
-        The omitted n^s weights sum to zeta(s, n+1), the (2m+1)^s ones to
-        2^-s zeta(s, n + 1/2).  ``ctx`` is ``_combine_ctx``'s context.
+        The omitted weights (a j + b)^-s, j >= j0 + n, sum to
+        a^-s zeta(s, j0 + n + b/a).  ``ctx`` is ``_combine_ctx``'s context.
         """
-        mu = self.mean if ctx is None else ctx.mpf(self.mean)
-        if self.denom is DenominatorForm.POWER_OF_ODD_N:
-            q = 2.0 ** (-s) if ctx is None else ctx.power(2, -ctx.mpf(s))
-            return mu * q, n_counters + 0.5
-        return mu, n_counters + 1
+        a, b, j0 = self._progression
+        if ctx is None:
+            return self.mean * a ** (-s), j0 + n_counters + b / a
+        return ctx.mpf(self.mean) * ctx.power(a, -ctx.mpf(s)), j0 + n_counters + b / a
 
     def abs_sum_bound(self, n_counters: int, s: float) -> float:
         """Upper bound on sum of |terms|, used only for the rounding budget."""
         cbound = self.coeffs.bound_constant
         if cbound is None:
             cbound = self.coeffs.value_bound(max(n_counters, self.coeffs.base))
-        if self.denom is DenominatorForm.POWER_OF_ODD_N:
-            return cbound * (1.0 + 1.0 / (2.0 * (s - 1.0)))
-        return cbound * (1.0 + 1.0 / (s - 1.0))
+        a, _, _ = self._progression
+        return cbound * (1.0 + 1.0 / (a * (s - 1.0)))
 
     def required_counters(self, s: float, eps_tail: float, max_terms: int) -> int:
         """Smallest counter count whose tail bound undershoots eps_tail."""
@@ -639,26 +648,12 @@ class _EvalCache(dict):
         return out
 
 
-# (value at t=0, value at t=1) of the fixed two-letter streams
-_DECOMPOSABLE_KINDS = {
-    SequenceKind.THUE_MORSE: (0.0, 1.0),
-    SequenceKind.PLUS_MINUS: (1.0, -1.0),
-}
-
-
 def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
     """(value at t=0, value at t=1, shifted?) when the series is
     an alphabet over t with an n^s denominator, else None."""
-    if spec.denom is not DenominatorForm.POWER_OF_N:
+    if spec.coeffs.kind is not SequenceKind.AFFINE or spec.denom is not DenominatorForm.POWER_OF_N:
         return None
-    kind = spec.coeffs.kind
-    if kind is SequenceKind.AFFINE:
-        low, high = spec.coeffs.low, spec.coeffs.high
-    elif kind in _DECOMPOSABLE_KINDS:
-        low, high = _DECOMPOSABLE_KINDS[kind]
-    else:
-        return None
-    return low, high, spec.shift is IndexShift.BY_ONE
+    return spec.coeffs.low, spec.coeffs.high, spec.shift is IndexShift.BY_ONE
 
 
 def _eval_decomposed(

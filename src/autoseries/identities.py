@@ -651,16 +651,30 @@ def _fixed_form_lhs(
     the partial sum itself caps it.  Terms and sum are float64 on every
     path, so the rounding budget is 32 double unit roundoffs times
     (abs_sum + 1), never the working precision's.
+
+    The truncation targets 0.95 eps, or eps less the budget when that
+    leaves too little room (positive terms then stay below value + tail(n)
+    in sum); only a budget that alone reaches eps is refused.
     """
+
+    def rounding(majorant: float) -> float:
+        return 32.0 * _DOUBLE_U * ((majorant if abs_sum is None else abs_sum) + 1.0)
 
     def evaluate(eps: float, max_terms: int) -> EvalResult:
         n = _truncation_search(tail, start, 0.95 * eps, max_terms, what)
         value = chunked_kahan_sum(block, first, n)
-        majorant = value if abs_sum is None else abs_sum
-        bound = tail(n) + 32.0 * _DOUBLE_U * (majorant + 1.0)
-        if bound > eps:
-            raise ResourceLimitError(f"cannot certify {what} to eps={eps:g} in double arithmetic")
-        return EvalResult(value, bound, n, Method.NAIVE)
+        budget = rounding(value)
+        if tail(n) + budget > eps:
+            budget = rounding(value + tail(n))
+            if budget >= eps:
+                raise ResourceLimitError(
+                    f"cannot certify {what} to eps={eps:g}: its double rounding budget alone "
+                    f"is {budget:g}"
+                )
+            # one step below the rounded eps - budget, so tail + budget <= eps
+            n = _truncation_search(tail, start, math.nextafter(eps - budget, 0.0), max_terms, what)
+            value = chunked_kahan_sum(block, first, n)
+        return EvalResult(value, tail(n) + budget, n, Method.NAIVE)
 
     return evaluate
 

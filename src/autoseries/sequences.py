@@ -3,12 +3,13 @@
 Everything here is an exact, pure function of the index n: the 0/1
 digit-parity sequence t_n, its +/-1 form e_n = (-1)^t_n, the difference
 sequence d_n = t_n - t_{n-1}, the period-doubling sequence, base-b digit
-sums, and two-letter alphabets a + (b - a) t_n over the reals.
+sums, and two-letter alphabets a + (b - a) t_n over the reals, of which
+t_n and e_n are the streams {0, 1} and {1, -1} (Allouche & Shallit, 2003).
 
 Scalar generators are O(log n) per term (bit counting, no tables), so any
-index can be queried independently; block generators produce numpy arrays
-for the chunked summation kernels and agree with the scalar forms
-everywhere.
+index can be queried independently; they are the references the block
+generators and the streams are tested against.  Block generators produce
+numpy arrays for the chunked summation kernels.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -144,8 +146,6 @@ def digit_sum_block(lo: int, hi: int, base: int) -> np.ndarray:
 
 
 class SequenceKind(Enum):
-    THUE_MORSE = "t"
-    PLUS_MINUS = "pm"
     DELTA = "delta"
     PERIOD_DOUBLING = "period-doubling"
     DIGIT_SUM = "digit-sum"
@@ -157,10 +157,11 @@ class CoefficientSequence:
     """An exact stream n -> c_n with a uniform majorant |c_n| <= C(n).
 
     ``base`` is only meaningful for digit sums; ``low``/``high`` only for
-    affine alphabets (the values taken where t_n is 0 and 1).  The majorant
-    feeds the evaluator's analytic tail bounds: it is the constant 1 for all
-    bit-valued and +/-1-valued kinds, max(|low|, |high|) for alphabets, and
-    (b-1) (floor(log_b n) + 1) for digit sums.
+    affine alphabets (the values taken where t_n is 0 and 1).  t_n is the
+    alphabet {0, 1} and e_n the alphabet {1, -1}; their labels stay "t"
+    and "pm".  The majorant feeds the evaluator's analytic tail bounds: it
+    is the constant 1 for d_n and period-doubling, max(|low|, |high|) for
+    alphabets, and (b-1) (floor(log_b n) + 1) for digit sums.
     """
 
     kind: SequenceKind
@@ -176,11 +177,11 @@ class CoefficientSequence:
 
     @classmethod
     def thue_morse(cls) -> "CoefficientSequence":
-        return cls(SequenceKind.THUE_MORSE)
+        return cls.affine(0.0, 1.0)
 
     @classmethod
     def plus_minus(cls) -> "CoefficientSequence":
-        return cls(SequenceKind.PLUS_MINUS)
+        return cls.affine(1.0, -1.0)
 
     @classmethod
     def delta(cls) -> "CoefficientSequence":
@@ -207,31 +208,11 @@ class CoefficientSequence:
             return 1
         return 0
 
-    def term(self, n: int) -> float:
-        if n < self.min_index:
-            raise DomainError(f"{self.kind.value} sequence needs n >= {self.min_index}, got {n}")
-        k = self.kind
-        if k is SequenceKind.THUE_MORSE:
-            return float(thue_morse(n))
-        if k is SequenceKind.PLUS_MINUS:
-            return float(pm_thue_morse(n))
-        if k is SequenceKind.DELTA:
-            return float(delta(n))
-        if k is SequenceKind.PERIOD_DOUBLING:
-            return float(period_doubling(n))
-        if k is SequenceKind.DIGIT_SUM:
-            return float(digit_sum(n, self.base))
-        return affine_seq(n, self.low, self.high)
-
     def block(self, lo: int, hi: int) -> np.ndarray:
         """c_n for n in [lo, hi) as a float64 array."""
         if lo < self.min_index:
-            raise DomainError(f"{self.kind.value} sequence needs n >= {self.min_index}, got {lo}")
+            raise DomainError(f"{self.label()} sequence needs n >= {self.min_index}, got {lo}")
         k = self.kind
-        if k is SequenceKind.THUE_MORSE:
-            return thue_morse_block(lo, hi).astype(np.float64)
-        if k is SequenceKind.PLUS_MINUS:
-            return pm_thue_morse_block(lo, hi).astype(np.float64)
         if k is SequenceKind.DELTA:
             return (thue_morse_block(lo, hi) - thue_morse_block(lo - 1, hi - 1)).astype(np.float64)
         if k is SequenceKind.PERIOD_DOUBLING:
@@ -239,7 +220,7 @@ class CoefficientSequence:
         if k is SequenceKind.DIGIT_SUM:
             return digit_sum_block(lo, hi, self.base).astype(np.float64)
         # the letters themselves: low + (high - low) t need not round to high
-        return np.where(thue_morse_block(lo, hi) != 0, self.high, self.low)
+        return np.where(np.bitwise_count(_indices(lo, hi)) & np.uint8(1), self.high, self.low)
 
     def values(self, lo: int, hi: int) -> list[float]:
         """c_n for n in [lo, hi) as a list of floats, built without numpy.
@@ -248,7 +229,7 @@ class CoefficientSequence:
         integers anyway, and a process on the mpmath path then never pays
         for numpy's array machinery."""
         if lo < self.min_index:
-            raise DomainError(f"{self.kind.value} sequence needs n >= {self.min_index}, got {lo}")
+            raise DomainError(f"{self.label()} sequence needs n >= {self.min_index}, got {lo}")
         k = self.kind
         idx = range(lo, hi)
         if k is SequenceKind.DELTA:
@@ -269,17 +250,12 @@ class CoefficientSequence:
                     m //= b
                     total -= b - 1
             return out
-        if k is SequenceKind.THUE_MORSE:
-            letters = (0.0, 1.0)
-        elif k is SequenceKind.PLUS_MINUS:
-            letters = (1.0, -1.0)
-        else:
-            letters = (self.low, self.high)
+        letters = (self.low, self.high)
         return [letters[n.bit_count() & 1] for n in idx]
 
     # -- majorant ------------------------------------------------------------
 
-    @property
+    @cached_property
     def bound_constant(self) -> float | None:
         """Constant C with |c_n| <= C, or None when the majorant grows (digit sums)."""
         if self.kind is SequenceKind.AFFINE:
@@ -288,22 +264,21 @@ class CoefficientSequence:
             return None
         return 1.0
 
-    @property
+    @cached_property
     def discrepancy(self) -> tuple[float, float] | None:
         """Mean mu and discrepancy bound B with |sum_{min_index<=n<M} (c_n - mu)| <= B
         for every M, or None where only the majorant is used.
 
         t_{2k} + t_{2k+1} = 1, so the partial sums of t_n - 1/2 are 0 or
-        +/-1/2, and those of e_n are 0 or +/-1; the partial sums of d_n
-        telescope to t_{M-1} - t_0, in {0, 1}; an alphabet is
-        (a+b)/2 + (b-a)(t_n - 1/2).  Digit sums and period-doubling
-        return None.  (The rounding of mu and B for an alphabet stays
-        within the evaluator's rounding budget.)
+        +/-1/2, and an alphabet {a, b} is (a+b)/2 + (b-a)(t_n - 1/2): mu =
+        (a+b)/2, B = |b-a|/2, which is (1/2, 1/2) for t_n and (0, 1) for
+        e_n.  The partial sums of d_n telescope to t_{M-1} - t_0, in
+        {0, 1}.  Digit sums and period-doubling return None.  (The
+        rounding of mu and B for an alphabet stays within the evaluator's
+        rounding budget.)
         """
         k = self.kind
-        if k is SequenceKind.THUE_MORSE:
-            return 0.5, 0.5
-        if k is SequenceKind.PLUS_MINUS or k is SequenceKind.DELTA:
+        if k is SequenceKind.DELTA:
             return 0.0, 1.0
         if k is SequenceKind.AFFINE:
             return (self.low + self.high) / 2, abs(self.high - self.low) / 2
@@ -321,5 +296,6 @@ class CoefficientSequence:
         if k is SequenceKind.DIGIT_SUM:
             return f"digit-sum(base={self.base})"
         if k is SequenceKind.AFFINE:
-            return f"affine({self.low:g},{self.high:g})"
+            name = {(0.0, 1.0): "t", (1.0, -1.0): "pm"}.get((self.low, self.high))
+            return name or f"affine({self.low:g},{self.high:g})"
         return k.value

@@ -166,6 +166,25 @@ def test_verify_fixed_form_over_max_terms_names_the_cap(capsys, ident):
     assert "cap 1000" in err
 
 
+@pytest.mark.parametrize("ident", ["woods-robbins", "allouche-shallit"])
+def test_verify_fixed_form_below_its_default_eps(tmp_path, capsys, ident):
+    # at eps 1e-13 the 0.95 eps truncation leaves no room for the double
+    # rounding budget, so the sum is truncated again for eps less the budget
+    out_path = tmp_path / "fixed.json"
+    code, _, err = run(capsys, "verify", ident, "--eps", "1e-13", "--out", str(out_path))
+    assert code == 0, err
+    (rec,) = json.loads(out_path.read_text())["records"]
+    assert rec["pass"]
+    assert float(rec["lhs_bound"]) <= 0.5e-13
+
+
+def test_verify_fixed_form_refuses_a_budget_above_eps(capsys):
+    # 64 double unit roundoffs (1.4e-14) alone exceed the left share 5e-16
+    code, _, err = run(capsys, "verify", "woods-robbins", "--eps", "1e-15")
+    assert code == 1
+    assert "rounding budget alone" in err
+
+
 def test_eval_method_mismatch_is_usage_error(capsys):
     code, _, err = run(capsys, "eval", "delta", "2", "1e-6", "--method", "functional")
     assert code == 2
@@ -397,6 +416,29 @@ def test_config_file_and_flag_precedence(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "eval", "f", "2", "1e-9")
     assert code == 0
     assert float(json.loads(out)["eps"]) == 1e-9
+
+
+def test_malformed_env_value_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("AUTOSERIES_MAX_TERMS", "lots")
+    code, out, err = run(capsys, "eval", "f", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "AUTOSERIES_MAX_TERMS" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [({"eps": "tiny"}, "eps"), ({"format": "xml"}, "format"), ([1], "JSON object")],
+    ids=["bad-eps", "bad-format", "not-object"],
+)
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, monkeypatch, content, needle):
+    cfg = tmp_path / "autoseries.json"
+    cfg.write_text(json.dumps(content))
+    monkeypatch.setenv("AUTOSERIES_CONFIG", str(cfg))
+    code, out, err = run(capsys, "eval", "f", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and needle in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_env_precision_bits(capsys, monkeypatch):

@@ -531,6 +531,40 @@ def _kernel_spec(stream: str, form: str) -> SeriesSpec:
     return SeriesSpec(_KERNEL_STREAMS[stream], shift, denom)
 
 
+# -- one spelling per series, one denominator table ----------------------------------
+
+
+def test_one_spelling_per_series():
+    assert CoefficientSequence.thue_morse() == CoefficientSequence.affine(0, 1)
+    assert CoefficientSequence.plus_minus() == CoefficientSequence.affine(1, -1)
+    spec = SeriesSpec(CoefficientSequence.affine(1, -1), IndexShift.BY_ONE)
+    assert spec == F_SERIES
+    # the routes that evaluate f alone take f written as an alphabet
+    naive = eval_naive(F_SERIES, 2.0, 1e-10)
+    for route in (Route.FUNCTIONAL_EQUATION, Route.ODD_SPLIT):
+        r = eval_series_spec(spec, 2.0, 1e-10, route)
+        assert r.abs_error_bound <= 1e-10
+        assert abs(r.value - naive.value) <= r.abs_error_bound + naive.abs_error_bound
+
+
+@pytest.mark.parametrize("form", list(_KERNEL_FORMS))
+def test_one_denominator_table_drives_the_terms(form):
+    spec = _kernel_spec("pd" if form == "composite9" else "neg", form)
+    j0 = spec.counter_start
+    # the first counter whose every denominator is at least 1
+    assert all(d >= 1 for _, d, _ in spec.denominators(j0))
+    assert j0 == 0 or min(d for _, d, _ in spec.denominators(j0 - 1)) < 1
+    s = 2.5
+    for lo in (j0, j0 + 1, 1000, 2**40):
+        c = spec.coeffs.values(lo, lo + 64)
+        table = spec.denominators(lo)
+        expected = [
+            c[i] * math.fsum(sign * float(d + step * i) ** -s for sign, d, step in table)
+            for i in range(64)
+        ]
+        assert spec.term_block(lo, lo + 64, s).tolist() == pytest.approx(expected, rel=1e-14, abs=0)
+
+
 def _oracle_check(spec: SeriesSpec, s: float, n: int, bits: int) -> None:
     """``partial_sum`` on the mpmath path against a plain mpmath fsum of
     c_j times its denominators' powers, 40 bits wider than the kernel.
@@ -545,14 +579,13 @@ def _oracle_check(spec: SeriesSpec, s: float, n: int, bits: int) -> None:
     neg_s = -ctx.mpf(s)
     j0 = spec.counter_start
     terms, units = [], 0.0
-    for j in range(j0, j0 + n):
+    for j, c in zip(range(j0, j0 + n), spec.coeffs.values(j0, j0 + n)):
         if spec.denom is DenominatorForm.COMPOSITE9:
             dens = ((1, j), (-1, 4 * j + 3))
         elif spec.denom is DenominatorForm.POWER_OF_ODD_N:
             dens = ((1, 2 * j + 1),)
         else:
             dens = ((1, j + 1 if spec.shift is IndexShift.BY_ONE else j),)
-        c = spec.coeffs.term(j)
         terms.append(ctx.mpf(c) * ctx.fsum(sign * ctx.power(d, neg_s) for sign, d in dens))
         units += abs(c) * sum(math.log2(d) + 2 for _, d in dens)
     ref = ctx.fsum(terms)

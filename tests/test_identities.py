@@ -226,7 +226,7 @@ def test_corollary2_theorem_pairing_cancels_f():
     ident = make_corollary2_identity(
         TwoPowerRatio((1.0, 1.0)), TwoPowerRatio((-1.0, 1.0))
     )
-    f_terms = [t for t in ident.lhs if t.series.coeffs.kind.value == "pm"]
+    f_terms = [t for t in ident.lhs if t.series.coeffs.label() == "pm"]
     assert len(f_terms) == 1
     assert f_terms[0].coefficient.is_zero
     rec = verify(ident, 2.0, 1e-7)

@@ -13,6 +13,7 @@ from autoseries.errors import DomainError
 from autoseries.evaluator import F_SERIES, PHI_SERIES
 from autoseries.sequences import (
     CoefficientSequence,
+    SequenceKind,
     affine_seq,
     delta,
     digit_sum,
@@ -197,8 +198,9 @@ def test_affine_examples():
         assert affine_seq(n, 0.0, 1.0) == thue_morse(n)
     r2 = 2.0**0.5
     q = CoefficientSequence.affine(-r2, 1.0 - r2)
-    for n in range(50):
-        assert q.term(n) == (1.0 - r2 if thue_morse(n) else -r2)
+    expected = [1.0 - r2 if thue_morse(n) else -r2 for n in range(50)]
+    assert q.values(0, 50) == expected
+    assert q.block(0, 50).tolist() == expected
 
 
 def test_affine_value_bound():
@@ -228,7 +230,7 @@ def test_discrepancy_bound_by_brute_force(seq):
     # max_M |sum_{min_index<=n<M} (c_n - mu)| over M <= 2^16, in exact
     # rational arithmetic on the stored coefficients, is exactly B
     mu_f, b_f = seq.discrepancy
-    if seq.kind.value == "affine":
+    if seq.kind is SequenceKind.AFFINE:
         low, high = Fraction(seq.low), Fraction(seq.high)
         mu, b = (low + high) / 2, abs(high - low) / 2
     else:
@@ -236,7 +238,7 @@ def test_discrepancy_bound_by_brute_force(seq):
     # the reported floats are mu and B to within one rounding
     assert abs(Fraction(mu_f) - mu) <= Fraction(2) ** -53 * abs(mu)
     assert abs(Fraction(b_f) - b) <= Fraction(2) ** -53 * b
-    diffs = [Fraction(seq.term(n)) - mu for n in range(seq.min_index, 2**16)]
+    diffs = [Fraction(c) - mu for c in seq.values(seq.min_index, 2**16)]
     scale = math.lcm(*{d.denominator for d in diffs})
     partial = itertools.accumulate(int(d * scale) for d in diffs)
     assert max(abs(p) for p in partial) == b * scale
@@ -254,14 +256,13 @@ class _ShiftedStream:
     """Coefficient at denominator n of a by-one shifted series, as a stream.
 
     The shifted streams are written as ``SeriesSpec(..., IndexShift.BY_ONE)``;
-    at s = 0 its term block is the coefficient read at each denominator, and
-    the scalar term is the unshifted generator at n - 1.
+    at s = 0 its term block is the coefficient read at each denominator.
     """
 
     min_index = 1
 
-    def __init__(self, spec, scalar, name):
-        self.spec, self.scalar, self.name = spec, scalar, name
+    def __init__(self, spec, name):
+        self.spec, self.name = spec, name
 
     def label(self):
         return self.name
@@ -269,31 +270,30 @@ class _ShiftedStream:
     def block(self, lo, hi):
         return self.spec.term_block(lo - 1, hi - 1, 0.0)
 
-    def term(self, n):
-        return self.scalar(n - 1)
+
+#: (stream, its scalar reference generator)
+_REFERENCES = [
+    (CoefficientSequence.thue_morse(), thue_morse),
+    (_ShiftedStream(PHI_SERIES, "t-shifted"), lambda n: thue_morse(n - 1)),
+    (CoefficientSequence.plus_minus(), pm_thue_morse),
+    (_ShiftedStream(F_SERIES, "pm-shifted"), lambda n: pm_thue_morse(n - 1)),
+    (CoefficientSequence.delta(), delta),
+    (CoefficientSequence.period_doubling(), period_doubling),
+    (CoefficientSequence.digit_sum(3), lambda n: digit_sum(n, 3)),
+    (CoefficientSequence.affine(-0.5, 0.5), lambda n: affine_seq(n, -0.5, 0.5)),
+    # 3 + (0.1 - 3) is 0.10000000000000009: the block must give the letter
+    (CoefficientSequence.affine(3.0, 0.1), lambda n: affine_seq(n, 3.0, 0.1)),
+]
 
 
 @pytest.mark.parametrize(
-    "seq",
-    [
-        CoefficientSequence.thue_morse(),
-        _ShiftedStream(PHI_SERIES, thue_morse, "t-shifted"),
-        CoefficientSequence.plus_minus(),
-        _ShiftedStream(F_SERIES, pm_thue_morse, "pm-shifted"),
-        CoefficientSequence.delta(),
-        CoefficientSequence.period_doubling(),
-        CoefficientSequence.digit_sum(3),
-        CoefficientSequence.affine(-0.5, 0.5),
-        # 3 + (0.1 - 3) is 0.10000000000000009: the block must give the letter
-        CoefficientSequence.affine(3.0, 0.1),
-    ],
-    ids=lambda s: s.label(),
+    "seq, ref", [pytest.param(seq, ref, id=seq.label()) for seq, ref in _REFERENCES]
 )
-def test_block_matches_term_everywhere(seq):
+def test_block_matches_term_everywhere(seq, ref):
     lo = seq.min_index
     blk = seq.block(lo, lo + 500)
     assert blk.dtype == np.float64
-    assert [seq.term(n) for n in range(lo, lo + 500)] == blk.tolist()
+    assert [float(ref(n)) for n in range(lo, lo + 500)] == blk.tolist()
 
 
 @pytest.mark.parametrize(
@@ -321,7 +321,7 @@ def test_values_match_block(seq):
 
 def test_min_index_enforced():
     with pytest.raises(DomainError):
-        CoefficientSequence.delta().term(0)
+        CoefficientSequence.delta().values(0, 5)
     with pytest.raises(DomainError):
         CoefficientSequence.delta().block(0, 5)
 
