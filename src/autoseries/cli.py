@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import csv
+import io
 import json
 import math
 import os
@@ -232,23 +234,27 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     spec, auto = _catalog_series(name)
     route = _method_route(name, args.method, auto)
     result = eval_series_spec(spec, args.s, eps, route, _precision(cfg, eps), cfg.max_terms)
-    value = _value_text(result.value, result.abs_error_bound)
+    payload = {
+        "series": name,
+        "s": repr(float(args.s)),
+        "eps": repr(float(eps)),
+        "value": _value_text(result.value, result.abs_error_bound),
+        "abs_error_bound": repr(float(result.abs_error_bound)),
+        "terms_used": result.terms_used,
+        "method": result.method.value,
+    }
     if cfg.out_format == "json":
-        payload = {
-            "series": name,
-            "s": repr(float(args.s)),
-            "eps": repr(float(eps)),
-            "value": value,
-            "abs_error_bound": repr(float(result.abs_error_bound)),
-            "terms_used": result.terms_used,
-            "method": result.method.value,
-        }
         rendered = json.dumps(payload, indent=2)
+    elif cfg.out_format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerows((payload, payload.values()))
+        rendered = buf.getvalue().rstrip("\n")
     else:
         rendered = "\n".join(
             (
                 f"series : {name}   s = {args.s:g}   eps = {eps:g}",
-                f"value  = {value}",
+                f"value  = {payload['value']}",
                 f"bound  = {result.abs_error_bound:.6e}",
                 f"terms  = {result.terms_used}",
                 f"method = {result.method.value}",

@@ -23,14 +23,23 @@ and adds the odd-index split:
   (b-1)(log_b n + 1) majorant and its integral, with the truncation point
   from ``_truncation_search``.
 
-* ``eval_functional_equation``: the binomial acceleration
-  f(s) = sum_{k>=1} 2^(-s-k) binom(s+k-1, k) f(s+k), truncated at depth K
-  (``depth_for`` sizes K from s and eps unless the caller fixes it).
-  The inner values f(s+k) converge at the much cheaper exponents s+k and
-  are obtained naively.  The k > K remainder uses |f(p) - 1| <= zeta(p) - 1
-  (the first term of f is 1/1^p; everything else is dominated by
-  sum_{n>=2} n^(-p)) together with zeta(p) - 1 <= 2^(-p) (1 + 2/(p-1)) and
-  a geometric majorant for the weights.
+* ``eval_functional_equation``: the binomial functional equation
+  f(p) = sum_{k>=1} w_k(p) f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0,
+  applied to its own inner values.  Only the leaves f(s + J0 + i) are
+  summed directly, all from one table of n^-(s+J0): the float64 path
+  takes one 2-D block (``SeriesSpec._term_rows``, row i + 1 is row i
+  times 1/n), the mpmath path one fixed-point table
+  (``fixed_point.fixed_point_sums``, weight i + 1 is weight i floored
+  after division by n: one unit more per step, while the error already
+  there shrinks by n).  The levels j = J0 - 1, ..., 0 then recur down in
+  fixed point, each truncated at a depth K_j sized for its own s + j
+  (``depth_for``); the k > K_j remainder uses |f(p)| <= zeta(p) <= 1 +
+  2^-p (1 + 2/(p-1)) and a geometric majorant for the weights
+  (``_fe_truncation``).  A level's bound is sum_k w_k bound_{j+k} plus its
+  truncation and rounding; the weights sum to 1 - 2^-p < 1, so the error
+  does not grow with depth.  J0, the leaves' counters and each K_j come
+  from a cost model over s and eps (``_fe_plan``): mpmath powers, leaf
+  terms, and weights.
 
 * The zeta + f decomposition (``_eval_decomposed``, and ``eval_phi_gamma``
   for the 0/1 series): an alphabet series over t_n with an n^s denominator
@@ -49,7 +58,7 @@ accumulation over fixed 2^14-term chunks, so results are bit-reproducible,
 and every reported bound adds an explicit rounding budget,
 ``_ROUNDING_OPS`` u times the absolute-sum majorant, on top of the
 analytic tail.  Wider working precisions sum in fixed point
-(``fixed_point.fixed_point_sum``) at P = working bits + 20 + log2 N bits:
+(``fixed_point.fixed_point_sums``) at P = working bits + 20 + log2 N bits:
 n^-s is completely multiplicative, so only the primes up to the last
 denominator D take an ``mpmath`` power, and every other weight is a
 product of two table entries, within Omega(n) + 2 units of 2^-P.  The sum
@@ -61,8 +70,8 @@ keeps the weights of the odd numbers below 2^15 (16,384 integers); a
 denominator whose odd part or cofactor lies past it takes a power of its
 own.
 
-Weighted sums of certified values (FE assembly, the decomposition, the
-left side of an identity) all go through ``_weighted_sum``.  A zeta-type
+Weighted sums of certified values (the decomposition, the left side of
+an identity) go through ``_weighted_sum``.  A zeta-type
 leaf whose share eps/|coefficient| is finer than the working width can
 certify runs wider on its own (``_zeta_leaf``).
 """
@@ -72,11 +81,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DomainError, ResourceLimitError
 from .precision import GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
@@ -91,9 +101,6 @@ CHUNK = 1 << 14
 #: Default hard cap on naive term counts; beyond it the evaluator refuses
 #: rather than silently degrade.
 DEFAULT_MAX_TERMS = 10**9
-
-#: Smallest truncation depth ``depth_for`` picks for the functional equation.
-DEFAULT_DEPTH = 40
 
 # Fraction of the tolerance given to the analytic tail; the rest absorbs
 # the rounding budget.
@@ -200,6 +207,24 @@ class SeriesSpec:
             w = np.arange(d, d + step * (hi - lo), step, dtype=np.float64) ** (-s)
             weights = w if weights is None else weights + sign * w
         return c * weights
+
+    def _term_rows(self, lo: int, hi: int, s: float, first: int, rows: int) -> np.ndarray:
+        """Terms for counters j in [lo, hi) at the exponents s + first + i,
+        i < ``rows``, one float64 row per exponent.
+
+        Row 0 is d^-s d^-first and each next row multiplies by 1/d, so no
+        exponent is rounded; an entry of row i is within (2i + 3) u of its
+        term, relatively, and d = 1 is exact."""
+        c = self.coeffs.block(lo, hi)
+        block = None
+        for sign, d, step in self.denominators(lo):
+            dens = np.arange(d, d + step * (hi - lo), step, dtype=np.float64)
+            w = np.empty((rows, hi - lo))
+            w[0] = dens ** (-s) * dens ** (-float(first))
+            w[1:] = 1.0 / dens
+            np.cumprod(w, axis=0, out=w)
+            block = w if block is None else block + sign * w
+        return c * block
 
     # -- analytic bounds -------------------------------------------------------
 
@@ -387,10 +412,11 @@ def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision):
             lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
         )
     # imported here, so that a process on the double path never loads it
-    from .fixed_point import fixed_point_sum
+    from .fixed_point import fixed_point_sums
 
     ctx = _mp_context(prec.working_bits + 20 + max(0, n_counters.bit_length()))
-    return fixed_point_sum(spec, s, n_counters, ctx)
+    (total,), shift = fixed_point_sums(spec, s, [n_counters], ctx)
+    return ctx.ldexp(ctx.mpf(total), -shift)
 
 
 def partial_sum(spec: SeriesSpec, s: float, n_terms: int, prec: Precision | None = None):
@@ -534,25 +560,52 @@ def _combine_ctx(prec: Precision) -> MPContext | None:
     return _mp_context(prec.working_bits + 20)
 
 
-def _fe_weights(s: float, depth: int, ctx: MPContext | None = None):
-    """Weights w_k = 2^(-s-k) binom(s+k-1, k) for k = 1..depth+1, plus their sum
-    over 1..depth.  Rising-factorial recurrence, no gamma function."""
-    if ctx is None:
-        w = [0.0] * (depth + 2)
-        w[1] = s * 2.0 ** (-s - 1.0)
-        for k in range(1, depth + 1):
-            w[k + 1] = w[k] * (s + k) / (2.0 * (k + 1.0))
-        return w, math.fsum(w[1 : depth + 1])
-    s_mp = ctx.mpf(s)
-    w = [ctx.mpf(0)] * (depth + 2)
-    w[1] = s_mp * ctx.power(2, -s_mp - 1)
+# Shares of eps: every leaf f(s + J0 + i), and the truncation remainders
+# of all levels together; the rest absorbs rounding.
+_FE_LEAF_SHARE = 0.45
+_FE_TRUNC_SHARE = 0.45
+
+# Predicted microseconds per unit of FE work on the mpmath and the float64
+# path: a power (one per prime of the fixed-point table; two per column of
+# the float64 block), a leaf term at one exponent (a floor division, or a
+# block entry), and a weight of one level (its step and its product).
+_FE_COST_US = {False: (24.0, 0.4, 1.5), True: (0.04, 0.003, 1.5)}
+
+
+@lru_cache(maxsize=64)
+def _two_power_fixed(s: float, q: int) -> int:
+    """2^-s in fixed point at q bits, within 2 units (2^-q each)."""
+    return to_fixed(_mp_context(q + 10).power(2, -s)._mpf_, q)
+
+
+def _fe_weights(s: float, depth: int, q: int, level: int = 0):
+    """The weights w_k(p) = 2^(-p-k) binom(p+k-1, k) at p = s + ``level``,
+    k = 1..depth+1, in fixed point: integers W_k and floats e_k with
+    |W_k - 2^q w_k| <= e_k (index 0 unused).
+
+    p is exact in fixed point (a float's last bit is at 2^-52 or above, and
+    q > 52), and w_1 = p 2^-s 2^(-level-1) reads the one power 2^-s.  The
+    rising-factorial recurrence W_{k+1} = W_k (p+k) / (2(k+1)) floors
+    once, so e_{k+1} = e_k (p+k)/(2(k+1)) + 1: an error grows with
+    w_k/w_1 <= 2^(p+1)/p, which the caller's q must leave room for."""
+    one = 1 << q
+    num, den = s.as_integer_ratio()
+    p_fix = (num << q) // den + level * one
+    p = s + level
+    w = [0] * (depth + 2)
+    err = [0.0] * (depth + 2)
+    w[1] = (p_fix * _two_power_fixed(s, q)) >> (q + level + 1)
+    err[1] = 1.0 + 2.0 * p / 2.0 ** (level + 1)
     for k in range(1, depth + 1):
-        w[k + 1] = w[k] * (s_mp + k) / (2 * (k + 1))
-    return w, ctx.fsum(w[1 : depth + 1])
+        w[k + 1] = w[k] * (p_fix + k * one) // ((2 * k + 2) << q)
+        err[k + 1] = err[k] * (p + k) / (2.0 * k + 2.0) + 1.0
+    return w, err
 
 
 def _fe_truncation(s: float, depth: int, w_next: float) -> float:
-    """Bound on the sum of the skipped tail terms past ``depth``."""
+    """Bound on the sum of the skipped tail terms past ``depth``: the ratios
+    (s+k)/(2(k+1)) decrease in k, so sum_{k>K} w_k <= w_{K+1}/(1-rho), and
+    |f(p)| <= zeta(p) <= 1 + 2^-p (1 + 2/(p-1)) at every skipped p."""
     rho = (s + depth + 1.0) / (2.0 * (depth + 2.0))
     if rho >= 1.0:
         return math.inf
@@ -562,20 +615,107 @@ def _fe_truncation(s: float, depth: int, w_next: float) -> float:
 
 
 def depth_for(s: float, eps: float) -> int:
-    """Smallest truncation depth >= ``DEFAULT_DEPTH`` whose remainder fits 0.45 eps."""
+    """Smallest truncation depth K whose remainder at ``s`` fits ``eps``.
+
+    The weights peak near k = s and then fall by ratios that tend to 1/2,
+    so K grows with s and by about one per halving of eps."""
     s = _check_s(s)
     eps = _check_eps(eps)
-    k = DEFAULT_DEPTH
     w = s * 2.0 ** (-s - 1.0)
-    for i in range(1, k):
-        w = w * (s + i) / (2.0 * (i + 1.0))
-    while k < 1000:
-        w_next = w * (s + k) / (2.0 * (k + 1.0))
-        if _fe_truncation(s, k, w_next) <= 0.45 * eps:
+    for k in range(1, 1000):
+        w = w * (s + k) / (2.0 * (k + 1.0))
+        # the remainder is at least w_{K+1}
+        if w <= eps and _fe_truncation(s, k, w) <= eps:
             return k
-        w = w_next
-        k += 1
     raise ResourceLimitError(f"no workable truncation depth below 1000 for s={s:g}, eps={eps:g}")
+
+
+def _leaf_counters(p: float, tail_eps: float) -> int:
+    """About the counters after which f's tail 2 (N+1)^-p fits ``tail_eps``
+    (the closed form alone, for the cost model)."""
+    log_n = (math.log(2.0) - math.log(tail_eps)) / p
+    return max(2, math.ceil(math.exp(min(log_n, 700.0))) - 1)
+
+
+def _fe_plan(s: float, eps: float, prec: Precision, depth: int | None, cap: int):
+    """(J0, truncation depth K_j of each level j < J0, counters of each leaf
+    f(s + J0 + i)) of least predicted cost (``_FE_COST_US``).
+
+    A larger J0 makes the leaves cheaper, N ~ (2/eps)^(1/(s+J0)), and adds
+    a level of about K weights; the cost falls and then rises in J0, so the
+    search stops three steps past its best.  Each level's truncation
+    remainder gets 0.45 eps / J0; the deepest level has the largest K,
+    because the weights move outward as s + j grows."""
+    double = prec.is_double
+    cost_power, cost_term, cost_weight = _FE_COST_US[double]
+    leaf_tail = _FE_LEAF_SHARE * _TAIL_FRACTION * eps
+    best, best_cost = None, math.inf
+    for j0 in range(1, 200):
+        if best is not None and j0 - best > 3:
+            break
+        k_top = depth if depth is not None else depth_for(s + (j0 - 1), _FE_TRUNC_SHARE * eps / j0)
+        n0 = _leaf_counters(s + j0, leaf_tail)
+        if n0 > cap:
+            continue
+        if double:
+            cost = n0 * (cost_power + cost_term * k_top)
+        else:
+            terms = 0
+            for i in range(k_top):
+                n = _leaf_counters(s + (j0 + i), leaf_tail)
+                terms += n if n > 2 else 2 * (k_top - i)
+                if n <= 2:
+                    break
+            cost = cost_power * n0 / math.log(n0 + 1) + cost_term * terms
+        cost += cost_weight * j0 * k_top
+        if cost < best_cost:
+            best, best_cost = j0, cost
+        if n0 == 2:
+            break
+    if best is None:
+        raise ResourceLimitError(
+            f"functional-equation route for f at s={s:g} to eps={eps:g} needs "
+            f"more than {cap} terms in every leaf (cap {cap})"
+        )
+    j0 = best
+    ks = [depth if depth is not None else depth_for(s + j, _FE_TRUNC_SHARE * eps / j0)
+          for j in range(j0)]
+    rows = max(j + k for j, k in enumerate(ks)) + 1 - j0
+    if double:
+        # the float64 block sums every row over the first row's counters
+        return j0, ks, [F_SERIES.required_counters(_exponent_floor(s, j0), leaf_tail, cap)] * rows
+    counts = []
+    while len(counts) < rows and (not counts or counts[-1] > 2):
+        p = _exponent_floor(s, j0 + len(counts))
+        counts.append(F_SERIES.required_counters(p, leaf_tail, cap))
+    return j0, ks, counts + [2] * (rows - len(counts))
+
+
+def _exponent_floor(s: float, m: int) -> float:
+    """A float at most s + m, for bounds that decrease in the exponent."""
+    return math.nextafter(s + m, 0.0)
+
+
+def _fe_leaves(s: float, j0: int, counts: list[int], prec: Precision, q: int) -> list[int]:
+    """f(s + j0 + i), summed over its first counts[i] counters, for every
+    i < len(counts), as integers scaled by 2^q, each within a unit of its
+    sum, all from one table of n^-(s + j0): one float64 block
+    (``SeriesSpec._term_rows``) or one fixed-point table (``fixed_point_sums``).
+
+    Each sum stays inside the naive route's ``_ROUNDING_OPS`` u envelope:
+    in the block, row i's extra (2i + 3) u touches only n >= 2, whose terms
+    sum to at most 2^-p (1 + 2/(p-1)) with p >= 2 + i; in fixed point the
+    Omega(n) + 4 units per weight are far below it, as for one exponent."""
+    if prec.is_double:
+        block = F_SERIES._term_rows(0, counts[0], s, j0, len(counts))
+        # the first term, 1^-p, is exact in every row, and added last
+        sums = block[:, 0] + np.sum(block[:, 1:], axis=1)
+        return [(num << q) // den for num, den in map(float.as_integer_ratio, sums.tolist())]
+    from .fixed_point import fixed_point_sums
+
+    ctx = _mp_context(prec.working_bits + 20 + counts[0].bit_length())
+    totals, shift = fixed_point_sums(F_SERIES, ctx.mpf(s) + j0, counts, ctx)
+    return [x << (q - shift) if q >= shift else x >> (shift - q) for x in totals]
 
 
 def eval_functional_equation(
@@ -585,50 +725,72 @@ def eval_functional_equation(
     prec: Precision | None = None,
     max_terms: int | None = None,
 ) -> EvalResult:
-    """f(s) via the binomial acceleration, truncated at ``depth`` terms
-    (``depth_for(s, eps)`` when not given).
+    """f(s) by the binomial functional equation f(p) = sum_{k>=1} w_k(p)
+    f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0, applied to itself.
 
-    45% of eps goes to the truncation remainder and 45% is spread across
-    the inner naive evaluations in proportion to their weights (which is a
-    uniform inner tolerance eps * 0.45 / sum(w_k)); the rest absorbs
-    rounding.  Inner values live at exponents s+1 .. s+depth where direct
-    summation is cheap.
+    Only the leaves f(s + J0 + i) are summed directly, from one table
+    (``_fe_leaves``).  The levels j = J0 - 1, ..., 0 then each apply the
+    equation at p = s + j, truncated at their own depth K_j (``depth``
+    fixes every K_j), to the levels and leaves above them, in fixed point
+    at q bits on both paths (``_fe_weights``).  ``_fe_plan`` picks J0, the
+    leaves' counters and each K_j.
+
+    Bounds propagate from the actual inner bounds: bound_j = sum_k w_k
+    bound_{j+k} + trunc_j + rounding_j.  The weights sum to 1 - 2^-p < 1,
+    so no level amplifies what it reads; depth only adds the truncation
+    remainders (0.45 eps over all levels) and the roundings (one floor per
+    product, exact integer sums, one final rounding).  Each leaf's tail and
+    rounding fit 0.45 eps.
     """
     s = _check_s(s)
     eps = _check_eps(eps)
-    if depth is None:
-        depth = depth_for(s, eps)
-    if depth < 1:
+    if depth is not None and depth < 1:
         raise DomainError(f"depth must be >= 1, got {depth}")
     prec = prec if prec is not None else Precision.for_eps(eps)
+    cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
+    j0, ks, counts = _fe_plan(s, eps, prec, depth, cap)
+    tau = _FE_TRUNC_SHARE * eps / j0
 
+    # guard bits for the weights' error growth, up to 2^(s+J0)
+    q = prec.working_bits + 30 + math.ceil(s) + j0
+    one = 1 << q
+    values = [0] * j0 + _fe_leaves(s, j0, counts, prec, q)
+    u = prec.unit_roundoff
+    bounds = [0.0] * j0
+    for i, n in enumerate(counts):
+        p = _exponent_floor(s, j0 + i)
+        # the leaf's tail and rounding, and a unit from the scaling
+        bounds.append(F_SERIES.tail_bound(n, p) + _ROUNDING_OPS * u * F_SERIES.abs_sum_bound(n, p)
+                      + math.ldexp(1.0, -q))
+    for j in range(j0 - 1, -1, -1):
+        k_j = ks[j]
+        w, err = _fe_weights(s, k_j, q, j)
+        w_hi = [x / one + math.ldexp(e, -q) for x, e in zip(w, err)]
+        trunc = _fe_truncation(s + j, k_j, w_hi[k_j + 1])
+        if depth is not None and trunc > tau:
+            raise ResourceLimitError(
+                f"depth {k_j} leaves truncation remainder {trunc:g} > {tau:g} "
+                f"at s={s + j:g}; increase depth"
+            )
+        inner = range(1, k_j + 1)
+        values[j] = sum((w[k] * values[j + k]) >> q for k in inner)
+        # each product: its weight's error times the value, and one floor
+        rounding = math.fsum(err[k] * abs(values[j + k] / one) + 1.0 for k in inner)
+        bounds[j] = (math.fsum(w_hi[k] * bounds[j + k] for k in inner) + trunc
+                     + math.ldexp(rounding, -q))
     ctx = _combine_ctx(prec)
-    w, w_sum = _fe_weights(s, depth, ctx)
-    # geometric majorant for the skipped weights: ratios (s+k)/(2(k+1))
-    # decrease in k, so sum_{k>K} w_k <= w_{K+1}/(1-rho)
-    trunc = _fe_truncation(s, depth, float(w[depth + 1]))
-    if trunc > 0.45 * eps:
-        raise ResourceLimitError(
-            f"depth {depth} leaves truncation remainder {trunc:g} > {0.45 * eps:g} "
-            f"at s={s:g}; increase depth"
-        )
-
-    inner_eps = 0.45 * eps / float(w_sum)
-    # on the mpmath path the inner sums run at the exact s + k, which a
-    # float would round
-    base = s if ctx is None else ctx.mpf(s)
-    total, bound, terms = _weighted_sum(
-        ((w[k], eval_naive(F_SERIES, base + k, inner_eps, prec, max_terms))
-         for k in range(1, depth + 1)),
-        prec,
-        remainder=trunc,
-    )
+    if ctx is None:
+        value = values[0] / one
+        bound = bounds[0] + u * abs(value)
+    else:
+        value = ctx.make_mpf(from_man_exp(values[0], -q, ctx.prec, round_nearest))
+        bound = bounds[0] + 2.0 ** (1 - ctx.prec) * abs(float(value))
     if bound > eps:
         raise ResourceLimitError(
             f"functional-equation route certified only {bound:g} > eps={eps:g} "
-            f"at s={s:g}; increase depth or working_bits"
+            f"at s={s:g}; raise working_bits"
         )
-    return EvalResult(total, bound, depth + terms, Method.FUNCTIONAL_EQUATION)
+    return EvalResult(value, bound, sum(counts) + sum(ks), Method.FUNCTIONAL_EQUATION)
 
 
 # ---------------------------------------------------------------------------

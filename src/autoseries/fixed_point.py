@@ -1,9 +1,10 @@
 """Fixed-point partial sums of Dirichlet series, the mpmath summation path.
 
-``fixed_point_sum`` sums c_j times each of a series' denominator powers
+``fixed_point_sums`` sums c_j times each of a series' denominator powers
 d^-s at a context width P (``evaluator._sum`` picks P = working bits + 20
-+ log2 N).  Denominator d gets an integer weight w(d) within Omega(d) + 2
-units of 2^P d^-s (Omega counts prime factors with multiplicity).  n^-s
++ log2 N), and, from the same table, at s + 1, s + 2, ... when asked.
+Denominator d gets an integer weight w(d) within Omega(d) + 2 units of
+2^P d^-s (Omega counts prime factors with multiplicity).  n^-s
 is completely multiplicative, so only primes need a power: w(1) = 2^P, a
 prime's weight is ``ctx.power`` (within about an ulp, at most one unit)
 truncated to an integer, and every other d is a product ab of smaller
@@ -86,10 +87,18 @@ def _weight_table(
     return table
 
 
-def fixed_point_sum(spec, s, n_counters: int, ctx: MPContext):
-    """The first ``n_counters`` terms of ``spec`` (an ``evaluator.SeriesSpec``)
-    at ``s`` (a float or an mpf), as an mpf of ``ctx``, summed in fixed
-    point at P = ctx.prec bits."""
+def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext) -> tuple[list[int], int]:
+    """Partial sums of ``spec`` (an ``evaluator.SeriesSpec``) at the
+    exponents s, s + 1, ..., s + len(counts) - 1, the one at s + i over the
+    first ``counts[i]`` counters (``counts`` does not increase), in fixed
+    point at P = ctx.prec bits: integers S_i and a shift e with sum_i =
+    S_i 2^-e exactly, e >= P.  ``s`` is a float or an mpf.
+
+    Every exponent reads the one weight table of s: the weight of d at
+    s + i + 1 is its weight at s + i floored after division by d, which
+    adds at most one unit and divides the error already there by d >= 2
+    (d = 1 is exact), so a weight stays within Omega(d) + 4 units of
+    2^P d^-(s+i) at every exponent."""
     prec = ctx.prec
     neg_s = -ctx.mpf(s)
 
@@ -97,8 +106,8 @@ def fixed_point_sum(spec, s, n_counters: int, ctx: MPContext):
         return to_fixed(ctx.power(d, neg_s)._mpf_, prec)
 
     j0 = spec.counter_start
-    end = j0 + n_counters
-    lasts = [(d + step * (n_counters - 1), step) for _, d, step in spec.denominators(j0)]
+    end = j0 + counts[0]
+    lasts = [(d + step * (counts[0] - 1), step) for _, d, step in spec.denominators(j0)]
     top = max(last for last, _ in lasts)
     primes = _odd_primes(math.isqrt(top))
     # an even d's odd part is at most d/2, an odd composite's cofactor at most d/3
@@ -113,40 +122,55 @@ def fixed_point_sum(spec, s, n_counters: int, ctx: MPContext):
         while len(weights) < odd_count + top.bit_length():
             weights.append((weights[-1] * w2) >> prec)
 
-    sums: dict[float, int] = {}
+    sums: list[dict[float, int]] = [{} for _ in counts]
     for lo in range(j0, end, _KERNEL_BLOCK):
         count = min(_KERNEL_BLOCK, end - lo)
         letters = spec.coeffs.values(lo, lo + count)
+        # block offsets below which a counter also enters exponent s + 1, s + 2, ...
+        deeper = [c - (lo - j0) for c in counts[1:] if c > lo - j0]
+        first_deep = deeper[0] if deeper else 0
         for sign, d0, step in spec.denominators(lo):
             # factors of the odd denominators past the table
             spf = None
             if d0 + step * (count - 1) >= limit:
                 spf = _smallest_odd_factors(d0, step, count, primes)
-            acc = dict.fromkeys(letters, 0)
+            accs = [dict.fromkeys(letters, 0) for _ in range(1 + len(deeper))]
+            acc = accs[0]
             for i, v in enumerate(letters):
                 if not v:
                     continue
                 d = d0 + step * i
                 if d & 1:
                     if d < limit:
-                        acc[v] += weights[d >> 1]
-                        continue
-                    # p (d/p) when the cofactor is in the table
-                    p = spf[i]
-                    if p and d // p < limit:
-                        acc[v] += (weights[p >> 1] * weights[(d // p) >> 1]) >> prec
-                        continue
+                        w = weights[d >> 1]
+                    else:
+                        # p (d/p) when the cofactor is in the table
+                        p = spf[i]
+                        if p and d // p < limit:
+                            w = (weights[p >> 1] * weights[(d // p) >> 1]) >> prec
+                        else:
+                            w = power(d)
                 else:
                     # 2^k o, o odd, when o is in the table
                     k = (d & -d).bit_length() - 1
                     if d >> k < limit:
-                        acc[v] += (weights[odd_count + k] * weights[d >> (k + 1)]) >> prec
-                        continue
-                acc[v] += power(d)
-            for v, x in acc.items():
-                sums[v] = sums.get(v, 0) + sign * x
+                        w = (weights[odd_count + k] * weights[d >> (k + 1)]) >> prec
+                    else:
+                        w = power(d)
+                acc[v] += w
+                if i < first_deep:
+                    for m, stop in enumerate(deeper, 1):
+                        if i >= stop:
+                            break
+                        w //= d
+                        accs[m][v] += w
+            for out, a in zip(sums, accs):
+                for v, x in a.items():
+                    out[v] = out.get(v, 0) + sign * x
     # sum_v v S_v over a common power-of-two denominator 2^scale
-    ratios = [(v.as_integer_ratio(), x) for v, x in sums.items()]
-    scale = max((den.bit_length() - 1 for (_, den), _ in ratios), default=0)
-    total = sum(num * x << (scale - den.bit_length() + 1) for (num, den), x in ratios)
-    return ctx.ldexp(ctx.mpf(total), -(prec + scale))
+    scale = max((v.as_integer_ratio()[1].bit_length() - 1 for v in sums[0]), default=0)
+    totals = []
+    for by_letter in sums:
+        ratios = [(v.as_integer_ratio(), x) for v, x in by_letter.items()]
+        totals.append(sum(num * x << (scale - den.bit_length() + 1) for (num, den), x in ratios))
+    return totals, prec + scale

@@ -72,6 +72,10 @@ from .evaluator import (
 #: accelerated decomposition when one exists.
 AUTO_NAIVE_CAP = 30_000_000
 
+# The same on the mpmath path, whose naive terms cost about a hundred
+# times more: 2^16 of them take about 0.1 s, the decomposition a few ms.
+_AUTO_NAIVE_CAP_MP = 1 << 16
+
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -450,7 +454,8 @@ def _eval_routed(
         route = Route.NAIVE
         if _affine_form(spec) is not None:
             try:
-                if _naive_counters(spec, s, eps, cap) > AUTO_NAIVE_CAP:
+                naive_cap = AUTO_NAIVE_CAP if prec.is_double else _AUTO_NAIVE_CAP_MP
+                if _naive_counters(spec, s, eps, cap) > naive_cap:
                     route = Route.DECOMPOSED
             except ResourceLimitError:
                 route = Route.DECOMPOSED

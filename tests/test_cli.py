@@ -1,5 +1,7 @@
 """Command-line contract: catalog, exit codes, reports, configuration."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -52,6 +54,19 @@ def test_eval_f_json(capsys):
     assert payload["series"] == "f"
     assert float(payload["abs_error_bound"]) <= 1e-10
     assert payload["method"] == "functional-equation"
+
+
+def test_eval_csv_is_a_header_and_a_value_row(capsys):
+    code, out, _ = run(capsys, "eval", "f", "3", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["series", "s", "eps", "value", "abs_error_bound", "terms_used", "method"]
+    assert len(rows) == 2
+    row = dict(zip(*rows))
+    assert float(row["abs_error_bound"]) <= 1e-8
+    # the JSON rendering of the same request carries the same fields
+    code, out, _ = run(capsys, "eval", "f", "3", "--format", "json")
+    assert json.loads(out) == {**row, "terms_used": int(row["terms_used"])}
 
 
 def test_eval_phi_is_zeta_minus_f_over_two(capsys):

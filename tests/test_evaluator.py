@@ -184,10 +184,14 @@ def test_shift_ratio_on_wide_grid():
 
 
 def test_binomial_weights_at_integer_s():
-    # binom(s+k-1, k) at s = 2 is k+1, so w_k = (k+1) 2^(-2-k)
-    w, _ = _fe_weights(2.0, 20)
-    for k in range(1, 21):
-        assert w[k] == pytest.approx((k + 1) * 2.0 ** (-2 - k), rel=1e-13)
+    # binom(s+k-1, k) at s = 2 is k+1, so w_k = (k+1) 2^(-2-k), exactly
+    # representable at 60 bits: each fixed-point weight is within its error
+    w, err = _fe_weights(2.0, 20, 60)
+    for k in range(1, 22):
+        assert abs(w[k] - ((k + 1) << (58 - k))) <= err[k] < 50
+    # at level j the weights are those of s + j: w_1(5) = 5 2^-6
+    w, err = _fe_weights(2.0, 3, 60, level=3)
+    assert abs(w[1] - (5 << 54)) <= err[1]
 
 
 def test_functional_equation_depth_errors():
