@@ -4,24 +4,35 @@ Three routes live here; ``identities.eval_series_spec`` picks among them
 and adds the odd-index split:
 
 * ``eval_naive``: direct summation of the first N terms with an analytic
-  tail.  The bit-valued streams have a mean mu and a discrepancy bound B,
-  |sum_{n<M} (c_n - mu)| <= B for every M (``CoefficientSequence.discrepancy``):
+  tail.  The bit-valued streams have a mean mu and a discrepancy bound
+  B(M), |R_M| = |sum_{n<M} (c_n - mu)| <= B(M) for every M >= 1
+  (``CoefficientSequence.discrepancy``, which also proves them):
 
       alphabet {a, b}: mu = (a+b)/2, B = |b-a|/2     d_n: mu = 0, B = 1
+      period-doubling: mu = 1/3, B(M) = 1 + (log2 M)/4
 
   which for t_n = {0, 1} is (1/2, 1/2) and for e_n = {1, -1} is (0, 1).
   For weights w_n decreasing to 0, Abel summation gives
   sum_{n>=N1} (c_n - mu) w_n = -R_{N1} w_{N1} + sum_{n>N1} R_n (w_{n-1} - w_n)
-  with |R_n| <= B, so it lies within 2B w_{N1}: the tail is
-  mu a^-s zeta(s, N1/a) +/- 2B N1^-s, N1 the first omitted denominator
-  of the progression a j + b (``SeriesSpec`` derives every such formula
-  from its ``denominators`` table).  The mean
-  part (mu != 0 only) comes from the Euler-Maclaurin engine, and
-  ``required_counters`` solves 2B w <= eps_tail in closed form.
-  Period-doubling and composite9 keep the constant majorant,
-  sum_{n>N} C/n^s <= C N^(1-s)/(s-1); digit sums keep the
-  (b-1)(log_b n + 1) majorant and its integral, with the truncation point
-  from ``_truncation_search``.
+  (R_n w_n -> 0 as B grows like a logarithm).  With a constant B this
+  lies within 2B w_{N1}.  With B(M) = B + g log2 M the second sum, summed
+  by parts, is at most B(N1 + 1) w_{N1} + g sum_{n>N1} log2(1 + 1/n) w_n,
+  and log2(1 + 1/n) <= 1/(n ln 2) <= (a+b)/((a n + b) ln 2) for n >= 1
+  and a progression a n + b with b >= 0; against w_n <= (a n + b)^-s and
+  sum_{n>N1} (a n + b)^(-s-1) <= (a N1 + b)^-s/(a s), the whole tail lies
+  within
+
+      [B(N1) + B(N1 + 1) + g (a+b)/(a s ln 2)] (a N1 + b)^-s,
+
+  for n^s: [2 + (log2 N1 + log2 (N1+1) + 1/(s ln 2))/4] N1^-s.  The mean
+  part mu sum_{n>=N1} w_n is the sum over the ``denominators`` table of
+  sign mu step^-s zeta(s, d/step): mu a^-s zeta(s, N1 + b/a) for one
+  progression a n + b, and mu (zeta(s, N1) - 4^-s zeta(s, N1 + 3/4)) for
+  composite9 (``SeriesSpec.mean_tail``).  The mean part (mu != 0 only)
+  comes from the Euler-Maclaurin engine.  ``required_counters`` solves
+  2B w <= eps_tail in closed form, and searches (``_truncation_search``)
+  where B grows.  Digit sums keep the (b-1)(log_b n + 1) majorant and its
+  integral, with the truncation point from ``_truncation_search``.
 
 * ``eval_functional_equation``: the binomial functional equation
   f(p) = sum_{k>=1} w_k(p) f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0,
@@ -39,7 +50,9 @@ and adds the odd-index split:
   truncation and rounding; the weights sum to 1 - 2^-p < 1, so the error
   does not grow with depth.  J0, the leaves' counters and each K_j come
   from a cost model over s and eps (``_fe_plan``): mpmath powers, leaf
-  terms, and weights.
+  terms, and weights.  J0 = 0, f(s) summed by ``eval_naive``, is one of
+  its plans, and the cheapest one once s is large (the levels then need
+  depths past s - 2 to shrink a leaf of a few terms).
 
 * The zeta + f decomposition (``_eval_decomposed``, and ``eval_phi_gamma``
   for the 0/1 series): an alphabet series over t_n with an n^s denominator
@@ -134,12 +147,17 @@ class SeriesSpec:
     how the shifted series such as f(s) = sum e_{n-1}/n^s are written.
 
     ``denominators`` is the one table of the forms; every other quantity
-    is one formula over its dominant (first) progression a j + b, with j0 =
-    ``counter_start``, B the discrepancy bound, C the majorant, mu the mean:
+    is one formula over it, most over its dominant (first) progression
+    a j + b, with j0 = ``counter_start``, j1 = j0 + n the first omitted
+    counter after n, B + g log2 j the discrepancy bound, C the majorant, mu
+    the mean:
 
-    * Abel tail law (2B, 1, a, a j0 + b, s) (``_power_law``'s tuple);
-    * majorant tail law (C, a (s-1), a, a (j0-1) + b, s-1);
-    * mean part mu a^-s zeta(s, j0 + n + b/a) after n counters;
+    * Abel tail (2B + g (log2 j1 + log2 (j1+1) + (a+b)/(a s ln 2)))
+      (a j1 + b)^-s, which for g = 0 is the power law 2B (a n + a j0 +
+      b)^-s (``_power_law``'s tuple (2B, a, a j0 + b));
+    * mean part after n counters: the sum over the table's entries
+      (sign, d, step) at counter j1 of sign mu step^-s zeta(s, d/step),
+      mu a^-s zeta(s, j1 + b/a) for a single progression;
     * terms majorant C (1 + 1/(a (s-1))); composite9's n^-s - (4n+3)^-s
       is at most n^-s.
     """
@@ -230,24 +248,20 @@ class SeriesSpec:
 
     @property
     def mean(self) -> float:
-        """Mean mu of the coefficients; 0 where the tail is a plain majorant."""
+        """Mean mu of the coefficients; 0 for digit sums, which keep a majorant."""
         disc = self.coeffs.discrepancy
-        return 0.0 if disc is None else disc[0]
+        return 0.0 if disc is None else float(disc[0])
 
-    def _power_law(self, s: float) -> tuple[float, float, float, float, float] | None:
-        """(K, D, alpha, beta, p) with tail_bound(n) = K (alpha n + beta)^-p / D,
-        or None for digit sums."""
-        a, b, j0 = self._progression
+    @cached_property
+    def _power_law(self) -> tuple[float, float, float] | None:
+        """(K, alpha, beta) with tail_bound(n) = K (alpha n + beta)^-s for a
+        bounded discrepancy: 2B times the first omitted weight; None where
+        the bound carries a logarithm (a growing discrepancy, digit sums)."""
         disc = self.coeffs.discrepancy
-        if disc is not None:
-            # Abel: 2B times the first omitted weight, (a (j0 + n) + b)^-s
-            return 2.0 * disc[1], 1.0, a, a * j0 + b, s
-        c = self.coeffs.bound_constant
-        if c is None:
+        if disc is None or disc[2]:
             return None
-        # sum_{j >= j0+n} C (a j + b)^-s <= C (a (j0+n-1) + b)^(1-s) / (a (s-1));
-        # composite9 terms are at most n^-s
-        return c, a * (s - 1.0), a, a * (j0 - 1) + b, s - 1.0
+        a, b, j0 = self._progression
+        return 2.0 * disc[1], a, a * j0 + b
 
     def tail_bound(self, n_counters: int, s: float) -> float:
         """Upper bound on |(sum of all terms beyond the first n_counters)
@@ -255,10 +269,18 @@ class SeriesSpec:
         n = n_counters
         if n < 1:
             raise DomainError("tail bound needs at least one summed term")
-        law = self._power_law(s)
+        law = self._power_law
         if law is not None:
-            k, d, alpha, beta, p = law
-            return k * (alpha * n + beta) ** -p / d
+            k, alpha, beta = law
+            return k * (alpha * n + beta) ** -s
+        disc = self.coeffs.discrepancy
+        if disc is not None:
+            # Abel with |R_j| <= B + g log2 j (module docstring)
+            _, big_b, g = disc
+            a, b, j0 = self._progression
+            j1 = j0 + n
+            growth = math.log2(j1) + math.log2(j1 + 1) + (a + b) / (a * s * math.log(2.0))
+            return (2.0 * big_b + g * growth) * (a * j1 + b) ** -s
         # digit-sum majorant (b-1)(log_b x + 1), decreasing after division
         # by x^s once log_b x >= 1, hence the n >= base floor in the schedule
         b = self.coeffs.base
@@ -271,16 +293,25 @@ class SeriesSpec:
         )
 
     def mean_tail(self, n_counters: int, s: float, ctx: MPContext | None):
-        """(coefficient, x) with mu * (sum of the weights beyond the first
-        n_counters) = coefficient * zeta(s, x); for a series with mu != 0.
+        """(coefficient, x) pairs with mu * (sum of the weights beyond the
+        first n_counters) = sum of coefficient * zeta(s, x); for a series
+        with mu != 0.
 
-        The omitted weights (a j + b)^-s, j >= j0 + n, sum to
-        a^-s zeta(s, j0 + n + b/a).  ``ctx`` is ``_combine_ctx``'s context.
+        Entry (sign, d, step) of the table at the first omitted counter
+        holds the weights sign (d + step k)^-s, k >= 0, which sum to sign
+        step^-s zeta(s, d/step): one pair for n^s and (2n+1)^s, and for
+        composite9 mu (zeta(s, N1) - 4^-s zeta(s, N1 + 3/4)).  ``ctx`` is
+        ``_combine_ctx``'s context, where mu is exact to its rounding.
         """
-        a, b, j0 = self._progression
+        mu = self.coeffs.discrepancy[0]
+        table = self.denominators(self.counter_start + n_counters)
         if ctx is None:
-            return self.mean * a ** (-s), j0 + n_counters + b / a
-        return ctx.mpf(self.mean) * ctx.power(a, -ctx.mpf(s)), j0 + n_counters + b / a
+            mu = float(mu)
+            return [(sign * (mu * float(step) ** (-s)), d / step) for sign, d, step in table]
+        num, den = mu.as_integer_ratio()
+        mu = ctx.mpf(num) / den
+        return [(sign * (mu * ctx.power(float(step), -ctx.mpf(s))), d / step)
+                for sign, d, step in table]
 
     def abs_sum_bound(self, n_counters: int, s: float) -> float:
         """Upper bound on sum of |terms|, used only for the rounding budget."""
@@ -294,20 +325,23 @@ class SeriesSpec:
         """Smallest counter count whose tail bound undershoots eps_tail."""
         min_n = max(2, self.counter_start + 1)
         what = f"naive evaluation of {self.label()} at s={s:g}"
-        law = self._power_law(s)
+        law = self._power_law
         if law is None:
+            # the digit-sum bound decreases from n = base on, the Abel bound
+            # of a growing discrepancy from n = 1 on
+            digits = self.coeffs.discrepancy is None
             return _truncation_search(
                 lambda n: self.tail_bound(n, s),
-                max(min_n, self.coeffs.base, 16),
+                max(min_n, self.coeffs.base, 16) if digits else min_n,
                 eps_tail,
                 max_terms,
                 what,
             )
-        k, d, alpha, beta, p = law
+        k, alpha, beta = law
         if k == 0.0:
             return min_n
-        # K (alpha n + beta)^-p / D <= eps_tail, solved in logs so nothing overflows
-        log_x = (math.log(k) - math.log(d) - math.log(eps_tail)) / p
+        # K (alpha n + beta)^-s <= eps_tail, solved in logs so nothing overflows
+        log_x = (math.log(k) - math.log(eps_tail)) / s
         if log_x > math.log(alpha * 4.0 * max_terms):
             raise ResourceLimitError(
                 f"{what} to eps={eps_tail:g} needs "
@@ -523,16 +557,21 @@ def eval_naive(
     bound = spec.tail_bound(n, s) + rounding
     mean, terms = 0.0, n
     if spec.mean:
-        coef, a = spec.mean_tail(n, exact, _combine_ctx(prec))
-        # |coef| <= |mu| (2^-s < 1 for odd denominators), so this also
-        # survives 2^-s underflowing to 0
-        z = _zeta_leaf(
-            lambda p: _hurwitz_core(exact, a, p), _MEAN_FRACTION * eps / abs(spec.mean), prec
-        )
-        mean = coef * z.value
-        # the leaf's bound, then the product and the final addition
-        bound += abs(float(coef)) * z.abs_error_bound + 4.0 * u * (abs_sum + abs(float(mean)))
-        terms += z.terms_used
+        leaves = spec.mean_tail(n, exact, _combine_ctx(prec))
+        # each |coef| = |mu| step^-s <= |mu|, so sharing by |mu| also
+        # survives step^-s underflowing to 0
+        share = _MEAN_FRACTION * eps / (abs(spec.mean) * len(leaves))
+        parts = leaf_bounds = 0.0
+        for coef, a in leaves:
+            z = _zeta_leaf(lambda p, a=a: _hurwitz_core(exact, a, p), share, prec)
+            part = coef * z.value
+            mean += part
+            parts += abs(float(part))
+            leaf_bounds += abs(float(coef)) * z.abs_error_bound
+            terms += z.terms_used
+        # the leaves' bounds, then the coefficients, products, their sum
+        # and the final addition (parts <= abs_sum)
+        bound += leaf_bounds + 4.0 * u * (abs_sum + parts)
     if bound > eps:
         raise ResourceLimitError(
             f"cannot certify eps={eps:g} for {spec.label()} at s={s:g}: "
@@ -641,19 +680,35 @@ def _fe_plan(s: float, eps: float, prec: Precision, depth: int | None, cap: int)
     """(J0, truncation depth K_j of each level j < J0, counters of each leaf
     f(s + J0 + i)) of least predicted cost (``_FE_COST_US``).
 
-    A larger J0 makes the leaves cheaper, N ~ (2/eps)^(1/(s+J0)), and adds
-    a level of about K weights; the cost falls and then rises in J0, so the
-    search stops three steps past its best.  Each level's truncation
-    remainder gets 0.45 eps / J0; the deepest level has the largest K,
-    because the weights move outward as s + j grows."""
+    J0 = 0 is f(s) summed directly (``eval_naive``, its tail at 0.95 eps),
+    weighed unless ``depth`` is fixed.  A larger J0 makes the leaves
+    cheaper, N ~ (2/eps)^(1/(s+J0)), and adds a level of about K weights;
+    the cost falls and then rises in J0, so the search stops three steps
+    past its best, or where no truncation depth below 1000 fits (K grows
+    past s + j - 2).  Each level's truncation remainder gets 0.45 eps / J0;
+    the deepest level has the largest K, because the weights move outward
+    as s + j grows."""
     double = prec.is_double
     cost_power, cost_term, cost_weight = _FE_COST_US[double]
     leaf_tail = _FE_LEAF_SHARE * _TAIL_FRACTION * eps
     best, best_cost = None, math.inf
+    n_direct = _leaf_counters(s, _TAIL_FRACTION * eps)
+    if depth is None and n_direct <= cap:
+        best = 0
+        if double:
+            best_cost = n_direct * (cost_power + cost_term)
+        else:
+            best_cost = cost_power * n_direct / math.log(n_direct + 1) + cost_term * n_direct
     for j0 in range(1, 200):
         if best is not None and j0 - best > 3:
             break
-        k_top = depth if depth is not None else depth_for(s + (j0 - 1), _FE_TRUNC_SHARE * eps / j0)
+        try:
+            k_top = depth if depth is not None else depth_for(
+                s + (j0 - 1), _FE_TRUNC_SHARE * eps / j0)
+        except ResourceLimitError:
+            if best is None:
+                raise
+            break
         n0 = _leaf_counters(s + j0, leaf_tail)
         if n0 > cap:
             continue
@@ -678,6 +733,8 @@ def _fe_plan(s: float, eps: float, prec: Precision, depth: int | None, cap: int)
             f"more than {cap} terms in every leaf (cap {cap})"
         )
     j0 = best
+    if j0 == 0:
+        return 0, [], []
     ks = [depth if depth is not None else depth_for(s + j, _FE_TRUNC_SHARE * eps / j0)
           for j in range(j0)]
     rows = max(j + k for j, k in enumerate(ks)) + 1 - j0
@@ -733,7 +790,8 @@ def eval_functional_equation(
     equation at p = s + j, truncated at their own depth K_j (``depth``
     fixes every K_j), to the levels and leaves above them, in fixed point
     at q bits on both paths (``_fe_weights``).  ``_fe_plan`` picks J0, the
-    leaves' counters and each K_j.
+    leaves' counters and each K_j; where J0 = 0 is cheapest, f(s) is summed
+    directly (``eval_naive``) and the result's method says so.
 
     Bounds propagate from the actual inner bounds: bound_j = sum_k w_k
     bound_{j+k} + trunc_j + rounding_j.  The weights sum to 1 - 2^-p < 1,
@@ -749,6 +807,8 @@ def eval_functional_equation(
     prec = prec if prec is not None else Precision.for_eps(eps)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     j0, ks, counts = _fe_plan(s, eps, prec, depth, cap)
+    if j0 == 0:
+        return eval_naive(F_SERIES, s, eps, prec, max_terms)
     tau = _FE_TRUNC_SHARE * eps / j0
 
     # guard bits for the weights' error growth, up to 2^(s+J0)
@@ -843,7 +903,7 @@ def _eval_decomposed(
     slope = high - low if ctx is None else ctx.mpf(high) - low
     alpha = low + slope / 2
     beta = -slope / 2 if shifted else slope * ((q + 1) / (2 * (1 - q)))
-    leaves = []
+    leaves, method = [], Method.EULER_MACLAURIN
     for coef, share, key, fn in (
         (alpha, 0.25, "zeta", lambda e: _zeta_leaf(lambda p: riemann_zeta(s, p), e, prec)),
         (beta, 0.45, "f", lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms)),
@@ -851,14 +911,16 @@ def _eval_decomposed(
         coef_abs = abs(float(coef))
         if coef_abs != 0.0:
             leaves.append((coef, cache.get_or_eval((key, s), share * eps / coef_abs, fn)))
+            if key == "f":
+                method = leaves[-1][1].method
     value, bound, terms = _weighted_sum(leaves, prec)
     if bound > eps:
         raise ResourceLimitError(
             f"{spec.label()} decomposition certified only {bound:g} > eps={eps:g} at s={s:g}"
         )
-    # without an f leaf only the Euler-Maclaurin zeta ran (or, for the
-    # all-zero alphabet, nothing, which still counts as one term)
-    method = Method.FUNCTIONAL_EQUATION if float(beta) != 0.0 else Method.EULER_MACLAURIN
+    # the f leaf's route names the result; without one only the
+    # Euler-Maclaurin zeta ran (or, for the all-zero alphabet, nothing,
+    # which still counts as one term)
     return EvalResult(value, bound, max(terms, 1), method)
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -122,22 +123,56 @@ def period_doubling_block(lo: int, hi: int) -> np.ndarray:
     return _parity_block(low_bit - np.uint64(1))
 
 
+#: Largest low-digit table ``digit_sum_block`` keeps per base, in entries.
+_DIGIT_TABLE_LIMIT = 1 << 16
+
+
+@cache
+def _low_digit_sums(base: int) -> np.ndarray:
+    """s_b(L) for 0 <= L < q, q = b^k the largest power of b <= 2^16
+    (k >= 1, so 3 <= b <= 2^16), in the narrowest unsigned type that holds
+    k (b - 1): uint8 up to base 128.  Built on first use per base."""
+    q, k = base, 1
+    while q * base <= _DIGIT_TABLE_LIMIT:
+        q, k = q * base, k + 1
+    dtype = np.min_scalar_type(k * (base - 1))
+    digits = np.arange(base, dtype=dtype)
+    table = digits
+    for _ in range(k - 1):
+        # s_b(H b + d) = s_b(H) + d
+        table = (table[:, None] + digits).ravel()
+    return table
+
+
 def digit_sum_block(lo: int, hi: int, base: int) -> np.ndarray:
-    """s_b(n) for n in [lo, hi), lo >= 1."""
+    """s_b(n) for n in [lo, hi), lo >= 1.
+
+    Base 2 counts bits.  Any other base splits the range at multiples of
+    q = b^k (``_low_digit_sums``; q = b past 2^16), where s_b(H q + L) =
+    s_b(H) + s_b(L): each piece is a slice of the table of s_b(L), L < q,
+    plus one scalar ``digit_sum(H)``."""
     if base < 2:
         raise DomainError(f"digit-sum base must be >= 2, got {base}")
     if lo < 1:
         raise DomainError(f"digit sum needs n >= 1, got range start {lo}")
-    idx = _indices(lo, hi)
     if base == 2:
-        return np.bitwise_count(idx).astype(np.int64)
-    b = np.uint64(base)
-    acc = np.zeros(idx.shape, dtype=np.uint64)
-    x = idx.copy()
-    while x.any():
-        acc += x % b
-        x //= b
-    return acc.astype(np.int64)
+        return np.bitwise_count(_indices(lo, hi)).astype(np.int64)
+    if hi < lo:
+        raise DomainError(f"bad index range [{lo}, {hi})")
+    table = _low_digit_sums(base) if base <= _DIGIT_TABLE_LIMIT else None
+    q = base if table is None else len(table)
+    out = np.empty(hi - lo, dtype=np.int64)
+    n = lo
+    while n < hi:
+        high, low = divmod(n, q)
+        end = min(hi, n + q - low)
+        # below q = b there is one digit, s_b(L) = L
+        piece = out[n - lo : end - lo]
+        piece[:] = np.arange(low, low + end - n) if table is None else table[low : low + end - n]
+        if high:
+            piece += digit_sum(high, base)
+        n = end
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +194,10 @@ class CoefficientSequence:
     ``base`` is only meaningful for digit sums; ``low``/``high`` only for
     affine alphabets (the values taken where t_n is 0 and 1).  t_n is the
     alphabet {0, 1} and e_n the alphabet {1, -1}; their labels stay "t"
-    and "pm".  The majorant feeds the evaluator's analytic tail bounds: it
-    is the constant 1 for d_n and period-doubling, max(|low|, |high|) for
-    alphabets, and (b-1) (floor(log_b n) + 1) for digit sums.
+    and "pm".  The majorant feeds the digit sums' tail bounds and every
+    rounding budget: it is the constant 1 for d_n and period-doubling,
+    max(|low|, |high|) for alphabets, and (b-1) (floor(log_b n) + 1) for
+    digit sums; the other streams' tails use ``discrepancy``.
     """
 
     kind: SequenceKind
@@ -265,23 +301,43 @@ class CoefficientSequence:
         return 1.0
 
     @cached_property
-    def discrepancy(self) -> tuple[float, float] | None:
-        """Mean mu and discrepancy bound B with |sum_{min_index<=n<M} (c_n - mu)| <= B
-        for every M, or None where only the majorant is used.
+    def discrepancy(self) -> tuple[float | Fraction, float, float] | None:
+        """Mean mu, bound B and growth g with
+
+            |D(M)| = |sum_{min_index<=n<M} (c_n - mu)| <= B + g log2 M
+
+        for every M >= 1, or None for digit sums, which keep the majorant.
 
         t_{2k} + t_{2k+1} = 1, so the partial sums of t_n - 1/2 are 0 or
         +/-1/2, and an alphabet {a, b} is (a+b)/2 + (b-a)(t_n - 1/2): mu =
         (a+b)/2, B = |b-a|/2, which is (1/2, 1/2) for t_n and (0, 1) for
         e_n.  The partial sums of d_n telescope to t_{M-1} - t_0, in
-        {0, 1}.  Digit sums and period-doubling return None.  (The
-        rounding of mu and B for an alphabet stays within the evaluator's
-        rounding budget.)
+        {0, 1}.  These bounded streams have g = 0.  (The rounding of mu and
+        B for an alphabet stays within the evaluator's rounding budget.)
+
+        Period-doubling, c_n = [v_2(n+1) odd], has mu = 1/3 (kept exact, as
+        a Fraction), B = 1 and g = 1/4.  Proof: #{1 <= m <= M : v_2(m) = j}
+        = floor(M/2^j) - floor(M/2^(j+1)), so sum_{n<M} c_n = sum_{j>=1}
+        (-1)^(j+1) floor(M/2^j); with sum_{j>=1} (-1)^(j+1) 2^-j = 1/3,
+
+            D(M) = -sum_{j>=1} (-1)^(j+1) {M/2^j}.
+
+        Let r_j = M mod 2^j and b_j bit j of M, so r_{j+1} = r_j + b_j 2^j.
+        Pairing each odd j with j + 1 gives {M/2^j} - {M/2^(j+1)} = r_j
+        2^-(j+1) - b_j/2, in (-1/2, 1/2).  With L = bit_length(M): the
+        floor(L/2) pairs with j < L lie in (-1/2, 1/2) each; for j >= L,
+        r_j = M and b_j = 0, so those pairs are positive and sum to at
+        most (4/3) M 2^-(L+1) < 2/3.  Hence |D(M)| < L/4 + 2/3 <= 1 +
+        (log2 M)/4, as L <= log2 M + 1.  (Over M <= 2^k the largest |D(M)|
+        is ceil(k/2)/3 for 1 <= k <= 20, so the log2 growth is real.)
         """
         k = self.kind
         if k is SequenceKind.DELTA:
-            return 0.0, 1.0
+            return 0.0, 1.0, 0.0
         if k is SequenceKind.AFFINE:
-            return (self.low + self.high) / 2, abs(self.high - self.low) / 2
+            return (self.low + self.high) / 2, abs(self.high - self.low) / 2, 0.0
+        if k is SequenceKind.PERIOD_DOUBLING:
+            return Fraction(1, 3), 1.0, 0.25
         return None
 
     def value_bound(self, n: int) -> float:

@@ -137,6 +137,9 @@ def solve_case(case: AlphabetCase | str, k: float, l: float) -> AlphabetSolution
     l = float(l)
     ratio = _ratio_for_case(case, k, l)
     s = math.log2(ratio)
+    if s >= 1024.0:
+        # a subnormal k - l can push the ratio near the float maximum
+        raise DomainError(f"solved s={s:g} puts 2^s past the float range")
     residual = abs(lambda_fn(s, k, l) - case_target(case, s))
     tol = RESIDUAL_RTOL * (1.0 + 2.0**s)
     if not residual <= tol:

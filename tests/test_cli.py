@@ -492,3 +492,61 @@ def test_verify_all_completes_quickly(tmp_path, capsys):
     # registry order is preserved, s ascending within an identity
     assert ids == sorted(ids, key=ids.index)
     assert doc.summary["total"] == len(ids) >= 13
+
+
+def test_consecutive_main_calls_share_no_state(capsys):
+    # main reuses one parser per process; no call may leak into the next
+    code, out, _ = run(capsys, "verify", "--all")
+    assert code == 0 and "summary: 35/35 passed" in out
+    code, out, _ = run(capsys, "verify", "theorem3")
+    assert code == 0
+    records = [line for line in out.splitlines() if line.startswith("[")]
+    assert len(records) == 3 and all(" theorem3 " in line for line in records)
+    assert "summary: 3/3 passed" in out
+    code, out, _ = run(capsys, "eval", "f", "2", "1e-8", "--method", "naive")
+    assert json.loads(out)["method"] == "naive"
+    code, out, _ = run(capsys, "eval", "f", "2", "1e-8")
+    assert json.loads(out)["method"] == "functional-equation"
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval"])
+        assert exc.value.code == 2
+        code, _, err = run(capsys, "eval", "nosuch", "2")
+        assert code == 2 and "unknown series" in err
+    assert main(["list"]) == 0
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("s, max_terms", [("1000", 2), ("200", 10)])
+def test_eval_f_at_large_s_sums_directly(capsys, s, max_terms):
+    # the functional equation needs a truncation depth past s - 2 at every
+    # level (none below 1000 at s = 1000); two terms of f itself suffice
+    code, out, _ = run(capsys, "eval", "f", s, "1e-8")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "naive"
+    assert payload["terms_used"] <= max_terms
+    assert float(payload["abs_error_bound"]) <= 1e-8
+
+
+def test_setup_request_builds_no_table_and_imports_no_fixed_point():
+    # the cheap request a fresh process answers first: no digit-sum table
+    # is built and the mpmath summation kernel is never imported
+    import subprocess
+    import sys
+
+    import autoseries
+
+    code = (
+        "import sys, io, contextlib\n"
+        "import autoseries.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['eval', 'f', '6', '1e-8']) == 0\n"
+        "from autoseries import sequences\n"
+        "assert sequences._low_digit_sums.cache_info().currsize == 0\n"
+        "assert 'autoseries.fixed_point' not in sys.modules\n"
+    )
+    src = str(Path(autoseries.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -6,6 +6,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath.ctx_base import StandardBaseContext
 
@@ -210,6 +211,19 @@ def test_cross_method_grid():
         assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, s
 
 
+def test_functional_equation_levels_against_naive():
+    # where f summed directly is the cheapest plan the route takes it (and
+    # says so); a fixed depth keeps the levels, which must still agree
+    # with an independent naive sum
+    assert eval_functional_equation(4.0, 1e-10).method is Method.NAIVE
+    assert eval_functional_equation(2.0, 1e-10).method is Method.FUNCTIONAL_EQUATION
+    for s in (3.0, 4.0, 6.0):
+        rf = eval_functional_equation(s, 1e-10, depth=80)
+        assert rf.method is Method.FUNCTIONAL_EQUATION
+        rn = eval_naive(F_SERIES, s, 1e-12)
+        assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, s
+
+
 # -- 0/1 series -------------------------------------------------------------------
 
 
@@ -283,6 +297,99 @@ def test_composite9_against_hurwitz():
         hz = hurwitz_zeta(s, 0.25, Precision(target_eps=1e-10))
         resid = abs(rc.value - 4.0**-s * hz.value)
         assert resid <= rc.abs_error_bound + 4.0**-s * hz.abs_error_bound
+
+
+_PD_GRID_S = (1.5, 2.0, 3.0, 4.0, 5.5)
+_PD_GRID_EPS = (1e-6, 1e-8, 1e-10, 1e-13)
+
+
+def _pd_paths(eps: float):
+    """(precision, term cap): the float64 path where 53 bits certify eps,
+    and the fixed-point mpmath path at 64 bits or the default width."""
+    paths = []
+    if Precision.for_eps(eps).is_double:
+        paths.append((Precision(53, eps), 4 * 10**6))
+    wide = Precision(max(64, Precision.for_eps(eps).working_bits), eps)
+    paths.append((wide, 2 * 10**5))
+    return paths
+
+
+def test_composite9_bound_honesty_against_hurwitz():
+    # Abel tail with mu = 1/3 and B(M) = 1 + (log2 M)/4, and the mean part
+    # over both progressions: against 4^-s zeta(s, 1/4) at twice the bits;
+    # a request past the cap must be refused with a named limit
+    checked = 0
+    for s in _PD_GRID_S:
+        for eps in _PD_GRID_EPS:
+            for prec, cap in _pd_paths(eps):
+                try:
+                    r = eval_naive(COMPOSITE9_SERIES, s, eps, prec, cap)
+                except ResourceLimitError:
+                    continue
+                checked += 1
+                assert r.abs_error_bound <= eps
+                assert prec.is_double == isinstance(r.value, float)
+                ctx = mpmath.MPContext()
+                ctx.prec = 2 * prec.working_bits
+                ref = ctx.power(4, -ctx.mpf(s)) * ctx.zeta(ctx.mpf(s), ctx.mpf(1) / 4)
+                err = abs(ctx.mpf(r.value) - ref)
+                assert err <= r.abs_error_bound, (s, eps, prec.working_bits)
+    assert checked >= 25
+
+
+def test_period_doubling_series_against_itself_wider():
+    # sum_{n>=1} p_n/n^s: every request against the same series at 20 more
+    # bits and eps 1e-3, where that reference stays under 2e5 terms
+    spec = SeriesSpec(CoefficientSequence.period_doubling())
+    checked = 0
+    for s in _PD_GRID_S:
+        for eps in _PD_GRID_EPS:
+            ref_eps = eps * 1e-3
+            if spec.required_counters(s, 0.7 * ref_eps, 10**12) > 2 * 10**5:
+                continue
+            for prec, cap in _pd_paths(eps):
+                r = eval_naive(spec, s, eps, prec, cap)
+                ref = eval_naive(spec, s, ref_eps, Precision(prec.working_bits + 20, ref_eps))
+                assert r.abs_error_bound <= eps
+                ctx = mpmath.MPContext()
+                ctx.prec = prec.working_bits + 60
+                diff = abs(ctx.mpf(r.value) - ctx.mpf(ref.value))
+                assert diff <= r.abs_error_bound + ref.abs_error_bound, (s, eps, prec.working_bits)
+                checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SeriesSpec(CoefficientSequence.period_doubling()), COMPOSITE9_SERIES],
+    ids=lambda spec: spec.label(),
+)
+def test_period_doubling_tail_dominates_its_abel_sum(spec):
+    # the tail law must dominate |R_J| w_J + sum_{n>J} |R_n| (w_{n-1} - w_n)
+    # over the stream's actual partial sums R_n = sum_{m<n} (c_m - 1/3),
+    # here up to n = 2^18, for the J where |R_J| peaks; 2 w_J, the bound
+    # of a constant B = 1, falls short by up to 1.8 times
+    top = 2**18
+    c = spec.coeffs.block(0, top + 1)
+    abs_r = np.abs(np.concatenate([[0.0], np.cumsum(3.0 * c - 1.0)])) / 3.0
+    j = np.arange(1, top + 1, dtype=np.float64)
+    for s in (1.1, 1.5, 2.0, 3.0):
+        w = np.zeros(top + 1)
+        for sign, d, step in spec.denominators(1):
+            w[1:] += sign * (d + step * (j - 1)) ** -s
+        for k in range(3, 17):
+            j1 = 2**k + int(np.argmax(abs_r[2**k : 2 ** (k + 1)]))
+            steps = w[j1 : top - 1] - w[j1 + 1 : top]
+            abel = abs_r[j1] * w[j1] + np.sum(abs_r[j1 + 1 : top] * steps)
+            assert abel <= spec.tail_bound(j1 - spec.counter_start, s), (s, j1)
+
+
+def test_composite9_work_counts():
+    # 2.15e6 terms under the constant majorant at (2, 1e-6); 14,701 at
+    # (4.01, 1e-13) on the mpmath path
+    assert eval_naive(COMPOSITE9_SERIES, 2.0, 1e-6).terms_used <= 5_000
+    r = eval_series_spec(COMPOSITE9_SERIES, 4.01, 1e-13)
+    assert not isinstance(r.value, float) and r.terms_used <= 5_000
 
 
 def test_delta_bridge_to_odd_series():
@@ -483,7 +590,9 @@ _KERNEL_FORMS = {
 
 # (stream, form, working bits) -> eval_naive's (terms_used, abs_error_bound)
 # at s = 6 and eps 1e-12 (64 bits) or 1e-16 (113 bits), as the per-term
-# mpmath loop that the kernel replaced reported them
+# mpmath loop that the kernel replaced reported them; the period-doubling
+# rows are those of its Abel tail (mu = 1/3, B = 1 + (log2 M)/4), which
+# replaced its constant majorant after the kernel
 _KERNEL_COUNTS = {
     ("t", "n", 64): (122, 6.669338617960209e-13),
     ("t", "n", 113): (508, 6.967782049083893e-17),
@@ -499,14 +608,14 @@ _KERNEL_COUNTS = {
     ("pm", "odd", 113): (263, 9.336117403050857e-17),
     ("delta", "n", 64): (113, 9.111772587044397e-13),
     ("delta", "n", 113): (525, 9.443120481659301e-17),
-    ("pd", "n", 64): (184, 9.482935296737175e-13),
-    ("pd", "n", 113): (1161, 9.481322018526016e-17),
-    ("pd", "shifted", 64): (184, 9.482935296737175e-13),
-    ("pd", "shifted", 113): (1161, 9.481322018526016e-17),
-    ("pd", "odd", 64): (81, 9.244265556117075e-13),
-    ("pd", "odd", 113): (506, 9.467694199432756e-17),
-    ("pd", "composite9", 64): (184, 9.482935296737175e-13),
-    ("pd", "composite9", 113): (1161, 9.481322018526016e-17),
+    ("pd", "n", 64): (157, 6.87707197526416e-13),
+    ("pd", "n", 113): (693, 6.962872006620825e-17),
+    ("pd", "shifted", 64): (157, 6.944197481828968e-13),
+    ("pd", "shifted", 113): (694, 6.962910373161679e-17),
+    ("pd", "odd", 64): (86, 6.56718373005256e-13),
+    ("pd", "odd", 113): (351, 6.886718874354267e-17),
+    ("pd", "composite9", 64): (173, 6.877072135401532e-13),
+    ("pd", "composite9", 113): (709, 6.962872058702976e-17),
     ("digitsum3", "n", 64): (307, 9.380404367029797e-13),
     ("digitsum3", "n", 113): (2027, 9.483464434723061e-17),
     ("third-five-halves", "n", 64): (136, 6.911604576227344e-13),

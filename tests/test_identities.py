@@ -47,6 +47,14 @@ def test_s2_naive_records_stay_small(ident):
     assert rec.terms_used <= 10**6
 
 
+def test_example9_sums_thousands_of_terms():
+    # the period-doubling Abel tail: 2,148,228 terms at s = 2 under the
+    # constant majorant
+    rec = verify(get_identity("example9"), 2.0, get_identity("example9").default_eps)
+    assert rec.passed
+    assert rec.terms_used <= 20_000
+
+
 def test_registry_has_at_least_thirteen_identities():
     assert len(builtin_registry()) >= 13
 

@@ -229,7 +229,8 @@ _R2 = 2.0**0.5
 def test_discrepancy_bound_by_brute_force(seq):
     # max_M |sum_{min_index<=n<M} (c_n - mu)| over M <= 2^16, in exact
     # rational arithmetic on the stored coefficients, is exactly B
-    mu_f, b_f = seq.discrepancy
+    mu_f, b_f, growth = seq.discrepancy
+    assert growth == 0.0
     if seq.kind is SequenceKind.AFFINE:
         low, high = Fraction(seq.low), Fraction(seq.high)
         mu, b = (low + high) / 2, abs(high - low) / 2
@@ -245,8 +246,48 @@ def test_discrepancy_bound_by_brute_force(seq):
 
 
 def test_majorant_streams_have_no_discrepancy():
-    assert CoefficientSequence.period_doubling().discrepancy is None
     assert CoefficientSequence.digit_sum(3).discrepancy is None
+
+
+def test_period_doubling_discrepancy_by_brute_force():
+    # |D(M)| <= B + g log2 M = 1 + (log2 M)/4 for every 1 <= M <= 2^20, in
+    # exact integers: with X = 3|D(M)| (an integer), X <= 3 + (3/4) log2 M
+    # holds iff 4 (X - 3) <= 0 or 2^(4 (X - 3)) <= M^3
+    mu, b, g = CoefficientSequence.period_doubling().discrepancy
+    assert (mu, b, g) == (Fraction(1, 3), 1.0, 0.25)
+    top = 2**20
+    c = period_doubling_block(0, top).astype(np.int64)
+    three_d = np.abs(np.cumsum(3 * c - 1))  # 3 |D(M)| at M = 1 .. 2^20
+    for x3 in np.unique(three_d[three_d > 3]):
+        # the first M at which 3 |D(M)| reaches x3 is the hardest case
+        m = int(np.argmax(three_d == x3)) + 1
+        assert 2 ** (4 * (int(x3) - 3)) <= m**3, m
+    # the largest |D(M)| over M <= 2^k is ceil(k/2)/3: the bound's log2
+    # growth is needed
+    for k in range(1, 21):
+        assert three_d[: 2**k].max() == (k + 1) // 2
+
+
+_DIGIT_BASES = [*range(2, 17), 36]
+
+
+@pytest.mark.parametrize("base", _DIGIT_BASES)
+def test_digit_sum_block_at_table_edges(base):
+    # q = b^k is the table length (b^k <= 2^16); ranges that start or end
+    # at q - 1, q, q + 1, straddle several multiples of q, or start far out
+    q = base
+    while q * base <= 1 << 16:
+        q *= base
+    ranges = [(lo, hi) for lo in (1, q - 1, q, q + 1) for hi in (q - 1, q, q + 1, q + 2) if lo < hi]
+    ranges += [(q - 3, 3 * q + 5), (5 * q - 1, 5 * q + 1), (q * q - 2, q * q + 2)]
+    ranges += [(lo, lo + 3 * q // 2) for lo in (2**40, 10**15, 2**40 - q // 2, 10**15 - 1)]
+    for lo, hi in ranges:
+        lo = max(lo, 1)
+        step = max(1, (hi - lo) // 3000)
+        blk = digit_sum_block(lo, hi, base)
+        assert blk.dtype == np.int64 and len(blk) == hi - lo
+        picks = sorted({*range(0, hi - lo, step), *range(max(0, hi - lo - 50), hi - lo)})
+        assert [int(blk[i]) for i in picks] == [digit_sum(lo + i, base) for i in picks], (lo, hi)
 
 
 # -- stream plumbing -------------------------------------------------------------

@@ -183,6 +183,7 @@ def test_round_trip_hundred_random_alphabets():
 )
 @settings(max_examples=150, deadline=None)
 @example(AlphabetCase.ZERO, 9.29e-60, -1.0)
+@example(AlphabetCase.POW_S_MINUS_2, 1.1125369292536007e-308, -5e-324)
 def test_solver_property_balance_hits_target(case, k, l):
     try:
         sol = solve_case(case, k, l)
