@@ -83,8 +83,8 @@ keeps the weights of the odd numbers below 2^15 (16,384 integers); a
 denominator whose odd part or cofactor lies past it takes a power of its
 own.
 
-Weighted sums of certified values (the decomposition, the left side of
-an identity) go through ``_weighted_sum``.  A zeta-type
+Weighted sums of certified values (the decomposition, both sides of an
+identity) go through ``_weighted_sum``.  A zeta-type
 leaf whose share eps/|coefficient| is finer than the working width can
 certify runs wider on its own (``_zeta_leaf``).
 """
@@ -470,6 +470,10 @@ def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
     Returns the compensated (Kahan) value, its bound
     remainder + sum_i |c_i| bound_i + 8u sum_i |c_i v_i|, and the terms the
     leaves used; ``remainder`` bounds whatever the pairs leave out.
+    The 8u covers, per term, the evaluation of c_i itself (2^s and a few
+    Horner roundings for a ratio of degree <= 2 without cancellation, or
+    one division for an exact fraction), the product c_i v_i, and its
+    share of the compensated sum.
     ``pairs`` may be a generator; each leaf is then evaluated as it is added.
     """
     total = 0.0
@@ -676,24 +680,23 @@ def _leaf_counters(p: float, tail_eps: float) -> int:
     return max(2, math.ceil(math.exp(min(log_n, 700.0))) - 1)
 
 
-def _fe_plan(s: float, eps: float, prec: Precision, depth: int | None, cap: int):
+def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
     """(J0, truncation depth K_j of each level j < J0, counters of each leaf
     f(s + J0 + i)) of least predicted cost (``_FE_COST_US``).
 
-    J0 = 0 is f(s) summed directly (``eval_naive``, its tail at 0.95 eps),
-    weighed unless ``depth`` is fixed.  A larger J0 makes the leaves
-    cheaper, N ~ (2/eps)^(1/(s+J0)), and adds a level of about K weights;
-    the cost falls and then rises in J0, so the search stops three steps
-    past its best, or where no truncation depth below 1000 fits (K grows
-    past s + j - 2).  Each level's truncation remainder gets 0.45 eps / J0;
-    the deepest level has the largest K, because the weights move outward
-    as s + j grows."""
+    J0 = 0 is f(s) summed directly (``eval_naive``, its tail at 0.95 eps).
+    A larger J0 makes the leaves cheaper, N ~ (2/eps)^(1/(s+J0)), and adds
+    a level of about K weights; the cost falls and then rises in J0, so the
+    search stops three steps past its best, or where no truncation depth
+    below 1000 fits (K grows past s + j - 2).  Each level's truncation
+    remainder gets 0.45 eps / J0; the deepest level has the largest K,
+    because the weights move outward as s + j grows."""
     double = prec.is_double
     cost_power, cost_term, cost_weight = _FE_COST_US[double]
     leaf_tail = _FE_LEAF_SHARE * _TAIL_FRACTION * eps
     best, best_cost = None, math.inf
     n_direct = _leaf_counters(s, _TAIL_FRACTION * eps)
-    if depth is None and n_direct <= cap:
+    if n_direct <= cap:
         best = 0
         if double:
             best_cost = n_direct * (cost_power + cost_term)
@@ -703,8 +706,7 @@ def _fe_plan(s: float, eps: float, prec: Precision, depth: int | None, cap: int)
         if best is not None and j0 - best > 3:
             break
         try:
-            k_top = depth if depth is not None else depth_for(
-                s + (j0 - 1), _FE_TRUNC_SHARE * eps / j0)
+            k_top = depth_for(s + (j0 - 1), _FE_TRUNC_SHARE * eps / j0)
         except ResourceLimitError:
             if best is None:
                 raise
@@ -735,8 +737,7 @@ def _fe_plan(s: float, eps: float, prec: Precision, depth: int | None, cap: int)
     j0 = best
     if j0 == 0:
         return 0, [], []
-    ks = [depth if depth is not None else depth_for(s + j, _FE_TRUNC_SHARE * eps / j0)
-          for j in range(j0)]
+    ks = [depth_for(s + j, _FE_TRUNC_SHARE * eps / j0) for j in range(j0)]
     rows = max(j + k for j, k in enumerate(ks)) + 1 - j0
     if double:
         # the float64 block sums every row over the first row's counters
@@ -778,7 +779,6 @@ def _fe_leaves(s: float, j0: int, counts: list[int], prec: Precision, q: int) ->
 def eval_functional_equation(
     s: float,
     eps: float,
-    depth: int | None = None,
     prec: Precision | None = None,
     max_terms: int | None = None,
 ) -> EvalResult:
@@ -787,11 +787,11 @@ def eval_functional_equation(
 
     Only the leaves f(s + J0 + i) are summed directly, from one table
     (``_fe_leaves``).  The levels j = J0 - 1, ..., 0 then each apply the
-    equation at p = s + j, truncated at their own depth K_j (``depth``
-    fixes every K_j), to the levels and leaves above them, in fixed point
-    at q bits on both paths (``_fe_weights``).  ``_fe_plan`` picks J0, the
-    leaves' counters and each K_j; where J0 = 0 is cheapest, f(s) is summed
-    directly (``eval_naive``) and the result's method says so.
+    equation at p = s + j, truncated at their own depth K_j, to the levels
+    and leaves above them, in fixed point at q bits on both paths
+    (``_fe_weights``).  ``_fe_plan`` picks J0, the leaves' counters and
+    each K_j; where J0 = 0 is cheapest, f(s) is summed directly
+    (``eval_naive``) and the result's method says so.
 
     Bounds propagate from the actual inner bounds: bound_j = sum_k w_k
     bound_{j+k} + trunc_j + rounding_j.  The weights sum to 1 - 2^-p < 1,
@@ -802,14 +802,11 @@ def eval_functional_equation(
     """
     s = _check_s(s)
     eps = _check_eps(eps)
-    if depth is not None and depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
     prec = prec if prec is not None else Precision.for_eps(eps)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
-    j0, ks, counts = _fe_plan(s, eps, prec, depth, cap)
+    j0, ks, counts = _fe_plan(s, eps, prec, cap)
     if j0 == 0:
         return eval_naive(F_SERIES, s, eps, prec, max_terms)
-    tau = _FE_TRUNC_SHARE * eps / j0
 
     # guard bits for the weights' error growth, up to 2^(s+J0)
     q = prec.working_bits + 30 + math.ceil(s) + j0
@@ -827,11 +824,6 @@ def eval_functional_equation(
         w, err = _fe_weights(s, k_j, q, j)
         w_hi = [x / one + math.ldexp(e, -q) for x, e in zip(w, err)]
         trunc = _fe_truncation(s + j, k_j, w_hi[k_j + 1])
-        if depth is not None and trunc > tau:
-            raise ResourceLimitError(
-                f"depth {k_j} leaves truncation remainder {trunc:g} > {tau:g} "
-                f"at s={s + j:g}; increase depth"
-            )
         inner = range(1, k_j + 1)
         values[j] = sum((w[k] * values[j + k]) >> q for k in inner)
         # each product: its weight's error times the value, and one floor

@@ -1,24 +1,25 @@
 """Self-verifying identity registry with residual reports.
 
-Each identity pairs a linear combination of Dirichlet series (left side)
-with a closed form over zeta, eta, Hurwitz zeta, pi, logarithms and
-rational constants (right side).  ``verify`` evaluates both sides with
+Each identity equates two linear forms sum_i c_i(2^s) leaf_i.  On the left
+the leaves are Dirichlet series; on the right they are closed forms: zeta,
+eta, Hurwitz zeta, a power of pi, a square root or a logarithm.  Every
+coefficient of either side is a ``TwoPowerRatio``, a ratio of polynomials
+in 2^s (a constant, 2^s, 4^-s, ...), and both sides are combined by the
+one certified ``_weighted_sum``.  ``verify`` evaluates both sides with
 certified absolute bounds, targeting half the requested tolerance per
 side, and the identity passes exactly when the observed residual fits
 inside the combined bounds.  Because the bounds are rigorous, a false
 identity is detected as soon as they shrink below its defect; the
-registry test suite includes a deliberately wrong pairing to prove that.
+registry test suite includes deliberately wrong pairings to prove that.
 
 Every Dirichlet-series value, here and in the command line, comes from
 ``eval_series_spec`` or the pair router behind it.  A DECOMPOSED pair is
 ``evaluator``'s one zeta + f kernel, alpha zeta(s) + beta f(s) with
 0.25 eps/|alpha| for zeta and 0.45 eps/|beta| for f; both leaves are
-cached per verification under ("zeta", s) and ("f", s), so the right side
-and other pairs reuse them.  Left-side pairs share eps/2 equally.
-
-Left-side coefficients and the powers of 2^s on right sides share one
-type, ``TwoPowerRatio``: a ratio of polynomials in 2^s evaluated by
-Horner's rule, a plain polynomial when its denominator is left at 1.
+cached per verification under ("zeta", s) and ("f", s).  The right side
+is evaluated first, each of its leaves to 0.45 of its eps/2 over |c_i|,
+so the left side's pairs reuse its zeta leaves.  Left-side pairs share
+eps/2 equally.
 
 Two classical digit-sum checks and the alternating binary product have no
 exponent parameter; they are registered as fixed-form entries whose left
@@ -34,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -79,140 +80,50 @@ _AUTO_NAIVE_CAP_MP = 1 << 16
 _SQRT2 = math.sqrt(2.0)
 
 
-def _pow2s(s: float, prec: Precision | None):
-    ctx = None if prec is None else _combine_ctx(prec)
-    return 2.0**s if ctx is None else ctx.power(2, ctx.mpf(s))
-
-
 # ---------------------------------------------------------------------------
-# closed forms and coefficients in 2^s
+# coefficients in 2^s and closed-form leaves
 # ---------------------------------------------------------------------------
 
 
-class Expr:
-    """Immutable closed-form expression over zeta/eta/Hurwitz/pi/log/rationals.
-
-    ``bracket(s, budget, prec, cache)`` returns (value, bound) with
-    |value - exact| <= bound, steering leaf tolerances so the bound lands
-    under ``budget``; the returned bound is recomputed from what the leaves
-    actually certified, so it stays honest even if the steering guess was
-    poor.
-    """
-
-    def rough(self, s) -> float:
-        raise NotImplementedError
-
-    def bracket(self, s, budget: float, prec: Precision, cache: "_EvalCache"):
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
-
-
-def _const_pair(value, prec: Precision):
-    return value, 4.0 * prec.unit_roundoff * abs(float(value))
-
-
-@dataclass(frozen=True)
-class Num(Expr):
-    value: Fraction
-
-    def rough(self, s):
-        return float(self.value)
-
-    def bracket(self, s, budget, prec, cache):
-        ctx = _combine_ctx(prec)
-        if ctx is None:
-            v = self.value.numerator / self.value.denominator
-            return v, 0.5 * prec.unit_roundoff * abs(v)
-        return _const_pair(ctx.mpf(self.value.numerator) / self.value.denominator, prec)
-
-    def describe(self):
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class Pi(Expr):
-    def rough(self, s):
-        return math.pi
-
-    def bracket(self, s, budget, prec, cache):
-        ctx = _combine_ctx(prec)
-        return _const_pair(math.pi if ctx is None else +ctx.pi, prec)
-
-    def describe(self):
-        return "pi"
-
-
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    arg: int
-
-    def rough(self, s):
-        return math.sqrt(self.arg)
-
-    def bracket(self, s, budget, prec, cache):
-        ctx = _combine_ctx(prec)
-        return _const_pair(math.sqrt(self.arg) if ctx is None else ctx.sqrt(self.arg), prec)
-
-    def describe(self):
-        return f"sqrt({self.arg})"
-
-
-@dataclass(frozen=True)
-class Log(Expr):
-    arg: Fraction
-
-    def rough(self, s):
-        return math.log(self.arg)
-
-    def bracket(self, s, budget, prec, cache):
-        ctx = _combine_ctx(prec)
-        if ctx is None:
-            return _const_pair(math.log(self.arg.numerator / self.arg.denominator), prec)
-        return _const_pair(ctx.log(ctx.mpf(self.arg.numerator) / self.arg.denominator), prec)
-
-    def describe(self):
-        return f"log({self.arg})"
-
-
-def _horner(coeffs: tuple[float, ...], x):
-    acc = 0.0
+def _horner(coeffs: tuple[float | Fraction, ...], x, ctx):
+    acc = 0.0 if ctx is None else ctx.zero
     for c in reversed(coeffs):
+        if isinstance(c, Fraction):
+            c = c.numerator / c.denominator if ctx is None else ctx.mpf(c.numerator) / c.denominator
         acc = acc * x + c
     return acc
 
 
 @dataclass(frozen=True)
-class TwoPowerRatio(Expr):
+class TwoPowerRatio:
     """P(2^s)/Q(2^s) with constant-first coefficient tuples; Q defaults to 1.
 
-    One type for every factor that is rational in 2^s: left-side
-    coefficients such as 2^s+1 or (1-2^s)/(1+2^s), and right-side factors
-    such as 2^s or 4^s.
+    One type for every coefficient of either side: 2^s+1 or
+    (1-2^s)/(1+2^s) on the left, 2^s, 4^-s or 2/3 on the right.  Entries
+    are floats or exact ``Fraction``s; a Fraction is divided out in the
+    combine context, so on the mpmath path 2/3 carries the working bits,
+    not a double's.  A constant ratio also evaluates at s=None.
     """
 
-    num: tuple[float, ...]
-    den: tuple[float, ...] = (1.0,)
+    num: tuple[float | Fraction, ...]
+    den: tuple[float | Fraction, ...] = (1.0,)
 
-    def value(self, s: float, prec: Precision | None = None):
-        x = _pow2s(s, prec)
-        den = _horner(self.den, x)
+    def value(self, s: float | None, prec: Precision | None = None):
+        ctx = None if prec is None else _combine_ctx(prec)
+        if s is None:
+            if len(self.num) > 1 or len(self.den) > 1:
+                raise DomainError(f"coefficient {self.describe()} needs an exponent s")
+            x = 0.0
+        else:
+            x = 2.0**s if ctx is None else ctx.power(2, ctx.mpf(s))
+        den = _horner(self.den, x, ctx)
         if den == 0:
-            raise DomainError(f"coefficient denominator vanishes at s={s:g}")
-        return _horner(self.num, x) / den
+            raise DomainError(f"coefficient {self.describe()} vanishes in its denominator at s={s}")
+        return _horner(self.num, x, ctx) / den
 
     @property
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.num)
-
-    def rough(self, s):
-        return self.value(s)
-
-    def bracket(self, s, budget, prec, cache):
-        v = self.value(s, prec)
-        ops = len(self.num) + len(self.den) - 1
-        return v, 4.0 * ops * prec.unit_roundoff * abs(float(v))
 
     def describe(self):
         def poly(coeffs):
@@ -221,7 +132,8 @@ class TwoPowerRatio(Expr):
                 if c == 0.0:
                     continue
                 base = "1" if i == 0 else ("2^s" if i == 1 else f"2^{i}s")
-                parts.append(base if c == 1.0 else f"{c:g}*{base}" if c != -1.0 else f"-{base}")
+                coef = "" if c == 1.0 else "-" if c == -1.0 else f"{float(c):g}*"
+                parts.append(coef + base)
             return " + ".join(parts).replace("+ -", "- ") or "0"
 
         if self.den == (1.0,):
@@ -229,140 +141,90 @@ class TwoPowerRatio(Expr):
         return f"({poly(self.num)})/({poly(self.den)})"
 
 
+class _Bracket(NamedTuple):
+    """A leaf's value and bound; ``_weighted_sum`` reads it like an
+    EvalResult that used no series terms."""
+
+    value: Any
+    abs_error_bound: float
+    terms_used = 0
+
+
+class Expr:
+    """A closed-form leaf: zeta, eta, Hurwitz zeta, a power of pi, sqrt, log.
+
+    ``bracket(s, eps, prec, cache)`` returns (value, bound) with
+    |value - exact| <= bound; the zeta-type leaves target ``eps`` (and
+    share cache entries with the left side), the constants ignore it.
+    """
+
+    def bracket(self, s, eps: float, prec: Precision, cache: "_EvalCache") -> _Bracket:
+        raise NotImplementedError
+
+
+def _const_pair(value, prec: Precision, ops: int = 1) -> _Bracket:
+    return _Bracket(value, 4.0 * ops * prec.unit_roundoff * abs(float(value)))
+
+
+@dataclass(frozen=True)
+class Pi(Expr):
+    """pi ** power; each factor of pi costs 4u of relative bound."""
+
+    power: int
+
+    def bracket(self, s, eps, prec, cache):
+        ctx = _combine_ctx(prec)
+        return _const_pair((math.pi if ctx is None else +ctx.pi) ** self.power, prec, self.power)
+
+
+@dataclass(frozen=True)
+class Sqrt(Expr):
+    arg: int
+
+    def bracket(self, s, eps, prec, cache):
+        ctx = _combine_ctx(prec)
+        return _const_pair(math.sqrt(self.arg) if ctx is None else ctx.sqrt(self.arg), prec)
+
+
+@dataclass(frozen=True)
+class Log(Expr):
+    arg: Fraction
+
+    def bracket(self, s, eps, prec, cache):
+        ctx = _combine_ctx(prec)
+        if ctx is None:
+            return _const_pair(math.log(self.arg.numerator / self.arg.denominator), prec)
+        return _const_pair(ctx.log(ctx.mpf(self.arg.numerator) / self.arg.denominator), prec)
+
+
+def _zeta_type(key, zeta: Callable[[Precision], EvalResult], eps, prec, cache) -> _Bracket:
+    r = cache.get_or_eval(key, eps, lambda e: _zeta_leaf(zeta, e, prec))
+    return _Bracket(r.value, r.abs_error_bound)
+
+
 @dataclass(frozen=True)
 class Zeta(Expr):
-    def rough(self, s):
-        return 1.0 + 2.0 ** (-s) + 1.0 / (s - 1.0)
-
-    def bracket(self, s, budget, prec, cache):
-        r = cache.get_or_eval(
-            ("zeta", s), budget, lambda e: _zeta_leaf(lambda p: riemann_zeta(s, p), e, prec)
-        )
-        return r.value, r.abs_error_bound
-
-    def describe(self):
-        return "zeta(s)"
+    def bracket(self, s, eps, prec, cache):
+        return _zeta_type(("zeta", s), lambda p: riemann_zeta(s, p), eps, prec, cache)
 
 
 @dataclass(frozen=True)
 class Eta(Expr):
-    def rough(self, s):
-        return 0.8
-
-    def bracket(self, s, budget, prec, cache):
-        r = cache.get_or_eval(
-            ("eta", s), budget, lambda e: _zeta_leaf(lambda p: dirichlet_eta(s, p), e, prec)
-        )
-        return r.value, r.abs_error_bound
-
-    def describe(self):
-        return "eta(s)"
+    def bracket(self, s, eps, prec, cache):
+        return _zeta_type(("eta", s), lambda p: dirichlet_eta(s, p), eps, prec, cache)
 
 
 @dataclass(frozen=True)
 class HurwitzZeta(Expr):
     a: Fraction
 
-    def rough(self, s):
-        return float(self.a) ** (-s) + 1.0 / (s - 1.0) + 1.0
-
-    def bracket(self, s, budget, prec, cache):
-        r = cache.get_or_eval(
-            ("hurwitz", self.a, s),
-            budget,
-            lambda e: _zeta_leaf(lambda p: hurwitz_zeta(s, self.a, p), e, prec),
+    def bracket(self, s, eps, prec, cache):
+        return _zeta_type(
+            ("hurwitz", self.a, s), lambda p: hurwitz_zeta(s, self.a, p), eps, prec, cache
         )
-        return r.value, r.abs_error_bound
-
-    def describe(self):
-        return f"zeta(s,{self.a})"
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    factors: tuple[Expr, ...]
-
-    def rough(self, s):
-        out = 1.0
-        for f in self.factors:
-            out *= f.rough(s)
-        return out
-
-    def bracket(self, s, budget, prec, cache):
-        roughs = [max(abs(f.rough(s)), 1e-30) for f in self.factors]
-        total_rough = 1.0
-        for r in roughs:
-            total_rough *= r
-        m = len(self.factors)
-        vals, bounds = [], []
-        for f, r in zip(self.factors, roughs):
-            co = max(total_rough / r, 1e-30)
-            v, b = f.bracket(s, 0.9 * budget / (m * co), prec, cache)
-            vals.append(v)
-            bounds.append(b)
-        out = 1.0
-        for v in vals:
-            out = out * v
-        err = 0.0
-        for i, b in enumerate(bounds):
-            widen = b
-            for j, v in enumerate(vals):
-                if j != i:
-                    widen *= abs(float(v)) + bounds[j]
-            err += widen
-        rounding = 4.0 * m * prec.unit_roundoff * abs(float(out))
-        return out, err + rounding
-
-    def describe(self):
-        return " * ".join(f.describe() for f in self.factors)
-
-
-@dataclass(frozen=True)
-class PowInt(Expr):
-    base: Expr
-    exponent: int
-
-    def rough(self, s):
-        return self.base.rough(s) ** self.exponent
-
-    def bracket(self, s, budget, prec, cache):
-        n = self.exponent
-        r = max(abs(self.base.rough(s)), 1e-30)
-        v, b = self.base.bracket(s, budget / (n * max(r ** (n - 1), 1e-30) * 2.0), prec, cache)
-        out = v**n
-        err = n * (abs(float(v)) + b) ** (n - 1) * b
-        return out, err + 4.0 * n * prec.unit_roundoff * abs(float(out))
-
-    def describe(self):
-        return f"{self.base.describe()}^{self.exponent}"
-
-
-@dataclass(frozen=True)
-class Ratio(Expr):
-    num: Expr
-    den: Expr
-
-    def rough(self, s):
-        d = self.den.rough(s)
-        return self.num.rough(s) / d if d else math.inf
-
-    def bracket(self, s, budget, prec, cache):
-        dr = max(abs(self.den.rough(s)), 1e-30)
-        nr = abs(self.num.rough(s))
-        nv, nb = self.num.bracket(s, 0.45 * budget * dr, prec, cache)
-        dv, db = self.den.bracket(s, 0.45 * budget * dr * dr / max(nr, 1e-30), prec, cache)
-        dabs = abs(float(dv))
-        if dabs <= db:
-            raise ResourceLimitError("denominator interval straddles zero")
-        out = nv / dv
-        err = (nb + abs(float(out)) * db) / (dabs - db)
-        return out, err + 4.0 * prec.unit_roundoff * abs(float(out))
-
-    def describe(self):
-        return f"({self.num.describe()})/({self.den.describe()})"
-
-
-ZERO_RHS = Num(Fraction(0))
+ZERO_RHS: tuple[tuple[TwoPowerRatio, Expr], ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +273,7 @@ class Identity:
 
     identity_id: str
     lhs: tuple[LhsTerm, ...]
-    rhs: Expr
+    rhs: tuple[tuple[TwoPowerRatio, Expr], ...]
     valid_s: ValidityDomain = field(default_factory=ValidityDomain)
     description: str = ""
     kind: IdentityKind = IdentityKind.DIRICHLET
@@ -517,6 +379,16 @@ def eval_series_spec(
 # ---------------------------------------------------------------------------
 
 
+def _linear_form(terms, s: float | None, share: float, prec: Precision, evaluate):
+    """sum_i c_i(2^s) leaf_i over (TwoPowerRatio, leaf) pairs, through
+    ``_weighted_sum``; ``evaluate(leaf, e)`` certifies each leaf to
+    e = share/|c_i|, so every term's part of the bound is about ``share``."""
+    coefs = [(coef.value(s, prec), leaf) for coef, leaf in terms]
+    return _weighted_sum(
+        ((c, evaluate(leaf, share / max(abs(float(c)), 1e-30))) for c, leaf in coefs), prec
+    )
+
+
 def verify(
     identity: Identity,
     s: float | None,
@@ -545,21 +417,22 @@ def verify(
     prec = prec if prec is not None else Precision.for_eps(eps)
     t0 = time.perf_counter()
     cache = _EvalCache()
+    half = eps * 0.5
 
-    rhs_value, rhs_bound = identity.rhs.bracket(s, eps * 0.5, prec, cache)
+    # the right side first: its zeta-type leaves then serve the left's
+    rhs_value, rhs_bound, _ = _linear_form(
+        identity.rhs, s, 0.45 * half / max(len(identity.rhs), 1), prec,
+        lambda leaf, e: leaf.bracket(s, e, prec, cache),
+    )
 
     if identity.kind is IdentityKind.FIXED_SERIES:
-        lhs = identity.fixed_lhs(eps * 0.5, max_terms or DEFAULT_MAX_TERMS)
+        lhs = identity.fixed_lhs(half, max_terms or DEFAULT_MAX_TERMS)
         lhs_value, lhs_bound, terms = lhs.value, lhs.abs_error_bound, lhs.terms_used
     else:
-        pairs = [t for t in identity.lhs if not t.coefficient.is_zero]
-        share = eps * 0.5 * 0.98 / max(len(pairs), 1)
-        coefs = [(p, p.coefficient.value(s, prec)) for p in pairs]
-        lhs_value, lhs_bound, terms = _weighted_sum(
-            ((c, _eval_routed(p.series, p.route, s, share / max(abs(float(c)), 1e-30),
-                              prec, max_terms, cache))
-             for p, c in coefs),
-            prec,
+        pairs = [(t.coefficient, t) for t in identity.lhs if not t.coefficient.is_zero]
+        lhs_value, lhs_bound, terms = _linear_form(
+            pairs, s, half * 0.98 / max(len(pairs), 1), prec,
+            lambda t, e: _eval_routed(t.series, t.route, s, e, prec, max_terms, cache),
         )
 
     residual = abs(float(lhs_value - rhs_value))
@@ -772,7 +645,7 @@ def _one() -> TwoPowerRatio:
     return TwoPowerRatio((1.0,))
 
 
-def _const(c: float) -> TwoPowerRatio:
+def _const(c: float | Fraction) -> TwoPowerRatio:
     return TwoPowerRatio((c,))
 
 
@@ -800,7 +673,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 LhsTerm(TwoPowerRatio((1.0, 1.0)), PHI_SERIES, Route.DECOMPOSED),
                 LhsTerm(TwoPowerRatio((-1.0, 1.0)), GAMMA_SERIES, Route.DECOMPOSED),
             ),
-            rhs=Mul((two_pow_s, Zeta())),
+            rhs=((two_pow_s, Zeta()),),
             description="(2^s+1) sum(t[n-1]/n^s) + (2^s-1) sum(t[n]/n^s) = 2^s zeta(s)",
         )
     )
@@ -811,7 +684,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 LhsTerm(_const(5.0), PHI_SERIES, Route.DECOMPOSED),
                 LhsTerm(_const(3.0), GAMMA_SERIES, Route.DECOMPOSED),
             ),
-            rhs=Mul((Num(Fraction(2, 3)), PowInt(Pi(), 2))),
+            rhs=((_const(Fraction(2, 3)), Pi(2)),),
             valid_s=ValidityDomain(2.0),
             default_s=(2.0,),
             description="sum((5 t[n-1] + 3 t[n])/n^2) = 2 pi^2/3",
@@ -824,7 +697,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 LhsTerm(_const(9.0), PHI_SERIES, Route.DECOMPOSED),
                 LhsTerm(_const(7.0), GAMMA_SERIES, Route.DECOMPOSED),
             ),
-            rhs=Mul((Num(Fraction(8)), Zeta())),
+            rhs=((_const(8.0), Zeta()),),
             valid_s=ValidityDomain(3.0),
             default_s=(3.0,),
             description="sum((9 t[n-1] + 7 t[n])/n^3) = 8 zeta(3)",
@@ -848,7 +721,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 LhsTerm(TwoPowerRatio((1.0, 1.0)), _affine_series(0.0, 1.0, True)),
                 LhsTerm(TwoPowerRatio((-1.0, 1.0)), _affine_series(0.0, 1.0, False)),
             ),
-            rhs=Mul((two_pow_s, Zeta())),
+            rhs=((two_pow_s, Zeta()),),
             description="alphabet k=0, l=0 combination equals 2^s zeta(s)",
         )
     )
@@ -859,7 +732,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 LhsTerm(TwoPowerRatio((1.0, 1.0)), _affine_series(-1.0, 0.0, True)),
                 LhsTerm(TwoPowerRatio((-1.0, 1.0)), _affine_series(1.0, 2.0, False)),
             ),
-            rhs=Mul((two_pow_s, Eta())),
+            rhs=((two_pow_s, Eta()),),
             description="alphabet k=1, l=1 combination equals 2^s eta(s)",
         )
     )
@@ -868,7 +741,8 @@ def _build_registry() -> tuple[Identity, ...]:
             identity_id="prop6a",
             lhs=(
                 LhsTerm(_const(5.0), _affine_series(-1.0, 0.0, True)),
-                LhsTerm(_const(3.0), _affine_series(1.0 / 3.0, 4.0 / 3.0, False)),
+                # 3 r[n] over the letters {1, 4}: exact, where 1/3 and 4/3 are not
+                LhsTerm(_one(), _affine_series(1.0, 4.0, False)),
             ),
             rhs=ZERO_RHS,
             valid_s=ValidityDomain(2.0),
@@ -881,9 +755,10 @@ def _build_registry() -> tuple[Identity, ...]:
             identity_id="prop6b",
             lhs=(
                 LhsTerm(_const(9.0), _affine_series(-1.0, 0.0, True)),
-                LhsTerm(_const(7.0), _affine_series(9.0 / 7.0, 16.0 / 7.0, False)),
+                # 7 r[n] over the letters {9, 16}
+                LhsTerm(_one(), _affine_series(9.0, 16.0, False)),
             ),
-            rhs=Mul((Num(Fraction(8)), Zeta())),
+            rhs=((_const(8.0), Zeta()),),
             valid_s=ValidityDomain(3.0),
             default_s=(3.0,),
             description="alphabets {-1,0} and {9/7,16/7}: sum((9 q[n-1] + 7 r[n])/n^3) = 8 zeta(3)",
@@ -899,7 +774,7 @@ def _build_registry() -> tuple[Identity, ...]:
                     _affine_series((17.0 * _SQRT2 - 2.0) / 15.0, (17.0 * _SQRT2 + 13.0) / 15.0, False),
                 ),
             ),
-            rhs=Mul((Num(Fraction(16)), Eta())),
+            rhs=((_const(16.0), Eta()),),
             valid_s=ValidityDomain(4.0),
             default_s=(4.0,),
             description="irrational alphabets over sqrt(2): sum((17 q[n-1] + 15 r[n])/n^4) = 16 eta(4)",
@@ -925,7 +800,7 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="example9",
             lhs=(LhsTerm(_one(), COMPOSITE9_SERIES, Route.NAIVE),),
-            rhs=Ratio(HurwitzZeta(Fraction(1, 4)), TwoPowerRatio((0.0, 0.0, 1.0))),
+            rhs=((TwoPowerRatio((1.0,), (0.0, 0.0, 1.0)), HurwitzZeta(Fraction(1, 4))),),
             default_s=(2.0, 3.0),
             default_eps=1e-6,
             description="period-doubling composite series equals 4^-s zeta(s, 1/4)",
@@ -936,7 +811,7 @@ def _build_registry() -> tuple[Identity, ...]:
             Identity(
                 identity_id=f"shallit:{base}",
                 lhs=(),
-                rhs=Mul((Num(Fraction(base, base - 1)), Log(Fraction(base)))),
+                rhs=((_const(Fraction(base, base - 1)), Log(Fraction(base))),),
                 kind=IdentityKind.FIXED_SERIES,
                 default_s=(),
                 default_eps=1e-4,
@@ -948,7 +823,7 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="allouche-shallit",
             lhs=(),
-            rhs=Mul((Num(Fraction(1, 9)), PowInt(Pi(), 2))),
+            rhs=((_const(Fraction(1, 9)), Pi(2)),),
             kind=IdentityKind.FIXED_SERIES,
             default_s=(),
             default_eps=1e-8,
@@ -960,7 +835,7 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="woods-robbins",
             lhs=(),
-            rhs=Mul((Sqrt(2), Num(Fraction(1, 2)))),
+            rhs=((_const(Fraction(1, 2)), Sqrt(2)),),
             kind=IdentityKind.FIXED_SERIES,
             default_s=(),
             default_eps=1e-8,

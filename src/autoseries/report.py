@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from .evaluator import DEFAULT_MAX_TERMS
 from .identities import VerificationRecord
 
 TOOL_NAME = "autoseries"
@@ -49,7 +50,7 @@ class RunConfig:
 
     eps: float | None = None          # None: per-identity default tolerance
     precision_bits: int = 53
-    max_terms: int = 10**9
+    max_terms: int = DEFAULT_MAX_TERMS
     out_format: str = "json"
 
     def snapshot(self) -> dict:
@@ -145,7 +146,7 @@ class ReportDocument:
         config = RunConfig(
             eps=None if cfg.get("eps") is None else float(cfg["eps"]),
             precision_bits=int(cfg.get("precision_bits", 53)),
-            max_terms=int(cfg.get("max_terms", 10**9)),
+            max_terms=int(cfg.get("max_terms", DEFAULT_MAX_TERMS)),
             out_format=cfg.get("format", "json"),
         )
         return cls(
@@ -161,20 +162,9 @@ class ReportDocument:
         writer.writerow(CSV_COLUMNS)
         for rec in self.records:
             d = record_to_dict(rec)
+            # csv writes None (s of a fixed-form record) as ""
             writer.writerow(
-                [
-                    d["identity"],
-                    d["s"] if d["s"] is not None else "",
-                    d["lhs_value"],
-                    d["lhs_bound"],
-                    d["rhs_value"],
-                    d["rhs_bound"],
-                    d["residual"],
-                    "true" if d["pass"] else "false",
-                    "true" if d["heuristic"] else "false",
-                    d["terms_used"],
-                    d["wall_time_s"],
-                ]
+                str(v).lower() if isinstance(v, bool) else v for v in map(d.get, CSV_COLUMNS)
             )
         return buf.getvalue()
 

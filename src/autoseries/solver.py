@@ -35,7 +35,6 @@ from .identities import (
     Eta,
     Identity,
     LhsTerm,
-    Mul,
     Route,
     TwoPowerRatio,
     ValidityDomain,
@@ -189,10 +188,10 @@ def mint_identity(sol: AlphabetSolution) -> Identity:
             LhsTerm(TwoPowerRatio((-1.0, 1.0)), r_spec, Route.AUTO),
         )
         if sol.case is AlphabetCase.POW_S:
-            rhs = Mul((TwoPowerRatio((0.0, 1.0)), Zeta()))
+            rhs = ((TwoPowerRatio((0.0, 1.0)), Zeta()),)
             stmt = "(2^s+1) sum(q[n-1]/n^s) + (2^s-1) sum(r[n]/n^s) = 2^s zeta(s)"
         else:
-            rhs = Mul((TwoPowerRatio((0.0, 1.0)), Eta()))
+            rhs = ((TwoPowerRatio((0.0, 1.0)), Eta()),)
             stmt = "(2^s+1) sum(q[n-1]/n^s) + (2^s-1) sum(r[n]/n^s) = 2^s eta(s)"
     return Identity(
         identity_id=f"minted-{sol.case.value}[{sol.k:.10g},{sol.l:.10g}]",

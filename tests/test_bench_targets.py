@@ -41,6 +41,8 @@ def test_recorder_installs_and_uninstalls():
     try:
         rec.install()
         assert evaluator.eval_naive is not before[0]
+        # identities.bracket.us_per_call needs at least one leaf's bracket
+        assert tracer.BRACKET in rec.names
     finally:
         rec.uninstall()
     assert (evaluator.eval_naive, identities.eval_series_spec, autoseries.eval_naive) == before

@@ -13,7 +13,7 @@ import pytest
 
 import autoseries.cli as cli
 from autoseries.cli import UsageError, main, parse_real
-from autoseries.identities import Identity, IdentityKind, Mul, Num, Sqrt, get_identity
+from autoseries.identities import Identity, IdentityKind, Sqrt, TwoPowerRatio, get_identity
 from autoseries.report import CSV_COLUMNS, ReportDocument
 
 
@@ -309,7 +309,7 @@ def test_verify_failure_still_writes_report_and_exits_one(tmp_path, capsys, monk
     wrong = Identity(
         identity_id="woods-robbins-wrong",
         lhs=(),
-        rhs=Mul((Sqrt(2), Num(Fraction(500001, 1000000)))),
+        rhs=((TwoPowerRatio((Fraction(500001, 1000000),)), Sqrt(2)),),
         kind=IdentityKind.FIXED_SERIES,
         default_s=(),
         fixed_lhs=get_identity("woods-robbins").fixed_lhs,

@@ -13,6 +13,7 @@ from mpmath.ctx_base import StandardBaseContext
 from autoseries.errors import DomainError, ResourceLimitError
 from autoseries.evaluator import (
     COMPOSITE9_SERIES,
+    DEFAULT_MAX_TERMS,
     DELTA_SERIES,
     DenominatorForm,
     F_SERIES,
@@ -23,6 +24,7 @@ from autoseries.evaluator import (
     PHI_SERIES,
     SeriesSpec,
     ZETA_SERIES,
+    _fe_plan,
     _fe_weights,
     eval_functional_equation,
     eval_naive,
@@ -195,13 +197,6 @@ def test_binomial_weights_at_integer_s():
     assert abs(w[1] - (5 << 54)) <= err[1]
 
 
-def test_functional_equation_depth_errors():
-    with pytest.raises(ResourceLimitError, match="depth"):
-        eval_functional_equation(6.0, 1e-10, depth=10)
-    with pytest.raises(DomainError):
-        eval_functional_equation(2.0, 1e-8, depth=0)
-
-
 def test_cross_method_grid():
     # naive tolerances picked so the direct sums stay affordable per s
     naive_eps = {1.5: 1e-3, 2.0: 1e-7, 3.0: 1e-9, 4.0: 1e-10, 6.0: 1e-12}
@@ -213,15 +208,18 @@ def test_cross_method_grid():
 
 def test_functional_equation_levels_against_naive():
     # where f summed directly is the cheapest plan the route takes it (and
-    # says so); a fixed depth keeps the levels, which must still agree
-    # with an independent naive sum
+    # says so); at s >= 3 the plans below keep levels (float64 at 1e-12
+    # has J0 = 2, the mpmath path at 1e-14 has J0 = 6, 5 and 3), which
+    # must agree with an independent naive sum
     assert eval_functional_equation(4.0, 1e-10).method is Method.NAIVE
     assert eval_functional_equation(2.0, 1e-10).method is Method.FUNCTIONAL_EQUATION
-    for s in (3.0, 4.0, 6.0):
-        rf = eval_functional_equation(s, 1e-10, depth=80)
+    for s, eps, j0 in ((3.0, 1e-12, 2), (3.0, 1e-14, 6), (4.0, 1e-14, 5), (6.0, 1e-14, 3)):
+        prec = Precision.for_eps(eps)
+        assert _fe_plan(s, eps, prec, DEFAULT_MAX_TERMS)[0] == j0, (s, eps)
+        rf = eval_functional_equation(s, eps)
         assert rf.method is Method.FUNCTIONAL_EQUATION
-        rn = eval_naive(F_SERIES, s, 1e-12)
-        assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, s
+        rn = eval_naive(F_SERIES, s, eps)
+        assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, (s, eps)
 
 
 # -- 0/1 series -------------------------------------------------------------------

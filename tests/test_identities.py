@@ -15,14 +15,15 @@ from autoseries.identities import (
     Identity,
     IdentityKind,
     LhsTerm,
-    Mul,
-    Num,
+    Log,
+    Pi,
     Route,
     Sqrt,
     TwoPowerRatio,
     ValidityDomain,
     Zeta,
     _EvalCache,
+    _linear_form,
     builtin_registry,
     get_identity,
     make_corollary2_identity,
@@ -93,24 +94,33 @@ def test_get_identity_normalizes_separators():
 
 
 def test_shallit_rhs_closed_forms():
-    cache = {}
-
-    class C(dict):
-        def get_or_eval(self, key, eps, fn):
-            return fn(eps)
-
     for base in (2, 3, 10):
-        ident = get_identity(f"shallit:{base}")
-        v, b = ident.rhs.bracket(None, 1e-12, Precision(target_eps=1e-12), C())
-        assert abs(v - base / (base - 1) * math.log(base)) <= 1e-12 + b
+        ((coef, leaf),) = get_identity(f"shallit:{base}").rhs
+        prec = Precision(target_eps=1e-12)
+        v, b = leaf.bracket(None, 1e-12, prec, _EvalCache())
+        c = coef.value(None, prec)
+        assert abs(c * v - base / (base - 1) * math.log(base)) <= 1e-12 + c * b
 
 
 def test_prop6a_statement_values():
-    ident = get_identity("prop6a")
-    (qa, ra) = ident.lhs
-    assert qa.series.coeffs.low == -1.0 and qa.series.coeffs.high == 0.0
-    assert ra.series.coeffs.low == pytest.approx(1.0 / 3.0)
-    assert ra.series.coeffs.high == pytest.approx(4.0 / 3.0)
+    # 3 sum(r[n]/n^2) over {1/3, 4/3} is stated as sum over the exact
+    # letters {1, 4}; prop6b's 7 r[n] over {9/7, 16/7} as {9, 16}
+    for name, coef, letters in (("prop6a", 5.0, (1.0, 4.0)), ("prop6b", 9.0, (9.0, 16.0))):
+        (qa, ra) = get_identity(name).lhs
+        assert qa.coefficient.value(2.0) == coef
+        assert (qa.series.coeffs.low, qa.series.coeffs.high) == (-1.0, 0.0)
+        assert ra.coefficient.value(2.0) == 1.0
+        assert (ra.series.coeffs.low, ra.series.coeffs.high) == letters
+
+
+@pytest.mark.parametrize("ident", ["prop6a", "prop6b"])
+def test_prop6_exact_letters_certify_below_double(ident):
+    # with the letters 1/3, 4/3, 9/7, 16/7 rounded to doubles the summed
+    # series was not the paper's, and both records failed from eps 1e-15
+    identity = get_identity(ident)
+    rec = verify(identity, identity.default_s[0], 1e-18)
+    assert rec.passed, rec
+    assert rec.lhs_bound + rec.rhs_bound <= 1e-18
 
 
 # -- the main verification sweep -------------------------------------------------
@@ -152,6 +162,79 @@ def test_constant_leaves_finer_than_double_guard_bits():
         assert abs(value - exact) <= bound
 
 
+# -- right sides: one linear form -------------------------------------------------
+
+_LEAF_REFERENCE = {
+    Zeta: lambda leaf, s: mpmath.zeta(s),
+    Eta: lambda leaf, s: mpmath.altzeta(s),
+    HurwitzZeta: lambda leaf, s: mpmath.zeta(s, _exact(leaf.a)),
+    Pi: lambda leaf, s: mpmath.pi**leaf.power,
+    Sqrt: lambda leaf, s: mpmath.sqrt(leaf.arg),
+    Log: lambda leaf, s: mpmath.log(_exact(leaf.arg)),
+}
+
+
+def _exact(c):
+    return mpmath.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mpmath.mpf(c)
+
+
+def _rhs_error(rhs, s, eps, prec, reference=None):
+    """(|value - reference|, bound) of ``rhs`` made as ``verify`` makes it,
+    the reference (``rhs`` unless given) from mpmath at twice the working
+    bits."""
+    cache = _EvalCache()
+    value, bound, _ = _linear_form(
+        rhs, s, 0.45 * eps / 2 / len(rhs), prec, lambda leaf, e: leaf.bracket(s, e, prec, cache)
+    )
+
+    def poly(coeffs, x):
+        return sum(_exact(c) * x**i for i, c in enumerate(coeffs))
+
+    with mpmath.workprec(2 * prec.working_bits):
+        x = 0 if s is None else mpmath.mpf(2) ** s
+        ref = sum(
+            poly(c.num, x) / poly(c.den, x) * _LEAF_REFERENCE[type(leaf)](leaf, s)
+            for c, leaf in reference or rhs
+        )
+        return abs(mpmath.mpf(value) - ref), bound
+
+
+def _rhs_cases():
+    for ident in builtin_registry():
+        if not ident.rhs:
+            continue
+        if ident.kind is IdentityKind.FIXED_SERIES:
+            grid = (None,)
+        else:
+            grid = sorted({*ident.default_s, *(s for s in (2.5, 3.7) if ident.valid_s.contains(s))})
+        for s in grid:
+            yield pytest.param(ident.rhs, s, id=f"{ident.identity_id}-{s}")
+    # two leaves share the right side's eps
+    two_leaves = ((TwoPowerRatio((0.0, 1.0)), Zeta()), (TwoPowerRatio((Fraction(-1, 6),)), Pi(2)))
+    yield pytest.param(two_leaves, 2.5, id="two-leaves-2.5")
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-16], ids=["float64", "mpmath"])
+@pytest.mark.parametrize("rhs,s", list(_rhs_cases()))
+def test_rhs_within_bound_of_reference(rhs, s, eps):
+    prec = Precision.for_eps(eps)
+    err, bound = _rhs_error(rhs, s, eps, prec)
+    assert err <= bound
+    assert bound <= eps / 2
+
+
+def test_fraction_coefficient_keeps_the_working_bits():
+    # 2 pi^2/3 at eps 1e-30: the exact 2/3 is divided out at the working
+    # bits; a float 2/3 is 3.7e-17 off, which no bound below that covers
+    eps = 1e-30
+    prec = Precision.for_eps(eps)
+    exact = ((TwoPowerRatio((Fraction(2, 3),)), Pi(2)),)
+    err, bound = _rhs_error(exact, 2.0, eps, prec)
+    assert err <= bound <= eps
+    err, bound = _rhs_error(((TwoPowerRatio((2.0 / 3.0,)), Pi(2)),), 2.0, eps, prec, exact)
+    assert err > bound
+
+
 # -- false identities must fail ---------------------------------------------------
 
 
@@ -163,7 +246,7 @@ def test_swapped_pairing_is_detected():
             LhsTerm(TwoPowerRatio((-1.0, 1.0)), PHI_SERIES, Route.DECOMPOSED),
             LhsTerm(TwoPowerRatio((1.0, 1.0)), GAMMA_SERIES, Route.DECOMPOSED),
         ),
-        rhs=Mul((TwoPowerRatio((0.0, 1.0)), Zeta())),
+        rhs=((TwoPowerRatio((0.0, 1.0)), Zeta()),),
         description="wrong on purpose",
     )
     rec = verify(wrong, 2.0, 1e-8)
@@ -178,7 +261,8 @@ def test_wrong_constant_is_detected():
             LhsTerm(TwoPowerRatio((5.0,)), PHI_SERIES, Route.DECOMPOSED),
             LhsTerm(TwoPowerRatio((3.0,)), GAMMA_SERIES, Route.DECOMPOSED),
         ),
-        rhs=Mul((Num(Fraction(2, 3)), TwoPowerRatio((0.0, 1.0)))),  # 2^(s+1)/3, not 2 pi^2/3
+        # 2^(s+1)/3 (pi^0 is the leaf 1), not 2 pi^2/3
+        rhs=((TwoPowerRatio((0.0, Fraction(2, 3))), Pi(0)),),
         valid_s=ValidityDomain(2.0),
         description="wrong on purpose",
     )
@@ -187,7 +271,7 @@ def test_wrong_constant_is_detected():
     wrong_product = Identity(
         identity_id="woods-robbins-wrong",
         lhs=(),
-        rhs=Mul((Sqrt(2), Num(Fraction(500001, 1000000)))),
+        rhs=((TwoPowerRatio((Fraction(500001, 1000000),)), Sqrt(2)),),
         kind=IdentityKind.FIXED_SERIES,
         default_s=(),
         fixed_lhs=get_identity("woods-robbins").fixed_lhs,
