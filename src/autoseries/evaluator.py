@@ -1,7 +1,7 @@
 """Bounded evaluation of Dirichlet series with digit-parity coefficients.
 
-Three routes live here; ``identities.eval_series_spec`` picks among them
-and adds the odd-index split:
+Two summation routes and the coefficient algebra of two linear-form routes
+live here; ``identities.eval_series_spec`` picks among all four:
 
 * ``eval_naive``: direct summation of the first N terms with an analytic
   tail.  The bit-valued streams have a mean mu and a discrepancy bound
@@ -54,17 +54,18 @@ and adds the odd-index split:
   its plans, and the cheapest one once s is large (the levels then need
   depths past s - 2 to shrink a leaf of a few terms).
 
-* The zeta + f decomposition (``_eval_decomposed``, and ``eval_phi_gamma``
-  for the 0/1 series): an alphabet series over t_n with an n^s denominator
-  is alpha(s) zeta(s) + beta(s) f(s), alpha and beta rational in 2^s.  The
-  zeta leaf gets 0.25 eps/|alpha| and the f leaf 0.45 eps/|beta|, whether
-  or not the other leaf is present; the rest absorbs rounding.
-
-* The odd-index split (``Route.ODD_SPLIT``) needs no kernel of its own:
-  every n >= 1 factors uniquely as 2^k (2m+1), and e_{2^k(2m+1)-1} =
-  (-1)^k e_m, so f(s) = 2^s/(2^s+1) A(s) and g(s) = -2^s/(2^s-1) A(s) with
-  A(s) = sum_{m>=0} e_m/(2m+1)^s, which is ``ODD_PLUS_MINUS_SERIES``
-  summed by ``eval_naive``.
+* The zeta + f decomposition and the odd-index split need no kernel of
+  their own: each is a linear form sum_i c_i(2^s) leaf_i, certified by
+  ``_linear_form`` like either side of an identity, and
+  ``identities._eval_routed`` writes them.  An alphabet series {a, b} over
+  t with an n^s denominator is alpha zeta(s) + beta f(s), alpha = (a+b)/2
+  and, with q = 2^-s, beta = (a-b)/2 for the shifted series and
+  (b-a)(1+q)/(2-2q) for the unshifted one; the zeta leaf gets
+  0.25 eps/|alpha| and the f leaf 0.45 eps/|beta|, whether or not the
+  other leaf is present.  Every n >= 1 factors uniquely as 2^k (2m+1), and
+  e_{2^k(2m+1)-1} = (-1)^k e_m, so f(s) = A(s)/(1+q) and g(s) =
+  -A(s)/(1-q) with A(s) = sum_{m>=0} e_m/(2m+1)^s, which is
+  ``ODD_PLUS_MINUS_SERIES`` summed by ``eval_naive`` to 0.98 eps/|c|.
 
 On the double path every partial-sum loop uses compensated (Kahan)
 accumulation over fixed 2^14-term chunks, so results are bit-reproducible,
@@ -83,10 +84,12 @@ keeps the weights of the odd numbers below 2^15 (16,384 integers); a
 denominator whose odd part or cofactor lies past it takes a power of its
 own.
 
-Weighted sums of certified values (the decomposition, both sides of an
-identity) go through ``_weighted_sum``.  A zeta-type
-leaf whose share eps/|coefficient| is finer than the working width can
-certify runs wider on its own (``_zeta_leaf``).
+Every coefficient rational in 2^s is a ``TwoPowerRatio``, evaluated in
+q = 2^-s by one Horner, so no s overflows it.  Weighted sums of certified
+values (both routes above, both sides of an identity) go through
+``_linear_form`` and ``_weighted_sum``.  A zeta-type leaf whose share
+eps/|coefficient| is finer than the working width can certify runs wider
+on its own (``_zeta_leaf``).
 """
 
 from __future__ import annotations
@@ -94,6 +97,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -104,8 +108,8 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 from .errors import DomainError, ResourceLimitError
 from .precision import GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
 from .result import EvalResult, Method
-from .sequences import CoefficientSequence, SequenceKind
-from .special_functions import _hurwitz_core, riemann_zeta
+from .sequences import CoefficientSequence
+from .special_functions import _hurwitz_core
 
 #: Fixed summation chunk; fixed so chunk boundaries (and hence rounding)
 #: never depend on how work is scheduled.
@@ -470,9 +474,10 @@ def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
     Returns the compensated (Kahan) value, its bound
     remainder + sum_i |c_i| bound_i + 8u sum_i |c_i v_i|, and the terms the
     leaves used; ``remainder`` bounds whatever the pairs leave out.
-    The 8u covers, per term, the evaluation of c_i itself (2^s and a few
-    Horner roundings for a ratio of degree <= 2 without cancellation, or
-    one division for an exact fraction), the product c_i v_i, and its
+    The 8u covers, per term, the evaluation of c_i itself
+    (``TwoPowerRatio.value``: one 2^-s and the q-form Horner, a few
+    roundings for a ratio of degree <= 2 without cancellation, its scale,
+    or one division for an exact fraction), the product c_i v_i, and its
     share of the compensated sum.
     ``pairs`` may be a generator; each leaf is then evaluated as it is added.
     """
@@ -491,6 +496,103 @@ def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
         abs_sum += abs(float(contrib))
         terms += r.terms_used
     return total, remainder + bound + 8.0 * prec.unit_roundoff * abs_sum, terms
+
+
+def _linear_form(terms, s: float | None, prec: Precision, evaluate):
+    """sum_i c_i(2^s) leaf_i over (TwoPowerRatio, leaf, share) triples,
+    through ``_weighted_sum``; ``evaluate(leaf, e)`` certifies each leaf to
+    e = share/|c_i|, so every term's part of the bound is about its share.
+    Every coefficient is evaluated before the first leaf."""
+    coefs = [(coef.value(s, prec), leaf, share) for coef, leaf, share in terms]
+    return _weighted_sum(
+        ((c, evaluate(leaf, share / max(abs(float(c)), 1e-30))) for c, leaf, share in coefs), prec
+    )
+
+
+def _trim(coeffs: tuple) -> tuple:
+    """``coeffs`` without its zero top coefficients (at least one entry)."""
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _horner(coeffs, q, ctx):
+    """c_0 q^m + c_1 q^(m-1) + ... + c_m, Horner from c_0 on; a Fraction
+    entry is divided out in ``ctx`` (or in floats where it is None)."""
+    acc = 0.0 if ctx is None else ctx.zero
+    for c in coeffs:
+        if isinstance(c, Fraction):
+            c = c.numerator / c.denominator if ctx is None else ctx.mpf(c.numerator) / c.denominator
+        acc = acc * q + c
+    return acc
+
+
+@dataclass(frozen=True)
+class TwoPowerRatio:
+    """scale P(2^s)/Q(2^s) with constant-first coefficient tuples; Q
+    defaults to 1 and ``scale`` to 1.
+
+    One type for every coefficient rational in 2^s: 2^s+1 or
+    (1-2^s)/(1+2^s) on the left of an identity, 2^s, 4^-s or 2/3 on the
+    right, and the decomposition's and the odd split's coefficients.
+    Entries are floats or exact ``Fraction``s; a Fraction is divided out in
+    the combine context, so on the mpmath path 2/3 carries the working
+    bits, not a double's.  ``scale`` multiplies the evaluated ratio, so
+    its rounding stays outside the ratio's.
+
+    ``value`` works in q = 2^-s: with m the larger degree once zero top
+    coefficients are trimmed, P(x)/Q(x) = x^-m P(x) / x^-m Q(x), two
+    polynomials in q evaluated by one Horner each, so no s overflows a
+    power of 2.  A constant ratio also evaluates at s=None.
+    """
+
+    num: tuple[float | Fraction, ...]
+    den: tuple[float | Fraction, ...] = (1.0,)
+    scale: float | Fraction = 1.0
+
+    def value(self, s: float | None, prec: Precision | None = None):
+        """The coefficient at ``s``: a float, or on the mpmath path an mpf
+        of ``_combine_ctx(prec)``.  A zero q-form denominator or a value
+        that is not a finite float raises a ``DomainError``."""
+        ctx = None if prec is None else _combine_ctx(prec)
+        num, den = _trim(self.num), _trim(self.den)
+        m = max(len(num), len(den))
+        if m > 1 and s is None:
+            raise DomainError(f"coefficient {self.describe()} needs an exponent s")
+        q = 0.0 if m == 1 else 2.0 ** (-s) if ctx is None else ctx.power(2, -ctx.mpf(s))
+        d = _horner(den + (0.0,) * (m - len(den)), q, ctx)
+        if d == 0:
+            raise DomainError(f"coefficient {self.describe()} has a zero q-form denominator at s={s}")
+        try:
+            ratio = _horner(num + (0.0,) * (m - len(num)), q, ctx) / d
+            v = _horner((self.scale,), q, ctx) * ratio
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(float(v)):
+            raise DomainError(f"coefficient {self.describe()} is not a finite float at s={s}")
+        return v
+
+    @property
+    def is_zero(self) -> bool:
+        return self.scale == 0 or all(c == 0 for c in self.num)
+
+    def describe(self) -> str:
+        def number(c) -> str:
+            # a letter gap b - a of two floats may pass the largest float
+            return f"{float(c):g}" if abs(c) < 2**1024 else f"{float(c / 2**1024):g}*2^1024"
+
+        def poly(coeffs):
+            parts = []
+            for i, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                base = "1" if i == 0 else ("2^s" if i == 1 else f"2^{i}s")
+                coef = "" if c == 1 else "-" if c == -1 else f"{number(c)}*"
+                parts.append(coef + base)
+            return " + ".join(parts).replace("+ -", "- ") or "0"
+
+        text = poly(self.num) if self.den == (1.0,) else f"({poly(self.num)})/({poly(self.den)})"
+        return text if self.scale == 1 else f"{number(self.scale)}*{text}"
 
 
 # ---------------------------------------------------------------------------
@@ -845,77 +947,6 @@ def eval_functional_equation(
     return EvalResult(value, bound, sum(counts) + sum(ks), Method.FUNCTIONAL_EQUATION)
 
 
-# ---------------------------------------------------------------------------
-# the zeta + f decomposition
-# ---------------------------------------------------------------------------
-
-
-class _EvalCache(dict):
-    """Shares zeta / f evaluations across the pairs of one verification."""
-
-    def get_or_eval(self, key, eps: float, fn: Callable[[float], EvalResult]) -> EvalResult:
-        hit = self.get(key)
-        if hit is not None and hit.abs_error_bound <= eps:
-            return hit
-        out = fn(eps)
-        self[key] = out
-        return out
-
-
-def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
-    """(value at t=0, value at t=1, shifted?) when the series is
-    an alphabet over t with an n^s denominator, else None."""
-    if spec.coeffs.kind is not SequenceKind.AFFINE or spec.denom is not DenominatorForm.POWER_OF_N:
-        return None
-    return spec.coeffs.low, spec.coeffs.high, spec.shift is IndexShift.BY_ONE
-
-
-def _eval_decomposed(
-    spec: SeriesSpec,
-    s: float,
-    eps: float,
-    prec: Precision,
-    max_terms: int | None,
-    cache: _EvalCache,
-) -> EvalResult:
-    """An alphabet series {a, b} over t as alpha zeta(s) + beta f(s).
-
-    Substituting t_n = (1 - e_n)/2 gives alpha = (a+b)/2, and beta = (a-b)/2
-    for the shifted series, (b-a)(1+2^s)/(2(2^s-1)) for the unshifted one.
-    The leaves are cached under ("zeta", s) and ("f", s), so the two sides
-    of an identity share them.
-    """
-    form = _affine_form(spec)
-    if form is None:
-        raise DomainError(f"{spec.label()} has no alphabet decomposition")
-    low, high, shifted = form
-    ctx = _combine_ctx(prec)
-    # in q = 2^-s rather than 2^s, so large s cannot overflow
-    q = 2.0 ** (-s) if ctx is None else ctx.power(2, -ctx.mpf(s))
-    slope = high - low if ctx is None else ctx.mpf(high) - low
-    alpha = low + slope / 2
-    beta = -slope / 2 if shifted else slope * ((q + 1) / (2 * (1 - q)))
-    leaves, method = [], Method.EULER_MACLAURIN
-    for coef, share, key, fn in (
-        (alpha, 0.25, "zeta", lambda e: _zeta_leaf(lambda p: riemann_zeta(s, p), e, prec)),
-        (beta, 0.45, "f", lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms)),
-    ):
-        coef_abs = abs(float(coef))
-        if coef_abs != 0.0:
-            leaves.append((coef, cache.get_or_eval((key, s), share * eps / coef_abs, fn)))
-            if key == "f":
-                method = leaves[-1][1].method
-    value, bound, terms = _weighted_sum(leaves, prec)
-    if bound > eps:
-        raise ResourceLimitError(
-            f"{spec.label()} decomposition certified only {bound:g} > eps={eps:g} at s={s:g}"
-        )
-    # the f leaf's route names the result; without one only the
-    # Euler-Maclaurin zeta ran (or, for the all-zero alphabet, nothing,
-    # which still counts as one term)
-    return EvalResult(value, bound, max(terms, 1), method)
-
-
 def eval_phi_gamma(
     which: str,
     s: float,
@@ -923,14 +954,14 @@ def eval_phi_gamma(
     prec: Precision | None = None,
     max_terms: int | None = None,
 ) -> EvalResult:
-    """The 0/1 series, ``which`` = "phi" or "gamma", through their exact
-    relation to zeta and f:
+    """The 0/1 series, ``which`` = "phi" or "gamma", on the DECOMPOSED
+    route, through their exact relation to zeta and f:
 
         phi(s)   = sum t_{n-1}/n^s = zeta(s)/2 - f(s)/2
         gamma(s) = sum t_n/n^s     = zeta(s)/2 + (1+2^s)/(2(2^s-1)) f(s)
     """
+    # imported here: the router imports this module
+    from .identities import Route, eval_series_spec
+
     spec = {"phi": PHI_SERIES, "gamma": GAMMA_SERIES}[which]
-    s = _check_s(s)
-    eps = _check_eps(eps)
-    prec = prec if prec is not None else Precision.for_eps(eps)
-    return _eval_decomposed(spec, s, eps, prec, max_terms, _EvalCache())
+    return eval_series_spec(spec, s, eps, Route.DECOMPOSED, prec, max_terms)

@@ -25,10 +25,11 @@ inside the evaluator's ``_ROUNDING_OPS`` u envelope.
 The weights of the odd numbers below ``_TABLE_LIMIT`` = 2^15 (16,384
 integers) stay in a table; a denominator whose odd part or cofactor lies
 past it takes a power of its own.  Coefficients are read in blocks of
-``_KERNEL_BLOCK`` (``CoefficientSequence.values``, plain Python floats)
-and grouped by value; the values are floats, hence dyadic rationals, so each
-group's weight sum times its value is exact integer arithmetic, and the
-one rounding after the weights is the final conversion to an mpf.
+``_KERNEL_BLOCK`` (``CoefficientSequence.block``, as a list of Python
+floats) and grouped by value; the values are floats, hence dyadic
+rationals, so each group's weight sum times its value is exact integer
+arithmetic, and the one rounding after the weights is the final
+conversion to an mpf.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext) -> tuple[list[i
     sums: list[dict[float, int]] = [{} for _ in counts]
     for lo in range(j0, end, _KERNEL_BLOCK):
         count = min(_KERNEL_BLOCK, end - lo)
-        letters = spec.coeffs.values(lo, lo + count)
+        letters = spec.coeffs.block(lo, lo + count).tolist()
         # block offsets below which a counter also enters exponent s + 1, s + 2, ...
         deeper = [c - (lo - j0) for c in counts[1:] if c > lo - j0]
         first_deep = deeper[0] if deeper else 0

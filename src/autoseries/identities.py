@@ -4,19 +4,22 @@ Each identity equates two linear forms sum_i c_i(2^s) leaf_i.  On the left
 the leaves are Dirichlet series; on the right they are closed forms: zeta,
 eta, Hurwitz zeta, a power of pi, a square root or a logarithm.  Every
 coefficient of either side is a ``TwoPowerRatio``, a ratio of polynomials
-in 2^s (a constant, 2^s, 4^-s, ...), and both sides are combined by the
-one certified ``_weighted_sum``.  ``verify`` evaluates both sides with
-certified absolute bounds, targeting half the requested tolerance per
-side, and the identity passes exactly when the observed residual fits
-inside the combined bounds.  Because the bounds are rigorous, a false
-identity is detected as soon as they shrink below its defect; the
-registry test suite includes deliberately wrong pairings to prove that.
+in 2^s (a constant, 2^s, 4^-s, ...) evaluated in 2^-s, and both sides are
+combined by the one certified ``_linear_form``.  ``verify`` evaluates both
+sides with certified absolute bounds, targeting half the requested
+tolerance per side, and the identity passes exactly when the observed
+residual fits inside the combined bounds.  Because the bounds are
+rigorous, a false identity is detected as soon as they shrink below its
+defect; the registry test suite includes deliberately wrong pairings to
+prove that.
 
 Every Dirichlet-series value, here and in the command line, comes from
-``eval_series_spec`` or the pair router behind it.  A DECOMPOSED pair is
-``evaluator``'s one zeta + f kernel, alpha zeta(s) + beta f(s) with
-0.25 eps/|alpha| for zeta and 0.45 eps/|beta| for f; both leaves are
-cached per verification under ("zeta", s) and ("f", s).  The right side
+``eval_series_spec`` or the pair router behind it.  Two of its routes are
+linear forms of the same kind, over the leaves zeta(s), f(s) and A(s) =
+sum e_m/(2m+1)^s, each cached per verification under (name, s): a
+DECOMPOSED pair is alpha zeta(s) + beta f(s), with 0.25 eps/|alpha| for
+zeta and 0.45 eps/|beta| for f, and an ODD_SPLIT pair is A(s)/(1+q) for f
+or -A(s)/(1-q) for g, q = 2^-s, with 0.98 eps/|c| for A.  The right side
 is evaluated first, each of its leaves to 0.45 of its eps/2 over |c_i|,
 so the left side's pairs reuse its zeta leaves.  Left-side pairs share
 eps/2 equally.
@@ -42,7 +45,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .precision import DOUBLE_BITS, Precision, _check_eps, _check_s
 from .result import EvalResult, Method
-from .sequences import CoefficientSequence, digit_sum_block, pm_thue_morse_block
+from .sequences import CoefficientSequence, SequenceKind, digit_sum_block, pm_thue_morse_block
 from .special_functions import dirichlet_eta, hurwitz_zeta, riemann_zeta
 from .evaluator import (
     COMPOSITE9_SERIES,
@@ -51,21 +54,20 @@ from .evaluator import (
     F_SERIES,
     G_SERIES,
     GAMMA_SERIES,
+    DenominatorForm,
     IndexShift,
     ODD_PLUS_MINUS_SERIES,
     PHI_SERIES,
     SeriesSpec,
+    TwoPowerRatio,
     ZETA_SERIES,
     chunked_kahan_sum,
     eval_functional_equation,
     eval_naive,
-    _EvalCache,
-    _affine_form,
     _combine_ctx,
-    _eval_decomposed,
+    _linear_form,
     _naive_counters,
     _truncation_search,
-    _weighted_sum,
     _zeta_leaf,
 )
 
@@ -81,64 +83,8 @@ _SQRT2 = math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# coefficients in 2^s and closed-form leaves
+# closed-form leaves
 # ---------------------------------------------------------------------------
-
-
-def _horner(coeffs: tuple[float | Fraction, ...], x, ctx):
-    acc = 0.0 if ctx is None else ctx.zero
-    for c in reversed(coeffs):
-        if isinstance(c, Fraction):
-            c = c.numerator / c.denominator if ctx is None else ctx.mpf(c.numerator) / c.denominator
-        acc = acc * x + c
-    return acc
-
-
-@dataclass(frozen=True)
-class TwoPowerRatio:
-    """P(2^s)/Q(2^s) with constant-first coefficient tuples; Q defaults to 1.
-
-    One type for every coefficient of either side: 2^s+1 or
-    (1-2^s)/(1+2^s) on the left, 2^s, 4^-s or 2/3 on the right.  Entries
-    are floats or exact ``Fraction``s; a Fraction is divided out in the
-    combine context, so on the mpmath path 2/3 carries the working bits,
-    not a double's.  A constant ratio also evaluates at s=None.
-    """
-
-    num: tuple[float | Fraction, ...]
-    den: tuple[float | Fraction, ...] = (1.0,)
-
-    def value(self, s: float | None, prec: Precision | None = None):
-        ctx = None if prec is None else _combine_ctx(prec)
-        if s is None:
-            if len(self.num) > 1 or len(self.den) > 1:
-                raise DomainError(f"coefficient {self.describe()} needs an exponent s")
-            x = 0.0
-        else:
-            x = 2.0**s if ctx is None else ctx.power(2, ctx.mpf(s))
-        den = _horner(self.den, x, ctx)
-        if den == 0:
-            raise DomainError(f"coefficient {self.describe()} vanishes in its denominator at s={s}")
-        return _horner(self.num, x, ctx) / den
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for c in self.num)
-
-    def describe(self):
-        def poly(coeffs):
-            parts = []
-            for i, c in enumerate(coeffs):
-                if c == 0.0:
-                    continue
-                base = "1" if i == 0 else ("2^s" if i == 1 else f"2^{i}s")
-                coef = "" if c == 1.0 else "-" if c == -1.0 else f"{float(c):g}*"
-                parts.append(coef + base)
-            return " + ".join(parts).replace("+ -", "- ") or "0"
-
-        if self.den == (1.0,):
-            return poly(self.num)
-        return f"({poly(self.num)})/({poly(self.den)})"
 
 
 class _Bracket(NamedTuple):
@@ -302,6 +248,57 @@ class VerificationRecord:
 
 # -- routed evaluation of one LHS pair ---------------------------------------
 
+
+class _EvalCache(dict):
+    """Shares zeta / f / A evaluations across the pairs of one verification."""
+
+    def get_or_eval(self, key, eps: float, fn: Callable[[float], EvalResult]) -> EvalResult:
+        hit = self.get(key)
+        if hit is not None and hit.abs_error_bound <= eps:
+            return hit
+        out = fn(eps)
+        self[key] = out
+        return out
+
+
+def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
+    """(value at t=0, value at t=1, shifted?) when the series is
+    an alphabet over t with an n^s denominator, else None."""
+    if spec.coeffs.kind is not SequenceKind.AFFINE or spec.denom is not DenominatorForm.POWER_OF_N:
+        return None
+    return spec.coeffs.low, spec.coeffs.high, spec.shift is IndexShift.BY_ONE
+
+
+#: The odd split's coefficient of A per series: f = 2^s/(2^s+1) A and
+#: g = -2^s/(2^s-1) A, that is A/(1+q) and -A/(1-q) with q = 2^-s.
+_ODD_SPLIT = {
+    F_SERIES: TwoPowerRatio((0.0, 1.0), (1.0, 1.0)),
+    G_SERIES: TwoPowerRatio((0.0, -1.0), (-1.0, 1.0)),
+}
+
+
+def _decomposition(spec: SeriesSpec, eps: float):
+    """An alphabet series {a, b} over t as alpha zeta(s) + beta f(s), as
+    (coefficient, leaf key, share) triples without the zero ones.
+
+    Substituting t_n = (1 - e_n)/2 gives alpha = (a+b)/2, and beta = (a-b)/2
+    for the shifted series, (b-a) (1+q)/(2-2q) for the unshifted one, with
+    b-a outside the ratio.  The letters enter exactly, so alpha, b-a and
+    the shifted beta are rounded once in the combine context; zeta gets
+    0.25 eps and f 0.45 eps."""
+    form = _affine_form(spec)
+    if form is None:
+        raise DomainError(f"{spec.label()} has no alphabet decomposition")
+    low, high = Fraction(form[0]), Fraction(form[1])
+    alpha = TwoPowerRatio(((low + high) / 2,))
+    if form[2]:
+        beta = TwoPowerRatio(((low - high) / 2,))
+    else:
+        beta = TwoPowerRatio((1.0, 1.0), (-2.0, 2.0), high - low)
+    terms = ((alpha, "zeta", 0.25 * eps), (beta, "f", 0.45 * eps))
+    return [term for term in terms if not term[0].is_zero]
+
+
 def _eval_routed(
     spec: SeriesSpec,
     route: Route,
@@ -311,6 +308,9 @@ def _eval_routed(
     max_terms: int | None,
     cache: _EvalCache,
 ) -> EvalResult:
+    """``spec`` on ``route``.  DECOMPOSED and ODD_SPLIT are linear forms over
+    the leaves zeta(s), f(s) and A(s) = sum e_m/(2m+1)^s, each cached under
+    (name, s), so the pairs and both sides of an identity share them."""
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     if route is Route.AUTO:
         route = Route.NAIVE
@@ -323,35 +323,41 @@ def _eval_routed(
                 route = Route.DECOMPOSED
     if route is Route.NAIVE:
         return eval_naive(spec, s, eps, prec, max_terms)
-    if route is Route.DECOMPOSED:
-        return _eval_decomposed(spec, s, eps, prec, max_terms, cache)
+    leaves = {
+        "zeta": lambda e: _zeta_leaf(lambda p: riemann_zeta(s, p), e, prec),
+        "f": lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms),
+        "A": lambda e: eval_naive(ODD_PLUS_MINUS_SERIES, s, e, prec, max_terms),
+    }
     if route is Route.FUNCTIONAL_EQUATION:
         if spec != F_SERIES:
             raise DomainError(
                 f"the functional-equation route evaluates f only, not {spec.label()}"
             )
-        return cache.get_or_eval(
-            ("f", s),
-            eps,
-            lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms),
-        )
+        return cache.get_or_eval(("f", s), eps, leaves["f"])
     if route is Route.ODD_SPLIT:
-        # f = 2^s/(2^s+1) A, g = -2^s/(2^s-1) A from the even/odd index split
-        ctx = _combine_ctx(prec)
-        q = 2.0 ** (-s) if ctx is None else ctx.power(2, -ctx.mpf(s))
-        if spec == F_SERIES:
-            factor = 1.0 / (1.0 + q)
-        elif spec == G_SERIES:
-            factor = -1.0 / (1.0 - q)
-        else:
+        if spec not in _ODD_SPLIT:
             raise DomainError(f"odd-split route does not apply to {spec.label()}")
-        a = cache.get_or_eval(
-            ("A", s),
-            eps * 0.98 / abs(float(factor)),
-            lambda e: eval_naive(ODD_PLUS_MINUS_SERIES, s, e, prec, max_terms),
+        terms = [(_ODD_SPLIT[spec], "A", 0.98 * eps)]
+    elif route is Route.DECOMPOSED:
+        terms = _decomposition(spec, eps)
+    else:
+        raise DomainError(f"unknown route {route}")
+    value, bound, used = _linear_form(
+        terms, s, prec, lambda key, e: cache.get_or_eval((key, s), e, leaves[key])
+    )
+    if route is Route.ODD_SPLIT:
+        return EvalResult(value, bound, used, Method.ODD_DECOMPOSITION)
+    if bound > eps:
+        raise ResourceLimitError(
+            f"{spec.label()} decomposition certified only {bound:g} > eps={eps:g} at s={s:g}"
         )
-        return EvalResult(*_weighted_sum([(factor, a)], prec), Method.ODD_DECOMPOSITION)
-    raise DomainError(f"unknown route {route}")
+    # the f leaf's route names the result; without one only the
+    # Euler-Maclaurin zeta ran (or, for the all-zero alphabet, nothing,
+    # which still counts as one term)
+    method = Method.EULER_MACLAURIN
+    if any(key == "f" for _, key, _ in terms):
+        method = cache[("f", s)].method
+    return EvalResult(value, bound, max(used, 1), method)
 
 
 def eval_series_spec(
@@ -377,16 +383,6 @@ def eval_series_spec(
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-
-def _linear_form(terms, s: float | None, share: float, prec: Precision, evaluate):
-    """sum_i c_i(2^s) leaf_i over (TwoPowerRatio, leaf) pairs, through
-    ``_weighted_sum``; ``evaluate(leaf, e)`` certifies each leaf to
-    e = share/|c_i|, so every term's part of the bound is about ``share``."""
-    coefs = [(coef.value(s, prec), leaf) for coef, leaf in terms]
-    return _weighted_sum(
-        ((c, evaluate(leaf, share / max(abs(float(c)), 1e-30))) for c, leaf in coefs), prec
-    )
 
 
 def verify(
@@ -420,8 +416,9 @@ def verify(
     half = eps * 0.5
 
     # the right side first: its zeta-type leaves then serve the left's
+    share = 0.45 * half / max(len(identity.rhs), 1)
     rhs_value, rhs_bound, _ = _linear_form(
-        identity.rhs, s, 0.45 * half / max(len(identity.rhs), 1), prec,
+        [(c, leaf, share) for c, leaf in identity.rhs], s, prec,
         lambda leaf, e: leaf.bracket(s, e, prec, cache),
     )
 
@@ -429,9 +426,10 @@ def verify(
         lhs = identity.fixed_lhs(half, max_terms or DEFAULT_MAX_TERMS)
         lhs_value, lhs_bound, terms = lhs.value, lhs.abs_error_bound, lhs.terms_used
     else:
-        pairs = [(t.coefficient, t) for t in identity.lhs if not t.coefficient.is_zero]
+        pairs = [t for t in identity.lhs if not t.coefficient.is_zero]
+        share = half * 0.98 / max(len(pairs), 1)
         lhs_value, lhs_bound, terms = _linear_form(
-            pairs, s, half * 0.98 / max(len(pairs), 1), prec,
+            [(t.coefficient, t, share) for t in pairs], s, prec,
             lambda t, e: _eval_routed(t.series, t.route, s, e, prec, max_terms, cache),
         )
 

@@ -258,37 +258,6 @@ class CoefficientSequence:
         # the letters themselves: low + (high - low) t need not round to high
         return np.where(np.bitwise_count(_indices(lo, hi)) & np.uint8(1), self.high, self.low)
 
-    def values(self, lo: int, hi: int) -> list[float]:
-        """c_n for n in [lo, hi) as a list of floats, built without numpy.
-
-        The mpmath kernel reads its coefficients here: its sums are Python
-        integers anyway, and a process on the mpmath path then never pays
-        for numpy's array machinery."""
-        if lo < self.min_index:
-            raise DomainError(f"{self.label()} sequence needs n >= {self.min_index}, got {lo}")
-        k = self.kind
-        idx = range(lo, hi)
-        if k is SequenceKind.DELTA:
-            return [float((n.bit_count() & 1) - ((n - 1).bit_count() & 1)) for n in idx]
-        if k is SequenceKind.PERIOD_DOUBLING:
-            # parity of the 2-adic valuation of n + 1
-            return [float(((n + 1) & -(n + 1)).bit_length() & 1 ^ 1) for n in idx]
-        if k is SequenceKind.DIGIT_SUM:
-            # s(n + 1) = s(n) + 1 - (b - 1) v_b(n + 1)
-            b = self.base
-            out = []
-            total = digit_sum(lo, b)
-            for n in idx:
-                out.append(float(total))
-                total += 1
-                m = n + 1
-                while m % b == 0:
-                    m //= b
-                    total -= b - 1
-            return out
-        letters = (self.low, self.high)
-        return [letters[n.bit_count() & 1] for n in idx]
-
     # -- majorant ------------------------------------------------------------
 
     @cached_property

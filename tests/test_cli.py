@@ -146,6 +146,15 @@ def test_eval_resource_error_exit_one(capsys):
     assert "cap" in err
 
 
+def test_eval_overflowing_alphabet_names_its_coefficient(capsys):
+    # b - a = -2e308 is not a float: the decomposition's f coefficient
+    # (b - a)(1 + q)/(2 - 2q) is refused by name, not as a zero eps share
+    code, _, err = run(capsys, "eval", "affine:1e308:-1e308", "2")
+    assert code == 1
+    assert err.startswith("error: coefficient -1.11254*2^1024*(1 + 2^s)") and "at s=2" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("series,reference", [("f", "functional"), ("g", "naive")])
 def test_eval_odd_method_reports_odd_decomposition(capsys, series, reference):
     code, out, _ = run(capsys, "eval", series, "3", "1e-9", "--method", "odd")
@@ -244,6 +253,38 @@ def test_verify_shallit_ten(capsys):
     code, out, _ = run(capsys, "verify", "shallit:10", "--eps", "1e-4")
     assert code == 0
     assert "[PASS] shallit:10" in out
+
+
+#: The records that hold for every s > 1, and how each ends past s = 1024,
+#: where 2^s is no float: a pass, or a single error line naming what broke.
+_HUGE_S_OUTCOMES = {
+    "lemma1": None,
+    "corollary2-phi": None,
+    "corollary2-gamma": None,
+    "theorem3": "coefficient 2^s",
+    "theorem5-zero": None,
+    "theorem5-pows": "coefficient 2^s",
+    "theorem5-eta": "coefficient 2^s",
+    "example8": None,
+    # 4^-s zeta(s, 1/4): the Hurwitz value, about 4^s, is no float
+    "example9": "certified bound inf",
+}
+
+
+@pytest.mark.parametrize("s", ["1030", "1100"])
+@pytest.mark.parametrize("ident", list(_HUGE_S_OUTCOMES))
+def test_verify_at_huge_s_passes_or_names_the_limit(capsys, ident, s):
+    # coefficients are evaluated in q = 2^-s: at s = 1030 q is subnormal,
+    # at 1100 it is 0, and 2^s overflowed into a traceback before
+    code, out, err = run(capsys, "verify", ident, "--s", s, "--format", "text")
+    needle = _HUGE_S_OUTCOMES[ident]
+    if needle is None:
+        assert code == 0, err
+        assert f"[PASS] {ident}" in out
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and needle in err and err.count("\n") == 1, err
+    assert get_identity(ident).valid_s.fixed_s is None
 
 
 def test_verify_unknown_identity(capsys):

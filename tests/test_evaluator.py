@@ -667,7 +667,7 @@ def test_one_denominator_table_drives_the_terms(form):
     assert j0 == 0 or min(d for _, d, _ in spec.denominators(j0 - 1)) < 1
     s = 2.5
     for lo in (j0, j0 + 1, 1000, 2**40):
-        c = spec.coeffs.values(lo, lo + 64)
+        c = spec.coeffs.block(lo, lo + 64).tolist()
         table = spec.denominators(lo)
         expected = [
             c[i] * math.fsum(sign * float(d + step * i) ** -s for sign, d, step in table)
@@ -690,7 +690,7 @@ def _oracle_check(spec: SeriesSpec, s: float, n: int, bits: int) -> None:
     neg_s = -ctx.mpf(s)
     j0 = spec.counter_start
     terms, units = [], 0.0
-    for j, c in zip(range(j0, j0 + n), spec.coeffs.values(j0, j0 + n)):
+    for j, c in zip(range(j0, j0 + n), spec.coeffs.block(j0, j0 + n).tolist()):
         if spec.denom is DenominatorForm.COMPOSITE9:
             dens = ((1, j), (-1, 4 * j + 3))
         elif spec.denom is DenominatorForm.POWER_OF_ODD_N:

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from autoseries.errors import DomainError, ResourceLimitError
-from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES
+from autoseries.evaluator import F_SERIES, G_SERIES, GAMMA_SERIES, PHI_SERIES, IndexShift, SeriesSpec
 from autoseries.identities import (
     Eta,
     HurwitzZeta,
@@ -23,14 +25,18 @@ from autoseries.identities import (
     ValidityDomain,
     Zeta,
     _EvalCache,
+    _ODD_SPLIT,
+    _affine_form,
+    _decomposition,
     _linear_form,
     builtin_registry,
+    eval_series_spec,
     get_identity,
     make_corollary2_identity,
     verify,
 )
 from autoseries.precision import Precision
-from autoseries.sequences import pm_thue_morse, thue_morse
+from autoseries.sequences import CoefficientSequence, pm_thue_morse, thue_morse
 
 GRID = (2.0, 3.0, 4.0)
 
@@ -183,8 +189,10 @@ def _rhs_error(rhs, s, eps, prec, reference=None):
     the reference (``rhs`` unless given) from mpmath at twice the working
     bits."""
     cache = _EvalCache()
+    share = 0.45 * eps / 2 / len(rhs)
     value, bound, _ = _linear_form(
-        rhs, s, 0.45 * eps / 2 / len(rhs), prec, lambda leaf, e: leaf.bracket(s, e, prec, cache)
+        [(c, leaf, share) for c, leaf in rhs], s, prec,
+        lambda leaf, e: leaf.bracket(s, e, prec, cache),
     )
 
     def poly(coeffs, x):
@@ -233,6 +241,109 @@ def test_fraction_coefficient_keeps_the_working_bits():
     assert err <= bound <= eps
     err, bound = _rhs_error(((TwoPowerRatio((2.0 / 3.0,)), Pi(2)),), 2.0, eps, prec, exact)
     assert err > bound
+
+
+# -- coefficients in q = 2^-s ---------------------------------------------------------
+
+
+def _every_coefficient():
+    """Every ``TwoPowerRatio`` a verification or a route evaluates: both
+    sides of each registry record, the decomposition of every registry
+    alphabet and of two more, and the odd split's two factors."""
+    coefs, alphabets = [], {
+        SeriesSpec(CoefficientSequence.affine(1 / 3, 4 / 3)),
+        SeriesSpec(CoefficientSequence.affine(9.0, 16.0)),
+    }
+    for ident in builtin_registry():
+        coefs += [t.coefficient for t in ident.lhs] + [c for c, _ in ident.rhs]
+        alphabets |= {t.series for t in ident.lhs if _affine_form(t.series) is not None}
+    for spec in sorted(alphabets, key=lambda spec: spec.label()):
+        coefs += [c for c, _, _ in _decomposition(spec, 1.0)]
+    return coefs + list(_ODD_SPLIT.values())
+
+
+@pytest.mark.parametrize("bits", [53, 80])
+@pytest.mark.parametrize("s", [1.5, 2.0, 2.5, 3.7, 60.0, 1030.0])
+def test_coefficients_within_2u_of_mpmath(s, bits):
+    # one 2^-s and one Horner per polynomial stay within 2u of the exact
+    # ratio at 200 bits (below the normal range, of its nearest subnormal);
+    # a ratio that is no finite float is refused by name
+    prec = None if bits == 53 else Precision(bits, 1e-20)
+    u = 2.0 ** (1 - bits)
+    checked = refused = 0
+    for coef in _every_coefficient():
+        with mpmath.workprec(200):
+            x = mpmath.mpf(2) ** s
+            ref = _exact(coef.scale) * sum(_exact(c) * x**i for i, c in enumerate(coef.num))
+            ref /= sum(_exact(c) * x**i for i, c in enumerate(coef.den))
+            if abs(ref) > mpmath.mpf(2) ** 1024:
+                with pytest.raises(DomainError, match=r"coefficient .* at s="):
+                    coef.value(s, prec)
+                refused += 1
+                continue
+            err = abs(mpmath.mpf(coef.value(s, prec)) - ref)
+            assert err <= 2 * u * abs(ref) + mpmath.mpf(2) ** -1075, (coef.describe(), s)
+            checked += 1
+    assert checked >= 40 and (refused > 0) == (s > 1024)
+
+
+# -- routes against each other -----------------------------------------------------
+
+
+def _coarse_eps(eps: float, s: float, prec: Precision) -> float:
+    """eps, or what a naive sum of about 2e5 terms (1.5e4 on the mpmath
+    path) certifies for a letter gap up to 32, whichever is larger."""
+    return max(eps, 64.0 * (2e5 if prec.is_double else 1.5e4) ** -s)
+
+
+def _routed(spec, s, eps, route, prec):
+    """``spec`` on ``route``, or None where a leaf's share of eps lies
+    below what the working width certifies and the route says so."""
+    try:
+        return eval_series_spec(spec, s, eps, route, prec)
+    except ResourceLimitError as err:
+        assert "working" in str(err)
+        return None
+
+
+def _agree(a, b) -> None:
+    if a is None or b is None:
+        return
+    with mpmath.workprec(200):
+        gap = abs(mpmath.mpf(a.value) - mpmath.mpf(b.value))
+    assert gap <= a.abs_error_bound + b.abs_error_bound, (a, b)
+
+
+_LETTER = st.one_of(st.integers(-16, 16).map(float), st.floats(-16.0, 16.0))
+
+
+@pytest.mark.parametrize("bits", [None, 80])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    a=_LETTER,
+    b=_LETTER,
+    shifted=st.booleans(),
+    s=st.floats(1.5, 8.0),
+    eps=st.floats(-12.0, -6.0).map(lambda e: 10.0**e),
+)
+def test_decomposed_and_odd_split_agree_with_other_routes(bits, a, b, shifted, s, eps):
+    # DECOMPOSED against NAIVE on the same alphabet, and the odd split of
+    # f and g against the functional equation and NAIVE; the naive sums
+    # run at a coarser eps where 2e5 terms cannot certify eps
+    prec = Precision.for_eps(eps) if bits is None else Precision(bits, eps)
+    coarse = _coarse_eps(eps, s, prec)
+    coarse_prec = Precision.for_eps(coarse) if bits is None else Precision(bits, coarse)
+    spec = SeriesSpec(CoefficientSequence.affine(a, b), IndexShift.BY_ONE if shifted else IndexShift.NONE)
+    dec = _routed(spec, s, eps, Route.DECOMPOSED, prec)
+    assert dec is None or dec.abs_error_bound <= eps
+    _agree(dec, _routed(spec, s, coarse, Route.NAIVE, coarse_prec))
+    for series, other, other_eps, other_prec in (
+        (F_SERIES, Route.FUNCTIONAL_EQUATION, eps, prec),
+        (G_SERIES, Route.NAIVE, coarse, coarse_prec),
+    ):
+        odd = _routed(series, s, coarse, Route.ODD_SPLIT, coarse_prec)
+        assert odd is None or odd.abs_error_bound <= coarse
+        _agree(odd, _routed(series, s, other_eps, other, other_prec))
 
 
 # -- false identities must fail ---------------------------------------------------

@@ -199,7 +199,6 @@ def test_affine_examples():
     r2 = 2.0**0.5
     q = CoefficientSequence.affine(-r2, 1.0 - r2)
     expected = [1.0 - r2 if thue_morse(n) else -r2 for n in range(50)]
-    assert q.values(0, 50) == expected
     assert q.block(0, 50).tolist() == expected
 
 
@@ -239,7 +238,7 @@ def test_discrepancy_bound_by_brute_force(seq):
     # the reported floats are mu and B to within one rounding
     assert abs(Fraction(mu_f) - mu) <= Fraction(2) ** -53 * abs(mu)
     assert abs(Fraction(b_f) - b) <= Fraction(2) ** -53 * b
-    diffs = [Fraction(c) - mu for c in seq.values(seq.min_index, 2**16)]
+    diffs = [Fraction(c) - mu for c in seq.block(seq.min_index, 2**16).tolist()]
     scale = math.lcm(*{d.denominator for d in diffs})
     partial = itertools.accumulate(int(d * scale) for d in diffs)
     assert max(abs(p) for p in partial) == b * scale
@@ -352,17 +351,22 @@ def test_block_matches_term_everywhere(seq, ref):
     ids=lambda s: s.label(),
 )
 def test_values_match_block(seq):
-    # the mpmath kernel's numpy-free reads; far ranges carry digit-sum
-    # and 2-adic runs across many block boundaries
+    # the block as a list is what the mpmath kernel reads: the scalar
+    # values there, over far ranges that carry digit-sum and 2-adic runs
+    # across many block boundaries
+    scalar = {
+        SequenceKind.DELTA: delta,
+        SequenceKind.PERIOD_DOUBLING: period_doubling,
+        SequenceKind.DIGIT_SUM: lambda n: digit_sum(n, seq.base),
+        SequenceKind.AFFINE: lambda n: affine_seq(n, seq.low, seq.high),
+    }[seq.kind]
     for lo in (seq.min_index, 99_999, 3**25 - 5, 2**40 - 7):
-        assert seq.values(lo, lo + 3000) == seq.block(lo, lo + 3000).tolist()
+        assert [float(scalar(n)) for n in range(lo, lo + 3000)] == seq.block(lo, lo + 3000).tolist()
     with pytest.raises(DomainError):
-        seq.values(seq.min_index - 1, seq.min_index + 5)
+        seq.block(seq.min_index - 1, seq.min_index + 5)
 
 
 def test_min_index_enforced():
-    with pytest.raises(DomainError):
-        CoefficientSequence.delta().values(0, 5)
     with pytest.raises(DomainError):
         CoefficientSequence.delta().block(0, 5)
 
