@@ -72,17 +72,18 @@ accumulation over fixed 2^14-term chunks, so results are bit-reproducible,
 and every reported bound adds an explicit rounding budget,
 ``_ROUNDING_OPS`` u times the absolute-sum majorant, on top of the
 analytic tail.  Wider working precisions sum in fixed point
-(``fixed_point.fixed_point_sums``) at P = working bits + 20 + log2 N bits:
-n^-s is completely multiplicative, so only the primes up to the last
-denominator D take an ``mpmath`` power, and every other weight is a
-product of two table entries, within Omega(n) + 2 units of 2^-P.  The sum
-of |c_n| times those units is at most C N (log2 D + 2) 2^-P <=
-C (log2 D + 2) 2^-21 u (C the coefficient majorant, twice that for
-composite9's two weights); with the one rounding of the final conversion
-it stays far inside the same ``_ROUNDING_OPS`` u envelope.  The table
-keeps the weights of the odd numbers below 2^15 (16,384 integers); a
-denominator whose odd part or cofactor lies past it takes a power of its
-own.
+(``fixed_point.fixed_point_sums``) at P = working bits + 20 + log2 N bits.
+Only 2 and the odd primes below 4s take an ``mpmath`` power: n^-s is
+completely multiplicative, so a composite's weight is a product of two
+smaller ones, and every other prime's is a binomial step w(m + r) = w(m)
+(1 + r/m)^-s from a nearby multiple m of 4 (r = +-1 in the table) or of
+a larger power of 2, the series evaluated by integer Horner.  Every weight is within 11 units of 2^-P, so the sum of |c_n|
+times those units is at most 11 C N 2^-P <= 11 C 2^-21 u (C the
+coefficient majorant, twice that for composite9's two weights); with the
+one rounding of the final conversion it stays far inside the same
+``_ROUNDING_OPS`` u envelope.  The table keeps the weights of the odd
+numbers below 2^15 (16,384 integers); no denominator past it takes a
+power.
 
 Every coefficient rational in 2^s is a ``TwoPowerRatio``, evaluated in
 q = 2^-s by one Horner, so no s overflows it.  Weighted sums of certified
@@ -502,8 +503,19 @@ def _linear_form(terms, s: float | None, prec: Precision, evaluate):
     """sum_i c_i(2^s) leaf_i over (TwoPowerRatio, leaf, share) triples,
     through ``_weighted_sum``; ``evaluate(leaf, e)`` certifies each leaf to
     e = share/|c_i|, so every term's part of the bound is about its share.
-    Every coefficient is evaluated before the first leaf."""
-    coefs = [(coef.value(s, prec), leaf, share) for coef, leaf, share in terms]
+    Every coefficient is evaluated before the first leaf; one that is not
+    identically zero but underflows a float (4^-s past s of about 537)
+    raises a ``DomainError``, since no working width gives its leaf a
+    share eps/|c_i| that a float bound can hold."""
+    coefs = []
+    for coef, leaf, share in terms:
+        c = coef.value(s, prec)
+        if float(c) == 0.0 and not coef.is_zero:
+            raise DomainError(
+                f"coefficient {coef.describe()} underflows to 0 at s={s}, so the leaf it "
+                "weighs cannot be certified to its share of eps at any working precision"
+            )
+        coefs.append((c, leaf, share))
     return _weighted_sum(
         ((c, evaluate(leaf, share / max(abs(float(c)), 1e-30))) for c, leaf, share in coefs), prec
     )
@@ -711,9 +723,11 @@ _FE_LEAF_SHARE = 0.45
 _FE_TRUNC_SHARE = 0.45
 
 # Predicted microseconds per unit of FE work on the mpmath and the float64
-# path: a power (one per prime of the fixed-point table; two per column of
-# the float64 block), a leaf term at one exponent (a floor division, or a
-# block entry), and a weight of one level (its step and its product).
+# path: a power (one per prime of the fixed-point table, priced as an
+# mpmath power though the primes past 4(s + J0) take a cheaper binomial
+# step; two per column of the float64 block), a leaf term at one exponent
+# (a floor division, or a block entry), and a weight of one level (its
+# step and its product).
 _FE_COST_US = {False: (24.0, 0.4, 1.5), True: (0.04, 0.003, 1.5)}
 
 
@@ -865,7 +879,7 @@ def _fe_leaves(s: float, j0: int, counts: list[int], prec: Precision, q: int) ->
     Each sum stays inside the naive route's ``_ROUNDING_OPS`` u envelope:
     in the block, row i's extra (2i + 3) u touches only n >= 2, whose terms
     sum to at most 2^-p (1 + 2/(p-1)) with p >= 2 + i; in fixed point the
-    Omega(n) + 4 units per weight are far below it, as for one exponent."""
+    11 units per weight are far below it, as for one exponent."""
     if prec.is_double:
         block = F_SERIES._term_rows(0, counts[0], s, j0, len(counts))
         # the first term, 1^-p, is exact in every row, and added last

@@ -266,8 +266,9 @@ _HUGE_S_OUTCOMES = {
     "theorem5-pows": "coefficient 2^s",
     "theorem5-eta": "coefficient 2^s",
     "example8": None,
-    # 4^-s zeta(s, 1/4): the Hurwitz value, about 4^s, is no float
-    "example9": "certified bound inf",
+    # 4^-s zeta(s, 1/4): the coefficient underflows, the Hurwitz value
+    # (about 4^s) is no float
+    "example9": "coefficient (1)/(2^2s) underflows to 0",
 }
 
 
@@ -285,6 +286,16 @@ def test_verify_at_huge_s_passes_or_names_the_limit(capsys, ident, s):
         assert code == 1
         assert err.startswith("error: ") and needle in err and err.count("\n") == 1, err
     assert get_identity(ident).valid_s.fixed_s is None
+
+
+@pytest.mark.parametrize("extra", [[], ["--precision-bits", "80"]])
+def test_verify_example9_past_the_float_range_names_the_coefficient(capsys, extra):
+    # 4^-1030 is below the float range; more working bits cannot help, so
+    # the refusal must not suggest them
+    code, out, err = run(capsys, "verify", "example9", "--s", "1030", *extra)
+    assert (code, out) == (1, "")
+    assert "coefficient (1)/(2^2s) underflows to 0 at s=1030" in err
+    assert "working_bits" not in err and "inf" not in err
 
 
 def test_verify_unknown_identity(capsys):
@@ -591,3 +602,24 @@ def test_setup_request_builds_no_table_and_imports_no_fixed_point():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    # the same command line, in a fresh process through ``-m``, prints the
+    # same report as ``main`` in this one
+    import subprocess
+    import sys
+
+    import autoseries
+
+    src = str(Path(autoseries.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "autoseries", "eval", "f", "2", "1e-8"],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == json.loads(run(capsys, "eval", "f", "2", "1e-8")[1])
+    done = subprocess.run([sys.executable, "-m", "autoseries", "verify", "nope"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "unknown identity" in done.stderr

@@ -31,6 +31,7 @@ from autoseries.evaluator import (
     eval_phi_gamma,
     partial_sum,
 )
+from autoseries.fixed_point import _WEIGHT_UNITS, _odd_primes, _Weights
 from autoseries.identities import Route, eval_series_spec
 from autoseries.precision import Precision
 from autoseries.result import Method
@@ -680,8 +681,11 @@ def _oracle_check(spec: SeriesSpec, s: float, n: int, bits: int) -> None:
     """``partial_sum`` on the mpmath path against a plain mpmath fsum of
     c_j times its denominators' powers, 40 bits wider than the kernel.
 
-    The kernel's error is at most 2^-P (|value| + sum_j |c_j| sum_d (Omega(d) + 2))
-    at its width P = bits + 20 + bit_length(n), and Omega(d) <= log2 d."""
+    At the kernel's width P = bits + 20 + bit_length(n) each weight is
+    within ``_WEIGHT_UNITS`` units of 2^-P (checked one by one in
+    ``test_every_weight_within_its_unit_bound``); the errors seen are a few
+    units, so the sum is held to 2^-P (|value| + sum_j |c_j| sum_d
+    (log2 d + 2))."""
     value = partial_sum(spec, s, n, Precision(bits, 1e-3))
     assert not isinstance(value, float)
     width = bits + 20 + n.bit_length()
@@ -738,8 +742,8 @@ def test_fixed_point_kernel_past_the_table_cap():
     _oracle_check(COMPOSITE9_SERIES, 2.5, 30_000, 64)
 
 
-def test_mp_kernel_powers_only_at_primes(monkeypatch):
-    # N = 2061 denominators, and pi(2061) = 310 primes among them
+def _counting_powers(monkeypatch) -> list:
+    """The bases of every ``ctx.power`` call made from now on."""
     power = StandardBaseContext.power
     bases = []
 
@@ -748,11 +752,64 @@ def test_mp_kernel_powers_only_at_primes(monkeypatch):
         return power(ctx, x, y)
 
     monkeypatch.setattr(StandardBaseContext, "power", counted)
+    return bases
+
+
+def _primes_below(top: float) -> list[int]:
+    return [p for p in range(2, math.ceil(top)) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def test_mp_kernel_powers_only_at_primes(monkeypatch):
+    # N = 2061 denominators and pi(2061) = 310 primes among them, but only
+    # 2 and the odd primes below 4s = 16.08 take a power; every other prime
+    # is a binomial step from a neighbour
+    bases = _counting_powers(monkeypatch)
     r = eval_naive(G_SERIES, 4.02, 1e-13)
     assert r.terms_used == 2061
-    primes = [p for p in range(2, 2062) if all(p % q for q in range(2, math.isqrt(p) + 1))]
-    assert len(primes) == 310
-    assert sorted(bases) == primes
+    assert sorted(bases) == _primes_below(4 * 4.02) == [2, 3, 5, 7, 11, 13]
+
+
+@pytest.mark.parametrize("form", list(_KERNEL_FORMS))
+def test_no_denominator_past_a_small_table_takes_a_power(form, monkeypatch):
+    monkeypatch.setattr("autoseries.fixed_point._TABLE_LIMIT", 41)
+    bases = _counting_powers(monkeypatch)
+    partial_sum(_kernel_spec("pd" if form == "composite9" else "neg", form), 3.5, 1500,
+                Precision(64, 1e-3))
+    assert set(bases) <= set(_primes_below(4 * 3.5))
+
+
+def _weight_errors(s, limit: int, top: int, prec: int) -> list[float]:
+    """|w(d) - 2^P d^-s| in units of 2^-P for every weight the kernel can
+    read up to ``top``: the powers of two, the odd table below ``limit``
+    (products, and steps from a neighbour d -+ 1), the odd weights past it
+    (steps from the nearest multiple of 2^k whose odd part is in the
+    table) and the even products 2^k o; reference at 2P bits."""
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    weights = _Weights(s, top, limit, _odd_primes(math.isqrt(top)), ctx)
+    ref = mpmath.MPContext()
+    ref.prec = 2 * prec
+    neg_s = -ref.mpf(s)
+    got = {1 << k: w for k, w in enumerate(weights.two)}
+    got.update((2 * i + 1, w) for i, w in enumerate(weights.table))
+    for d in range(2, top + 1):
+        k = (d & -d).bit_length() - 1
+        w = weights.odd(d >> k)
+        got.setdefault(d, w if k == 0 else (weights.two[k] * w) >> prec)
+    assert got.keys() >= set(range(1, top + 1))
+    return [float(abs(w - ref.ldexp(ref.power(d, neg_s), prec))) for d, w in got.items()]
+
+
+_S80 = mpmath.MPContext()
+_S80.prec = 80
+
+
+@pytest.mark.parametrize(
+    "s", [1.01, 2.5, 4.02, 9.75, _S80.mpf(10) / 3], ids=["1.01", "2.5", "4.02", "9.75", "mpf80"]
+)
+def test_every_weight_within_its_unit_bound(s):
+    for limit in (41, 1025):
+        assert max(_weight_errors(s, limit, 3000, 120)) <= _WEIGHT_UNITS
 
 
 def test_eval_naive_reads_a_non_mpf_exponent_as_its_float():
