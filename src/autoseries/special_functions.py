@@ -5,27 +5,66 @@ real s > 1:
 
     zeta(s, a) = sum_{k<N} (k+a)^(-s)
                + (N+a)^(1-s)/(s-1) + (N+a)^(-s)/2
-               + sum_{j=1..v} B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+a)^(-s-2j+1)
-               + R_v
+               + sum_{j=1..v} T_j + R_v,
+    T_j = B_{2j}/(2j)! * s(s+1)...(s+2j-2) * (N+a)^(-s-2j+1),
 
-and the remainder satisfies the first-omitted-term bound
-
-    |R_v| <= |B_{2v+2}|/(2v+2)! * s(s+1)...(s+2v) * (N+a)^(-s-2v-1),
-
+and the remainder satisfies the first-omitted-term bound |R_v| <= |T_{v+1}|,
 which is valid for real s > 0 because every derivative of (x+a)^(-s) keeps
-a fixed sign on x >= 0.  The engine scans a fixed (N, v) schedule until the
-remainder bound undershoots half the target tolerance, then evaluates at
-working precision plus guard bits; the reported bound adds the remainder,
-a summation rounding budget, and the float conversion ulp.
+a fixed sign on x >= 0.  The engine scans a fixed (N, v) schedule until
+|T_{v+1}| undershoots half the target tolerance, then sums the pieces with
+one ``fsum``; the reported bound is |T_{v+1}| plus a rounding budget.
+
+The engine runs over two number types, like ``evaluator._horner``: floats
+where ``ctx`` is None, mpfs of ``ctx`` otherwise.  A wider leaf runs in a
+context of working plus 20 guard bits, and its budget is
+8 (N + 3v + 16) 2^-(bits+20) (|value| + 1) plus the float conversion ulp.
+On the double path the arithmetic is float64, with no mpmath power,
+whenever every shift k + a with k <= 1024 is an exact float (integers,
+1/4, 1/2, 3/4, N1 + 1/2, N1 + 3/4; a 1/3 or a 0.3 takes the context).
+With u = 2^-53, its budget is:
+
+* Every power is trusted to 1 ulp, 2u relative: the trust the float64
+  kernel's ``_ROUNDING_OPS`` envelope places in numpy's ``**``.  The
+  exponents -s and 1 - s are exact; -s - 1 is rounded by some d, which
+  Fast2Sum recovers exactly, and which moves (N+a)^(-s-1) by a factor
+  within 1 + kappa, kappa = 1.01 |d| ln(N+a).
+* The positive pieces (the prefix, the integral term, the half term) sum
+  to at most |value| + sum |T_j|, so their powers contribute 2u times
+  that, and the integral term's division one more u times itself.
+* T_j takes u for B_{2j}/(2j)! (a float, cached per j), 4u for each of
+  the j - 1 steps of the rising factorial (two sums, two products), 2u
+  for the power, 3u for each of the j - 1 steps by 1/(N+a)^2, and 2u for
+  its two products: (7j - 2)u + kappa, so (7v + 5)u + kappa covers every
+  T_j up to the first omitted one.  The corrections take that times
+  sum |T_j|; the remainder bound is |T_{v+1}| times 1 plus it.
+* ``math.fsum`` rounds once: u |value|.
+* The whole bound is scaled by 1 + 1e-9, far above every second-order
+  term and the bound's own roundings.
+
+No piece may be subnormal, where relative rounding fails: an underflowed
+(N+a)^(-s-2j+1) times a large B_{2j}/(2j)! s...(s+2j-2) has no small
+absolute floor.  The smallest power formed is (N+a)^(-s-2v-1), and the
+float path requires it to be at least 2^-1000; then every piece is a
+normal float (B_{2j}/(2j)! s...(s+2j-2) >= |B_{2j}|/(2j) >= 1/252 for
+s >= 1).  A leaf where that fails, where a power overflows, or whose float
+bound misses the target (about 3u |value| from the powers and the sum,
+so 1e-12 at ``zeta(6, 1/4)`` ~ 4096) runs in the context instead, so the
+float path refuses nothing the context certifies.  A value past the
+largest float is a ``DomainError`` on the double path: no working width
+makes it a float.
 
 The alternating form is derived, not summed:  eta(s) = (1 - 2^(1-s)) zeta(s),
-with the error bound propagated through the factor.
+with the error bound propagated through the factor; on the double path
+the factor is a float, 2^(1-s) to 1 ulp and 1 - 2^(1-s) rounded once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
+
+from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError, ResourceLimitError
 from .precision import Precision, _check_s, _mp_context
@@ -34,70 +73,99 @@ from .result import EvalResult, Method
 _N_SCHEDULE = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 _V_MAX = 60
 _GUARD_BITS = 20
+#: Unit roundoff of a float, and the float path's scale for second-order terms.
+_U = 2.0**-53
+_SECOND_ORDER = 1 + 1e-9
 
-# B_{2j}/(2j)! as exact rationals (index j), extended lazily.
-_B_OVER_FACT: list[Fraction] = []
+# B_{2j}/(2j)! as exact rationals and as their nearest floats (index j),
+# extended lazily.
+_B_OVER_FACT: list[tuple[Fraction, float]] = []
 
 
-def _b_over_fact(j: int) -> Fraction:
-    import mpmath
-
+def _b_over_fact(j: int, ctx: MPContext | None):
+    """B_{2j}/(2j)!: its nearest float where ``ctx`` is None, else an mpf of ``ctx``."""
     while len(_B_OVER_FACT) <= j:
+        import mpmath
+
         jj = len(_B_OVER_FACT)
         p, q = mpmath.bernfrac(2 * jj)
-        _B_OVER_FACT.append(Fraction(int(p), int(q) * math.factorial(2 * jj)))
-    return _B_OVER_FACT[j]
+        frac = Fraction(int(p), int(q) * math.factorial(2 * jj))
+        _B_OVER_FACT.append((frac, float(frac)))
+    frac, nearest = _B_OVER_FACT[j]
+    return nearest if ctx is None else ctx.mpf(frac.numerator) / frac.denominator
 
 
-def _hurwitz_core(s: float, a, prec: Precision) -> EvalResult:
-    """zeta(s, a) to ``prec.target_eps``, valid for every a > 0.
+def _em_terms(s, base, ctx: MPContext | None):
+    """T_1, T_2, ... at N + a = ``base``: one power, base^(-s-1), then
+    two products per term."""
+    rising = s
+    power = base ** (-s - 1) if ctx is None else ctx.power(base, -s - 1)
+    inv_base2 = 1 / (base * base)
+    for j in itertools.count(1):
+        yield _b_over_fact(j, ctx) * rising * power
+        rising = rising * (s + 2 * j - 1) * (s + 2 * j)
+        power = power * inv_base2
 
-    The public ``hurwitz_zeta`` admits 0 < a <= 1 only; the naive route
-    calls this directly, at a = N+1 or N+1/2, for the mean part of a
-    truncated tail.
-    """
-    ctx = _mp_context(prec.working_bits + _GUARD_BITS)
-    s_mp = ctx.mpf(s)
-    a_mp = ctx.convert(a)
-    eps_goal = prec.target_eps * 0.5
 
-    chosen = None
+def _schedule(s, a, eps: float, ctx: MPContext | None) -> tuple[int, int]:
+    """The first scheduled (N, v) with |T_{v+1}| <= eps/2."""
+    goal = eps * 0.5
     for n_terms in _N_SCHEDULE:
-        base = n_terms + a_mp
-        # T_{j} = B_{2j}/(2j)! * rising(s, 2j-1) * base^(-s-2j+1), scanned for
-        # the first omitted term T_{v+1} below the goal
-        rising = s_mp
-        power = base ** (-s_mp - 1)
-        inv_base2 = 1 / (base * base)
-        for v in range(0, _V_MAX):
-            j = v + 1
-            frac = _b_over_fact(j)
-            t_j = abs(ctx.mpf(frac.numerator) / frac.denominator * rising * power)
-            if t_j <= eps_goal:
-                chosen = (n_terms, v, t_j)
-                break
-            rising = rising * (s_mp + 2 * j - 1) * (s_mp + 2 * j)
-            power = power * inv_base2
-        if chosen is not None:
-            break
-    if chosen is None:
-        raise ResourceLimitError(
-            f"Euler-Maclaurin schedule exhausted before reaching eps={prec.target_eps:g} "
-            f"at s={s}; raise target_eps or working_bits"
+        for v, term in zip(range(_V_MAX), _em_terms(s, n_terms + a, ctx)):
+            if abs(term) <= goal:
+                return n_terms, v
+    raise ResourceLimitError(
+        f"Euler-Maclaurin schedule exhausted before reaching eps={eps:g} "
+        f"at s={float(s)}; raise target_eps or working_bits"
+    )
+
+
+def _exact_in_floats(s: float, a) -> bool:
+    """True when ``a`` is a float, every k + a with k <= 1024 is one too,
+    and so is 1 - s: the float path's preconditions."""
+    af = float(a)
+    if af != a or not s < 2.0**52:
+        return False
+    num, den = af.as_integer_ratio()
+    return num + _N_SCHEDULE[-1] * den <= 2**53
+
+
+def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult | None:
+    """zeta(s, a) in floats (``ctx`` None) or in ``ctx``; None where the
+    float path cannot certify ``prec.target_eps``."""
+    if ctx is None:
+        s_, a_, power, fsum = s, a, pow, math.fsum
+    else:
+        s_, a_, power, fsum = ctx.mpf(s), ctx.convert(a), ctx.power, ctx.fsum
+    n_terms, v = _schedule(s_, a_, prec.target_eps, ctx)
+    base = n_terms + a_
+    if ctx is None and (s + 2 * v + 1) * math.log2(base) > 1000:
+        return None
+    *corrections, omitted = itertools.islice(_em_terms(s_, base, ctx), v + 1)
+    remainder = abs(omitted)
+    integral = power(base, 1 - s_) / (s_ - 1)
+    minus_s = -s_
+    pieces = [power(k + a_, minus_s) for k in range(n_terms)]
+    pieces += integral, power(base, minus_s) / 2, *corrections
+    value = fsum(pieces)
+
+    if ctx is None:
+        # -s - 1 rounds to -s - 1 + d, and Fast2Sum recovers d exactly
+        kappa = 1.01 * abs(-s - 1.0 + s + 1.0) * math.log(base)
+        rel = (7 * v + 5) * _U + kappa
+        c_abs = sum(map(abs, corrections))
+        rounding = 3 * _U * abs(value) + 2 * _U * c_abs + _U * integral + rel * c_abs
+        bound = (remainder * (1 + rel) + rounding) * _SECOND_ORDER
+        if not bound <= prec.target_eps:
+            return None
+        return EvalResult(value, bound, n_terms + v, Method.EULER_MACLAURIN)
+
+    out = float(value) if prec.is_double else value
+    if math.isinf(out):
+        raise DomainError(
+            f"zeta(s, a) at s={s:g}, a={a} is about {ctx.nstr(value, 3)}, "
+            f"past the largest float"
         )
-
-    n_terms, v, remainder = chosen
-    base = n_terms + a_mp
-    partial = ctx.fsum(ctx.power(k + a_mp, -s_mp) for k in range(n_terms))
-    value = partial + base ** (1 - s_mp) / (s_mp - 1) + ctx.power(base, -s_mp) / 2
-    rising = s_mp
-    power = base ** (-s_mp - 1) * base * base
-    for j in range(1, v + 1):
-        frac = _b_over_fact(j)
-        power = power / (base * base)
-        value += ctx.mpf(frac.numerator) / frac.denominator * rising * power
-        rising = rising * (s_mp + 2 * j - 1) * (s_mp + 2 * j)
-
     # rounding budget: ~(N + 3v) guarded operations plus the conversion ulp
     ops = n_terms + 3 * v + 16
     slack = ctx.mpf(8 * ops) * ctx.mpf(2.0) ** (-(prec.working_bits + _GUARD_BITS)) * (
@@ -110,8 +178,25 @@ def _hurwitz_core(s: float, a, prec: Precision) -> EvalResult:
             f"certified bound {bound:g} exceeds target_eps={prec.target_eps:g} "
             f"at working precision {prec.working_bits}; raise working_bits"
         )
-    out = float(value) if prec.is_double else value
     return EvalResult(out, bound, n_terms + v, Method.EULER_MACLAURIN)
+
+
+def _hurwitz_core(s: float, a, prec: Precision) -> EvalResult:
+    """zeta(s, a) to ``prec.target_eps``, valid for every a > 0.
+
+    The public ``hurwitz_zeta`` admits 0 < a <= 1 only; the naive route
+    calls this directly, at a = N+1 or N+1/2, for the mean part of a
+    truncated tail.  On the double path it runs in floats where they
+    certify, and in a context of working plus guard bits otherwise.
+    """
+    if prec.is_double and _exact_in_floats(s, a):
+        try:
+            result = _euler_maclaurin(s, float(a), prec, None)
+        except (OverflowError, ResourceLimitError):
+            result = None
+        if result is not None:
+            return result
+    return _euler_maclaurin(s, a, prec, _mp_context(prec.working_bits + _GUARD_BITS))
 
 
 def riemann_zeta(s: float, prec: Precision | None = None) -> EvalResult:
@@ -143,11 +228,21 @@ def dirichlet_eta(s: float, prec: Precision | None = None) -> EvalResult:
     """
     s = _check_s(s)
     prec = prec or Precision()
-    ctx = _mp_context(prec.working_bits + _GUARD_BITS)
-    factor = 1 - ctx.power(2, 1 - ctx.mpf(s))
+    ctx = None if prec.is_double else _mp_context(prec.working_bits + _GUARD_BITS)
+    q = 2.0 ** (1 - s) if ctx is None else ctx.power(2, 1 - ctx.mpf(s))
+    factor = 1 - q
     inner = _hurwitz_core(s, 1, prec.with_eps(prec.target_eps * 0.9 / float(factor)))
+    if ctx is None:
+        value = factor * inner.value
+        # q to one ulp and 1 - q rounded once; the product rounded once
+        factor_err = _U * (2 * q + factor)
+        bound = (
+            factor * inner.abs_error_bound
+            + factor_err * (abs(inner.value) + inner.abs_error_bound)
+            + _U * abs(value)
+        ) * _SECOND_ORDER
+        return EvalResult(value, bound, inner.terms_used, Method.EULER_MACLAURIN)
     value = factor * ctx.convert(inner.value)
     slack = abs(value) * ctx.mpf(2.0) ** (2 - prec.working_bits)
     bound = float(factor * inner.abs_error_bound + slack)
-    out = float(value) if prec.is_double else value
-    return EvalResult(out, bound, inner.terms_used, Method.EULER_MACLAURIN)
+    return EvalResult(value, bound, inner.terms_used, Method.EULER_MACLAURIN)

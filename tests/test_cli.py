@@ -298,6 +298,15 @@ def test_verify_example9_past_the_float_range_names_the_coefficient(capsys, extr
     assert "working_bits" not in err and "inf" not in err
 
 
+def test_verify_example9_past_the_float_hurwitz_value_names_it(capsys):
+    # at s = 520 the coefficient 4^-s is still a (subnormal) float, but
+    # zeta(s, 1/4) ~ 4^s is not; more working bits cannot help
+    code, out, err = run(capsys, "verify", "example9", "--s", "520")
+    assert (code, out) == (1, "")
+    assert "zeta(s, a) at s=520, a=1/4" in err and "largest float" in err
+    assert "working_bits" not in err and err.count("\n") == 1
+
+
 def test_verify_unknown_identity(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2

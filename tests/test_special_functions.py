@@ -7,7 +7,10 @@ import mpmath
 import pytest
 
 from autoseries.errors import DomainError, ResourceLimitError
-from autoseries.evaluator import GAMMA_SERIES, eval_naive
+from mpmath.ctx_mp_python import _mpf
+
+from autoseries import special_functions
+from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES, eval_naive
 from autoseries.precision import Precision, _mp_context
 from autoseries.result import Method
 from autoseries.special_functions import _hurwitz_core, dirichlet_eta, hurwitz_zeta, riemann_zeta
@@ -164,6 +167,137 @@ def test_shared_contexts_give_fresh_context_results():
     # and no caller changed the precision of a context it was handed
     for bits in range(90, 180):
         assert _mp_context(bits).prec == bits
+
+
+# -- the float64 engine on the double path ------------------------------------
+
+ORACLE_S = [1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 3.3, 4.0, 6.0, 10.0, 20.0, 40.0, 60.0]
+ORACLE_A = [1, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 3, 17.5, 1000.5, 14_000, 10**6]
+ORACLE_EPS = [1e-6, 1e-8, 1e-10, 1e-12, 2.0**-43]
+
+
+def _certified(call):
+    try:
+        return call()
+    except (ResourceLimitError, DomainError):
+        return None
+
+
+@pytest.mark.parametrize("s", ORACLE_S)
+def test_double_path_engine_against_mpmath_at_twice_the_bits(s):
+    # every 53-bit leaf holds its bound against mpmath at 120 bits, and
+    # certifies exactly where the 73-bit context alone does
+    ctx = _mp_context(53 + special_functions._GUARD_BITS)
+    for a in ORACLE_A:
+        with mpmath.workprec(120):
+            ref = mpmath.zeta(s, mpmath.mpf(Fraction(a).numerator) / Fraction(a).denominator)
+        for eps in ORACLE_EPS:
+            prec = Precision(target_eps=eps)
+            r = _certified(lambda: _hurwitz_core(s, a, prec))
+            in_context = _certified(lambda: special_functions._euler_maclaurin(s, a, prec, ctx))
+            assert (r is None) == (in_context is None), (s, a, eps)
+            if r is None:
+                continue
+            assert isinstance(r.value, float) and r.terms_used == in_context.terms_used
+            assert 0 < r.abs_error_bound <= eps
+            with mpmath.workprec(120):
+                assert abs(r.value - ref) <= r.abs_error_bound, (s, a, eps)
+
+
+@pytest.mark.parametrize("s", [1.01, 1.1, 2.0, 3.3, 6.0, 40.0])
+def test_double_path_eta_against_mpmath(s):
+    # the float factor 1 - 2^(1-s) loses most of its digits near s = 1
+    for eps in (1e-8, 1e-12):
+        r = dirichlet_eta(s, Precision(target_eps=eps))
+        assert 0 < r.abs_error_bound <= eps
+        with mpmath.workprec(120):
+            assert abs(r.value - mpmath.altzeta(s)) <= r.abs_error_bound
+
+
+def test_underflowed_powers_still_give_a_positive_bound():
+    # zeta(60, 10^6) ~ 1e-356: every power underflows a float
+    r = _hurwitz_core(60.0, 10**6, Precision(target_eps=1e-8))
+    with mpmath.workprec(120):
+        ref = mpmath.zeta(60, 10**6)
+        assert 0 < ref <= r.abs_error_bound
+        assert abs(r.value - ref) <= r.abs_error_bound
+
+
+@pytest.mark.parametrize("s, a, eps", [(6.0, Fraction(1, 4), 1e-12), (60.0, Fraction(3, 4), 1e-8)])
+def test_large_values_certify_near_the_float_ulp(s, a, eps):
+    # |value| >= 4e3: u |value| is within a factor 3 of eps, which the
+    # context certifies, so the double path must too
+    r = _hurwitz_core(s, a, Precision(target_eps=eps))
+    assert r.abs_error_bound <= eps
+    with mpmath.workprec(120):
+        assert abs(r.value - mpmath.zeta(s, mpmath.mpf(a.numerator) / a.denominator)) <= r.abs_error_bound
+
+
+@pytest.mark.parametrize(
+    "a, in_floats",
+    [(1, True), (0.25, True), (1000.5, True), (2.0**40 + 0.75, True),
+     (0.3, False), (Fraction(1, 3), False), (2.0**53 - 512, False)],
+)
+def test_float_path_only_where_every_shift_is_exact(monkeypatch, a, in_floats):
+    # k + 0.3 rounds, so its power would carry an s u error the budget
+    # leaves out; such a leaf runs in the context
+    contexts = []
+    engine = special_functions._euler_maclaurin
+
+    def spy(s, a, prec, ctx):
+        contexts.append(ctx)
+        return engine(s, a, prec, ctx)
+
+    monkeypatch.setattr(special_functions, "_euler_maclaurin", spy)
+    r = _hurwitz_core(2.5, a, Precision(target_eps=1e-8))
+    assert (contexts[0] is None) == in_floats and isinstance(r.value, float)
+    with mpmath.workprec(120):
+        ref = mpmath.zeta(2.5, mpmath.mpf(Fraction(a).numerator) / Fraction(a).denominator)
+        assert abs(r.value - ref) <= r.abs_error_bound
+
+
+@pytest.fixture
+def mp_powers(monkeypatch):
+    """Count every mpf power: ``ctx.power`` and ``**`` both end in ``__pow__``."""
+    count = [0]
+    pow_, rpow = _mpf.__pow__, _mpf.__rpow__
+
+    def counted(f):
+        def wrapper(*args):
+            count[0] += 1
+            return f(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(_mpf, "__pow__", counted(pow_))
+    monkeypatch.setattr(_mpf, "__rpow__", counted(rpow))
+    return count
+
+
+@pytest.mark.parametrize("bits, powers", [(53, (0, 0, 0)), (80, (22, 24, 29))])
+def test_mpmath_power_counts(mp_powers, bits, powers):
+    # the double path takes no mpmath power; the 80-bit path keeps its count
+    calls = [
+        lambda p: riemann_zeta(3.0, p),
+        lambda p: dirichlet_eta(3.0, p),
+        lambda p: eval_naive(PHI_SERIES, 3.3, 1e-10, p),
+    ]
+    counts = []
+    for call in calls:
+        mp_powers[0] = 0
+        call(Precision(bits, 1e-10))
+        counts.append(mp_powers[0])
+    assert tuple(counts) == powers
+
+
+@pytest.mark.parametrize("a", [0.25, Fraction(1, 4)])
+def test_overflowing_hurwitz_value_is_refused_by_name(a):
+    # zeta(700, 1/4) ~ 4^700 is no float, and no working width changes that
+    with pytest.raises(DomainError) as info:
+        hurwitz_zeta(700.0, a)
+    msg = str(info.value)
+    assert "zeta(s, a) at s=700" in msg and "largest float" in msg
+    assert "working_bits" not in msg and "inf" not in msg
 
 
 # -- domain errors ----------------------------------------------------------------
