@@ -1,28 +1,27 @@
 """Self-verifying identity registry with residual reports.
 
-Each identity equates two linear forms sum_i c_i(2^s) leaf_i.  On the left
-the leaves are Dirichlet series; on the right they are closed forms: zeta,
-eta, Hurwitz zeta, a power of pi, a square root or a logarithm.  Every
-coefficient of either side is a ``TwoPowerRatio``, a ratio of polynomials
-in 2^s (a constant, 2^s, 4^-s, ...) evaluated in 2^-s, and both sides are
-combined by the one certified ``_linear_form``.  ``verify`` evaluates both
-sides with certified absolute bounds, targeting half the requested
-tolerance per side, and the identity passes exactly when the observed
-residual fits inside the combined bounds.  Because the bounds are
-rigorous, a false identity is detected as soon as they shrink below its
-defect; the registry test suite includes deliberately wrong pairings to
-prove that.
+Each identity equates two linear forms sum_i c_i(2^s) leaf_i, each held as
+(coefficient, leaf) pairs.  On the left the leaves are Dirichlet series
+(``Series``: a series on a route) or zeta; on the right they are closed
+forms: zeta, eta, Hurwitz zeta, a power of pi, a square root or a
+logarithm.  Every coefficient is a ``TwoPowerRatio``, a ratio of
+polynomials in 2^s (a constant, 2^s, 4^-s, ...) evaluated in 2^-s, and
+both sides are combined by the one certified ``_linear_form``.  ``verify``
+evaluates both sides with certified absolute bounds, targeting half the
+requested tolerance per side, and the identity passes exactly when the
+observed residual fits inside the combined bounds.  Because the bounds
+are rigorous, a false identity is detected as soon as they shrink below
+its defect; the registry test suite includes deliberately wrong pairings.
 
 Every Dirichlet-series value, here and in the command line, comes from
-``eval_series_spec`` or the pair router behind it.  Two of its routes are
-linear forms of the same kind, over the leaves zeta(s), f(s) and A(s) =
-sum e_m/(2m+1)^s, each cached per verification under (name, s): a
-DECOMPOSED pair is alpha zeta(s) + beta f(s), with 0.25 eps/|alpha| for
-zeta and 0.45 eps/|beta| for f, and an ODD_SPLIT pair is A(s)/(1+q) for f
-or -A(s)/(1-q) for g, q = 2^-s, with 0.98 eps/|c| for A.  The right side
-is evaluated first, each of its leaves to 0.45 of its eps/2 over |c_i|,
-so the left side's pairs reuse its zeta leaves.  Left-side pairs share
-eps/2 equally.
+``eval_series_spec`` or the router behind it.  Two of its routes are
+linear forms too, over the leaves zeta, f on the functional equation and
+A(s) = sum e_m/(2m+1)^s: DECOMPOSED is alpha zeta(s) + beta f(s), with
+0.25 eps/|alpha| for zeta and 0.45 eps/|beta| for f, and ODD_SPLIT is
+A(s)/(1+q) for f or -A(s)/(1-q) for g, q = 2^-s, with 0.98 eps/|c| for A.
+Series and zeta-type leaves are cached per verification under (leaf, s),
+so a leaf that terms on either side share is evaluated once.  A side
+shares 0.45 (right) or 0.98 (left) of eps/2 among its nonzero terms.
 
 Two classical digit-sum checks and the alternating binary product have no
 exponent parameter; they are registered as fixed-form entries whose left
@@ -60,7 +59,6 @@ from .evaluator import (
     PHI_SERIES,
     SeriesSpec,
     TwoPowerRatio,
-    ZETA_SERIES,
     chunked_kahan_sum,
     eval_functional_equation,
     eval_naive,
@@ -99,9 +97,9 @@ class _Bracket(NamedTuple):
 class Expr:
     """A closed-form leaf: zeta, eta, Hurwitz zeta, a power of pi, sqrt, log.
 
-    ``bracket(s, eps, prec, cache)`` returns (value, bound) with
-    |value - exact| <= bound; the zeta-type leaves target ``eps`` (and
-    share cache entries with the left side), the constants ignore it.
+    ``bracket(s, eps, prec, cache)`` gives a value and bound.  The
+    zeta-type leaves target ``eps`` and return their cached ``EvalResult``,
+    so their terms count; the constants ignore eps.
     """
 
     def bracket(self, s, eps: float, prec: Precision, cache: "_EvalCache") -> _Bracket:
@@ -143,21 +141,20 @@ class Log(Expr):
         return _const_pair(ctx.log(ctx.mpf(self.arg.numerator) / self.arg.denominator), prec)
 
 
-def _zeta_type(key, zeta: Callable[[Precision], EvalResult], eps, prec, cache) -> _Bracket:
-    r = cache.get_or_eval(key, eps, lambda e: _zeta_leaf(zeta, e, prec))
-    return _Bracket(r.value, r.abs_error_bound)
+def _zeta_type(leaf, s, zeta: Callable[[Precision], EvalResult], eps, prec, cache) -> EvalResult:
+    return cache.get_or_eval((leaf, s), eps, lambda e: _zeta_leaf(zeta, e, prec))
 
 
 @dataclass(frozen=True)
 class Zeta(Expr):
     def bracket(self, s, eps, prec, cache):
-        return _zeta_type(("zeta", s), lambda p: riemann_zeta(s, p), eps, prec, cache)
+        return _zeta_type(self, s, lambda p: riemann_zeta(s, p), eps, prec, cache)
 
 
 @dataclass(frozen=True)
 class Eta(Expr):
     def bracket(self, s, eps, prec, cache):
-        return _zeta_type(("eta", s), lambda p: dirichlet_eta(s, p), eps, prec, cache)
+        return _zeta_type(self, s, lambda p: dirichlet_eta(s, p), eps, prec, cache)
 
 
 @dataclass(frozen=True)
@@ -165,9 +162,7 @@ class HurwitzZeta(Expr):
     a: Fraction
 
     def bracket(self, s, eps, prec, cache):
-        return _zeta_type(
-            ("hurwitz", self.a, s), lambda p: hurwitz_zeta(s, self.a, p), eps, prec, cache
-        )
+        return _zeta_type(self, s, lambda p: hurwitz_zeta(s, self.a, p), eps, prec, cache)
 
 
 ZERO_RHS: tuple[tuple[TwoPowerRatio, Expr], ...] = ()
@@ -187,10 +182,24 @@ class Route(Enum):
 
 
 @dataclass(frozen=True)
-class LhsTerm:
-    coefficient: TwoPowerRatio
-    series: SeriesSpec
+class Series:
+    """A Dirichlet-series leaf, ``spec`` on ``route``; not an ``Expr``, so
+    closed forms stay apart.  Hashed once: every ``bracket`` looks it up."""
+
+    spec: SeriesSpec
     route: Route = Route.AUTO
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.spec, self.route)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def bracket(self, s, eps: float, prec: Precision, cache: "_EvalCache") -> EvalResult:
+        return cache.get_or_eval(
+            (self, s), eps, lambda e: _eval_routed(self.spec, self.route, s, e, prec, cache)
+        )
 
 
 class IdentityKind(Enum):
@@ -218,7 +227,7 @@ class Identity:
     """One verifiable equality with its preferred evaluation routes."""
 
     identity_id: str
-    lhs: tuple[LhsTerm, ...]
+    lhs: tuple[tuple[TwoPowerRatio, Series | Expr], ...]
     rhs: tuple[tuple[TwoPowerRatio, Expr], ...]
     valid_s: ValidityDomain = field(default_factory=ValidityDomain)
     description: str = ""
@@ -246,19 +255,21 @@ class VerificationRecord:
     heuristic: bool = False
 
 
-# -- routed evaluation of one LHS pair ---------------------------------------
+# -- routed evaluation of one series -----------------------------------------
 
 
 class _EvalCache(dict):
-    """Shares zeta / f / A evaluations across the pairs of one verification."""
+    """A verification's leaf values by (leaf, s), and its term cap ``max_terms``."""
+
+    def __init__(self, max_terms: int | None = None) -> None:
+        super().__init__()
+        self.max_terms = max_terms
 
     def get_or_eval(self, key, eps: float, fn: Callable[[float], EvalResult]) -> EvalResult:
         hit = self.get(key)
-        if hit is not None and hit.abs_error_bound <= eps:
-            return hit
-        out = fn(eps)
-        self[key] = out
-        return out
+        if hit is None or not hit.abs_error_bound <= eps:
+            hit = self[key] = fn(eps)
+        return hit
 
 
 def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
@@ -276,10 +287,15 @@ _ODD_SPLIT = {
     G_SERIES: TwoPowerRatio((0.0, -1.0), (-1.0, 1.0)),
 }
 
+#: The leaves of the two linear-form routes.
+_ZETA = Zeta()
+_F = Series(F_SERIES, Route.FUNCTIONAL_EQUATION)
+_A = Series(ODD_PLUS_MINUS_SERIES, Route.NAIVE)
+
 
 def _decomposition(spec: SeriesSpec, eps: float):
     """An alphabet series {a, b} over t as alpha zeta(s) + beta f(s), as
-    (coefficient, leaf key, share) triples without the zero ones.
+    (coefficient, leaf, share) triples without the zero ones.
 
     Substituting t_n = (1 - e_n)/2 gives alpha = (a+b)/2, and beta = (a-b)/2
     for the shifted series, (b-a) (1+q)/(2-2q) for the unshifted one, with
@@ -295,7 +311,7 @@ def _decomposition(spec: SeriesSpec, eps: float):
         beta = TwoPowerRatio(((low - high) / 2,))
     else:
         beta = TwoPowerRatio((1.0, 1.0), (-2.0, 2.0), high - low)
-    terms = ((alpha, "zeta", 0.25 * eps), (beta, "f", 0.45 * eps))
+    terms = ((alpha, _ZETA, 0.25 * eps), (beta, _F, 0.45 * eps))
     return [term for term in terms if not term[0].is_zero]
 
 
@@ -305,12 +321,12 @@ def _eval_routed(
     s: float,
     eps: float,
     prec: Precision,
-    max_terms: int | None,
     cache: _EvalCache,
 ) -> EvalResult:
     """``spec`` on ``route``.  DECOMPOSED and ODD_SPLIT are linear forms over
-    the leaves zeta(s), f(s) and A(s) = sum e_m/(2m+1)^s, each cached under
-    (name, s), so the pairs and both sides of an identity share them."""
+    the leaves ``_ZETA``, ``_F`` and ``_A``, each cached under itself, so
+    the terms and both sides of an identity share them."""
+    max_terms = cache.max_terms
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     if route is Route.AUTO:
         route = Route.NAIVE
@@ -323,27 +339,22 @@ def _eval_routed(
                 route = Route.DECOMPOSED
     if route is Route.NAIVE:
         return eval_naive(spec, s, eps, prec, max_terms)
-    leaves = {
-        "zeta": lambda e: _zeta_leaf(lambda p: riemann_zeta(s, p), e, prec),
-        "f": lambda e: eval_functional_equation(s, e, prec=prec, max_terms=max_terms),
-        "A": lambda e: eval_naive(ODD_PLUS_MINUS_SERIES, s, e, prec, max_terms),
-    }
     if route is Route.FUNCTIONAL_EQUATION:
         if spec != F_SERIES:
             raise DomainError(
                 f"the functional-equation route evaluates f only, not {spec.label()}"
             )
-        return cache.get_or_eval(("f", s), eps, leaves["f"])
+        return eval_functional_equation(s, eps, prec=prec, max_terms=max_terms)
     if route is Route.ODD_SPLIT:
         if spec not in _ODD_SPLIT:
             raise DomainError(f"odd-split route does not apply to {spec.label()}")
-        terms = [(_ODD_SPLIT[spec], "A", 0.98 * eps)]
+        terms = [(_ODD_SPLIT[spec], _A, 0.98 * eps)]
     elif route is Route.DECOMPOSED:
         terms = _decomposition(spec, eps)
     else:
         raise DomainError(f"unknown route {route}")
     value, bound, used = _linear_form(
-        terms, s, prec, lambda key, e: cache.get_or_eval((key, s), e, leaves[key])
+        terms, s, prec, lambda leaf, e: leaf.bracket(s, e, prec, cache)
     )
     if route is Route.ODD_SPLIT:
         return EvalResult(value, bound, used, Method.ODD_DECOMPOSITION)
@@ -355,8 +366,8 @@ def _eval_routed(
     # Euler-Maclaurin zeta ran (or, for the all-zero alphabet, nothing,
     # which still counts as one term)
     method = Method.EULER_MACLAURIN
-    if any(key == "f" for _, key, _ in terms):
-        method = cache[("f", s)].method
+    if any(leaf is _F for _, leaf, _ in terms):
+        method = cache[(_F, s)].method
     return EvalResult(value, bound, max(used, 1), method)
 
 
@@ -377,7 +388,7 @@ def eval_series_spec(
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
-    return _eval_routed(spec, route, s, eps, prec, max_terms, _EvalCache())
+    return _eval_routed(spec, route, s, eps, prec, _EvalCache(max_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -412,26 +423,24 @@ def verify(
             )
     prec = prec if prec is not None else Precision.for_eps(eps)
     t0 = time.perf_counter()
-    cache = _EvalCache()
+    cache = _EvalCache(max_terms)
     half = eps * 0.5
 
-    # the right side first: its zeta-type leaves then serve the left's
-    share = 0.45 * half / max(len(identity.rhs), 1)
-    rhs_value, rhs_bound, _ = _linear_form(
-        [(c, leaf, share) for c, leaf in identity.rhs], s, prec,
-        lambda leaf, e: leaf.bracket(s, e, prec, cache),
-    )
+    def side(terms, fraction: float):
+        terms = [(c, leaf) for c, leaf in terms if not c.is_zero]
+        share = fraction * half / max(len(terms), 1)
+        return _linear_form(
+            [(c, leaf, share) for c, leaf in terms], s, prec,
+            lambda leaf, e: leaf.bracket(s, e, prec, cache),
+        )
 
+    # the right side first: its zeta-type leaves then serve the left's
+    rhs_value, rhs_bound, _ = side(identity.rhs, 0.45)
     if identity.kind is IdentityKind.FIXED_SERIES:
         lhs = identity.fixed_lhs(half, max_terms or DEFAULT_MAX_TERMS)
         lhs_value, lhs_bound, terms = lhs.value, lhs.abs_error_bound, lhs.terms_used
     else:
-        pairs = [t for t in identity.lhs if not t.coefficient.is_zero]
-        share = half * 0.98 / max(len(pairs), 1)
-        lhs_value, lhs_bound, terms = _linear_form(
-            [(t.coefficient, t, share) for t in pairs], s, prec,
-            lambda t, e: _eval_routed(t.series, t.route, s, e, prec, max_terms, cache),
-        )
+        lhs_value, lhs_bound, terms = side(identity.lhs, 0.98)
 
     residual = abs(float(lhs_value - rhs_value))
     passed = residual <= lhs_bound + rhs_bound
@@ -480,19 +489,15 @@ def make_corollary2_identity(
     au, bu = _affine_coefficients(u)
     av, bv = _affine_coefficients(v)
     f_num = (bu + bv, au - bu + av + bv, -au + av)
-    pairs = [
-        LhsTerm(u, PHI_SERIES, Route.NAIVE),
-        LhsTerm(v, GAMMA_SERIES, Route.NAIVE),
-        LhsTerm(
-            TwoPowerRatio((-(bu + bv) / 2.0, -(au + av) / 2.0)),
-            ZETA_SERIES,
-            Route.DECOMPOSED,
-        ),
-        LhsTerm(TwoPowerRatio(f_num, (2.0, -2.0)), F_SERIES, Route.FUNCTIONAL_EQUATION),
-    ]
+    pairs = (
+        (u, Series(PHI_SERIES, Route.NAIVE)),
+        (v, Series(GAMMA_SERIES, Route.NAIVE)),
+        (TwoPowerRatio((-(bu + bv) / 2.0, -(au + av) / 2.0)), Zeta()),
+        (TwoPowerRatio(f_num, (2.0, -2.0)), Series(F_SERIES, Route.FUNCTIONAL_EQUATION)),
+    )
     return Identity(
         identity_id=identity_id or f"corollary2[{u.describe()},{v.describe()}]",
-        lhs=tuple(pairs),
+        lhs=pairs,
         rhs=ZERO_RHS,
         description=(
             f"{u.describe()}*sum(t[n-1]/n^s) + {v.describe()}*sum(t[n]/n^s) "
@@ -632,15 +637,12 @@ def _woods_robbins_lhs() -> Callable[[float, int], EvalResult]:
 # ---------------------------------------------------------------------------
 
 
-def _affine_series(low: float, high: float, shifted: bool) -> SeriesSpec:
-    return SeriesSpec(
+def _affine_series(low: float, high: float, shifted: bool) -> Series:
+    spec = SeriesSpec(
         CoefficientSequence.affine(low, high),
         IndexShift.BY_ONE if shifted else IndexShift.NONE,
     )
-
-
-def _one() -> TwoPowerRatio:
-    return TwoPowerRatio((1.0,))
+    return Series(spec)
 
 
 def _const(c: float | Fraction) -> TwoPowerRatio:
@@ -655,21 +657,21 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="lemma1",
             lhs=(
-                LhsTerm(_one(), F_SERIES, Route.FUNCTIONAL_EQUATION),
-                LhsTerm(TwoPowerRatio((-1.0, 1.0), (1.0, 1.0)), G_SERIES, Route.NAIVE),
+                (_const(1.0), Series(F_SERIES, Route.FUNCTIONAL_EQUATION)),
+                (TwoPowerRatio((-1.0, 1.0), (1.0, 1.0)), Series(G_SERIES, Route.NAIVE)),
             ),
             rhs=ZERO_RHS,
             description="shifted +/-1 series equals (1-2^s)/(1+2^s) times the unshifted one",
         )
     )
-    entries.append(make_corollary2_identity(_one(), _const(0.0), "corollary2-phi"))
-    entries.append(make_corollary2_identity(_const(0.0), _one(), "corollary2-gamma"))
+    entries.append(make_corollary2_identity(_const(1.0), _const(0.0), "corollary2-phi"))
+    entries.append(make_corollary2_identity(_const(0.0), _const(1.0), "corollary2-gamma"))
     entries.append(
         Identity(
             identity_id="theorem3",
             lhs=(
-                LhsTerm(TwoPowerRatio((1.0, 1.0)), PHI_SERIES, Route.DECOMPOSED),
-                LhsTerm(TwoPowerRatio((-1.0, 1.0)), GAMMA_SERIES, Route.DECOMPOSED),
+                (TwoPowerRatio((1.0, 1.0)), Series(PHI_SERIES, Route.DECOMPOSED)),
+                (TwoPowerRatio((-1.0, 1.0)), Series(GAMMA_SERIES, Route.DECOMPOSED)),
             ),
             rhs=((two_pow_s, Zeta()),),
             description="(2^s+1) sum(t[n-1]/n^s) + (2^s-1) sum(t[n]/n^s) = 2^s zeta(s)",
@@ -679,8 +681,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="example4a",
             lhs=(
-                LhsTerm(_const(5.0), PHI_SERIES, Route.DECOMPOSED),
-                LhsTerm(_const(3.0), GAMMA_SERIES, Route.DECOMPOSED),
+                (_const(5.0), Series(PHI_SERIES, Route.DECOMPOSED)),
+                (_const(3.0), Series(GAMMA_SERIES, Route.DECOMPOSED)),
             ),
             rhs=((_const(Fraction(2, 3)), Pi(2)),),
             valid_s=ValidityDomain(2.0),
@@ -692,8 +694,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="example4b",
             lhs=(
-                LhsTerm(_const(9.0), PHI_SERIES, Route.DECOMPOSED),
-                LhsTerm(_const(7.0), GAMMA_SERIES, Route.DECOMPOSED),
+                (_const(9.0), Series(PHI_SERIES, Route.DECOMPOSED)),
+                (_const(7.0), Series(GAMMA_SERIES, Route.DECOMPOSED)),
             ),
             rhs=((_const(8.0), Zeta()),),
             valid_s=ValidityDomain(3.0),
@@ -705,8 +707,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="theorem5-zero",
             lhs=(
-                LhsTerm(_one(), _affine_series(-0.5, 0.5, True)),
-                LhsTerm(TwoPowerRatio((-1.0, 1.0), (1.0, 1.0)), _affine_series(-0.5, 0.5, False)),
+                (_const(1.0), _affine_series(-0.5, 0.5, True)),
+                (TwoPowerRatio((-1.0, 1.0), (1.0, 1.0)), _affine_series(-0.5, 0.5, False)),
             ),
             rhs=ZERO_RHS,
             description="alphabet k=1/2, l=-1/2: shifted series equals (1-2^s)/(1+2^s) times unshifted",
@@ -716,8 +718,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="theorem5-pows",
             lhs=(
-                LhsTerm(TwoPowerRatio((1.0, 1.0)), _affine_series(0.0, 1.0, True)),
-                LhsTerm(TwoPowerRatio((-1.0, 1.0)), _affine_series(0.0, 1.0, False)),
+                (TwoPowerRatio((1.0, 1.0)), _affine_series(0.0, 1.0, True)),
+                (TwoPowerRatio((-1.0, 1.0)), _affine_series(0.0, 1.0, False)),
             ),
             rhs=((two_pow_s, Zeta()),),
             description="alphabet k=0, l=0 combination equals 2^s zeta(s)",
@@ -727,8 +729,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="theorem5-eta",
             lhs=(
-                LhsTerm(TwoPowerRatio((1.0, 1.0)), _affine_series(-1.0, 0.0, True)),
-                LhsTerm(TwoPowerRatio((-1.0, 1.0)), _affine_series(1.0, 2.0, False)),
+                (TwoPowerRatio((1.0, 1.0)), _affine_series(-1.0, 0.0, True)),
+                (TwoPowerRatio((-1.0, 1.0)), _affine_series(1.0, 2.0, False)),
             ),
             rhs=((two_pow_s, Eta()),),
             description="alphabet k=1, l=1 combination equals 2^s eta(s)",
@@ -738,9 +740,9 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="prop6a",
             lhs=(
-                LhsTerm(_const(5.0), _affine_series(-1.0, 0.0, True)),
+                (_const(5.0), _affine_series(-1.0, 0.0, True)),
                 # 3 r[n] over the letters {1, 4}: exact, where 1/3 and 4/3 are not
-                LhsTerm(_one(), _affine_series(1.0, 4.0, False)),
+                (_const(1.0), _affine_series(1.0, 4.0, False)),
             ),
             rhs=ZERO_RHS,
             valid_s=ValidityDomain(2.0),
@@ -752,9 +754,9 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="prop6b",
             lhs=(
-                LhsTerm(_const(9.0), _affine_series(-1.0, 0.0, True)),
+                (_const(9.0), _affine_series(-1.0, 0.0, True)),
                 # 7 r[n] over the letters {9, 16}
-                LhsTerm(_one(), _affine_series(9.0, 16.0, False)),
+                (_const(1.0), _affine_series(9.0, 16.0, False)),
             ),
             rhs=((_const(8.0), Zeta()),),
             valid_s=ValidityDomain(3.0),
@@ -766,8 +768,8 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="prop6c",
             lhs=(
-                LhsTerm(_const(17.0), _affine_series(-_SQRT2, 1.0 - _SQRT2, True)),
-                LhsTerm(
+                (_const(17.0), _affine_series(-_SQRT2, 1.0 - _SQRT2, True)),
+                (
                     _const(15.0),
                     _affine_series((17.0 * _SQRT2 - 2.0) / 15.0, (17.0 * _SQRT2 + 13.0) / 15.0, False),
                 ),
@@ -782,11 +784,10 @@ def _build_registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="example8",
             lhs=(
-                LhsTerm(_one(), DELTA_SERIES, Route.NAIVE),
-                LhsTerm(
+                (_const(1.0), Series(DELTA_SERIES, Route.NAIVE)),
+                (
                     TwoPowerRatio((0.0, 0.0, -1.0), (-1.0, 0.0, 1.0)),
-                    ODD_PLUS_MINUS_SERIES,
-                    Route.NAIVE,
+                    Series(ODD_PLUS_MINUS_SERIES, Route.NAIVE),
                 ),
             ),
             rhs=ZERO_RHS,
@@ -797,7 +798,7 @@ def _build_registry() -> tuple[Identity, ...]:
     entries.append(
         Identity(
             identity_id="example9",
-            lhs=(LhsTerm(_one(), COMPOSITE9_SERIES, Route.NAIVE),),
+            lhs=((_const(1.0), Series(COMPOSITE9_SERIES, Route.NAIVE)),),
             rhs=((TwoPowerRatio((1.0,), (0.0, 0.0, 1.0)), HurwitzZeta(Fraction(1, 4))),),
             default_s=(2.0, 3.0),
             default_eps=1e-6,

@@ -13,8 +13,13 @@ holds for every real s > 1, so the balance value
 selects which closed-form family an alphabet produces: 0 collapses the
 zeta term and leaves a pure ratio between the two series, 2^s reproduces
 the zeta combination, and 2^s - 2 yields the alternating-zeta combination
-via eta(s) = (1 - 2^(1-s)) zeta(s).  Each case solves for s in closed form
-as a base-2 logarithm of a ratio of the alphabet offsets.
+via eta(s) = (1 - 2^(1-s)) zeta(s).
+
+The cases are the rows of one table, ``_CASES``: the target slope 2^s +
+const, the coefficients, right side and statement a case mints, and the
+texts of its guards.  As lam - target = (1 - (k-l) - slope) 2^s - (k+l) -
+const, each case solves 2^s = num/den with den = (1 - slope) - (k-l) and
+num = k + l + const, and holds for every s where both vanish.
 
 Positivity of k and l is NOT required here: the algebra nowhere uses it,
 and the all-s solution of the first case is exactly k = 1/2, l = -1/2.
@@ -28,14 +33,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError
 from .evaluator import IndexShift, SeriesSpec
 from .identities import (
     Eta,
+    Expr,
     Identity,
-    LhsTerm,
-    Route,
+    Series,
     TwoPowerRatio,
     ValidityDomain,
     ZERO_RHS,
@@ -53,6 +59,37 @@ class AlphabetCase(Enum):
     ZERO = "zero"
     POW_S = "pows"
     POW_S_MINUS_2 = "powsminus2"
+
+
+class _Case(NamedTuple):
+    """target = slope 2^s + const; the q and r coefficients, right side and
+    statement the case mints; what its den, num and ratio guards demand."""
+
+    slope: float
+    const: float
+    lhs: tuple[TwoPowerRatio, TwoPowerRatio]
+    rhs: tuple[tuple[TwoPowerRatio, Expr], ...]
+    statement: str
+    guards: tuple[str, str, str]
+
+
+_SUM = "(2^s+1) sum(q[n-1]/n^s) + (2^s-1) sum(r[n]/n^s) = 2^s"
+_PLUS_MINUS = (TwoPowerRatio((1.0, 1.0)), TwoPowerRatio((-1.0, 1.0)))
+_CASES = {
+    AlphabetCase.ZERO: _Case(
+        0.0, 0.0, (TwoPowerRatio((1.0,)), TwoPowerRatio((-1.0, 1.0), (1.0, 1.0))), ZERO_RHS,
+        "sum(q[n-1]/n^s) = (1-2^s)/(1+2^s) sum(r[n]/n^s)",
+        ("k != l + 1 (denominator -k+l+1 vanishes)", "k + l != 0", "(k+l)/(-k+l+1) > 0"),
+    ),
+    AlphabetCase.POW_S: _Case(
+        1.0, 0.0, _PLUS_MINUS, ((TwoPowerRatio((0.0, 1.0)), Zeta()),), f"{_SUM} zeta(s)",
+        ("k != l (denominator k-l vanishes)", "k + l != 0", "-(k+l)/(k-l) > 0"),
+    ),
+    AlphabetCase.POW_S_MINUS_2: _Case(
+        1.0, -2.0, _PLUS_MINUS, ((TwoPowerRatio((0.0, 1.0)), Eta()),), f"{_SUM} eta(s)",
+        ("k != l (denominator k-l vanishes)", "k + l != 2", "-(k+l-2)/(k-l) > 0"),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -86,41 +123,27 @@ def lambda_fn(s: float, k: float, l: float) -> float:
 
 def case_target(case: AlphabetCase, s: float) -> float:
     """The value lam must take for the case's closed form to hold at s."""
-    if case is AlphabetCase.ZERO:
-        return 0.0
-    if case is AlphabetCase.POW_S:
-        return 2.0**s
-    return 2.0**s - 2.0
+    return _CASES[case].slope * 2.0**s + _CASES[case].const
+
+
+def _balance(case: AlphabetCase, k: float, l: float) -> tuple[float, float]:
+    """(num, den) of the case's solution 2^s = num/den."""
+    form = _CASES[case]
+    return k + l + form.const, (1.0 - form.slope) - (k - l)
 
 
 def _ratio_for_case(case: AlphabetCase, k: float, l: float) -> float:
     """The positive ratio whose base-2 log solves the case, with named guards."""
-    if case is AlphabetCase.ZERO:
-        # -k + l + 1 can round to 0 where k != l + 1 in floating point (and
-        # the reverse), so guard the denominator as computed as well
-        den = -k + l + 1.0
-        if den == 0.0 or k == l + 1.0:
-            raise DomainError("case 'zero' needs k != l + 1 (denominator -k+l+1 vanishes)")
-        if k + l == 0.0:
-            raise DomainError("case 'zero' needs k + l != 0")
-        ratio = (k + l) / den
-        if not ratio > 0.0:
-            raise DomainError("case 'zero' needs (k+l)/(-k+l+1) > 0")
-        return ratio
-    if k == l:
-        raise DomainError(f"case '{case.value}' needs k != l (denominator k-l vanishes)")
-    if case is AlphabetCase.POW_S:
-        if k + l == 0.0:
-            raise DomainError("case 'pows' needs k + l != 0")
-        ratio = -(k + l) / (k - l)
-        if not ratio > 0.0:
-            raise DomainError("case 'pows' needs -(k+l)/(k-l) > 0")
-        return ratio
-    if k + l == 2.0:
-        raise DomainError("case 'powsminus2' needs k + l != 2")
-    ratio = -(k + l - 2.0) / (k - l)
+    num, den = _balance(case, k, l)
+    den_guard, num_guard, ratio_guard = _CASES[case].guards
+    # den as computed can be 0 where k != l + (1 - slope), and the reverse
+    if den == 0.0 or k == l + (1.0 - _CASES[case].slope):
+        raise DomainError(f"case '{case.value}' needs {den_guard}")
+    if num == 0.0:
+        raise DomainError(f"case '{case.value}' needs {num_guard}")
+    ratio = num / den
     if not ratio > 0.0:
-        raise DomainError("case 'powsminus2' needs -(k+l-2)/(k-l) > 0")
+        raise DomainError(f"case '{case.value}' needs {ratio_guard}")
     return ratio
 
 
@@ -148,16 +171,6 @@ def solve_case(case: AlphabetCase | str, k: float, l: float) -> AlphabetSolution
     return AlphabetSolution(k, l, case, s, residual, verifiable=s > 1.0)
 
 
-def _holds_for_all_s(case: AlphabetCase, k: float, l: float) -> bool:
-    # lam - target is (1 - (k-l) - target_slope) 2^s - (k+l) - target_const;
-    # it vanishes identically only at these alphabet offsets
-    if case is AlphabetCase.ZERO:
-        return k - l == 1.0 and k + l == 0.0
-    if case is AlphabetCase.POW_S:
-        return k == 0.0 and l == 0.0
-    return k == 1.0 and l == 1.0
-
-
 def mint_identity(sol: AlphabetSolution) -> Identity:
     """Turn a solved alphabet into a verifiable identity.
 
@@ -172,32 +185,16 @@ def mint_identity(sol: AlphabetSolution) -> Identity:
         )
     q_spec = SeriesSpec(CoefficientSequence.affine(-sol.k, 1.0 - sol.k), IndexShift.BY_ONE)
     r_spec = SeriesSpec(CoefficientSequence.affine(sol.l, 1.0 + sol.l))
-    alphabet = f"k={sol.k:.12g}, l={sol.l:.12g}"
-    valid = ValidityDomain() if _holds_for_all_s(sol.case, sol.k, sol.l) else ValidityDomain(sol.s)
+    form = _CASES[sol.case]
+    # lam - target vanishes for every s exactly where num and den both do
+    all_s = _balance(sol.case, sol.k, sol.l) == (0.0, 0.0)
+    valid = ValidityDomain() if all_s else ValidityDomain(sol.s)
     default_s = (2.0, 3.0, 4.0) if valid.fixed_s is None else (sol.s,)
-    if sol.case is AlphabetCase.ZERO:
-        lhs = (
-            LhsTerm(TwoPowerRatio((1.0,)), q_spec, Route.AUTO),
-            LhsTerm(TwoPowerRatio((-1.0, 1.0), (1.0, 1.0)), r_spec, Route.AUTO),
-        )
-        rhs = ZERO_RHS
-        stmt = "sum(q[n-1]/n^s) = (1-2^s)/(1+2^s) sum(r[n]/n^s)"
-    else:
-        lhs = (
-            LhsTerm(TwoPowerRatio((1.0, 1.0)), q_spec, Route.AUTO),
-            LhsTerm(TwoPowerRatio((-1.0, 1.0)), r_spec, Route.AUTO),
-        )
-        if sol.case is AlphabetCase.POW_S:
-            rhs = ((TwoPowerRatio((0.0, 1.0)), Zeta()),)
-            stmt = "(2^s+1) sum(q[n-1]/n^s) + (2^s-1) sum(r[n]/n^s) = 2^s zeta(s)"
-        else:
-            rhs = ((TwoPowerRatio((0.0, 1.0)), Eta()),)
-            stmt = "(2^s+1) sum(q[n-1]/n^s) + (2^s-1) sum(r[n]/n^s) = 2^s eta(s)"
     return Identity(
         identity_id=f"minted-{sol.case.value}[{sol.k:.10g},{sol.l:.10g}]",
-        lhs=lhs,
-        rhs=rhs,
+        lhs=((form.lhs[0], Series(q_spec)), (form.lhs[1], Series(r_spec))),
+        rhs=form.rhs,
         valid_s=valid,
         default_s=default_s,
-        description=f"{stmt} with {alphabet}",
+        description=f"{form.statement} with k={sol.k:.12g}, l={sol.l:.12g}",
     )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from autoseries import identities
 from autoseries.errors import DomainError, ResourceLimitError
 from autoseries.evaluator import F_SERIES, G_SERIES, GAMMA_SERIES, PHI_SERIES, IndexShift, SeriesSpec
 from autoseries.identities import (
@@ -16,10 +17,10 @@ from autoseries.identities import (
     HurwitzZeta,
     Identity,
     IdentityKind,
-    LhsTerm,
     Log,
     Pi,
     Route,
+    Series,
     Sqrt,
     TwoPowerRatio,
     ValidityDomain,
@@ -37,6 +38,7 @@ from autoseries.identities import (
 )
 from autoseries.precision import Precision
 from autoseries.sequences import CoefficientSequence, pm_thue_morse, thue_morse
+from autoseries.special_functions import riemann_zeta
 
 GRID = (2.0, 3.0, 4.0)
 
@@ -112,11 +114,11 @@ def test_prop6a_statement_values():
     # 3 sum(r[n]/n^2) over {1/3, 4/3} is stated as sum over the exact
     # letters {1, 4}; prop6b's 7 r[n] over {9/7, 16/7} as {9, 16}
     for name, coef, letters in (("prop6a", 5.0, (1.0, 4.0)), ("prop6b", 9.0, (9.0, 16.0))):
-        (qa, ra) = get_identity(name).lhs
-        assert qa.coefficient.value(2.0) == coef
-        assert (qa.series.coeffs.low, qa.series.coeffs.high) == (-1.0, 0.0)
-        assert ra.coefficient.value(2.0) == 1.0
-        assert (ra.series.coeffs.low, ra.series.coeffs.high) == letters
+        ((qc, qa), (rc, ra)) = get_identity(name).lhs
+        assert qc.value(2.0) == coef
+        assert (qa.spec.coeffs.low, qa.spec.coeffs.high) == (-1.0, 0.0)
+        assert rc.value(2.0) == 1.0
+        assert (ra.spec.coeffs.low, ra.spec.coeffs.high) == letters
 
 
 @pytest.mark.parametrize("ident", ["prop6a", "prop6b"])
@@ -163,7 +165,8 @@ def test_constant_leaves_finer_than_double_guard_bits():
     pi2 = mpmath.pi**2
     cases = ((Zeta(), pi2 / 6), (Eta(), pi2 / 12), (HurwitzZeta(Fraction(1, 2)), pi2 / 2))
     for expr, exact in cases:
-        value, bound = expr.bracket(2.0, 3e-14, Precision(), _EvalCache())
+        r = expr.bracket(2.0, 3e-14, Precision(), _EvalCache())
+        value, bound = r.value, r.abs_error_bound
         assert isinstance(value, float) and bound <= 4e-14
         assert abs(value - exact) <= bound
 
@@ -255,8 +258,9 @@ def _every_coefficient():
         SeriesSpec(CoefficientSequence.affine(9.0, 16.0)),
     }
     for ident in builtin_registry():
-        coefs += [t.coefficient for t in ident.lhs] + [c for c, _ in ident.rhs]
-        alphabets |= {t.series for t in ident.lhs if _affine_form(t.series) is not None}
+        coefs += [c for c, _ in ident.lhs] + [c for c, _ in ident.rhs]
+        series = [leaf.spec for _, leaf in ident.lhs if isinstance(leaf, Series)]
+        alphabets |= {spec for spec in series if _affine_form(spec) is not None}
     for spec in sorted(alphabets, key=lambda spec: spec.label()):
         coefs += [c for c, _, _ in _decomposition(spec, 1.0)]
     return coefs + list(_ODD_SPLIT.values())
@@ -346,6 +350,40 @@ def test_decomposed_and_odd_split_agree_with_other_routes(bits, a, b, shifted, s
         _agree(odd, _routed(series, s, other_eps, other, other_prec))
 
 
+# -- shared leaves ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "ident,s",
+    [("theorem3", 2.0), ("theorem3", 3.0), ("theorem3", 4.0), ("example4b", 3.0), ("prop6b", 3.0)],
+)
+def test_verify_evaluates_zeta_once(monkeypatch, ident, s):
+    # a leaf is its own cache key: the right side's Zeta() and the zeta of
+    # the left side's decompositions are one leaf, evaluated once
+    calls = []
+
+    def counting(s, prec=None):
+        calls.append(s)
+        return riemann_zeta(s, prec)
+
+    monkeypatch.setattr(identities, "riemann_zeta", counting)
+    identity = get_identity(ident)
+    assert verify(identity, s, identity.default_eps).passed
+    assert calls == [s]
+
+
+def test_series_leaves_compare_by_value_and_are_no_expr():
+    a = Series(F_SERIES, Route.FUNCTIONAL_EQUATION)
+    b = Series(F_SERIES, Route.FUNCTIONAL_EQUATION)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Series(F_SERIES, Route.ODD_SPLIT)
+    assert not isinstance(a, identities.Expr)
+    cache = _EvalCache()
+    r = a.bracket(2.0, 1e-10, Precision.for_eps(1e-10), cache)
+    assert b.bracket(2.0, 1e-10, Precision.for_eps(1e-10), cache) is r
+    assert list(cache) == [(a, 2.0)]
+
+
 # -- false identities must fail ---------------------------------------------------
 
 
@@ -354,8 +392,8 @@ def test_swapped_pairing_is_detected():
     wrong = Identity(
         identity_id="theorem3-swapped",
         lhs=(
-            LhsTerm(TwoPowerRatio((-1.0, 1.0)), PHI_SERIES, Route.DECOMPOSED),
-            LhsTerm(TwoPowerRatio((1.0, 1.0)), GAMMA_SERIES, Route.DECOMPOSED),
+            (TwoPowerRatio((-1.0, 1.0)), Series(PHI_SERIES, Route.DECOMPOSED)),
+            (TwoPowerRatio((1.0, 1.0)), Series(GAMMA_SERIES, Route.DECOMPOSED)),
         ),
         rhs=((TwoPowerRatio((0.0, 1.0)), Zeta()),),
         description="wrong on purpose",
@@ -369,8 +407,8 @@ def test_wrong_constant_is_detected():
     wrong = Identity(
         identity_id="example4a-wrong",
         lhs=(
-            LhsTerm(TwoPowerRatio((5.0,)), PHI_SERIES, Route.DECOMPOSED),
-            LhsTerm(TwoPowerRatio((3.0,)), GAMMA_SERIES, Route.DECOMPOSED),
+            (TwoPowerRatio((5.0,)), Series(PHI_SERIES, Route.DECOMPOSED)),
+            (TwoPowerRatio((3.0,)), Series(GAMMA_SERIES, Route.DECOMPOSED)),
         ),
         # 2^(s+1)/3 (pi^0 is the leaf 1), not 2 pi^2/3
         rhs=((TwoPowerRatio((0.0, Fraction(2, 3))), Pi(0)),),
@@ -401,10 +439,10 @@ def test_example4a_is_theorem_instance_at_two():
     t3 = get_identity("theorem3")
     e4 = get_identity("example4a")
     s = 2.0
-    assert t3.lhs[0].coefficient.value(s) == 5.0
-    assert t3.lhs[1].coefficient.value(s) == 3.0
-    assert e4.lhs[0].coefficient.value(s) == 5.0
-    assert e4.lhs[1].coefficient.value(s) == 3.0
+    assert t3.lhs[0][0].value(s) == 5.0
+    assert t3.lhs[1][0].value(s) == 3.0
+    assert e4.lhs[0][0].value(s) == 5.0
+    assert e4.lhs[1][0].value(s) == 3.0
     r1 = verify(t3, s, 1e-9)
     r2 = verify(e4, s, 1e-9)
     assert abs(r1.rhs_value - r2.rhs_value) <= r1.rhs_bound + r2.rhs_bound
@@ -429,9 +467,9 @@ def test_corollary2_theorem_pairing_cancels_f():
     ident = make_corollary2_identity(
         TwoPowerRatio((1.0, 1.0)), TwoPowerRatio((-1.0, 1.0))
     )
-    f_terms = [t for t in ident.lhs if t.series.coeffs.label() == "pm"]
+    f_terms = [c for c, leaf in ident.lhs if getattr(leaf, "spec", None) == F_SERIES]
     assert len(f_terms) == 1
-    assert f_terms[0].coefficient.is_zero
+    assert f_terms[0].is_zero
     rec = verify(ident, 2.0, 1e-7)
     assert rec.passed
 
