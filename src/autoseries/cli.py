@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -45,13 +46,14 @@ from .evaluator import (
 from .identities import (
     IdentityKind,
     Route,
+    VerificationRecord,
     builtin_registry,
     eval_series_spec,
     get_identity,
     verify,
 )
 from .precision import Precision
-from .report import ReportDocument, RunConfig
+from .report import ReportDocument, RunConfig, record_line
 from .sequences import CoefficientSequence
 from .solver import AlphabetCase, mint_identity, solve_case
 
@@ -295,19 +297,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             s_values = [None]
         for s in s_values:
-            rec = verify(ident, s, eps, prec, cfg.max_terms)
+            # a refused check is a record too: the run goes on to the rest
+            t0 = time.perf_counter()
+            try:
+                rec = verify(ident, s, eps, prec, cfg.max_terms)
+            except AutoseriesError as exc:
+                rec = VerificationRecord.refused(
+                    ident.identity_id, s, str(exc), time.perf_counter() - t0
+                )
             doc.records.append(rec)
-            status = "PASS" if rec.passed else "FAIL"
-            s_txt = "-" if rec.s is None else f"{rec.s:g}"
-            print(
-                f"[{status}] {ident.identity_id:<22s} s={s_txt:<6s} "
-                f"residual={rec.residual:.3e} bounds={rec.lhs_bound + rec.rhs_bound:.3e}"
-            )
+            print(record_line(rec))
     if args.out:
         Path(args.out).write_text(doc.render(), encoding="utf-8")
         print(f"report written to {args.out}")
-    sm = doc.summary
-    print(f"summary: {sm['passed']}/{sm['total']} passed")
+    print(doc.summary_line())
     return 0 if doc.all_passed else 1
 
 

@@ -445,7 +445,7 @@ def chunked_kahan_sum(block_fn, start: int, count: int) -> float:
 def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision):
     """The first ``n_counters`` terms: chunked float64 Kahan sum on the
     double path, the fixed-point kernel at the working precision plus
-    20 + log2(n_counters) bits otherwise (where ``s`` may be an mpf)."""
+    20 + log2(n_counters) bits otherwise."""
     if prec.is_double:
         return chunked_kahan_sum(
             lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
@@ -647,10 +647,6 @@ def eval_naive(
 ) -> EvalResult:
     """Directly sum ``spec`` at s > 1 until the analytic tail is below eps.
 
-    On the mpmath path ``s`` may be an mpf, such as the functional
-    equation's exact s + k: the terms and the mean part are taken at it,
-    and every bound at the largest float not above it.
-
     For a stream with mean mu != 0 the omitted terms' mean part,
     mu * zeta(s, a) (``SeriesSpec.mean_tail``), is added from the
     Euler-Maclaurin engine.  The reported bound is the tail bound at the
@@ -658,15 +654,9 @@ def eval_naive(
     if the total cannot undershoot eps at the working precision, a resource
     error is raised instead of returning an uncertified value.
     """
-    checked = _check_s(s)
+    s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
-    # an mpf exponent is kept exact on the mpmath path; any other s is the float
-    exact = s if hasattr(s, "_mpf_") and not prec.is_double else checked
-    s = checked
-    if s > exact:
-        # every bound decreases in s
-        s = math.nextafter(s, 0.0)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     n = _naive_counters(spec, s, eps, cap)
     u = prec.unit_roundoff
@@ -675,13 +665,13 @@ def eval_naive(
     bound = spec.tail_bound(n, s) + rounding
     mean, terms = 0.0, n
     if spec.mean:
-        leaves = spec.mean_tail(n, exact, _combine_ctx(prec))
+        leaves = spec.mean_tail(n, s, _combine_ctx(prec))
         # each |coef| = |mu| step^-s <= |mu|, so sharing by |mu| also
         # survives step^-s underflowing to 0
         share = _MEAN_FRACTION * eps / (abs(spec.mean) * len(leaves))
         parts = leaf_bounds = 0.0
         for coef, a in leaves:
-            z = _zeta_leaf(lambda p, a=a: _hurwitz_core(exact, a, p), share, prec)
+            z = _zeta_leaf(lambda p, a=a: _hurwitz_core(s, a, p), share, prec)
             part = coef * z.value
             mean += part
             parts += abs(float(part))
@@ -696,7 +686,7 @@ def eval_naive(
             f"rounding budget {rounding:g} at working precision "
             f"{prec.working_bits}; raise working_bits"
         )
-    return EvalResult(_sum(spec, exact, n, prec) + mean, bound, terms, Method.NAIVE)
+    return EvalResult(_sum(spec, s, n, prec) + mean, bound, terms, Method.NAIVE)
 
 
 # ---------------------------------------------------------------------------

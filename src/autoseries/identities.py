@@ -253,6 +253,18 @@ class VerificationRecord:
     wall_time_s: float
     #: always False now; kept because report fields are add-only
     heuristic: bool = False
+    #: why the check was refused (a domain error or a named limit), else None
+    reason: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "refused" if self.reason is not None else "pass" if self.passed else "fail"
+
+    @classmethod
+    def refused(cls, identity_id: str, s: float | None, reason: str, wall_time_s: float):
+        """A record with no values for a check that raised instead."""
+        nan = math.nan
+        return cls(identity_id, s, nan, nan, nan, nan, nan, False, 0, wall_time_s, reason=reason)
 
 
 # -- routed evaluation of one series -----------------------------------------

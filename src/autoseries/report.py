@@ -34,11 +34,14 @@ CSV_COLUMNS = (
     "heuristic",
     "terms_used",
     "wall_time_s",
+    "status",
+    "reason",
 )
 
 
 def _num(x: float | None) -> str | None:
-    if x is None:
+    # a refused record's values are NaN: it has none
+    if x is None or math.isnan(x):
         return None
     return repr(float(x))
 
@@ -76,7 +79,19 @@ def record_to_dict(rec: VerificationRecord) -> dict:
         "heuristic": rec.heuristic,
         "terms_used": rec.terms_used,
         "wall_time_s": _num(rec.wall_time_s),
+        "status": rec.status,
+        "reason": rec.reason,
     }
+
+
+def record_line(rec: VerificationRecord) -> str:
+    """``[PASS]``/``[FAIL]`` with the residual and bounds, or ``[REFUSED]``
+    with the reason."""
+    s_txt = "-" if rec.s is None else f"{rec.s:g}"
+    head = f"[{rec.status.upper()}] {rec.identity_id:<22s} s={s_txt:<6s}"
+    if rec.reason is not None:
+        return f"{head} {rec.reason}"
+    return f"{head} residual={rec.residual:.3e} bounds={rec.lhs_bound + rec.rhs_bound:.3e}"
 
 
 def record_from_dict(d: dict) -> VerificationRecord:
@@ -96,6 +111,7 @@ def record_from_dict(d: dict) -> VerificationRecord:
         terms_used=int(d.get("terms_used", 1)),
         wall_time_s=f("wall_time_s"),
         heuristic=bool(d.get("heuristic", False)),
+        reason=d.get("reason"),
     )
 
 
@@ -114,13 +130,20 @@ class ReportDocument:
 
     @property
     def summary(self) -> dict:
-        passed = sum(1 for r in self.records if r.passed)
+        """Record counts by status (passed + failed + refused = total)."""
+        status = [r.status for r in self.records]
         return {
             "total": len(self.records),
-            "passed": passed,
-            "failed": len(self.records) - passed,
+            "passed": status.count("pass"),
+            "failed": status.count("fail"),
             "wall_time_s": _num(sum(r.wall_time_s for r in self.records)),
+            "refused": status.count("refused"),
         }
+
+    def summary_line(self) -> str:
+        sm = self.summary
+        refused = f", {sm['refused']} refused" if sm["refused"] else ""
+        return f"summary: {sm['passed']}/{sm['total']} passed{refused}"
 
     @property
     def all_passed(self) -> bool:
@@ -171,16 +194,12 @@ class ReportDocument:
     def to_text(self) -> str:
         lines = [f"{TOOL_NAME} {self.version} verification report ({self.generated_at})"]
         for rec in self.records:
-            status = "PASS" if rec.passed else "FAIL"
-            s_txt = "-" if rec.s is None else f"{rec.s:g}"
+            if rec.reason is not None:
+                lines.append(f"  {record_line(rec)}")
+                continue
             extra = " heuristic" if rec.heuristic else ""
-            lines.append(
-                f"  [{status}] {rec.identity_id:<22s} s={s_txt:<6s} "
-                f"residual={rec.residual:.3e} bounds={rec.lhs_bound + rec.rhs_bound:.3e} "
-                f"terms={rec.terms_used}{extra}"
-            )
-        sm = self.summary
-        lines.append(f"summary: {sm['passed']}/{sm['total']} passed")
+            lines.append(f"  {record_line(rec)} terms={rec.terms_used}{extra}")
+        lines.append(self.summary_line())
         return "\n".join(lines) + "\n"
 
     def render(self, out_format: str | None = None) -> str:

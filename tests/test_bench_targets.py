@@ -46,3 +46,50 @@ def test_recorder_installs_and_uninstalls():
     finally:
         rec.uninstall()
     assert (evaluator.eval_naive, identities.eval_series_spec, autoseries.eval_naive) == before
+
+
+def test_tracer_resolves_every_target_and_restores_every_attribute(monkeypatch):
+    # the way the traced benchmark run meets the program: the command line
+    # imported first, then the tracer from its own directory on sys.path
+    import sys
+
+    import autoseries.cli  # noqa: F401
+    from autoseries.identities import Expr
+
+    originals = {}
+    for mod_name, path, span in _load_tracer().TARGETS:
+        obj = importlib.import_module(f"autoseries.{mod_name}")
+        *owners, attr = path.split(".")
+        for name in owners:
+            obj = getattr(obj, name)
+        originals[span] = vars(obj)[attr]
+    leaves = []
+    todo = list(Expr.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "bracket" in vars(cls):
+            leaves.append(cls)
+
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    sys.modules.pop("tracer", None)
+    try:
+        tracer = importlib.import_module("tracer")
+        rec = tracer.Recorder()
+        try:
+            rec.install()
+            patched = list(rec._undo)
+            for owner, attr, _ in patched:
+                assert vars(owner)[attr] is not _
+        finally:
+            rec.uninstall()
+    finally:
+        sys.modules.pop("tracer", None)
+    replaced = [orig for _, _, orig in patched]
+    for span, fn in originals.items():
+        assert any(orig is fn for orig in replaced), f"{span} patched no binding"
+    for cls in leaves:
+        assert any(owner is cls and attr == "bracket" for owner, attr, _ in patched), cls
+    assert len(patched) >= len(originals) + len(leaves)
+    for owner, attr, orig in patched:
+        assert vars(owner)[attr] is orig, (owner, attr)

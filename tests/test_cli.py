@@ -13,7 +13,14 @@ import pytest
 
 import autoseries.cli as cli
 from autoseries.cli import UsageError, main, parse_real
-from autoseries.identities import Identity, IdentityKind, Sqrt, TwoPowerRatio, get_identity
+from autoseries.identities import (
+    Identity,
+    IdentityKind,
+    Sqrt,
+    TwoPowerRatio,
+    builtin_registry,
+    get_identity,
+)
 from autoseries.report import CSV_COLUMNS, ReportDocument
 
 
@@ -21,6 +28,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refusal(out):
+    """The one record line a verify run printed, which must be [REFUSED]:
+    a refused check is a record that names its reason, not an error."""
+    (record,) = [line for line in out.splitlines() if line.startswith("[")]
+    assert record.startswith("[REFUSED] ") and "1 refused" in out, out
+    return record
 
 
 # -- number parsing ------------------------------------------------------------
@@ -185,9 +200,9 @@ def test_eval_g_at_two_to_1e12_is_naive_and_agrees_with_odd_split(capsys):
 
 @pytest.mark.parametrize("ident", ["shallit:10", "allouche-shallit"])
 def test_verify_fixed_form_over_max_terms_names_the_cap(capsys, ident):
-    code, _, err = run(capsys, "verify", ident, "--eps", "1e-6", "--max-terms", "1000")
-    assert code == 1
-    assert "cap 1000" in err
+    code, out, err = run(capsys, "verify", ident, "--eps", "1e-6", "--max-terms", "1000")
+    assert (code, err) == (1, "")
+    assert "cap 1000" in refusal(out)
 
 
 @pytest.mark.parametrize("ident", ["woods-robbins", "allouche-shallit"])
@@ -204,9 +219,9 @@ def test_verify_fixed_form_below_its_default_eps(tmp_path, capsys, ident):
 
 def test_verify_fixed_form_refuses_a_budget_above_eps(capsys):
     # 64 double unit roundoffs (1.4e-14) alone exceed the left share 5e-16
-    code, _, err = run(capsys, "verify", "woods-robbins", "--eps", "1e-15")
-    assert code == 1
-    assert "rounding budget alone" in err
+    code, out, err = run(capsys, "verify", "woods-robbins", "--eps", "1e-15")
+    assert (code, err) == (1, "")
+    assert "rounding budget alone" in refusal(out)
 
 
 def test_eval_method_mismatch_is_usage_error(capsys):
@@ -256,7 +271,7 @@ def test_verify_shallit_ten(capsys):
 
 
 #: The records that hold for every s > 1, and how each ends past s = 1024,
-#: where 2^s is no float: a pass, or a single error line naming what broke.
+#: where 2^s is no float: a pass, or a refused record naming what broke.
 _HUGE_S_OUTCOMES = {
     "lemma1": None,
     "corollary2-phi": None,
@@ -283,8 +298,8 @@ def test_verify_at_huge_s_passes_or_names_the_limit(capsys, ident, s):
         assert code == 0, err
         assert f"[PASS] {ident}" in out
     else:
-        assert code == 1
-        assert err.startswith("error: ") and needle in err and err.count("\n") == 1, err
+        assert (code, err) == (1, "")
+        assert needle in refusal(out), out
     assert get_identity(ident).valid_s.fixed_s is None
 
 
@@ -293,18 +308,65 @@ def test_verify_example9_past_the_float_range_names_the_coefficient(capsys, extr
     # 4^-1030 is below the float range; more working bits cannot help, so
     # the refusal must not suggest them
     code, out, err = run(capsys, "verify", "example9", "--s", "1030", *extra)
-    assert (code, out) == (1, "")
-    assert "coefficient (1)/(2^2s) underflows to 0 at s=1030" in err
-    assert "working_bits" not in err and "inf" not in err
+    assert (code, err) == (1, "")
+    reason = refusal(out)
+    assert "coefficient (1)/(2^2s) underflows to 0 at s=1030" in reason
+    assert "working_bits" not in reason and "inf" not in reason
 
 
 def test_verify_example9_past_the_float_hurwitz_value_names_it(capsys):
     # at s = 520 the coefficient 4^-s is still a (subnormal) float, but
     # zeta(s, 1/4) ~ 4^s is not; more working bits cannot help
     code, out, err = run(capsys, "verify", "example9", "--s", "520")
-    assert (code, out) == (1, "")
-    assert "zeta(s, a) at s=520, a=1/4" in err and "largest float" in err
-    assert "working_bits" not in err and err.count("\n") == 1
+    assert (code, err) == (1, "")
+    reason = refusal(out)
+    assert "zeta(s, a) at s=520, a=1/4" in reason and "largest float" in reason
+    assert "working_bits" not in reason
+
+
+@pytest.mark.parametrize("s", ["3", "20"])
+def test_verify_all_keeps_refused_records_and_writes_the_report(tmp_path, capsys, s):
+    # one refused (identity, s) used to end the run with no report: at s=3
+    # example4a is out of its domain, at s=20 theorem3's f leaf needs more
+    # than 53 bits; every identity now leaves exactly one record
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, "verify", "--all", "--s", s, "--out", str(out_path))
+    assert (code, err) == (1, "")
+    report = json.loads(out_path.read_text())
+    records = report["records"]
+    assert [r["identity"] for r in records] == [i.identity_id for i in builtin_registry()]
+    refused = {r["identity"]: r["reason"] for r in records if r["status"] == "refused"}
+    assert "example4a" in refused and "valid for s = 2" in refused["example4a"]
+    if s == "20":
+        assert "theorem3" in refused and "raise working_bits" in refused["theorem3"]
+    for r in records:
+        assert r["status"] == ("refused" if r["identity"] in refused else "pass")
+        assert r["pass"] is (r["status"] == "pass")
+        assert (r["reason"] is None) is (r["status"] != "refused")
+        assert (r["lhs_value"] is None) is (r["status"] == "refused")
+    summary = report["summary"]
+    assert summary["refused"] == len(refused) > 0 and summary["failed"] == 0
+    assert summary["passed"] + summary["refused"] == summary["total"] == len(records)
+    lines = [line for line in out.splitlines() if line.startswith("[")]
+    assert sum(line.startswith("[REFUSED] ") for line in lines) == len(refused)
+    assert f"{summary['passed']}/{len(records)} passed, {len(refused)} refused" in out
+    # the text and CSV forms of the same report, and a round trip
+    doc = ReportDocument.from_json(out_path.read_text())
+    assert [r.status for r in doc.records] == [r["status"] for r in records]
+    assert doc.to_json() == out_path.read_text()
+    text = doc.to_text()
+    assert "[REFUSED] example4a" in text and refused["example4a"] in text
+    rows = list(csv.DictReader(io.StringIO(doc.to_csv())))
+    assert list(rows[0]) == list(CSV_COLUMNS) and CSV_COLUMNS[-2:] == ("status", "reason")
+    assert {row["identity"]: row["reason"] for row in rows if row["status"] == "refused"} == refused
+
+
+def test_reports_without_status_fields_still_read():
+    text = (Path(__file__).parent / "data" / "golden_report.json").read_text()
+    assert '"status"' not in text and '"reason"' not in text
+    doc = ReportDocument.from_json(text)
+    assert [r.status for r in doc.records] == ["pass", "pass", "pass"]
+    assert doc.summary["refused"] == 0
 
 
 def test_verify_unknown_identity(capsys):

@@ -109,33 +109,35 @@ def test_minted_paper_examples_verify():
         assert abs(sol.s - s_expect) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "case,k,l",
-    [(AlphabetCase.POW_S, 0.0, 0.0), (AlphabetCase.ZERO, 0.5, -0.5), (AlphabetCase.POW_S_MINUS_2, 1.0, 1.0)],
-)
-def test_minted_trivial_alphabet_reproduces_zeta_combination(case, k, l):
-    # each case's all-s alphabet: lam - target vanishes identically, and the
-    # log formula cannot produce it (its numerator is guarded), so the
-    # all-s solution is constructed directly; k = 0, l = 0 makes the
-    # sequences coincide with the 0/1 stream
+def test_minted_trivial_alphabet_reproduces_zeta_combination():
+    # each case's all-s alphabet, where lam - target vanishes identically:
+    # the log formula cannot produce it (its numerator is guarded), so the
+    # all-s solution is constructed directly; at k = 0, l = 0 the sequences
+    # coincide with the 0/1 stream
     from autoseries.solver import AlphabetSolution
 
-    sol = AlphabetSolution(k, l, case, 3.0, 0.0, True)
-    ident = mint_identity(sol)
-    assert ident.valid_s.fixed_s is None  # detected as valid for all s
-    q_spec = ident.lhs[0][1].spec
-    r_spec = ident.lhs[1][1].spec
-    for n in (5, 100, 1000):
-        # q[n-1] = t[n-1] - k and r[n] = t[n] + l
-        zeta = partial_sum(ZETA_SERIES, 2.0, n)
-        q_ref = partial_sum(PHI_SERIES, 2.0, n) - k * zeta
-        r_ref = partial_sum(GAMMA_SERIES, 2.0, n) + l * zeta
-        if k == l == 0.0:
-            assert (partial_sum(q_spec, 2.0, n), partial_sum(r_spec, 2.0, n)) == (q_ref, r_ref)
-        assert partial_sum(q_spec, 2.0, n) == pytest.approx(q_ref, rel=1e-14, abs=1e-15)
-        assert partial_sum(r_spec, 2.0, n) == pytest.approx(r_ref, rel=1e-14, abs=1e-15)
-    for s in (2.0, 3.0, 4.0):
-        assert verify(ident, s, 1e-8).passed
+    for case, k, l in (
+        (AlphabetCase.POW_S, 0.0, 0.0),
+        (AlphabetCase.ZERO, 0.5, -0.5),
+        (AlphabetCase.POW_S_MINUS_2, 1.0, 1.0),
+    ):
+        sol = AlphabetSolution(k, l, case, 3.0, 0.0, True)
+        ident = mint_identity(sol)
+        assert ident.valid_s.fixed_s is None, case  # detected as valid for all s
+        q_spec = ident.lhs[0][1].spec
+        r_spec = ident.lhs[1][1].spec
+        for n in (5, 100, 1000):
+            # q[n-1] = t[n-1] - k and r[n] = t[n] + l
+            zeta = partial_sum(ZETA_SERIES, 2.0, n)
+            q_ref = partial_sum(PHI_SERIES, 2.0, n) - k * zeta
+            r_ref = partial_sum(GAMMA_SERIES, 2.0, n) + l * zeta
+            if k == l == 0.0:
+                assert partial_sum(q_spec, 2.0, n) == q_ref
+                assert partial_sum(r_spec, 2.0, n) == r_ref
+            assert partial_sum(q_spec, 2.0, n) == pytest.approx(q_ref, rel=1e-14, abs=1e-15)
+            assert partial_sum(r_spec, 2.0, n) == pytest.approx(r_ref, rel=1e-14, abs=1e-15)
+        for s in (2.0, 3.0, 4.0):
+            assert verify(ident, s, 1e-8).passed, (case, s)
 
 
 def test_minted_identity_only_valid_at_solution():
