@@ -258,6 +258,7 @@ class VerificationRecord:
 
     @property
     def status(self) -> str:
+        """"pass", "fail", or "refused" where the check raised instead."""
         return "refused" if self.reason is not None else "pass" if self.passed else "fail"
 
     @classmethod
