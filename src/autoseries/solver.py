@@ -123,21 +123,22 @@ def lambda_fn(s: float, k: float, l: float) -> float:
 
 def case_target(case: AlphabetCase, s: float) -> float:
     """The value lam must take for the case's closed form to hold at s."""
-    return _CASES[case].slope * 2.0**s + _CASES[case].const
-
-
-def _balance(case: AlphabetCase, k: float, l: float) -> tuple[float, float]:
-    """(num, den) of the case's solution 2^s = num/den."""
     form = _CASES[case]
+    return form.slope * 2.0**s + form.const
+
+
+def _balance(form: _Case, k: float, l: float) -> tuple[float, float]:
+    """(num, den) of the case's solution 2^s = num/den."""
     return k + l + form.const, (1.0 - form.slope) - (k - l)
 
 
 def _ratio_for_case(case: AlphabetCase, k: float, l: float) -> float:
     """The positive ratio whose base-2 log solves the case, with named guards."""
-    num, den = _balance(case, k, l)
-    den_guard, num_guard, ratio_guard = _CASES[case].guards
+    form = _CASES[case]
+    num, den = _balance(form, k, l)
+    den_guard, num_guard, ratio_guard = form.guards
     # den as computed can be 0 where k != l + (1 - slope), and the reverse
-    if den == 0.0 or k == l + (1.0 - _CASES[case].slope):
+    if den == 0.0 or k == l + (1.0 - form.slope):
         raise DomainError(f"case '{case.value}' needs {den_guard}")
     if num == 0.0:
         raise DomainError(f"case '{case.value}' needs {num_guard}")
@@ -187,7 +188,7 @@ def mint_identity(sol: AlphabetSolution) -> Identity:
     r_spec = SeriesSpec(CoefficientSequence.affine(sol.l, 1.0 + sol.l))
     form = _CASES[sol.case]
     # lam - target vanishes for every s exactly where num and den both do
-    all_s = _balance(sol.case, sol.k, sol.l) == (0.0, 0.0)
+    all_s = _balance(form, sol.k, sol.l) == (0.0, 0.0)
     valid = ValidityDomain() if all_s else ValidityDomain(sol.s)
     default_s = (2.0, 3.0, 4.0) if valid.fixed_s is None else (sol.s,)
     return Identity(
