@@ -79,8 +79,8 @@ def test_tracer_resolves_every_target_and_restores_every_attribute(monkeypatch):
         try:
             rec.install()
             patched = list(rec._undo)
-            for owner, attr, _ in patched:
-                assert vars(owner)[attr] is not _
+            for owner, attr, orig in patched:
+                assert vars(owner)[attr] is not orig
         finally:
             rec.uninstall()
     finally:
