@@ -292,8 +292,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         eps = cfg.eps if cfg.eps is not None else ident.default_eps
         prec = _precision(cfg, eps)
         if ident.kind is IdentityKind.DIRICHLET:
-            s_values = s_override if s_override else list(ident.default_s)
-            s_values = sorted(s_values)
+            # --s moves only the identities valid for every s > 1
+            free = s_override and ident.valid_s.fixed_s is None
+            s_values = sorted(s_override if free else ident.default_s)
         else:
             s_values = [None]
         for s in s_values:
@@ -403,7 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify identities and write a report")
     p_verify.add_argument("ids", nargs="*", help="identity ids (see `list`)")
     p_verify.add_argument("--all", action="store_true", help="verify the whole registry")
-    p_verify.add_argument("--s", default=None, help="comma-separated exponents")
+    p_verify.add_argument(
+        "--s",
+        default=None,
+        help="comma-separated exponents for the identities valid for every s > 1; "
+        "an identity valid at one s runs at that s",
+    )
     p_verify.add_argument("--out", default=None, help="write the report here")
     _add_common(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

@@ -48,11 +48,13 @@ live here; ``identities.eval_series_spec`` picks among all four:
   2^-p (1 + 2/(p-1)) and a geometric majorant for the weights
   (``_fe_truncation``).  A level's bound is sum_k w_k bound_{j+k} plus its
   truncation and rounding; the weights sum to 1 - 2^-p < 1, so the error
-  does not grow with depth.  J0, the leaves' counters and each K_j come
-  from a cost model over s and eps (``_fe_plan``): mpmath powers, leaf
-  terms, and weights.  J0 = 0, f(s) summed by ``eval_naive``, is one of
-  its plans, and the cheapest one once s is large (the levels then need
-  depths past s - 2 to shrink a leaf of a few terms).
+  does not grow with depth.  ``_fe_plan`` sets J0 by two term caps per
+  path (``_FE_CAPS``): J0 = 0, f(s) summed by ``eval_naive``, while that
+  takes at most the direct cap of terms, and otherwise the least J0 whose
+  leaves take at most the leaf cap.  Past the direct cap the levels win,
+  because each costs a fixed time while a direct sum grows like
+  eps^(-1/s); at large s the direct sum is the only plan (the levels
+  would need depths past s - 2 to shrink a leaf of a few terms).
 
 * The zeta + f decomposition and the odd-index split need no kernel of
   their own: each is a linear form sum_i c_i(2^s) leaf_i, certified by
@@ -712,13 +714,13 @@ def _combine_ctx(prec: Precision) -> MPContext | None:
 _FE_LEAF_SHARE = 0.45
 _FE_TRUNC_SHARE = 0.45
 
-# Predicted microseconds per unit of FE work on the mpmath and the float64
-# path: a power (one per prime of the fixed-point table, priced as an
-# mpmath power though the primes past 4(s + J0) take a cheaper binomial
-# step; two per column of the float64 block), a leaf term at one exponent
-# (a floor division, or a block entry), and a weight of one level (its
-# step and its product).
-_FE_COST_US = {False: (24.0, 0.4, 1.5), True: (0.04, 0.003, 1.5)}
+# Term caps of the plan, (direct, leaf), on the float64 (True) and the
+# mpmath (False) path (``_fe_plan``).  Timed with J0 forced, summing f
+# directly costs about 0.008 us a term in float64 and 1.5 us in mpmath,
+# and the levels a near-fixed 220-400 us and 650-1,200 us, so the direct
+# sum wins below about 30,000-50,000 float64 and 300-1,000 mpmath terms;
+# with these leaf caps J0 is within a few percent of the best forced one.
+_FE_CAPS = {True: (24_576, 1 << 10), False: (1 << 8, 1 << 6)}
 
 
 @lru_cache(maxsize=64)
@@ -779,77 +781,48 @@ def depth_for(s: float, eps: float) -> int:
     raise ResourceLimitError(f"no workable truncation depth below 1000 for s={s:g}, eps={eps:g}")
 
 
-def _leaf_counters(p: float, tail_eps: float) -> int:
-    """About the counters after which f's tail 2 (N+1)^-p fits ``tail_eps``
-    (the closed form alone, for the cost model)."""
-    log_n = (math.log(2.0) - math.log(tail_eps)) / p
-    return max(2, math.ceil(math.exp(min(log_n, 700.0))) - 1)
+def _f_counters(p: float, tail_eps: float, cap: int) -> float:
+    """Counters f needs at ``p`` for a tail of ``tail_eps``
+    (``required_counters``), or inf where that is more than ``cap``."""
+    try:
+        return F_SERIES.required_counters(p, tail_eps, cap)
+    except ResourceLimitError:
+        return math.inf
 
 
 def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
     """(J0, truncation depth K_j of each level j < J0, counters of each leaf
-    f(s + J0 + i)) of least predicted cost (``_FE_COST_US``).
+    f(s + J0 + i)), by the two term caps of the path (``_FE_CAPS``).
 
-    J0 = 0 is f(s) summed directly (``eval_naive``, its tail at 0.95 eps).
-    A larger J0 makes the leaves cheaper, N ~ (2/eps)^(1/(s+J0)), and adds
-    a level of about K weights; the cost falls and then rises in J0, so the
-    search stops three steps past its best, or where no truncation depth
-    below 1000 fits (K grows past s + j - 2).  Each level's truncation
+    J0 = 0, f(s) summed directly (``eval_naive``, its tail at 0.95 eps),
+    while that takes at most the direct cap of counters.  Otherwise J0 is
+    the least depth whose leaves, N ~ (2/eps)^(1/(s+J0)), take at most the
+    leaf cap, with ``cap`` bounding both.  Each level's truncation
     remainder gets 0.45 eps / J0; the deepest level has the largest K,
     because the weights move outward as s + j grows."""
     double = prec.is_double
-    cost_power, cost_term, cost_weight = _FE_COST_US[double]
+    direct_cap, leaf_cap = _FE_CAPS[double]
+    if _f_counters(s, _TAIL_FRACTION * eps, cap) <= direct_cap:
+        return 0, [], []
     leaf_tail = _FE_LEAF_SHARE * _TAIL_FRACTION * eps
-    best, best_cost = None, math.inf
-    n_direct = _leaf_counters(s, _TAIL_FRACTION * eps)
-    if n_direct <= cap:
-        best = 0
-        if double:
-            best_cost = n_direct * (cost_power + cost_term)
-        else:
-            best_cost = cost_power * n_direct / math.log(n_direct + 1) + cost_term * n_direct
-    for j0 in range(1, 200):
-        if best is not None and j0 - best > 3:
+    # a leaf takes 2 counters at the least, and a level at p needs a
+    # depth past p - 3, which ``depth_for`` caps at 1000
+    for j0 in range(1, 1000 if cap >= 2 else 1):
+        n0 = _f_counters(_exponent_floor(s, j0), leaf_tail, cap)
+        if n0 <= leaf_cap:
             break
-        try:
-            k_top = depth_for(s + (j0 - 1), _FE_TRUNC_SHARE * eps / j0)
-        except ResourceLimitError:
-            if best is None:
-                raise
-            break
-        n0 = _leaf_counters(s + j0, leaf_tail)
-        if n0 > cap:
-            continue
-        if double:
-            cost = n0 * (cost_power + cost_term * k_top)
-        else:
-            terms = 0
-            for i in range(k_top):
-                n = _leaf_counters(s + (j0 + i), leaf_tail)
-                terms += n if n > 2 else 2 * (k_top - i)
-                if n <= 2:
-                    break
-            cost = cost_power * n0 / math.log(n0 + 1) + cost_term * terms
-        cost += cost_weight * j0 * k_top
-        if cost < best_cost:
-            best, best_cost = j0, cost
-        if n0 == 2:
-            break
-    if best is None:
+    else:
         raise ResourceLimitError(
             f"functional-equation route for f at s={s:g} to eps={eps:g} needs "
             f"more than {cap} terms in every leaf (cap {cap})"
         )
-    j0 = best
-    if j0 == 0:
-        return 0, [], []
     ks = [depth_for(s + j, _FE_TRUNC_SHARE * eps / j0) for j in range(j0)]
     rows = max(j + k for j, k in enumerate(ks)) + 1 - j0
     if double:
         # the float64 block sums every row over the first row's counters
-        return j0, ks, [F_SERIES.required_counters(_exponent_floor(s, j0), leaf_tail, cap)] * rows
-    counts = []
-    while len(counts) < rows and (not counts or counts[-1] > 2):
+        return j0, ks, [n0] * rows
+    counts = [n0]
+    while len(counts) < rows and counts[-1] > 2:
         p = _exponent_floor(s, j0 + len(counts))
         counts.append(F_SERIES.required_counters(p, leaf_tail, cap))
     return j0, ks, counts + [2] * (rows - len(counts))
@@ -896,8 +869,8 @@ def eval_functional_equation(
     equation at p = s + j, truncated at their own depth K_j, to the levels
     and leaves above them, in fixed point at q bits on both paths
     (``_fe_weights``).  ``_fe_plan`` picks J0, the leaves' counters and
-    each K_j; where J0 = 0 is cheapest, f(s) is summed directly
-    (``eval_naive``) and the result's method says so.
+    each K_j; where J0 = 0, f(s) is summed directly (``eval_naive``) and
+    the result's method says so.
 
     Bounds propagate from the actual inner bounds: bound_j = sum_k w_k
     bound_{j+k} + trunc_j + rounding_j.  The weights sum to 1 - 2^-p < 1,

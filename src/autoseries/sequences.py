@@ -15,6 +15,7 @@ numpy arrays for the chunked summation kernels.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -233,7 +234,16 @@ class CoefficientSequence:
 
     @classmethod
     def affine(cls, low: float, high: float) -> "CoefficientSequence":
-        return cls(SequenceKind.AFFINE, low=float(low), high=float(high))
+        """The alphabet {low, high} over t_n.  A subnormal letter is refused:
+        the mean and the discrepancy bound of such letters underflow."""
+        low, high = float(low), float(high)
+        for letter in (low, high):
+            if 0.0 < abs(letter) < sys.float_info.min:
+                raise DomainError(
+                    f"alphabet letter {letter!r} is subnormal (0 < |x| < 2^-1022); "
+                    "its sums underflow"
+                )
+        return cls(SequenceKind.AFFINE, low=low, high=high)
 
     # -- stream API ---------------------------------------------------------
 

@@ -161,6 +161,32 @@ def test_eval_resource_error_exit_one(capsys):
     assert "cap" in err
 
 
+def test_eval_functional_equation_names_its_leaf_cap(capsys):
+    # no leaf of f takes fewer than 2 counters, so a cap of 1 is refused by
+    # the route's own limit; with a cap of 2 the levels go deep enough
+    code, _, err = run(capsys, "eval", "f", "2", "1e-10", "--max-terms", "1")
+    assert code == 1
+    assert err == (
+        "error: functional-equation route for f at s=2 to eps=1e-10 needs "
+        "more than 1 terms in every leaf (cap 1)\n"
+    )
+    code, out, _ = run(capsys, "eval", "f", "2", "1e-10", "--max-terms", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "functional-equation"
+    assert float(payload["abs_error_bound"]) <= 1e-10
+
+
+@pytest.mark.parametrize("series", ["affine:5e-324:5e-324", "affine:0:-5e-324:shifted"])
+def test_eval_subnormal_letter_is_refused_by_name(capsys, series):
+    # the mean share 0.25 eps/|mu| overflowed, or mu and B underflowed to a
+    # zero bound that the value missed by about 2e-324
+    for extra in ([], ["--method", "naive"], ["--precision-bits", "80"]):
+        code, out, err = run(capsys, "eval", series, "2", "1e-6", *extra)
+        assert (code, out) == (1, "")
+        assert "alphabet letter" in err and "e-324 is subnormal" in err
+
+
 def test_eval_overflowing_alphabet_names_its_coefficient(capsys):
     # b - a = -2e308 is not a float: the decomposition's f coefficient
     # (b - a)(1 + q)/(2 - 2q) is refused by name, not as a zero eps share
@@ -326,19 +352,24 @@ def test_verify_example9_past_the_float_hurwitz_value_names_it(capsys):
 
 @pytest.mark.parametrize("s", ["3", "20"])
 def test_verify_all_keeps_refused_records_and_writes_the_report(tmp_path, capsys, s):
-    # one refused (identity, s) used to end the run with no report: at s=3
-    # example4a is out of its domain, at s=20 theorem3's f leaf needs more
-    # than 53 bits; every identity now leaves exactly one record
+    # --s moves only the identities valid for every s > 1: at s=3 every
+    # record passes (example4a, prop6a and prop6c, each valid at one s, were
+    # refused); at s=20 the f leaves of theorem3 and theorem5 need more than
+    # 53 bits, and one refused (identity, s) used to end the run with no
+    # report: every identity leaves exactly one record
     out_path = tmp_path / "r.json"
     code, out, err = run(capsys, "verify", "--all", "--s", s, "--out", str(out_path))
+    if s == "3":
+        assert (code, err) == (0, "")
+        assert "summary: 19/19 passed" in out and "[PASS] example4a              s=2 " in out
+        return
     assert (code, err) == (1, "")
     report = json.loads(out_path.read_text())
     records = report["records"]
     assert [r["identity"] for r in records] == [i.identity_id for i in builtin_registry()]
     refused = {r["identity"]: r["reason"] for r in records if r["status"] == "refused"}
-    assert "example4a" in refused and "valid for s = 2" in refused["example4a"]
-    if s == "20":
-        assert "theorem3" in refused and "raise working_bits" in refused["theorem3"]
+    assert set(refused) == {"theorem3", "theorem5-pows", "theorem5-eta"}
+    assert all("raise working_bits" in reason for reason in refused.values())
     for r in records:
         assert r["status"] == ("refused" if r["identity"] in refused else "pass")
         assert r["pass"] is (r["status"] == "pass")
@@ -355,7 +386,7 @@ def test_verify_all_keeps_refused_records_and_writes_the_report(tmp_path, capsys
     assert [r.status for r in doc.records] == [r["status"] for r in records]
     assert doc.to_json() == out_path.read_text()
     text = doc.to_text()
-    assert "[REFUSED] example4a" in text and refused["example4a"] in text
+    assert "[REFUSED] theorem3" in text and refused["theorem3"] in text
     rows = list(csv.DictReader(io.StringIO(doc.to_csv())))
     assert list(rows[0]) == list(CSV_COLUMNS) and CSV_COLUMNS[-2:] == ("status", "reason")
     assert {row["identity"]: row["reason"] for row in rows if row["status"] == "refused"} == refused
@@ -628,7 +659,7 @@ def test_consecutive_main_calls_share_no_state(capsys):
     assert "summary: 3/3 passed" in out
     code, out, _ = run(capsys, "eval", "f", "2", "1e-8", "--method", "naive")
     assert json.loads(out)["method"] == "naive"
-    code, out, _ = run(capsys, "eval", "f", "2", "1e-8")
+    code, out, _ = run(capsys, "eval", "f", "2", "1e-10")
     assert json.loads(out)["method"] == "functional-equation"
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:

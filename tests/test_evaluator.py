@@ -24,6 +24,7 @@ from autoseries.evaluator import (
     PHI_SERIES,
     SeriesSpec,
     ZETA_SERIES,
+    _FE_CAPS,
     _fe_plan,
     _fe_weights,
     eval_functional_equation,
@@ -208,19 +209,44 @@ def test_cross_method_grid():
 
 
 def test_functional_equation_levels_against_naive():
-    # where f summed directly is the cheapest plan the route takes it (and
-    # says so); at s >= 3 the plans below keep levels (float64 at 1e-12
-    # has J0 = 2, the mpmath path at 1e-14 has J0 = 6, 5 and 3), which
-    # must agree with an independent naive sum
-    assert eval_functional_equation(4.0, 1e-10).method is Method.NAIVE
-    assert eval_functional_equation(2.0, 1e-10).method is Method.FUNCTIONAL_EQUATION
-    for s, eps, j0 in ((3.0, 1e-12, 2), (3.0, 1e-14, 6), (4.0, 1e-14, 5), (6.0, 1e-14, 3)):
+    # where the direct sum fits the path's direct cap the route takes it
+    # (and says so): float64 (3, 1e-12) and mpmath (6, 1e-14); the plans
+    # below keep levels, which must agree with an independent naive sum
+    assert eval_functional_equation(3.0, 1e-12).method is Method.NAIVE
+    assert eval_functional_equation(6.0, 1e-14).method is Method.NAIVE
+    for s, eps, j0 in ((2.0, 1e-10, 2), (2.0, 1e-12, 3), (3.0, 1e-13, 5), (3.0, 1e-14, 6), (4.0, 1e-14, 5)):
         prec = Precision.for_eps(eps)
         assert _fe_plan(s, eps, prec, DEFAULT_MAX_TERMS)[0] == j0, (s, eps)
         rf = eval_functional_equation(s, eps)
         assert rf.method is Method.FUNCTIONAL_EQUATION
         rn = eval_naive(F_SERIES, s, eps)
         assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, (s, eps)
+
+
+@pytest.mark.parametrize(
+    "bits,epsilons",
+    [(53, (1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12)), (120, (1e-8, 1e-12, 1e-14, 1e-20, 1e-30))],
+)
+def test_functional_equation_plan_follows_the_term_caps(bits, epsilons):
+    # J0 = 0 exactly when f(s) summed directly fits the direct cap, else
+    # the least J0 whose first leaf fits the leaf cap
+    def counters(p, tail):
+        try:
+            return F_SERIES.required_counters(p, tail, DEFAULT_MAX_TERMS)
+        except ResourceLimitError:
+            return math.inf
+
+    direct_cap, leaf_cap = _FE_CAPS[bits == 53]
+    for s in (1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 40.0):
+        for eps in epsilons:
+            j0, ks, counts = _fe_plan(s, eps, Precision(bits, eps), DEFAULT_MAX_TERMS)
+            assert (j0 == 0) is (counters(s, 0.95 * eps) <= direct_cap), (s, eps)
+            if j0 == 0:
+                assert ks == counts == []
+                continue
+            leaf = [counters(math.nextafter(s + j, 0.0), 0.45 * 0.95 * eps) for j in (j0 - 1, j0)]
+            assert leaf[1] <= leaf_cap and (j0 == 1 or leaf[0] > leaf_cap), (s, eps)
+            assert counts[0] == leaf[1] and len(ks) == j0
 
 
 # -- 0/1 series -------------------------------------------------------------------
