@@ -293,7 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         prec = _precision(cfg, eps)
         if ident.kind is IdentityKind.DIRICHLET:
             # --s moves only the identities valid for every s > 1
-            free = s_override and ident.valid_s.fixed_s is None
+            free = s_override and ident.valid_s is None
             s_values = sorted(s_override if free else ident.default_s)
         else:
             s_values = [None]
@@ -357,12 +357,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     for ident in builtin_registry():
-        domain = (
-            ident.valid_s.describe()
-            if ident.kind is IdentityKind.DIRICHLET
-            else ident.kind.value
+        print(
+            f"{ident.identity_id:<22s} [{ident.domain:<9s}] eps<={ident.default_eps:g}  "
+            f"{ident.description}"
         )
-        print(f"{ident.identity_id:<22s} [{domain:<9s}] eps<={ident.default_eps:g}  {ident.description}")
     return 0
 
 

@@ -122,6 +122,10 @@ CHUNK = 1 << 14
 #: rather than silently degrade.
 DEFAULT_MAX_TERMS = 10**9
 
+#: The most terms any cap allows: past 2^53 the kernels' float64 counters
+#: are no longer exact.
+_MAX_INDEX = 1 << 53
+
 # Fraction of the tolerance given to the analytic tail; the rest absorbs
 # the rounding budget.
 _TAIL_FRACTION = 0.95
@@ -347,21 +351,29 @@ class SeriesSpec:
         k, alpha, beta = law
         if k == 0.0:
             return min_n
+        cap, cap_text = _term_cap(max_terms)
         # K (alpha n + beta)^-s <= eps_tail, solved in logs so nothing overflows
         log_x = (math.log(k) - math.log(eps_tail)) / s
-        if log_x > math.log(alpha * 4.0 * max_terms):
+        if log_x > math.log(alpha * 4.0 * cap):
             raise ResourceLimitError(
                 f"{what} to eps={eps_tail:g} needs "
-                f"N~{math.exp(min(log_x, 700.0)) / alpha:.3g} terms (cap {max_terms})"
+                f"N~{math.exp(min(log_x, 700.0)) / alpha:.3g} terms (cap {cap_text})"
             )
         n = max(min_n, math.ceil((math.exp(log_x) - beta) / alpha))
         while self.tail_bound(n, s) > eps_tail:
             n += 1
-        if n > max_terms:
+        if n > cap:
             raise ResourceLimitError(
-                f"{what} to eps={eps_tail:g} needs N={n} terms (cap {max_terms})"
+                f"{what} to eps={eps_tail:g} needs N={n} terms (cap {cap_text})"
             )
         return n
+
+
+def _term_cap(max_terms: int) -> tuple[int, str]:
+    """The cap a term count is held to, ``max_terms`` or 2^53, and its text."""
+    if max_terms > _MAX_INDEX:
+        return _MAX_INDEX, "2^53, past which float64 counters are not exact"
+    return max_terms, str(max_terms)
 
 
 def _truncation_search(tail, start: int, eps: float, max_terms: int, what: str) -> int:
@@ -370,13 +382,15 @@ def _truncation_search(tail, start: int, eps: float, max_terms: int, what: str) 
 
     Doubles n from ``start`` until the tail fits, then bisects the last
     doubling step.  Refuses with a ``ResourceLimitError`` naming the cap
-    once n passes ``max_terms``; ``what`` opens the message.
+    once n passes ``max_terms``, or 2^53 above it; ``what`` opens the
+    message.
     """
+    cap, cap_text = _term_cap(max_terms)
     n = start
     while tail(n) > eps:
-        if n > 4 * max_terms:
+        if n > 4 * cap:
             raise ResourceLimitError(
-                f"{what} to eps={eps:g} needs more than {n} terms (cap {max_terms})"
+                f"{what} to eps={eps:g} needs more than {n} terms (cap {cap_text})"
             )
         n *= 2
     lo, hi = max(n // 2, start - 1), n
@@ -386,8 +400,8 @@ def _truncation_search(tail, start: int, eps: float, max_terms: int, what: str) 
             hi = mid
         else:
             lo = mid
-    if hi > max_terms:
-        raise ResourceLimitError(f"{what} to eps={eps:g} needs N={hi} terms (cap {max_terms})")
+    if hi > cap:
+        raise ResourceLimitError(f"{what} to eps={eps:g} needs N={hi} terms (cap {cap_text})")
     return hi
 
 
@@ -504,11 +518,12 @@ def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
 def _linear_form(terms, s: float | None, prec: Precision, evaluate):
     """sum_i c_i(2^s) leaf_i over (TwoPowerRatio, leaf, share) triples,
     through ``_weighted_sum``; ``evaluate(leaf, e)`` certifies each leaf to
-    e = share/|c_i|, so every term's part of the bound is about its share.
-    Every coefficient is evaluated before the first leaf; one that is not
-    identically zero but underflows a float (4^-s past s of about 537)
-    raises a ``DomainError``, since no working width gives its leaf a
-    share eps/|c_i| that a float bound can hold."""
+    e = share/|c_i|, so every term's part of the bound is about its share;
+    callers leave out the identically zero terms.  Every coefficient is
+    evaluated before the first leaf; one that is not identically zero but
+    underflows a float (4^-s past s of about 537) raises a ``DomainError``,
+    since no working width gives its leaf a share eps/|c_i| that a float
+    bound can hold."""
     coefs = []
     for coef, leaf, share in terms:
         c = coef.value(s, prec)
@@ -519,7 +534,7 @@ def _linear_form(terms, s: float | None, prec: Precision, evaluate):
             )
         coefs.append((c, leaf, share))
     return _weighted_sum(
-        ((c, evaluate(leaf, share / max(abs(float(c)), 1e-30))) for c, leaf, share in coefs), prec
+        ((c, evaluate(leaf, share / abs(float(c)))) for c, leaf, share in coefs), prec
     )
 
 

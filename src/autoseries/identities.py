@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -208,33 +209,35 @@ class IdentityKind(Enum):
 
 
 @dataclass(frozen=True)
-class ValidityDomain:
-    """All real s > 1, or one specific s."""
-
-    fixed_s: float | None = None
-
-    def contains(self, s: float) -> bool:
-        if self.fixed_s is None:
-            return s > 1.0
-        return abs(s - self.fixed_s) <= 1e-9 * max(1.0, abs(self.fixed_s))
-
-    def describe(self) -> str:
-        return "s > 1" if self.fixed_s is None else f"s = {self.fixed_s:g}"
-
-
-@dataclass(frozen=True)
 class Identity:
-    """One verifiable equality with its preferred evaluation routes."""
+    """One verifiable equality with its preferred evaluation routes, valid at
+    s = ``valid_s`` or, if None, for every s > 1; a ``fixed_lhs`` (no exponent)
+    makes it a fixed form.  ``default_s`` defaults to (2, 3, 4), (valid_s,) or ()."""
 
     identity_id: str
     lhs: tuple[tuple[TwoPowerRatio, Series | Expr], ...]
     rhs: tuple[tuple[TwoPowerRatio, Expr], ...]
-    valid_s: ValidityDomain = field(default_factory=ValidityDomain)
+    valid_s: float | None = None
     description: str = ""
-    kind: IdentityKind = IdentityKind.DIRICHLET
-    default_s: tuple[float, ...] = (2.0, 3.0, 4.0)
+    default_s: tuple[float, ...] | None = None
     default_eps: float = 1e-8
     fixed_lhs: Callable[[float, int], EvalResult] | None = None
+
+    def __post_init__(self) -> None:
+        if self.default_s is None:
+            grid = (2.0, 3.0, 4.0) if self.valid_s is None else (self.valid_s,)
+            object.__setattr__(self, "default_s", () if self.fixed_lhs is not None else grid)
+
+    @property
+    def kind(self) -> IdentityKind:
+        return IdentityKind.DIRICHLET if self.fixed_lhs is None else IdentityKind.FIXED_SERIES
+
+    @property
+    def domain(self) -> str:
+        """Where it holds: "s > 1", "s = <valid_s>", or "fixed"."""
+        if self.fixed_lhs is not None:
+            return IdentityKind.FIXED_SERIES.value
+        return "s > 1" if self.valid_s is None else f"s = {self.valid_s:g}"
 
 
 @dataclass(frozen=True)
@@ -251,8 +254,6 @@ class VerificationRecord:
     passed: bool
     terms_used: int
     wall_time_s: float
-    #: always False now; kept because report fields are add-only
-    heuristic: bool = False
     #: why the check was refused (a domain error or a named limit), else None
     reason: str | None = None
 
@@ -430,9 +431,10 @@ def verify(
         if s is None:
             raise DomainError(f"{identity.identity_id} needs an exponent s")
         s = float(s)
-        if not identity.valid_s.contains(s):
+        at = identity.valid_s
+        if not (s > 1.0 if at is None else abs(s - at) <= 1e-9 * max(1.0, abs(at))):
             raise DomainError(
-                f"{identity.identity_id} is only valid for {identity.valid_s.describe()}, got s={s:g}"
+                f"{identity.identity_id} is only valid for {identity.domain}, got s={s:g}"
             )
     prec = prec if prec is not None else Precision.for_eps(eps)
     t0 = time.perf_counter()
@@ -662,8 +664,12 @@ def _const(c: float | Fraction) -> TwoPowerRatio:
     return TwoPowerRatio((c,))
 
 
-def _build_registry() -> tuple[Identity, ...]:
-    two_pow_s = TwoPowerRatio((0.0, 1.0))
+@cache
+def _registry() -> tuple[Identity, ...]:
+    """The bundled identities, built on first use: the solver, whose case table
+    makes theorem3 and the theorem5 records, imports this module."""
+    from .solver import AlphabetCase, _all_s_identity
+
     entries: list[Identity] = []
 
     entries.append(
@@ -679,17 +685,8 @@ def _build_registry() -> tuple[Identity, ...]:
     )
     entries.append(make_corollary2_identity(_const(1.0), _const(0.0), "corollary2-phi"))
     entries.append(make_corollary2_identity(_const(0.0), _const(1.0), "corollary2-gamma"))
-    entries.append(
-        Identity(
-            identity_id="theorem3",
-            lhs=(
-                (TwoPowerRatio((1.0, 1.0)), Series(PHI_SERIES, Route.DECOMPOSED)),
-                (TwoPowerRatio((-1.0, 1.0)), Series(GAMMA_SERIES, Route.DECOMPOSED)),
-            ),
-            rhs=((two_pow_s, Zeta()),),
-            description="(2^s+1) sum(t[n-1]/n^s) + (2^s-1) sum(t[n]/n^s) = 2^s zeta(s)",
-        )
-    )
+    theorem3 = "(2^s+1) sum(t[n-1]/n^s) + (2^s-1) sum(t[n]/n^s) = 2^s zeta(s)"
+    entries.append(_all_s_identity(AlphabetCase.POW_S, "theorem3", theorem3, Route.DECOMPOSED))
     entries.append(
         Identity(
             identity_id="example4a",
@@ -698,8 +695,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 (_const(3.0), Series(GAMMA_SERIES, Route.DECOMPOSED)),
             ),
             rhs=((_const(Fraction(2, 3)), Pi(2)),),
-            valid_s=ValidityDomain(2.0),
-            default_s=(2.0,),
+            valid_s=2.0,
             description="sum((5 t[n-1] + 3 t[n])/n^2) = 2 pi^2/3",
         )
     )
@@ -711,44 +707,20 @@ def _build_registry() -> tuple[Identity, ...]:
                 (_const(7.0), Series(GAMMA_SERIES, Route.DECOMPOSED)),
             ),
             rhs=((_const(8.0), Zeta()),),
-            valid_s=ValidityDomain(3.0),
-            default_s=(3.0,),
+            valid_s=3.0,
             description="sum((9 t[n-1] + 7 t[n])/n^3) = 8 zeta(3)",
         )
     )
-    entries.append(
-        Identity(
-            identity_id="theorem5-zero",
-            lhs=(
-                (_const(1.0), _affine_series(-0.5, 0.5, True)),
-                (TwoPowerRatio((-1.0, 1.0), (1.0, 1.0)), _affine_series(-0.5, 0.5, False)),
-            ),
-            rhs=ZERO_RHS,
-            description="alphabet k=1/2, l=-1/2: shifted series equals (1-2^s)/(1+2^s) times unshifted",
-        )
-    )
-    entries.append(
-        Identity(
-            identity_id="theorem5-pows",
-            lhs=(
-                (TwoPowerRatio((1.0, 1.0)), _affine_series(0.0, 1.0, True)),
-                (TwoPowerRatio((-1.0, 1.0)), _affine_series(0.0, 1.0, False)),
-            ),
-            rhs=((two_pow_s, Zeta()),),
-            description="alphabet k=0, l=0 combination equals 2^s zeta(s)",
-        )
-    )
-    entries.append(
-        Identity(
-            identity_id="theorem5-eta",
-            lhs=(
-                (TwoPowerRatio((1.0, 1.0)), _affine_series(-1.0, 0.0, True)),
-                (TwoPowerRatio((-1.0, 1.0)), _affine_series(1.0, 2.0, False)),
-            ),
-            rhs=((two_pow_s, Eta()),),
-            description="alphabet k=1, l=1 combination equals 2^s eta(s)",
-        )
-    )
+    for identity_id, case, description in (
+        (
+            "theorem5-zero",
+            AlphabetCase.ZERO,
+            "alphabet k=1/2, l=-1/2: shifted series equals (1-2^s)/(1+2^s) times unshifted",
+        ),
+        ("theorem5-pows", AlphabetCase.POW_S, "alphabet k=0, l=0 combination equals 2^s zeta(s)"),
+        ("theorem5-eta", AlphabetCase.POW_S_MINUS_2, "alphabet k=1, l=1 combination equals 2^s eta(s)"),
+    ):
+        entries.append(_all_s_identity(case, identity_id, description))
     entries.append(
         Identity(
             identity_id="prop6a",
@@ -758,8 +730,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 (_const(1.0), _affine_series(1.0, 4.0, False)),
             ),
             rhs=ZERO_RHS,
-            valid_s=ValidityDomain(2.0),
-            default_s=(2.0,),
+            valid_s=2.0,
             description="alphabets {-1,0} and {1/3,4/3}: 5 sum(q[n-1]/n^2) + 3 sum(r[n]/n^2) = 0",
         )
     )
@@ -772,8 +743,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 (_const(1.0), _affine_series(9.0, 16.0, False)),
             ),
             rhs=((_const(8.0), Zeta()),),
-            valid_s=ValidityDomain(3.0),
-            default_s=(3.0,),
+            valid_s=3.0,
             description="alphabets {-1,0} and {9/7,16/7}: sum((9 q[n-1] + 7 r[n])/n^3) = 8 zeta(3)",
         )
     )
@@ -788,8 +758,7 @@ def _build_registry() -> tuple[Identity, ...]:
                 ),
             ),
             rhs=((_const(16.0), Eta()),),
-            valid_s=ValidityDomain(4.0),
-            default_s=(4.0,),
+            valid_s=4.0,
             description="irrational alphabets over sqrt(2): sum((17 q[n-1] + 15 r[n])/n^4) = 16 eta(4)",
         )
     )
@@ -824,8 +793,6 @@ def _build_registry() -> tuple[Identity, ...]:
                 identity_id=f"shallit:{base}",
                 lhs=(),
                 rhs=((_const(Fraction(base, base - 1)), Log(Fraction(base))),),
-                kind=IdentityKind.FIXED_SERIES,
-                default_s=(),
                 default_eps=1e-4,
                 fixed_lhs=_digit_harmonic_lhs(base),
                 description=f"sum(s_{base}(n)/(n(n+1))) = ({base}/{base - 1}) log {base}",
@@ -836,8 +803,6 @@ def _build_registry() -> tuple[Identity, ...]:
             identity_id="allouche-shallit",
             lhs=(),
             rhs=((_const(Fraction(1, 9)), Pi(2)),),
-            kind=IdentityKind.FIXED_SERIES,
-            default_s=(),
             default_eps=1e-8,
             fixed_lhs=_binary_weighted_lhs(),
             description="sum(s_2(n)(2n+1)/(n^2 (n+1)^2)) = pi^2/9",
@@ -848,8 +813,6 @@ def _build_registry() -> tuple[Identity, ...]:
             identity_id="woods-robbins",
             lhs=(),
             rhs=((_const(Fraction(1, 2)), Sqrt(2)),),
-            kind=IdentityKind.FIXED_SERIES,
-            default_s=(),
             default_eps=1e-8,
             fixed_lhs=_woods_robbins_lhs(),
             description="prod(((2n+1)/(2n+2))^(e_n)) = sqrt(2)/2",
@@ -858,18 +821,15 @@ def _build_registry() -> tuple[Identity, ...]:
     return tuple(entries)
 
 
-_REGISTRY = _build_registry()
-
-
 def builtin_registry() -> list[Identity]:
     """All bundled identities, in report order."""
-    return list(_REGISTRY)
+    return list(_registry())
 
 
 def get_identity(identity_id: str) -> Identity:
     """Look up a bundled identity; hyphens and underscores are equivalent."""
     wanted = identity_id.strip().lower().replace("_", "-")
-    for ident in _REGISTRY:
+    for ident in _registry():
         if ident.identity_id == wanted:
             return ident
     raise KeyError(f"unknown identity {identity_id!r}")

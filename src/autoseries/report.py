@@ -76,7 +76,7 @@ def record_to_dict(rec: VerificationRecord) -> dict:
         "rhs_bound": _num(rec.rhs_bound),
         "residual": _num(rec.residual),
         "pass": rec.passed,
-        "heuristic": rec.heuristic,
+        "heuristic": False,  # no check is heuristic; the key stays (fields are add-only)
         "terms_used": rec.terms_used,
         "wall_time_s": _num(rec.wall_time_s),
         "status": rec.status,
@@ -110,7 +110,6 @@ def record_from_dict(d: dict) -> VerificationRecord:
         passed=bool(d["pass"]),
         terms_used=int(d.get("terms_used", 1)),
         wall_time_s=f("wall_time_s"),
-        heuristic=bool(d.get("heuristic", False)),
         reason=d.get("reason"),
     )
 
@@ -197,8 +196,7 @@ class ReportDocument:
             if rec.reason is not None:
                 lines.append(f"  {record_line(rec)}")
                 continue
-            extra = " heuristic" if rec.heuristic else ""
-            lines.append(f"  {record_line(rec)} terms={rec.terms_used}{extra}")
+            lines.append(f"  {record_line(rec)} terms={rec.terms_used}")
         lines.append(self.summary_line())
         return "\n".join(lines) + "\n"
 

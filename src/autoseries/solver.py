@@ -19,7 +19,9 @@ The cases are the rows of one table, ``_CASES``: the target slope 2^s +
 const, the coefficients, right side and statement a case mints, and the
 texts of its guards.  As lam - target = (1 - (k-l) - slope) 2^s - (k+l) -
 const, each case solves 2^s = num/den with den = (1 - slope) - (k-l) and
-num = k + l + const, and holds for every s where both vanish.
+num = k + l + const, and holds for every s where both vanish.  The
+registry's theorem3 and theorem5 records are the cases at those all-s
+alphabets (``_all_s_identity``), built as ``mint_identity`` builds its own.
 
 Positivity of k and l is NOT required here: the algebra nowhere uses it,
 and the all-s solution of the first case is exactly k = 1/2, l = -1/2.
@@ -41,9 +43,9 @@ from .identities import (
     Eta,
     Expr,
     Identity,
+    Route,
     Series,
     TwoPowerRatio,
-    ValidityDomain,
     ZERO_RHS,
     Zeta,
 )
@@ -172,30 +174,50 @@ def solve_case(case: AlphabetCase | str, k: float, l: float) -> AlphabetSolution
     return AlphabetSolution(k, l, case, s, residual, verifiable=s > 1.0)
 
 
+def _alphabet_identity(
+    form: _Case, k: float, l: float, valid_s: float | None, identity_id: str, description: str,
+    route: Route = Route.AUTO,
+) -> Identity:
+    """The case's identity over the alphabets {-k, 1-k} at the shifted
+    index (q) and {l, 1+l} unshifted (r), both series on ``route``."""
+    q_spec = SeriesSpec(CoefficientSequence.affine(-k, 1.0 - k), IndexShift.BY_ONE)
+    r_spec = SeriesSpec(CoefficientSequence.affine(l, 1.0 + l))
+    return Identity(
+        identity_id=identity_id,
+        lhs=((form.lhs[0], Series(q_spec, route)), (form.lhs[1], Series(r_spec, route))),
+        rhs=form.rhs,
+        valid_s=valid_s,
+        description=description,
+    )
+
+
+def _all_s_identity(
+    case: AlphabetCase, identity_id: str, description: str, route: Route = Route.AUTO
+) -> Identity:
+    """The case at its one alphabet valid for every s > 1, where num and den
+    both vanish: k - l = 1 - slope and k + l = -const."""
+    form = _CASES[case]
+    k = (1.0 - form.slope - form.const) / 2.0
+    l = k - (1.0 - form.slope)
+    return _alphabet_identity(form, k, l, None, identity_id, description, route)
+
+
 def mint_identity(sol: AlphabetSolution) -> Identity:
     """Turn a solved alphabet into a verifiable identity.
 
-    The q series is the alphabet {-k, 1-k} read at the shifted index, the
-    r series is {l, 1+l} unshifted.  Case 'zero' states the pure ratio
-    between them; the other cases state the (2^s+1, 2^s-1) combination
-    against 2^s zeta(s) or 2^s eta(s).  Minting requires s > 1.
+    Case 'zero' states the pure ratio between the q and r series; the other
+    cases state the (2^s+1, 2^s-1) combination against 2^s zeta(s) or
+    2^s eta(s).  Minting requires s > 1.
     """
     if not sol.s > 1.0:
         raise DomainError(
             f"minted identities need s > 1; this solution has s={sol.s:g}"
         )
-    q_spec = SeriesSpec(CoefficientSequence.affine(-sol.k, 1.0 - sol.k), IndexShift.BY_ONE)
-    r_spec = SeriesSpec(CoefficientSequence.affine(sol.l, 1.0 + sol.l))
     form = _CASES[sol.case]
     # lam - target vanishes for every s exactly where num and den both do
     all_s = _balance(form, sol.k, sol.l) == (0.0, 0.0)
-    valid = ValidityDomain() if all_s else ValidityDomain(sol.s)
-    default_s = (2.0, 3.0, 4.0) if valid.fixed_s is None else (sol.s,)
-    return Identity(
-        identity_id=f"minted-{sol.case.value}[{sol.k:.10g},{sol.l:.10g}]",
-        lhs=((form.lhs[0], Series(q_spec)), (form.lhs[1], Series(r_spec))),
-        rhs=form.rhs,
-        valid_s=valid,
-        default_s=default_s,
-        description=f"{form.statement} with k={sol.k:.12g}, l={sol.l:.12g}",
+    return _alphabet_identity(
+        form, sol.k, sol.l, None if all_s else sol.s,
+        f"minted-{sol.case.value}[{sol.k:.10g},{sol.l:.10g}]",
+        f"{form.statement} with k={sol.k:.12g}, l={sol.l:.12g}",
     )

@@ -1,18 +1,23 @@
-"""The benchmark's tracer still binds every function it wraps.
+"""The benchmark's scripts still find what they use of the program.
 
 ``perfbench/tracer.py`` patches the functions named in its ``TARGETS`` by
-module and attribute path.  A rename or deletion in ``autoseries`` that
-drops one of them would break the traced benchmark run; this test makes
-the suite fail first.
+module and attribute path, and ``perfbench/make_refs.py`` builds its
+request pools from the registry and the solver.  A rename or deletion in
+``autoseries`` that drops one of them would break the benchmark; these
+tests make the suite fail first.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 import autoseries
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -30,6 +35,32 @@ def test_every_target_resolves():
             assert hasattr(obj, attr), f"autoseries.{mod_name}.{path} is gone"
             obj = getattr(obj, attr)
         assert callable(obj), f"autoseries.{mod_name}.{path} is not callable"
+
+
+def test_make_refs_still_reads_the_registry_and_the_solver():
+    # make_refs.registry() checks each record at its default exponents, as
+    # ``[f"{s:g}" for s in ident.default_s]`` for a DIRICHLET record and at
+    # s = None otherwise; the checked-in pool is exactly those cells.  Its
+    # solve pool keeps the alphabets whose solve_case s lies in [2, 4] and
+    # skips those a guard refuses with a ValueError.  The suite never runs
+    # make_refs, so nothing else would catch a break here.
+    from autoseries import IdentityKind, builtin_registry
+    from autoseries.solver import solve_case
+
+    assert autoseries.IdentityKind is IdentityKind
+    cells = []
+    for ident in builtin_registry():
+        assert ident.kind in (IdentityKind.DIRICHLET, IdentityKind.FIXED_SERIES)
+        dirichlet = ident.kind is IdentityKind.DIRICHLET
+        assert dirichlet == (ident.fixed_lhs is None), ident.identity_id
+        cells += [(ident.identity_id, f"{s:g}" if dirichlet else None)
+                  for s in (ident.default_s if dirichlet else [None])]
+    (stratum,) = json.loads((PERFBENCH / "refs" / "registry.json").read_text())["strata"]
+    assert cells == [(ident, s) for ident, s, *_ in stratum["cells"]]
+
+    assert solve_case("pows", 1.0, 9.0 / 7.0).s == pytest.approx(3.0)
+    with pytest.raises(ValueError):
+        solve_case("pows", 1.0, 1.0)
 
 
 def test_recorder_installs_and_uninstalls():

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,6 @@ import autoseries.cli as cli
 from autoseries.cli import UsageError, main, parse_real
 from autoseries.identities import (
     Identity,
-    IdentityKind,
     Sqrt,
     TwoPowerRatio,
     builtin_registry,
@@ -159,6 +159,21 @@ def test_eval_resource_error_exit_one(capsys):
     code, _, err = run(capsys, "eval", "g", "2", "1e-6", "--method", "naive", "--max-terms", "1000")
     assert code == 1
     assert "cap" in err
+
+
+@pytest.mark.parametrize("s", ["1.01", "1.5"])
+def test_eval_cap_past_two_to_the_53_is_held_there(capsys, s):
+    # no kernel can index more than 2^53 terms, whatever --max-terms says:
+    # the request is refused at once instead of summing for ever (or, on the
+    # mpmath path, sieving primes up to 10^10)
+    t0 = time.perf_counter()
+    code, _, err = run(
+        capsys, "eval", "f", s, "1e-30", "--method", "naive",
+        "--max-terms", "10000000000000000000000000000000",
+    )
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1
+    assert "(cap 2^53, past which float64 counters are not exact)" in err
 
 
 def test_eval_functional_equation_names_its_leaf_cap(capsys):
@@ -326,7 +341,7 @@ def test_verify_at_huge_s_passes_or_names_the_limit(capsys, ident, s):
     else:
         assert (code, err) == (1, "")
         assert needle in refusal(out), out
-    assert get_identity(ident).valid_s.fixed_s is None
+    assert get_identity(ident).valid_s is None
 
 
 @pytest.mark.parametrize("extra", [[], ["--precision-bits", "80"]])
@@ -338,6 +353,21 @@ def test_verify_example9_past_the_float_range_names_the_coefficient(capsys, extr
     reason = refusal(out)
     assert "coefficient (1)/(2^2s) underflows to 0 at s=1030" in reason
     assert "working_bits" not in reason and "inf" not in reason
+
+
+@pytest.mark.parametrize("s", ["70", "300"])
+def test_verify_example9_at_large_s_passes(capsys, s):
+    # 4^-s is far below 1e-30 here; its leaf zeta(s, 1/4) ~ 4^s must get
+    # the share eps/4^-s, not eps/1e-30
+    code, out, err = run(capsys, "verify", "example9", "--s", s)
+    assert (code, err) == (0, "")
+    assert out.startswith("[PASS] example9") and f" s={s} " in out
+
+
+def test_verify_example9_at_512_names_the_float_range(capsys):
+    code, out, err = run(capsys, "verify", "example9", "--s", "512")
+    assert (code, err) == (1, "")
+    assert "past the largest float" in refusal(out)
 
 
 def test_verify_example9_past_the_float_hurwitz_value_names_it(capsys):
@@ -450,12 +480,11 @@ def test_verify_text_format(tmp_path, capsys):
     assert code == 0
     text = out_path.read_text()
     assert "woods-robbins" in text and " heuristic" not in text
-    # records of older reports may still carry the flag, and keep their marker
+    # no record is heuristic now: an older report's flag is read and dropped
     doc = ReportDocument.from_json(
         (Path(__file__).parent / "data" / "golden_report.json").read_text()
     )
-    flagged = [line for line in doc.to_text().splitlines() if line.endswith(" heuristic")]
-    assert len(flagged) == 1 and "woods-robbins" in flagged[0]
+    assert not [line for line in doc.to_text().splitlines() if "heuristic" in line]
 
 
 def test_verify_failure_still_writes_report_and_exits_one(tmp_path, capsys, monkeypatch):
@@ -464,8 +493,6 @@ def test_verify_failure_still_writes_report_and_exits_one(tmp_path, capsys, monk
         identity_id="woods-robbins-wrong",
         lhs=(),
         rhs=((TwoPowerRatio((Fraction(500001, 1000000),)), Sqrt(2)),),
-        kind=IdentityKind.FIXED_SERIES,
-        default_s=(),
         fixed_lhs=get_identity("woods-robbins").fixed_lhs,
         description="wrong on purpose",
     )

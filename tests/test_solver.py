@@ -16,10 +16,11 @@ from autoseries.evaluator import (
     IndexShift,
     partial_sum,
 )
-from autoseries.identities import verify
+from autoseries.identities import Route, Series, get_identity, verify
 from autoseries.sequences import CoefficientSequence
 from autoseries.solver import (
     AlphabetCase,
+    AlphabetSolution,
     case_target,
     lambda_fn,
     mint_identity,
@@ -114,8 +115,6 @@ def test_minted_trivial_alphabet_reproduces_zeta_combination():
     # the log formula cannot produce it (its numerator is guarded), so the
     # all-s solution is constructed directly; at k = 0, l = 0 the sequences
     # coincide with the 0/1 stream
-    from autoseries.solver import AlphabetSolution
-
     for case, k, l in (
         (AlphabetCase.POW_S, 0.0, 0.0),
         (AlphabetCase.ZERO, 0.5, -0.5),
@@ -123,7 +122,7 @@ def test_minted_trivial_alphabet_reproduces_zeta_combination():
     ):
         sol = AlphabetSolution(k, l, case, 3.0, 0.0, True)
         ident = mint_identity(sol)
-        assert ident.valid_s.fixed_s is None, case  # detected as valid for all s
+        assert ident.valid_s is None, case  # detected as valid for all s
         q_spec = ident.lhs[0][1].spec
         r_spec = ident.lhs[1][1].spec
         for n in (5, 100, 1000):
@@ -140,10 +139,33 @@ def test_minted_trivial_alphabet_reproduces_zeta_combination():
             assert verify(ident, s, 1e-8).passed, (case, s)
 
 
+@pytest.mark.parametrize(
+    "ident, case, k, l",
+    [
+        ("theorem5-zero", AlphabetCase.ZERO, 0.5, -0.5),
+        ("theorem5-pows", AlphabetCase.POW_S, 0.0, 0.0),
+        ("theorem5-eta", AlphabetCase.POW_S_MINUS_2, 1.0, 1.0),
+        ("theorem3", AlphabetCase.POW_S, 0.0, 0.0),
+    ],
+)
+def test_alphabet_record_is_its_minted_identity(ident, case, k, l):
+    # the registry's alphabet records and `solve --mint` state Theorem 5 from
+    # one case table: each record is the identity minted at its case's all-s
+    # alphabet, theorem3 with both series on the decomposed route
+    record = get_identity(ident)
+    minted = mint_identity(AlphabetSolution(k, l, case, 3.0, 0.0, True))
+    lhs = minted.lhs
+    if ident == "theorem3":
+        lhs = tuple((c, Series(leaf.spec, Route.DECOMPOSED)) for c, leaf in lhs)
+        assert [leaf.spec for _, leaf in lhs] == [PHI_SERIES, GAMMA_SERIES]
+    assert (record.lhs, record.rhs, record.valid_s) == (lhs, minted.rhs, minted.valid_s)
+    assert record.valid_s is None
+
+
 def test_minted_identity_only_valid_at_solution():
     sol = solve_case("pows", 1.0, 9.0 / 7.0)
     ident = mint_identity(sol)
-    assert ident.valid_s.fixed_s == pytest.approx(3.0)
+    assert ident.valid_s == pytest.approx(3.0)
     with pytest.raises(DomainError):
         verify(ident, 2.0, 1e-6)
 
