@@ -38,7 +38,6 @@ from .evaluator import (
     F_SERIES,
     G_SERIES,
     GAMMA_SERIES,
-    IndexShift,
     ODD_PLUS_MINUS_SERIES,
     PHI_SERIES,
     SeriesSpec,
@@ -199,8 +198,8 @@ def _catalog_series(name: str) -> tuple[SeriesSpec, Route]:
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "shifted"):
             raise UsageError(f"affine series syntax is affine:A:B[:shifted], got {name!r}")
         low, high = parse_real(parts[1]), parse_real(parts[2])
-        shift = IndexShift.BY_ONE if len(parts) == 4 else IndexShift.NONE
-        return SeriesSpec(CoefficientSequence.affine(low, high), shift), Route.AUTO
+        # the ":shifted" suffix reads the alphabet at n - 1
+        return SeriesSpec(CoefficientSequence.affine(low, high, len(parts) - 3)), Route.AUTO
     raise UsageError(f"unknown series {name!r}; catalog: {_EVAL_CATALOG}")
 
 

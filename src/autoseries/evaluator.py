@@ -5,13 +5,14 @@ live here; ``identities.eval_series_spec`` picks among all four:
 
 * ``eval_naive``: direct summation of the first N terms with an analytic
   tail.  The bit-valued streams have a mean mu and a discrepancy bound
-  B(M), |R_M| = |sum_{n<M} (c_n - mu)| <= B(M) for every M >= 1
+  B(M), |R_M| <= B(M) for every M >= 1 with R_{M+1} - R_M = c_M - mu
   (``CoefficientSequence.discrepancy``, which also proves them):
 
-      alphabet {a, b}: mu = (a+b)/2, B = |b-a|/2     d_n: mu = 0, B = 1
+      alphabet {a, b} over t_{n-r}: mu = (a+b)/2, B = |b-a|/2
       period-doubling: mu = 1/3, B(M) = 1 + (log2 M)/4
 
-  which for t_n = {0, 1} is (1/2, 1/2) and for e_n = {1, -1} is (0, 1).
+  which is (1/2, 1/2) for t_n = {0, 1}, (0, 1) for e_n = {1, -1}, and, as
+  sums of alphabets add their mu and B, (0, 1) for d_n = t_n - t_{n-1}.
   For weights w_n decreasing to 0, Abel summation gives
   sum_{n>=N1} (c_n - mu) w_n = -R_{N1} w_{N1} + sum_{n>N1} R_n (w_{n-1} - w_n)
   (R_n w_n -> 0 as B grows like a logarithm).  With a constant B this
@@ -59,11 +60,11 @@ live here; ``identities.eval_series_spec`` picks among all four:
 * The zeta + f decomposition and the odd-index split need no kernel of
   their own: each is a linear form sum_i c_i(2^s) leaf_i, certified by
   ``_linear_form`` like either side of an identity, and
-  ``identities._eval_routed`` writes them.  An alphabet series {a, b} over
-  t with an n^s denominator is alpha zeta(s) + beta f(s), alpha = (a+b)/2
-  and, with q = 2^-s, beta = (a-b)/2 for the shifted series and
-  (b-a)(1+q)/(2-2q) for the unshifted one; the zeta leaf gets
-  0.25 eps/|alpha| and the f leaf 0.45 eps/|beta|, whether or not the
+  ``identities._eval_routed`` writes them.  A sum of alphabets {a, b} over
+  t_{n-r} with an n^s denominator is alpha zeta(s) + beta f(s): with q =
+  2^-s, a part adds (a+b)/2 to alpha and (a-b)/2 (r = 1) or
+  (b-a)(1+q)/(2-2q) (r = 0) to beta, so d_n is f(s)/(1-q); the zeta leaf
+  gets 0.25 eps/|alpha| and the f leaf 0.45 eps/|beta|, whether or not the
   other leaf is present.  Every n >= 1 factors uniquely as 2^k (2m+1), and
   e_{2^k(2m+1)-1} = (-1)^k e_m, so f(s) = A(s)/(1+q) and g(s) =
   -A(s)/(1-q) with A(s) = sum_{m>=0} e_m/(2m+1)^s, which is
@@ -139,11 +140,6 @@ _MEAN_FRACTION = 0.25
 _ROUNDING_OPS = 32.0
 
 
-class IndexShift(Enum):
-    NONE = "none"       # sum_{n>=1} c_n / n^s
-    BY_ONE = "by-one"   # sum_{n>=0} c_n / (n+1)^s
-
-
 class DenominatorForm(Enum):
     POWER_OF_N = "n^s"
     POWER_OF_ODD_N = "(2n+1)^s"
@@ -152,10 +148,10 @@ class DenominatorForm(Enum):
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """A Dirichlet series: coefficient stream, index shift, denominator form.
+    """A Dirichlet series: coefficient stream and denominator form.
 
-    A by-one index shift reads coefficient n-1 at denominator n, which is
-    how the shifted series such as f(s) = sum e_{n-1}/n^s are written.
+    A shift is the stream's: f(s) = sum e_{n-1}/n^s is the alphabet
+    {1, -1} read at n - 1 (``CoefficientSequence.affine(1, -1, 1)``).
 
     ``denominators`` is the one table of the forms; every other quantity
     is one formula over it, most over its dominant (first) progression
@@ -174,12 +170,9 @@ class SeriesSpec:
     """
 
     coeffs: CoefficientSequence
-    shift: IndexShift = IndexShift.NONE
     denom: DenominatorForm = DenominatorForm.POWER_OF_N
 
     def __post_init__(self) -> None:
-        if self.shift is IndexShift.BY_ONE and self.denom is not DenominatorForm.POWER_OF_N:
-            raise DomainError("by-one shift is only defined for n^s denominators")
         if self.denom is DenominatorForm.COMPOSITE9:
             if self.coeffs != CoefficientSequence.period_doubling():
                 raise DomainError(
@@ -196,11 +189,11 @@ class SeriesSpec:
 
     def denominators(self, lo: int) -> tuple[tuple[int, int, int], ...]:
         """(sign, d, step): the term of counter j >= ``lo`` is c_j times the
-        sum over these of sign (d + step (j - lo))^-s: d = j for n^s (j + 1
-        with the by-one shift), 2j + 1 for (2n+1)^s, and composite9 is
-        c_n (n^-s - (4n+3)^-s).  The first entry is the dominant one."""
+        sum over these of sign (d + step (j - lo))^-s: d = j for n^s,
+        2j + 1 for (2n+1)^s, and composite9 is c_n (n^-s - (4n+3)^-s).  The
+        first entry is the dominant one."""
         if self.denom is DenominatorForm.POWER_OF_N:
-            return ((1, lo + (1 if self.shift is IndexShift.BY_ONE else 0), 1),)
+            return ((1, lo, 1),)
         if self.denom is DenominatorForm.POWER_OF_ODD_N:
             return ((1, 2 * lo + 1, 2),)
         return ((1, lo, 1), (-1, 4 * lo + 3, 4))
@@ -217,12 +210,9 @@ class SeriesSpec:
         return float(a), float(b), self.counter_start
 
     def label(self) -> str:
-        parts = [self.coeffs.label()]
-        if self.shift is IndexShift.BY_ONE:
-            parts.append("shift+1")
-        if self.denom is not DenominatorForm.POWER_OF_N:
-            parts.append(self.denom.value)
-        return "/".join(parts)
+        if self.denom is DenominatorForm.POWER_OF_N:
+            return self.coeffs.label()
+        return f"{self.coeffs.label()}/{self.denom.value}"
 
     # -- terms ----------------------------------------------------------------
 
@@ -410,23 +400,19 @@ def _truncation_search(tail, start: int, eps: float, max_terms: int, what: str) 
 # ---------------------------------------------------------------------------
 
 #: f(s) = sum_{n>=1} e_{n-1}/n^s, the shifted +/-1 series.
-F_SERIES = SeriesSpec(CoefficientSequence.plus_minus(), IndexShift.BY_ONE)
+F_SERIES = SeriesSpec(CoefficientSequence.affine(1.0, -1.0, 1))
 #: g(s) = sum_{n>=1} e_n/n^s.
 G_SERIES = SeriesSpec(CoefficientSequence.plus_minus())
 #: sum_{n>=1} t_{n-1}/n^s.
-PHI_SERIES = SeriesSpec(CoefficientSequence.thue_morse(), IndexShift.BY_ONE)
+PHI_SERIES = SeriesSpec(CoefficientSequence.affine(0.0, 1.0, 1))
 #: sum_{n>=1} t_n/n^s.
 GAMMA_SERIES = SeriesSpec(CoefficientSequence.thue_morse())
 #: sum_{n>=1} (t_n - t_{n-1})/n^s.
 DELTA_SERIES = SeriesSpec(CoefficientSequence.delta())
 #: A(s) = sum_{m>=0} e_m/(2m+1)^s.
-ODD_PLUS_MINUS_SERIES = SeriesSpec(
-    CoefficientSequence.plus_minus(), IndexShift.NONE, DenominatorForm.POWER_OF_ODD_N
-)
+ODD_PLUS_MINUS_SERIES = SeriesSpec(CoefficientSequence.plus_minus(), DenominatorForm.POWER_OF_ODD_N)
 #: the period-doubling composite series of the Hurwitz identity.
-COMPOSITE9_SERIES = SeriesSpec(
-    CoefficientSequence.period_doubling(), IndexShift.NONE, DenominatorForm.COMPOSITE9
-)
+COMPOSITE9_SERIES = SeriesSpec(CoefficientSequence.period_doubling(), DenominatorForm.COMPOSITE9)
 #: all-ones coefficients; naive route sums the zeta series directly.
 ZETA_SERIES = SeriesSpec(CoefficientSequence.affine(1.0, 1.0))
 
@@ -859,7 +845,8 @@ def _fe_leaves(s: float, j0: int, counts: list[int], prec: Precision, q: int) ->
     sum to at most 2^-p (1 + 2/(p-1)) with p >= 2 + i; in fixed point the
     11 units per weight are far below it, as for one exponent."""
     if prec.is_double:
-        block = F_SERIES._term_rows(0, counts[0], s, j0, len(counts))
+        lo = F_SERIES.counter_start
+        block = F_SERIES._term_rows(lo, lo + counts[0], s, j0, len(counts))
         # the first term, 1^-p, is exact in every row, and added last
         sums = block[:, 0] + np.sum(block[:, 1:], axis=1)
         return [(num << q) // den for num, den in map(float.as_integer_ratio, sums.tolist())]

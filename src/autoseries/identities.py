@@ -55,7 +55,6 @@ from .evaluator import (
     G_SERIES,
     GAMMA_SERIES,
     DenominatorForm,
-    IndexShift,
     ODD_PLUS_MINUS_SERIES,
     PHI_SERIES,
     SeriesSpec,
@@ -286,12 +285,9 @@ class _EvalCache(dict):
         return hit
 
 
-def _affine_form(spec: SeriesSpec) -> tuple[float, float, bool] | None:
-    """(value at t=0, value at t=1, shifted?) when the series is
-    an alphabet over t with an n^s denominator, else None."""
-    if spec.coeffs.kind is not SequenceKind.AFFINE or spec.denom is not DenominatorForm.POWER_OF_N:
-        return None
-    return spec.coeffs.low, spec.coeffs.high, spec.shift is IndexShift.BY_ONE
+def _decomposable(spec: SeriesSpec) -> bool:
+    """Whether the series is a sum of alphabets over t with an n^s denominator."""
+    return spec.coeffs.kind is SequenceKind.AFFINE and spec.denom is DenominatorForm.POWER_OF_N
 
 
 #: The odd split's coefficient of A per series: f = 2^s/(2^s+1) A and
@@ -308,24 +304,26 @@ _A = Series(ODD_PLUS_MINUS_SERIES, Route.NAIVE)
 
 
 def _decomposition(spec: SeriesSpec, eps: float):
-    """An alphabet series {a, b} over t as alpha zeta(s) + beta f(s), as
-    (coefficient, leaf, share) triples without the zero ones.
+    """A series over a sum of alphabets {a, b} at t_{n-r} as alpha zeta(s) +
+    beta f(s), as (coefficient, leaf, share) triples without the zero ones.
 
-    Substituting t_n = (1 - e_n)/2 gives alpha = (a+b)/2, and beta = (a-b)/2
-    for the shifted series, (b-a) (1+q)/(2-2q) for the unshifted one, with
-    b-a outside the ratio.  The letters enter exactly, so alpha, b-a and
-    the shifted beta are rounded once in the combine context; zeta gets
-    0.25 eps and f 0.45 eps."""
-    form = _affine_form(spec)
-    if form is None:
+    By t_n = (1 - e_n)/2 a part adds (a+b)/2 to alpha, and to beta (a-b)/2
+    at r = 1 or (b-a) (1+q)/(2-2q) at r = 0.  With c, G the exact sums of
+    those (a-b)/2 and b-a, beta is c, G (1+q)/(2-2q) (G outside the ratio)
+    or ((G-2c) + (G+2c) 2^s)/(2 2^s - 2); zeta gets 0.25 eps, f 0.45 eps."""
+    if not _decomposable(spec):
         raise DomainError(f"{spec.label()} has no alphabet decomposition")
-    low, high = Fraction(form[0]), Fraction(form[1])
-    alpha = TwoPowerRatio(((low + high) / 2,))
-    if form[2]:
-        beta = TwoPowerRatio(((low - high) / 2,))
+    parts = [(Fraction(low), Fraction(high), shift) for low, high, shift in spec.coeffs.parts]
+    alpha = sum((low + high) / 2 for low, high, _ in parts)
+    c = sum((low - high) / 2 for low, high, shift in parts if shift)
+    gap = sum(high - low for low, high, shift in parts if not shift)
+    if not gap:
+        beta = TwoPowerRatio((c,))
+    elif not c:
+        beta = TwoPowerRatio((1.0, 1.0), (-2.0, 2.0), gap)
     else:
-        beta = TwoPowerRatio((1.0, 1.0), (-2.0, 2.0), high - low)
-    terms = ((alpha, _ZETA, 0.25 * eps), (beta, _F, 0.45 * eps))
+        beta = TwoPowerRatio((gap - 2 * c, gap + 2 * c), (-2.0, 2.0))
+    terms = ((TwoPowerRatio((alpha,)), _ZETA, 0.25 * eps), (beta, _F, 0.45 * eps))
     return [term for term in terms if not term[0].is_zero]
 
 
@@ -344,7 +342,7 @@ def _eval_routed(
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     if route is Route.AUTO:
         route = Route.NAIVE
-        if _affine_form(spec) is not None:
+        if _decomposable(spec):
             try:
                 naive_cap = AUTO_NAIVE_CAP if prec.is_double else _AUTO_NAIVE_CAP_MP
                 if _naive_counters(spec, s, eps, cap) > naive_cap:
@@ -397,8 +395,8 @@ def eval_series_spec(
 
     AUTO sums naively when affordable and falls back to the zeta + f
     decomposition otherwise.  FUNCTIONAL_EQUATION applies to f only,
-    ODD_SPLIT to f and g only, DECOMPOSED to alphabets over t with an n^s
-    denominator."""
+    ODD_SPLIT to f and g only, DECOMPOSED to sums of alphabets over t with
+    an n^s denominator."""
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
@@ -550,27 +548,30 @@ def _fixed_form_lhs(
 
     The truncation targets 0.95 eps, or eps less the budget when that
     leaves too little room (positive terms then stay below value + tail(n)
-    in sum); only a budget that alone reaches eps is refused.
+    in sum); only a budget that alone reaches eps is refused, before the
+    sum where its floor ``rounding(0)`` already does.
     """
 
     def rounding(majorant: float) -> float:
         return 32.0 * _DOUBLE_U * ((majorant if abs_sum is None else abs_sum) + 1.0)
 
     def evaluate(eps: float, max_terms: int) -> EvalResult:
-        n = _truncation_search(tail, start, 0.95 * eps, max_terms, what)
-        value = chunked_kahan_sum(block, first, n)
-        budget = rounding(value)
-        if tail(n) + budget > eps:
-            budget = rounding(value + tail(n))
-            if budget >= eps:
-                raise ResourceLimitError(
-                    f"cannot certify {what} to eps={eps:g}: its double rounding budget alone "
-                    f"is {budget:g}"
-                )
-            # one step below the rounded eps - budget, so tail + budget <= eps
-            n = _truncation_search(tail, start, math.nextafter(eps - budget, 0.0), max_terms, what)
+        budget = rounding(0.0)
+        if budget < eps:
+            n = _truncation_search(tail, start, 0.95 * eps, max_terms, what)
             value = chunked_kahan_sum(block, first, n)
-        return EvalResult(value, tail(n) + budget, n, Method.NAIVE)
+            budget = rounding(value)
+            if tail(n) + budget <= eps:
+                return EvalResult(value, tail(n) + budget, n, Method.NAIVE)
+            budget = rounding(value + tail(n))
+        if budget >= eps:
+            raise ResourceLimitError(
+                f"cannot certify {what} to eps={eps:g}: its double rounding budget alone "
+                f"is {budget:g}"
+            )
+        # one step below the rounded eps - budget, so tail + budget <= eps
+        n = _truncation_search(tail, start, math.nextafter(eps - budget, 0.0), max_terms, what)
+        return EvalResult(chunked_kahan_sum(block, first, n), tail(n) + budget, n, Method.NAIVE)
 
     return evaluate
 
@@ -652,12 +653,8 @@ def _woods_robbins_lhs() -> Callable[[float, int], EvalResult]:
 # ---------------------------------------------------------------------------
 
 
-def _affine_series(low: float, high: float, shifted: bool) -> Series:
-    spec = SeriesSpec(
-        CoefficientSequence.affine(low, high),
-        IndexShift.BY_ONE if shifted else IndexShift.NONE,
-    )
-    return Series(spec)
+def _affine_series(low: float, high: float, shift: int) -> Series:
+    return Series(SeriesSpec(CoefficientSequence.affine(low, high, shift)))
 
 
 def _const(c: float | Fraction) -> TwoPowerRatio:
@@ -725,9 +722,9 @@ def _registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="prop6a",
             lhs=(
-                (_const(5.0), _affine_series(-1.0, 0.0, True)),
+                (_const(5.0), _affine_series(-1.0, 0.0, 1)),
                 # 3 r[n] over the letters {1, 4}: exact, where 1/3 and 4/3 are not
-                (_const(1.0), _affine_series(1.0, 4.0, False)),
+                (_const(1.0), _affine_series(1.0, 4.0, 0)),
             ),
             rhs=ZERO_RHS,
             valid_s=2.0,
@@ -738,9 +735,9 @@ def _registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="prop6b",
             lhs=(
-                (_const(9.0), _affine_series(-1.0, 0.0, True)),
+                (_const(9.0), _affine_series(-1.0, 0.0, 1)),
                 # 7 r[n] over the letters {9, 16}
-                (_const(1.0), _affine_series(9.0, 16.0, False)),
+                (_const(1.0), _affine_series(9.0, 16.0, 0)),
             ),
             rhs=((_const(8.0), Zeta()),),
             valid_s=3.0,
@@ -751,10 +748,10 @@ def _registry() -> tuple[Identity, ...]:
         Identity(
             identity_id="prop6c",
             lhs=(
-                (_const(17.0), _affine_series(-_SQRT2, 1.0 - _SQRT2, True)),
+                (_const(17.0), _affine_series(-_SQRT2, 1.0 - _SQRT2, 1)),
                 (
                     _const(15.0),
-                    _affine_series((17.0 * _SQRT2 - 2.0) / 15.0, (17.0 * _SQRT2 + 13.0) / 15.0, False),
+                    _affine_series((17.0 * _SQRT2 - 2.0) / 15.0, (17.0 * _SQRT2 + 13.0) / 15.0, 0),
                 ),
             ),
             rhs=((_const(16.0), Eta()),),

@@ -3,8 +3,8 @@
 Everything here is an exact, pure function of the index n: the 0/1
 digit-parity sequence t_n, its +/-1 form e_n = (-1)^t_n, the difference
 sequence d_n = t_n - t_{n-1}, the period-doubling sequence, base-b digit
-sums, and two-letter alphabets a + (b - a) t_n over the reals, of which
-t_n and e_n are the streams {0, 1} and {1, -1} (Allouche & Shallit, 2003).
+sums, and sums of alphabets a + (b - a) t_{n-r}, r = 0 or 1, as e_{n-1} =
+{1, -1} at r = 1 or d_n = {0, 1} at 0 plus {0, -1} at 1 (Allouche & Shallit, 2003).
 
 Scalar generators are O(log n) per term (bit counting, no tables), so any
 index can be queried independently; they are the references the block
@@ -14,6 +14,7 @@ numpy arrays for the chunked summation kernels.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -182,29 +183,31 @@ def digit_sum_block(lo: int, hi: int, base: int) -> np.ndarray:
 
 
 class SequenceKind(Enum):
-    DELTA = "delta"
     PERIOD_DOUBLING = "period-doubling"
     DIGIT_SUM = "digit-sum"
     AFFINE = "affine"
+
+
+#: The streams of alphabets that have a name, by their parts.
+_NAMES = {((0.0, 1.0, 0),): "t", ((1.0, -1.0, 0),): "pm", ((0.0, 1.0, 0), (0.0, -1.0, 1)): "delta"}
 
 
 @dataclass(frozen=True)
 class CoefficientSequence:
     """An exact stream n -> c_n with a uniform majorant |c_n| <= C(n).
 
-    ``base`` is only meaningful for digit sums; ``low``/``high`` only for
-    affine alphabets (the values taken where t_n is 0 and 1).  t_n is the
-    alphabet {0, 1} and e_n the alphabet {1, -1}; their labels stay "t"
-    and "pm".  The majorant feeds the digit sums' tail bounds and every
-    rounding budget: it is the constant 1 for d_n and period-doubling,
-    max(|low|, |high|) for alphabets, and (b-1) (floor(log_b n) + 1) for
-    digit sums; the other streams' tails use ``discrepancy``.
+    ``base`` is only meaningful for digit sums; ``parts`` only for sums of
+    alphabets: a part (low, high, shift) adds ``low`` where t_{n-shift} is 0
+    and ``high`` where it is 1.  The majorant feeds the digit sums' tail
+    bounds and every rounding budget: it is 1 for period-doubling, the
+    largest |sum of one letter per part| for alphabets, and (b-1)
+    (floor(log_b n) + 1) for digit sums; the other streams' tails use
+    ``discrepancy``.
     """
 
     kind: SequenceKind
     base: int = 0
-    low: float = 0.0
-    high: float = 0.0
+    parts: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind is SequenceKind.DIGIT_SUM and self.base < 2:
@@ -222,7 +225,7 @@ class CoefficientSequence:
 
     @classmethod
     def delta(cls) -> "CoefficientSequence":
-        return cls(SequenceKind.DELTA)
+        return cls.alphabets((0.0, 1.0, 0), (0.0, -1.0, 1))
 
     @classmethod
     def period_doubling(cls) -> "CoefficientSequence":
@@ -233,40 +236,51 @@ class CoefficientSequence:
         return cls(SequenceKind.DIGIT_SUM, base=base)
 
     @classmethod
-    def affine(cls, low: float, high: float) -> "CoefficientSequence":
-        """The alphabet {low, high} over t_n.  A subnormal letter is refused:
-        the mean and the discrepancy bound of such letters underflow."""
-        low, high = float(low), float(high)
-        for letter in (low, high):
+    def affine(cls, low: float, high: float, shift: int = 0) -> "CoefficientSequence":
+        """The alphabet {low, high} over t_{n-shift}."""
+        return cls.alphabets((low, high, shift))
+
+    @classmethod
+    def alphabets(cls, *parts: tuple[float, float, int]) -> "CoefficientSequence":
+        """The sum of one or more alphabets (low, high, shift), shift 0 or 1;
+        a subnormal letter is refused, as its mean and discrepancy underflow."""
+        if not parts or any(shift not in (0, 1) for _, _, shift in parts):
+            raise DomainError(f"alphabets need shifts 0 or 1, got parts {parts!r}")
+        parts = tuple((float(low), float(high), int(shift)) for low, high, shift in parts)
+        for letter in (x for low, high, _ in parts for x in (low, high)):
             if 0.0 < abs(letter) < sys.float_info.min:
                 raise DomainError(
                     f"alphabet letter {letter!r} is subnormal (0 < |x| < 2^-1022); "
                     "its sums underflow"
                 )
-        return cls(SequenceKind.AFFINE, low=low, high=high)
+        return cls(SequenceKind.AFFINE, parts=parts)
 
     # -- stream API ---------------------------------------------------------
 
     @property
     def min_index(self) -> int:
         """Smallest index at which the stream is defined."""
-        if self.kind is SequenceKind.DELTA or self.kind is SequenceKind.DIGIT_SUM:
-            return 1
-        return 0
+        shifts = [shift for _, _, shift in self.parts]
+        return 1 if self.kind is SequenceKind.DIGIT_SUM else max(shifts, default=0)
 
     def block(self, lo: int, hi: int) -> np.ndarray:
         """c_n for n in [lo, hi) as a float64 array."""
-        if lo < self.min_index:
-            raise DomainError(f"{self.label()} sequence needs n >= {self.min_index}, got {lo}")
+        m = self.min_index
+        if lo < m:
+            raise DomainError(f"{self.label()} sequence needs n >= {m}, got {lo}")
         k = self.kind
-        if k is SequenceKind.DELTA:
-            return (thue_morse_block(lo, hi) - thue_morse_block(lo - 1, hi - 1)).astype(np.float64)
         if k is SequenceKind.PERIOD_DOUBLING:
             return period_doubling_block(lo, hi).astype(np.float64)
         if k is SequenceKind.DIGIT_SUM:
             return digit_sum_block(lo, hi, self.base).astype(np.float64)
-        # the letters themselves: low + (high - low) t need not round to high
-        return np.where(np.bitwise_count(_indices(lo, hi)) & np.uint8(1), self.high, self.low)
+        # t_j for j in [lo - m, hi); a part at shift r reads j = n - r.  The
+        # letters themselves: low + (high - low) t need not round to high
+        bits = np.bitwise_count(_indices(lo - m, hi)) & np.uint8(1)
+        out = None
+        for low, high, shift in self.parts:
+            c = np.where(bits[m - shift : len(bits) - shift], high, low)
+            out = c if out is None else out + c
+        return out
 
     # -- majorant ------------------------------------------------------------
 
@@ -274,28 +288,29 @@ class CoefficientSequence:
     def bound_constant(self) -> float | None:
         """Constant C with |c_n| <= C, or None when the majorant grows (digit sums)."""
         if self.kind is SequenceKind.AFFINE:
-            return max(abs(self.low), abs(self.high))
+            # summed in the block's order, so C is what the block can hold
+            return max(abs(sum(c)) for c in itertools.product(*(p[:2] for p in self.parts)))
         if self.kind is SequenceKind.DIGIT_SUM:
             return None
         return 1.0
 
     @cached_property
     def discrepancy(self) -> tuple[float | Fraction, float, float] | None:
-        """Mean mu, bound B and growth g with
+        """Mean mu, bound B and growth g with |R(M)| <= B + g log2 M for
+        every M >= 1, R a partial sum of the c_n - mu from ``min_index`` on;
+        or None for digit sums, which keep the majorant.
 
-            |D(M)| = |sum_{min_index<=n<M} (c_n - mu)| <= B + g log2 M
-
-        for every M >= 1, or None for digit sums, which keep the majorant.
-
-        t_{2k} + t_{2k+1} = 1, so the partial sums of t_n - 1/2 are 0 or
-        +/-1/2, and an alphabet {a, b} is (a+b)/2 + (b-a)(t_n - 1/2): mu =
-        (a+b)/2, B = |b-a|/2, which is (1/2, 1/2) for t_n and (0, 1) for
-        e_n.  The partial sums of d_n telescope to t_{M-1} - t_0, in
-        {0, 1}.  These bounded streams have g = 0.  (The rounding of mu and
-        B for an alphabet stays within the evaluator's rounding budget.)
+        t_{2k} + t_{2k+1} = 1, so T(M) = sum_{j<M} (t_j - 1/2) is 0 or
+        +/-1/2, and an alphabet {a, b} over t_{n-r} is (a+b)/2 + (b-a)
+        (t_{n-r} - 1/2): mu = (a+b)/2 and R(M) = (b-a) T(M - r), B = |b-a|/2,
+        which is (1/2, 1/2) for t_n and (0, 1) for e_n.  A sum of alphabets
+        adds its parts' mu, R and B: mu = 0, B = 1 for d_n.  These bounded
+        streams have g = 0.  (The rounding of mu and B for an alphabet stays
+        within the evaluator's rounding budget.)
 
         Period-doubling, c_n = [v_2(n+1) odd], has mu = 1/3 (kept exact, as
-        a Fraction), B = 1 and g = 1/4.  Proof: #{1 <= m <= M : v_2(m) = j}
+        a Fraction), B = 1 and g = 1/4, with R(M) = D(M) = sum_{n<M} (c_n -
+        mu).  Proof: #{1 <= m <= M : v_2(m) = j}
         = floor(M/2^j) - floor(M/2^(j+1)), so sum_{n<M} c_n = sum_{j>=1}
         (-1)^(j+1) floor(M/2^j); with sum_{j>=1} (-1)^(j+1) 2^-j = 1/3,
 
@@ -311,10 +326,9 @@ class CoefficientSequence:
         is ceil(k/2)/3 for 1 <= k <= 20, so the log2 growth is real.)
         """
         k = self.kind
-        if k is SequenceKind.DELTA:
-            return 0.0, 1.0, 0.0
         if k is SequenceKind.AFFINE:
-            return (self.low + self.high) / 2, abs(self.high - self.low) / 2, 0.0
+            return (sum((low + high) / 2 for low, high, _ in self.parts),
+                    sum(abs(high - low) / 2 for low, high, _ in self.parts), 0.0)
         if k is SequenceKind.PERIOD_DOUBLING:
             return Fraction(1, 3), 1.0, 0.25
         return None
@@ -331,6 +345,8 @@ class CoefficientSequence:
         if k is SequenceKind.DIGIT_SUM:
             return f"digit-sum(base={self.base})"
         if k is SequenceKind.AFFINE:
-            name = {(0.0, 1.0): "t", (1.0, -1.0): "pm"}.get((self.low, self.high))
-            return name or f"affine({self.low:g},{self.high:g})"
+            return _NAMES.get(self.parts) or "+".join(
+                _NAMES.get(((low, high, 0),), f"affine({low:g},{high:g})") + "/shift+1" * shift
+                for low, high, shift in self.parts
+            )
         return k.value

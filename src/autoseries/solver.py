@@ -38,7 +38,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError
-from .evaluator import IndexShift, SeriesSpec
+from .evaluator import SeriesSpec
 from .identities import (
     Eta,
     Expr,
@@ -180,7 +180,7 @@ def _alphabet_identity(
 ) -> Identity:
     """The case's identity over the alphabets {-k, 1-k} at the shifted
     index (q) and {l, 1+l} unshifted (r), both series on ``route``."""
-    q_spec = SeriesSpec(CoefficientSequence.affine(-k, 1.0 - k), IndexShift.BY_ONE)
+    q_spec = SeriesSpec(CoefficientSequence.affine(-k, 1.0 - k, 1))
     r_spec = SeriesSpec(CoefficientSequence.affine(l, 1.0 + l))
     return Identity(
         identity_id=identity_id,

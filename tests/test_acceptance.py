@@ -22,7 +22,6 @@ from autoseries.evaluator import (
     PHI_SERIES,
     SeriesSpec,
     ZETA_SERIES,
-    IndexShift,
     eval_functional_equation,
     eval_naive,
 )
@@ -87,7 +86,7 @@ def test_criterion_04_alphabet_propositions():
 
     # direct-summation cross-check of (a) at a looser tolerance: the series
     # are genuinely summed, no factored shortcut
-    q = eval_naive(SeriesSpec(CoefficientSequence.affine(-1.0, 0.0), IndexShift.BY_ONE), 2.0, 5e-7)
+    q = eval_naive(SeriesSpec(CoefficientSequence.affine(-1.0, 0.0, 1)), 2.0, 5e-7)
     r = eval_naive(SeriesSpec(CoefficientSequence.affine(1.0 / 3.0, 4.0 / 3.0)), 2.0, 5e-7)
     direct = abs(5.0 * q.value + 3.0 * r.value)
     ok = ok and direct <= 5.0 * q.abs_error_bound + 3.0 * r.abs_error_bound

@@ -666,7 +666,7 @@ def test_verify_all_completes_quickly(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--all", "--out", str(out_path))
     elapsed = time.perf_counter() - t0
     assert code == 0
-    assert elapsed < 10.0
+    assert elapsed < 1.0
     doc = ReportDocument.from_json(out_path.read_text())
     assert doc.all_passed
     ids = [r.identity_id for r in doc.records]

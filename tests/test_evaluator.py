@@ -19,7 +19,6 @@ from autoseries.evaluator import (
     F_SERIES,
     G_SERIES,
     GAMMA_SERIES,
-    IndexShift,
     ODD_PLUS_MINUS_SERIES,
     PHI_SERIES,
     SeriesSpec,
@@ -46,7 +45,7 @@ _R2 = 2.0**0.5
 
 
 def test_shift_equivalence_is_the_same_series():
-    # the by-one index shift reads coefficient n-1 at denominator n:
+    # a stream read at n - 1 puts coefficient n-1 at denominator n:
     # f = sum e_{n-1}/n^s and phi = sum t_{n-1}/n^s, against scalar sums
     for s in (2.0, 3.5):
         for n in (1, 2, 7, 100, 5000):
@@ -57,16 +56,13 @@ def test_shift_equivalence_is_the_same_series():
 
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        SeriesSpec(CoefficientSequence.delta(), IndexShift.BY_ONE)
+    # the odd denominators start at counter 0, which a stream read at
+    # n - 1 does not have
+    for seq in (CoefficientSequence.delta(), CoefficientSequence.affine(1, -1, 1)):
+        with pytest.raises(DomainError, match="starts at index 1"):
+            SeriesSpec(seq, DenominatorForm.POWER_OF_ODD_N)
     with pytest.raises(DomainError):
         SeriesSpec(CoefficientSequence.thue_morse(), denom=COMPOSITE9_SERIES.denom)
-    with pytest.raises(DomainError):
-        SeriesSpec(
-            CoefficientSequence.period_doubling(),
-            IndexShift.BY_ONE,
-            COMPOSITE9_SERIES.denom,
-        )
 
 
 def test_gamma_prefix_matches_hand_unrolled_terms():
@@ -452,21 +448,16 @@ def test_tail_bound_is_truthful_for_positive_series():
 
 # -- discrepancy (Abel) tails ---------------------------------------------------------
 
-#: (stream, its values (low, high) where t_n = 0 and 1)
-_TWO_LETTER = [
-    (CoefficientSequence.plus_minus(), (1.0, -1.0)),
-    (CoefficientSequence.thue_morse(), (0.0, 1.0)),
-    (CoefficientSequence.affine(-1.0, 0.0), (-1.0, 0.0)),
-    (CoefficientSequence.affine(1.0 / 3.0, 4.0 / 3.0), (1.0 / 3.0, 4.0 / 3.0)),
-    (CoefficientSequence.affine(-_R2, 1.0 - _R2), (-_R2, 1.0 - _R2)),
-]
+#: the values (low, high) of a two-letter stream where t_n = 0 and 1:
+#: e_n, t_n and three more alphabets
+_TWO_LETTER = [(1.0, -1.0), (0.0, 1.0), (-1.0, 0.0), (1.0 / 3.0, 4.0 / 3.0), (-_R2, 1.0 - _R2)]
 _ABEL_CASES = [
-    (SeriesSpec(seq, shift, denom), letters)
-    for seq, letters in _TWO_LETTER
+    (SeriesSpec(CoefficientSequence.affine(*letters, shift), denom), letters)
+    for letters in _TWO_LETTER
     for shift, denom in (
-        (IndexShift.NONE, DenominatorForm.POWER_OF_N),
-        (IndexShift.BY_ONE, DenominatorForm.POWER_OF_N),
-        (IndexShift.NONE, DenominatorForm.POWER_OF_ODD_N),
+        (0, DenominatorForm.POWER_OF_N),
+        (1, DenominatorForm.POWER_OF_N),
+        (0, DenominatorForm.POWER_OF_ODD_N),
     )
 ] + [(DELTA_SERIES, None)]
 _REF_BITS = 106
@@ -496,7 +487,7 @@ def _zeta_f_reference(spec, letters, s):
             delta = (mpmath.mpf(letters[1]) - letters[0]) / 2
             if spec.denom is DenominatorForm.POWER_OF_ODD_N:
                 alpha, beta = mu * (1 - 1 / x), -delta * (1 + 1 / x)
-            elif spec.shift is IndexShift.BY_ONE:
+            elif spec.coeffs.min_index:
                 alpha, beta = mu, -delta
             else:
                 alpha, beta = mu, delta * (x + 1) / (x - 1)
@@ -607,10 +598,10 @@ _KERNEL_STREAMS = {
     "three-tenth": CoefficientSequence.affine(3.0, 0.1),
 }
 _KERNEL_FORMS = {
-    "n": (IndexShift.NONE, DenominatorForm.POWER_OF_N),
-    "shifted": (IndexShift.BY_ONE, DenominatorForm.POWER_OF_N),
-    "odd": (IndexShift.NONE, DenominatorForm.POWER_OF_ODD_N),
-    "composite9": (IndexShift.NONE, DenominatorForm.COMPOSITE9),
+    "n": (0, DenominatorForm.POWER_OF_N),
+    "shifted": (1, DenominatorForm.POWER_OF_N),
+    "odd": (0, DenominatorForm.POWER_OF_ODD_N),
+    "composite9": (0, DenominatorForm.COMPOSITE9),
 }
 
 # (stream, form, working bits) -> eval_naive's (terms_used, abs_error_bound)
@@ -635,8 +626,6 @@ _KERNEL_COUNTS = {
     ("delta", "n", 113): (525, 9.443120481659301e-17),
     ("pd", "n", 64): (157, 6.87707197526416e-13),
     ("pd", "n", 113): (693, 6.962872006620825e-17),
-    ("pd", "shifted", 64): (157, 6.944197481828968e-13),
-    ("pd", "shifted", 113): (694, 6.962910373161679e-17),
     ("pd", "odd", 64): (86, 6.56718373005256e-13),
     ("pd", "odd", 113): (351, 6.886718874354267e-17),
     ("pd", "composite9", 64): (173, 6.877072135401532e-13),
@@ -666,7 +655,10 @@ _KERNEL_COUNTS = {
 
 def _kernel_spec(stream: str, form: str) -> SeriesSpec:
     shift, denom = _KERNEL_FORMS[form]
-    return SeriesSpec(_KERNEL_STREAMS[stream], shift, denom)
+    seq = _KERNEL_STREAMS[stream]
+    if shift:
+        seq = CoefficientSequence.alphabets(*((low, high, 1) for low, high, _ in seq.parts))
+    return SeriesSpec(seq, denom)
 
 
 # -- one spelling per series, one denominator table ----------------------------------
@@ -675,7 +667,7 @@ def _kernel_spec(stream: str, form: str) -> SeriesSpec:
 def test_one_spelling_per_series():
     assert CoefficientSequence.thue_morse() == CoefficientSequence.affine(0, 1)
     assert CoefficientSequence.plus_minus() == CoefficientSequence.affine(1, -1)
-    spec = SeriesSpec(CoefficientSequence.affine(1, -1), IndexShift.BY_ONE)
+    spec = SeriesSpec(CoefficientSequence.affine(1, -1, 1))
     assert spec == F_SERIES
     # the routes that evaluate f alone take f written as an alphabet
     naive = eval_naive(F_SERIES, 2.0, 1e-10)
@@ -726,7 +718,7 @@ def _oracle_check(spec: SeriesSpec, s: float, n: int, bits: int) -> None:
         elif spec.denom is DenominatorForm.POWER_OF_ODD_N:
             dens = ((1, 2 * j + 1),)
         else:
-            dens = ((1, j + 1 if spec.shift is IndexShift.BY_ONE else j),)
+            dens = ((1, j),)
         terms.append(ctx.mpf(c) * ctx.fsum(sign * ctx.power(d, neg_s) for sign, d in dens))
         units += abs(c) * sum(math.log2(d) + 2 for _, d in dens)
     ref = ctx.fsum(terms)

@@ -1,6 +1,7 @@
 """Identity registry: every entry verifies, false identities are caught."""
 
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,15 @@ from hypothesis import strategies as st
 
 from autoseries import identities
 from autoseries.errors import DomainError, ResourceLimitError
-from autoseries.evaluator import F_SERIES, G_SERIES, GAMMA_SERIES, PHI_SERIES, IndexShift, SeriesSpec
+from autoseries.evaluator import (
+    DELTA_SERIES,
+    F_SERIES,
+    G_SERIES,
+    GAMMA_SERIES,
+    PHI_SERIES,
+    SeriesSpec,
+    eval_functional_equation,
+)
 from autoseries.identities import (
     Eta,
     HurwitzZeta,
@@ -26,7 +35,7 @@ from autoseries.identities import (
     Zeta,
     _EvalCache,
     _ODD_SPLIT,
-    _affine_form,
+    _decomposable,
     _decomposition,
     _linear_form,
     builtin_registry,
@@ -36,6 +45,7 @@ from autoseries.identities import (
     verify,
 )
 from autoseries.precision import Precision
+from autoseries.result import Method
 from autoseries.sequences import CoefficientSequence, pm_thue_morse, thue_morse
 from autoseries.special_functions import riemann_zeta
 
@@ -115,9 +125,9 @@ def test_prop6a_statement_values():
     for name, coef, letters in (("prop6a", 5.0, (1.0, 4.0)), ("prop6b", 9.0, (9.0, 16.0))):
         ((qc, qa), (rc, ra)) = get_identity(name).lhs
         assert qc.value(2.0) == coef
-        assert (qa.spec.coeffs.low, qa.spec.coeffs.high) == (-1.0, 0.0)
+        assert qa.spec.coeffs.parts == ((-1.0, 0.0, 1),)
         assert rc.value(2.0) == 1.0
-        assert (ra.spec.coeffs.low, ra.spec.coeffs.high) == letters
+        assert ra.spec.coeffs.parts == (letters + (0,),)
 
 
 @pytest.mark.parametrize("ident", ["prop6a", "prop6b"])
@@ -259,7 +269,7 @@ def _every_coefficient():
     for ident in builtin_registry():
         coefs += [c for c, _ in ident.lhs] + [c for c, _ in ident.rhs]
         series = [leaf.spec for _, leaf in ident.lhs if isinstance(leaf, Series)]
-        alphabets |= {spec for spec in series if _affine_form(spec) is not None}
+        alphabets |= {spec for spec in series if _decomposable(spec)}
     for spec in sorted(alphabets, key=lambda spec: spec.label()):
         coefs += [c for c, _, _ in _decomposition(spec, 1.0)]
     return coefs + list(_ODD_SPLIT.values())
@@ -336,7 +346,7 @@ def test_decomposed_and_odd_split_agree_with_other_routes(bits, a, b, shifted, s
     prec = Precision.for_eps(eps) if bits is None else Precision(bits, eps)
     coarse = _coarse_eps(eps, s, prec)
     coarse_prec = Precision.for_eps(coarse) if bits is None else Precision(bits, coarse)
-    spec = SeriesSpec(CoefficientSequence.affine(a, b), IndexShift.BY_ONE if shifted else IndexShift.NONE)
+    spec = SeriesSpec(CoefficientSequence.affine(a, b, int(shifted)))
     dec = _routed(spec, s, eps, Route.DECOMPOSED, prec)
     assert dec is None or dec.abs_error_bound <= eps
     _agree(dec, _routed(spec, s, coarse, Route.NAIVE, coarse_prec))
@@ -369,6 +379,50 @@ def test_verify_evaluates_zeta_once(monkeypatch, ident, s):
     identity = get_identity(ident)
     assert verify(identity, s, identity.default_eps).passed
     assert calls == [s]
+
+
+# -- delta, the sum of two shifted alphabets ------------------------------------------
+
+
+@pytest.mark.parametrize("s", [2.0, 3.0])
+def test_delta_decomposed_agrees_with_naive(s):
+    decomposed = eval_series_spec(DELTA_SERIES, s, 1e-12, Route.DECOMPOSED)
+    naive = eval_series_spec(DELTA_SERIES, s, 1e-12, Route.NAIVE)
+    assert decomposed.abs_error_bound <= 1e-12 and naive.abs_error_bound <= 1e-12
+    assert abs(decomposed.value - naive.value) <= decomposed.abs_error_bound + naive.abs_error_bound
+
+
+def test_delta_is_f_over_one_minus_two_to_minus_s():
+    # {0, 1} at n and {0, -1} at n - 1: alpha = 0 and beta = 1/(1 - 2^-s)
+    (beta, leaf, _), = _decomposition(DELTA_SERIES, 1.0)
+    assert leaf == Series(F_SERIES, Route.FUNCTIONAL_EQUATION)
+    assert beta.value(3.0) == 8.0 / 7.0
+    d = eval_series_spec(DELTA_SERIES, 3.0, 1e-12)
+    f = eval_series_spec(F_SERIES, 3.0, 1e-12, Route.FUNCTIONAL_EQUATION)
+    assert abs(d.value - 8.0 / 7.0 * f.value) <= d.abs_error_bound + 8.0 / 7.0 * f.abs_error_bound
+
+
+@pytest.mark.parametrize("s, eps", [(1.1, 1e-10), (1.1, 1e-12), (1.1, 1e-14), (2.0, 1e-14)])
+def test_delta_auto_certifies_where_naive_cannot(s, eps):
+    # naive, these cells need 2.4e9 terms at (1.1, 1e-10) and 1.5e7
+    # mpmath terms at (2, 1e-14); AUTO takes the decomposition
+    t0 = time.perf_counter()
+    r = eval_series_spec(DELTA_SERIES, s, eps)
+    assert time.perf_counter() - t0 < 1.0
+    assert r.abs_error_bound <= eps
+    assert r.method is Method.FUNCTIONAL_EQUATION
+
+
+def test_decomposed_delta_calls_the_functional_equation_once(monkeypatch):
+    calls = []
+
+    def counting(s, eps, prec=None, max_terms=None):
+        calls.append(s)
+        return eval_functional_equation(s, eps, prec, max_terms)
+
+    monkeypatch.setattr(identities, "eval_functional_equation", counting)
+    eval_series_spec(DELTA_SERIES, 2.0, 1e-12, Route.DECOMPOSED)
+    assert calls == [2.0]
 
 
 def test_series_leaves_compare_by_value_and_are_no_expr():
@@ -518,6 +572,16 @@ def test_product_pairs_match_raw_partial_product():
     assert abs(lhs.value - raw) <= 1e-13
     # the product's exact value lies inside the certified bound
     assert abs(lhs.value - math.sqrt(2.0) / 2.0) <= lhs.abs_error_bound
+
+
+@pytest.mark.parametrize("ident", ["allouche-shallit", "woods-robbins"])
+def test_fixed_form_refuses_below_its_rounding_floor_before_summing(ident):
+    # 32 u (abs_sum or 0, plus 1) >= 7.1e-15 reaches eps/2 = 5e-17 before
+    # a single term is summed (the sums once ran 13.2 s and 1.1 s first)
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="double rounding budget alone"):
+        verify(get_identity(ident), None, 1e-16)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_product_rejects_tiny_n():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from autoseries.errors import DomainError
-from autoseries.evaluator import F_SERIES, PHI_SERIES
 from autoseries.sequences import (
     CoefficientSequence,
     SequenceKind,
@@ -230,11 +229,9 @@ def test_discrepancy_bound_by_brute_force(seq):
     # rational arithmetic on the stored coefficients, is exactly B
     mu_f, b_f, growth = seq.discrepancy
     assert growth == 0.0
-    if seq.kind is SequenceKind.AFFINE:
-        low, high = Fraction(seq.low), Fraction(seq.high)
-        mu, b = (low + high) / 2, abs(high - low) / 2
-    else:
-        mu, b = Fraction(mu_f), Fraction(b_f)
+    letters = [(Fraction(low), Fraction(high)) for low, high, _ in seq.parts]
+    mu = sum((low + high) / 2 for low, high in letters)
+    b = sum(abs(high - low) / 2 for low, high in letters)
     # the reported floats are mu and B to within one rounding
     assert abs(Fraction(mu_f) - mu) <= Fraction(2) ** -53 * abs(mu)
     assert abs(Fraction(b_f) - b) <= Fraction(2) ** -53 * b
@@ -292,31 +289,12 @@ def test_digit_sum_block_at_table_edges(base):
 # -- stream plumbing -------------------------------------------------------------
 
 
-class _ShiftedStream:
-    """Coefficient at denominator n of a by-one shifted series, as a stream.
-
-    The shifted streams are written as ``SeriesSpec(..., IndexShift.BY_ONE)``;
-    at s = 0 its term block is the coefficient read at each denominator.
-    """
-
-    min_index = 1
-
-    def __init__(self, spec, name):
-        self.spec, self.name = spec, name
-
-    def label(self):
-        return self.name
-
-    def block(self, lo, hi):
-        return self.spec.term_block(lo - 1, hi - 1, 0.0)
-
-
 #: (stream, its scalar reference generator)
 _REFERENCES = [
     (CoefficientSequence.thue_morse(), thue_morse),
-    (_ShiftedStream(PHI_SERIES, "t-shifted"), lambda n: thue_morse(n - 1)),
+    (CoefficientSequence.affine(0, 1, 1), lambda n: thue_morse(n - 1)),
     (CoefficientSequence.plus_minus(), pm_thue_morse),
-    (_ShiftedStream(F_SERIES, "pm-shifted"), lambda n: pm_thue_morse(n - 1)),
+    (CoefficientSequence.affine(1, -1, 1), lambda n: pm_thue_morse(n - 1)),
     (CoefficientSequence.delta(), delta),
     (CoefficientSequence.period_doubling(), period_doubling),
     (CoefficientSequence.digit_sum(3), lambda n: digit_sum(n, 3)),
@@ -327,7 +305,8 @@ _REFERENCES = [
 
 
 @pytest.mark.parametrize(
-    "seq, ref", [pytest.param(seq, ref, id=seq.label()) for seq, ref in _REFERENCES]
+    "seq, ref",
+    [pytest.param(seq, ref, id=seq.label().replace("/shift+1", "-shifted")) for seq, ref in _REFERENCES],
 )
 def test_block_matches_term_everywhere(seq, ref):
     lo = seq.min_index
@@ -355,20 +334,65 @@ def test_values_match_block(seq):
     # values there, over far ranges that carry digit-sum and 2-adic runs
     # across many block boundaries
     scalar = {
-        SequenceKind.DELTA: delta,
         SequenceKind.PERIOD_DOUBLING: period_doubling,
         SequenceKind.DIGIT_SUM: lambda n: digit_sum(n, seq.base),
-        SequenceKind.AFFINE: lambda n: affine_seq(n, seq.low, seq.high),
+        SequenceKind.AFFINE: lambda n: _alphabet_sum(seq, n),
     }[seq.kind]
+    if seq == CoefficientSequence.delta():
+        scalar = delta
     for lo in (seq.min_index, 99_999, 3**25 - 5, 2**40 - 7):
         assert [float(scalar(n)) for n in range(lo, lo + 3000)] == seq.block(lo, lo + 3000).tolist()
     with pytest.raises(DomainError):
         seq.block(seq.min_index - 1, seq.min_index + 5)
 
 
+def _alphabet_sum(seq, n):
+    """The scalar reference of a sum of alphabets: its parts' affine_seq(n - shift)."""
+    return sum(affine_seq(n - shift, low, high) for low, high, shift in seq.parts)
+
+
 def test_min_index_enforced():
     with pytest.raises(DomainError):
         CoefficientSequence.delta().block(0, 5)
+    with pytest.raises(DomainError):
+        CoefficientSequence.affine(1, -1, 2)
+    with pytest.raises(DomainError):
+        CoefficientSequence.alphabets()
+
+
+#: a part (low, high, shift) with dyadic letters k/8, |k| <= 64, so every
+#: sum of letters is exact
+_DYADIC = st.integers(-64, 64).map(lambda k: k / 8.0)
+_PART = st.tuples(_DYADIC, _DYADIC, st.integers(0, 1))
+
+
+@given(st.tuples(_PART, _PART), st.integers(0, 2**40))
+@settings(max_examples=60, deadline=None)
+def test_two_part_alphabets(parts, far):
+    # the block against the scalar parts, the discrepancy bound over every
+    # M <= 4096 in exact arithmetic, and the majorant against every value
+    seq = CoefficientSequence.alphabets(*parts)
+    m = seq.min_index
+    for lo in (m, m + far):
+        assert seq.block(lo, lo + 600).tolist() == [_alphabet_sum(seq, n) for n in range(lo, lo + 600)]
+    mu, big_b, growth = seq.discrepancy
+    assert growth == 0.0
+    # R(M) = sum_{n<M} (c_n - mu), each part's residue summed from its shift
+    r = np.zeros(4097)
+    for low, high, shift in parts:
+        part = CoefficientSequence.affine(low, high, shift).block(shift, 4096)
+        r[shift + 1 :] += np.cumsum(part - (low + high) / 2)
+    assert np.abs(r).max() <= big_b
+    values = seq.block(m, 4096)
+    assert seq.bound_constant >= np.abs(values).max()
+
+
+def test_delta_is_two_alphabets_with_the_old_numbers():
+    # {0, 1} at n and {0, -1} at n - 1: mu = 0, B = 1, C = 1
+    seq = CoefficientSequence.delta()
+    assert seq.parts == ((0.0, 1.0, 0), (0.0, -1.0, 1))
+    assert (seq.min_index, seq.discrepancy, seq.bound_constant) == (1, (0.0, 1.0, 0.0), 1.0)
+    assert seq.label() == "delta"
 
 
 def test_generators_are_pure():

@@ -13,7 +13,6 @@ from autoseries.evaluator import (
     PHI_SERIES,
     SeriesSpec,
     ZETA_SERIES,
-    IndexShift,
     partial_sum,
 )
 from autoseries.identities import Route, Series, get_identity, verify
@@ -179,7 +178,7 @@ def test_partial_sum_reduction_matches_zeta_multiple():
     n_terms = 10_000
     s = 2.0
     k, l = 0.7, 1.3
-    q = SeriesSpec(CoefficientSequence.affine(-k, 1.0 - k), IndexShift.BY_ONE)
+    q = SeriesSpec(CoefficientSequence.affine(-k, 1.0 - k, 1))
     r = SeriesSpec(CoefficientSequence.affine(l, 1.0 + l))
     u, v = 2.0**s + 1.0, 2.0**s - 1.0
     lhs = u * partial_sum(q, s, n_terms) + v * partial_sum(r, s, n_terms)
