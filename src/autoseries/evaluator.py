@@ -36,26 +36,27 @@ live here; ``identities.eval_series_spec`` picks among all four:
   integral, with the truncation point from ``_truncation_search``.
 
 * ``eval_functional_equation``: the binomial functional equation
-  f(p) = sum_{k>=1} w_k(p) f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0,
-  applied to its own inner values.  Only the leaves f(s + J0 + i) are
-  summed directly, all from one table of n^-(s+J0): the float64 path
-  takes one 2-D block (``SeriesSpec._term_rows``, row i + 1 is row i
-  times 1/n), the mpmath path one fixed-point table
-  (``fixed_point.fixed_point_sums``, weight i + 1 is weight i floored
-  after division by n: one unit more per step, while the error already
-  there shrinks by n).  The levels j = J0 - 1, ..., 0 then recur down in
-  fixed point, each truncated at a depth K_j sized for its own s + j
-  (``depth_for``); the k > K_j remainder uses |f(p)| <= zeta(p) <= 1 +
-  2^-p (1 + 2/(p-1)) and a geometric majorant for the weights
-  (``_fe_truncation``).  A level's bound is sum_k w_k bound_{j+k} plus its
-  truncation and rounding; the weights sum to 1 - 2^-p < 1, so the error
-  does not grow with depth.  ``_fe_plan`` sets J0 by two term caps per
-  path (``_FE_CAPS``): J0 = 0, f(s) summed by ``eval_naive``, while that
-  takes at most the direct cap of terms, and otherwise the least J0 whose
-  leaves take at most the leaf cap.  Past the direct cap the levels win,
-  because each costs a fixed time while a direct sum grows like
-  eps^(-1/s); at large s the direct sum is the only plan (the levels
-  would need depths past s - 2 to shrink a leaf of a few terms).
+  f(p) = sum_{k>=1} w_k(p) f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0
+  (Allouche & Cohen), run on f's tail past M terms, g_M(p) = sum_{n>M}
+  e_{n-1} n^-p.  As sum_k w_k(p) n^-(p+k) = (2n-1)^-p - (2n)^-p and
+  e_{2j} = e_j = -e_{2j+1},
+
+      g_M(p) = h_M(p) + sum_k w_k(p) g_M(p+k),  f(s) = P_2M(s) + sum_k w_k(s) g_M(s+k),
+
+  with h_M the terms M < n <= 2M and P_2M the first 2M.  The levels
+  j = J0 - 1, ..., 0 recur down in fixed point, each truncated at a depth
+  K_j sized for its own s + j (``depth_for``), and add their own row,
+  P_2M(s) or h_M(s + j), all from one table of n^-s over 2M counters
+  (``_fe_rows``).  No leaf is summed: every g_M(s + J0 + i) is 0 within
+  the Abel tail 2(M+1)^-(s+J0+i), and so the bounds of the k > K_j terms
+  fall by the ratio (p+k)/(2(M+1)(k+1)), not f's (p+k)/(2(k+1)), which
+  gives their geometric majorant (``_fe_truncation``).  A level's bound
+  is sum_k w_k bound_{j+k} plus its truncation, rounding and row bound;
+  the weights sum to 1 - 2^-p < 1, so the error does not grow with depth.
+  ``_fe_plan`` reads two constants per path (``_FE_CAPS``): J0 = 0, f(s)
+  summed by ``eval_naive``, while that takes at most the direct cap of
+  terms, and otherwise M, with J0 the least level whose leaf bound fits
+  0.45 eps.  At large s the direct sum is the only plan.
 
 * The zeta + f decomposition and the odd-index split need no kernel of
   their own: each is a linear form sum_i c_i(2^s) leaf_i, certified by
@@ -227,19 +228,19 @@ class SeriesSpec:
             weights = w if weights is None else weights + sign * w
         return c * weights
 
-    def _term_rows(self, lo: int, hi: int, s: float, first: int, rows: int) -> np.ndarray:
-        """Terms for counters j in [lo, hi) at the exponents s + first + i,
-        i < ``rows``, one float64 row per exponent.
+    def _term_rows(self, lo: int, hi: int, s: float, rows: int) -> np.ndarray:
+        """Terms for counters j in [lo, hi) at the exponents s + i, i <
+        ``rows``, one float64 row per exponent.
 
-        Row 0 is d^-s d^-first and each next row multiplies by 1/d, so no
-        exponent is rounded; an entry of row i is within (2i + 3) u of its
-        term, relatively, and d = 1 is exact."""
+        Row 0 is d^-s and each next row multiplies by 1/d, so no exponent is
+        rounded; an entry of row i is within (2i + 3) u of its term,
+        relatively, and d = 1 is exact."""
         c = self.coeffs.block(lo, hi)
         block = None
         for sign, d, step in self.denominators(lo):
             dens = np.arange(d, d + step * (hi - lo), step, dtype=np.float64)
             w = np.empty((rows, hi - lo))
-            w[0] = dens ** (-s) * dens ** (-float(first))
+            w[0] = dens ** (-s)
             w[1:] = 1.0 / dens
             np.cumprod(w, axis=0, out=w)
             block = w if block is None else block + sign * w
@@ -710,18 +711,18 @@ def _combine_ctx(prec: Precision) -> MPContext | None:
     return _mp_context(prec.working_bits + 20)
 
 
-# Shares of eps: every leaf f(s + J0 + i), and the truncation remainders
+# Shares of eps: the leaves g_M(s + J0 + i), and the truncation remainders
 # of all levels together; the rest absorbs rounding.
 _FE_LEAF_SHARE = 0.45
 _FE_TRUNC_SHARE = 0.45
 
-# Term caps of the plan, (direct, leaf), on the float64 (True) and the
-# mpmath (False) path (``_fe_plan``).  Timed with J0 forced, summing f
-# directly costs about 0.008 us a term in float64 and 1.5 us in mpmath,
-# and the levels a near-fixed 220-400 us and 650-1,200 us, so the direct
-# sum wins below about 30,000-50,000 float64 and 300-1,000 mpmath terms;
-# with these leaf caps J0 is within a few percent of the best forced one.
-_FE_CAPS = {True: (24_576, 1 << 10), False: (1 << 8, 1 << 6)}
+# (direct cap, M) on the float64 (True) and the mpmath (False) path
+# (``_fe_plan``): f(s) is summed directly while that takes at most the
+# direct cap of counters, and otherwise the levels recur on f's tail past M
+# terms.  In a forced sweep (ROADMAP item 12) the levels cost a near-fixed
+# 100-200 us in float64 and 300-900 us in mpmath, about what a direct sum
+# of 16,000 and 100-200 terms takes, and these M were at or near the best.
+_FE_CAPS = {True: (1 << 14, 256), False: (1 << 7, 16)}
 
 
 @lru_cache(maxsize=64)
@@ -754,79 +755,62 @@ def _fe_weights(s: float, depth: int, q: int, level: int = 0):
     return w, err
 
 
-def _fe_truncation(s: float, depth: int, w_next: float) -> float:
-    """Bound on the sum of the skipped tail terms past ``depth``: the ratios
-    (s+k)/(2(k+1)) decrease in k, so sum_{k>K} w_k <= w_{K+1}/(1-rho), and
-    |f(p)| <= zeta(p) <= 1 + 2^-p (1 + 2/(p-1)) at every skipped p."""
-    rho = (s + depth + 1.0) / (2.0 * (depth + 2.0))
+def _fe_truncation(p: float, depth: int, t_next: float, m: int) -> float:
+    """Bound on the terms w_k(p) g_M(p+k), k > ``depth``, of a level at p,
+    given ``t_next`` >= w_{K+1}(p) 2(M+1)^-(p+K+1): every |g_M(x)| is
+    within the Abel tail 2(M+1)^-x, and the ratios (p+k)/(2(M+1)(k+1)) of
+    these bounds decrease in k, so they sum to at most t_next/(1-rho)."""
+    rho = (p + depth + 1.0) / (2.0 * (m + 1.0) * (depth + 2.0))
     if rho >= 1.0:
         return math.inf
-    p = s + depth + 1.0
-    f_abs = 1.0 + 2.0 ** (-p) * (1.0 + 2.0 / (p - 1.0))
-    return f_abs * w_next / (1.0 - rho)
+    return t_next / (1.0 - rho)
 
 
-def depth_for(s: float, eps: float) -> int:
-    """Smallest truncation depth K whose remainder at ``s`` fits ``eps``.
+def depth_for(s: float, eps: float, m: int) -> int:
+    """Smallest truncation depth K whose remainder at ``s`` fits ``eps``,
+    for the recursion on f's tail past ``m`` terms.
 
-    The weights peak near k = s and then fall by ratios that tend to 1/2,
-    so K grows with s and by about one per halving of eps."""
+    The term bounds w_k(s) 2(m+1)^-(s+k) fall by (s+k)/(2(m+1)(k+1)) from
+    each k to the next, so K grows with s and slowly as eps falls."""
     s = _check_s(s)
     eps = _check_eps(eps)
-    w = s * 2.0 ** (-s - 1.0)
+    # w_1(s) 2(m+1)^-(s+1), with w_1(s) = s 2^(-s-1)
+    t = s * 2.0 ** (-s) * (m + 1.0) ** (-s - 1.0)
     for k in range(1, 1000):
-        w = w * (s + k) / (2.0 * (k + 1.0))
-        # the remainder is at least w_{K+1}
-        if w <= eps and _fe_truncation(s, k, w) <= eps:
+        t = t * (s + k) / (2.0 * (m + 1.0) * (k + 1.0))
+        if _fe_truncation(s, k, t, m) <= eps:
             return k
     raise ResourceLimitError(f"no workable truncation depth below 1000 for s={s:g}, eps={eps:g}")
 
 
-def _f_counters(p: float, tail_eps: float, cap: int) -> float:
-    """Counters f needs at ``p`` for a tail of ``tail_eps``
-    (``required_counters``), or inf where that is more than ``cap``."""
-    try:
-        return F_SERIES.required_counters(p, tail_eps, cap)
-    except ResourceLimitError:
-        return math.inf
-
-
 def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
-    """(J0, truncation depth K_j of each level j < J0, counters of each leaf
-    f(s + J0 + i)), by the two term caps of the path (``_FE_CAPS``).
+    """(J0, truncation depth K_j of each level j < J0, M), by the two
+    constants of the path (``_FE_CAPS``).
 
     J0 = 0, f(s) summed directly (``eval_naive``, its tail at 0.95 eps),
-    while that takes at most the direct cap of counters.  Otherwise J0 is
-    the least depth whose leaves, N ~ (2/eps)^(1/(s+J0)), take at most the
-    leaf cap, with ``cap`` bounding both.  Each level's truncation
-    remainder gets 0.45 eps / J0; the deepest level has the largest K,
-    because the weights move outward as s + j grows."""
-    double = prec.is_double
-    direct_cap, leaf_cap = _FE_CAPS[double]
-    if _f_counters(s, _TAIL_FRACTION * eps, cap) <= direct_cap:
-        return 0, [], []
-    leaf_tail = _FE_LEAF_SHARE * _TAIL_FRACTION * eps
-    # a leaf takes 2 counters at the least, and a level at p needs a
-    # depth past p - 3, which ``depth_for`` caps at 1000
-    for j0 in range(1, 1000 if cap >= 2 else 1):
-        n0 = _f_counters(_exponent_floor(s, j0), leaf_tail, cap)
-        if n0 <= leaf_cap:
-            break
-    else:
+    while that takes at most the direct cap of counters.  Otherwise M is
+    the path's, or half of ``cap`` where that is less, and J0 is the least
+    level whose leaves, each within 2(M+1)^-(s+J0) of 0, fit 0.45 eps.
+    Each level's truncation remainder gets 0.45 eps / J0; the deepest
+    level has the largest K, because the weights move outward as s + j
+    grows."""
+    direct_cap, m = _FE_CAPS[prec.is_double]
+    try:
+        direct = F_SERIES.required_counters(s, _TAIL_FRACTION * eps, cap)
+    except ResourceLimitError:
+        direct = math.inf
+    if direct <= direct_cap:
+        return 0, [], 0
+    m = min(m, cap // 2)
+    if m < 1:
         raise ResourceLimitError(
             f"functional-equation route for f at s={s:g} to eps={eps:g} needs "
-            f"more than {cap} terms in every leaf (cap {cap})"
+            f"a table of at least 2 terms (cap {cap})"
         )
-    ks = [depth_for(s + j, _FE_TRUNC_SHARE * eps / j0) for j in range(j0)]
-    rows = max(j + k for j, k in enumerate(ks)) + 1 - j0
-    if double:
-        # the float64 block sums every row over the first row's counters
-        return j0, ks, [n0] * rows
-    counts = [n0]
-    while len(counts) < rows and counts[-1] > 2:
-        p = _exponent_floor(s, j0 + len(counts))
-        counts.append(F_SERIES.required_counters(p, leaf_tail, cap))
-    return j0, ks, counts + [2] * (rows - len(counts))
+    j0 = 1
+    while F_SERIES.tail_bound(m, _exponent_floor(s, j0)) > _FE_LEAF_SHARE * eps:
+        j0 += 1
+    return j0, [depth_for(s + j, _FE_TRUNC_SHARE * eps / j0, m) for j in range(j0)], m
 
 
 def _exponent_floor(s: float, m: int) -> float:
@@ -834,27 +818,39 @@ def _exponent_floor(s: float, m: int) -> float:
     return math.nextafter(s + m, 0.0)
 
 
-def _fe_leaves(s: float, j0: int, counts: list[int], prec: Precision, q: int) -> list[int]:
-    """f(s + j0 + i), summed over its first counts[i] counters, for every
-    i < len(counts), as integers scaled by 2^q, each within a unit of its
-    sum, all from one table of n^-(s + j0): one float64 block
-    (``SeriesSpec._term_rows``) or one fixed-point table (``fixed_point_sums``).
+def _fe_rows(s: float, j0: int, m: int, prec: Precision, q: int):
+    """The levels' own terms as integers scaled by 2^q, and their bounds:
+    P_2M(s), f's first 2M terms, for level 0, and h_M(s + j), its terms
+    M < n <= 2M, for each level 0 < j < J0; all from one table of n^-s
+    over 2M counters: one float64 block (``SeriesSpec._term_rows``) or one
+    fixed-point table (``fixed_point_sums``).
 
-    Each sum stays inside the naive route's ``_ROUNDING_OPS`` u envelope:
-    in the block, row i's extra (2i + 3) u touches only n >= 2, whose terms
-    sum to at most 2^-p (1 + 2/(p-1)) with p >= 2 + i; in fixed point the
-    11 units per weight are far below it, as for one exponent."""
+    A bound is the row's rounding and a unit of the scaling.  Row 0 stays
+    inside the naive route's ``_ROUNDING_OPS`` u envelope on both paths,
+    as for one exponent, over its own absolute sum.  In the block, an
+    entry of row j is within (2j + 3) u of its term, so an h row, M terms
+    each at most (M+1)^-(s+j), takes 2j u more than that envelope; in
+    fixed point each of its M weights is within 11 units of 2^-P."""
+    u = prec.unit_roundoff
     if prec.is_double:
         lo = F_SERIES.counter_start
-        block = F_SERIES._term_rows(lo, lo + counts[0], s, j0, len(counts))
-        # the first term, 1^-p, is exact in every row, and added last
-        sums = block[:, 0] + np.sum(block[:, 1:], axis=1)
-        return [(num << q) // den for num, den in map(float.as_integer_ratio, sums.tolist())]
-    from .fixed_point import fixed_point_sums
+        block = F_SERIES._term_rows(lo, lo + 2 * m, s, j0)
+        # the first term, 1^-s, is exact, and added last
+        sums = [block[0, 0] + np.sum(block[0, 1:]), *np.sum(block[1:, m:], axis=1)]
+        rows = [(num << q) // den for num, den in map(float.as_integer_ratio, sums)]
+        h_bounds = [(_ROUNDING_OPS + 2 * j) * u * m * (m + 1.0) ** -_exponent_floor(s, j)
+                    for j in range(1, j0)]
+    else:
+        from .fixed_point import _WEIGHT_UNITS, fixed_point_sums
 
-    ctx = _mp_context(prec.working_bits + 20 + counts[0].bit_length())
-    totals, shift = fixed_point_sums(F_SERIES, ctx.mpf(s) + j0, counts, ctx)
-    return [x << (q - shift) if q >= shift else x >> (shift - q) for x in totals]
+        ctx = _mp_context(prec.working_bits + 20 + (2 * m).bit_length())
+        totals, shift = fixed_point_sums(F_SERIES, s, [2 * m] * j0, ctx, m)
+        rows = [x << (q - shift) if q >= shift else x >> (shift - q) for x in totals]
+        h_bounds = [_WEIGHT_UNITS * m * 2.0 ** -ctx.prec] * (j0 - 1)
+    # row 0's terms sum to at most 1 + int_1^2M x^-s dx in absolute value
+    abs_row0 = 1.0 - math.expm1((1.0 - s) * math.log(2 * m)) / (s - 1.0)
+    bounds = [_ROUNDING_OPS * u * abs_row0, *h_bounds]
+    return rows, [b + math.ldexp(1.0, -q) for b in bounds]
 
 
 def eval_functional_equation(
@@ -864,53 +860,52 @@ def eval_functional_equation(
     max_terms: int | None = None,
 ) -> EvalResult:
     """f(s) by the binomial functional equation f(p) = sum_{k>=1} w_k(p)
-    f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0, applied to itself.
+    f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0, run on f's tail past M
+    terms, g_M(p) = h_M(p) + sum_k w_k(p) g_M(p+k), with f(s) = P_2M(s) +
+    sum_k w_k(s) g_M(s+k).
 
-    Only the leaves f(s + J0 + i) are summed directly, from one table
-    (``_fe_leaves``).  The levels j = J0 - 1, ..., 0 then each apply the
-    equation at p = s + j, truncated at their own depth K_j, to the levels
-    and leaves above them, in fixed point at q bits on both paths
-    (``_fe_weights``).  ``_fe_plan`` picks J0, the leaves' counters and
-    each K_j; where J0 = 0, f(s) is summed directly (``eval_naive``) and
-    the result's method says so.
+    The levels j = J0 - 1, ..., 0 each apply it at p = s + j, truncated at
+    their own depth K_j, to the levels above them, in fixed point at q
+    bits on both paths (``_fe_weights``), and add their own row
+    (``_fe_rows``).  The leaves g_M(s + J0 + i) are 0, each within the
+    Abel tail 2(M+1)^-(s+J0+i).  ``_fe_plan`` picks J0, M and each K_j;
+    where J0 = 0, f(s) is summed directly (``eval_naive``) and the
+    result's method says so.
 
     Bounds propagate from the actual inner bounds: bound_j = sum_k w_k
-    bound_{j+k} + trunc_j + rounding_j.  The weights sum to 1 - 2^-p < 1,
-    so no level amplifies what it reads; depth only adds the truncation
-    remainders (0.45 eps over all levels) and the roundings (one floor per
-    product, exact integer sums, one final rounding).  Each leaf's tail and
-    rounding fit 0.45 eps.
+    bound_{j+k} + trunc_j + rounding_j + the row's bound.  The weights sum
+    to 1 - 2^-p < 1, so no level amplifies what it reads; depth only adds
+    the truncation remainders (0.45 eps over all levels) and the roundings
+    (one floor per product, exact integer sums, one final rounding).  The
+    leaves fit 0.45 eps.
     """
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
-    j0, ks, counts = _fe_plan(s, eps, prec, cap)
+    j0, ks, m = _fe_plan(s, eps, prec, cap)
     if j0 == 0:
         return eval_naive(F_SERIES, s, eps, prec, max_terms)
 
     # guard bits for the weights' error growth, up to 2^(s+J0)
     q = prec.working_bits + 30 + math.ceil(s) + j0
     one = 1 << q
-    values = [0] * j0 + _fe_leaves(s, j0, counts, prec, q)
-    u = prec.unit_roundoff
-    bounds = [0.0] * j0
-    for i, n in enumerate(counts):
-        p = _exponent_floor(s, j0 + i)
-        # the leaf's tail and rounding, and a unit from the scaling
-        bounds.append(F_SERIES.tail_bound(n, p) + _ROUNDING_OPS * u * F_SERIES.abs_sum_bound(n, p)
-                      + math.ldexp(1.0, -q))
+    values, bounds = _fe_rows(s, j0, m, prec, q)
+    leaves = max(j + k for j, k in enumerate(ks)) + 1 - j0
+    bounds += [F_SERIES.tail_bound(m, _exponent_floor(s, j0 + i)) for i in range(leaves)]
     for j in range(j0 - 1, -1, -1):
         k_j = ks[j]
         w, err = _fe_weights(s, k_j, q, j)
         w_hi = [x / one + math.ldexp(e, -q) for x, e in zip(w, err)]
-        trunc = _fe_truncation(s + j, k_j, w_hi[k_j + 1])
-        inner = range(1, k_j + 1)
-        values[j] = sum((w[k] * values[j + k]) >> q for k in inner)
+        t_next = w_hi[k_j + 1] * F_SERIES.tail_bound(m, _exponent_floor(s, j + k_j + 1))
+        # the leaves are 0: only the levels above j enter the value
+        inner = range(1, min(k_j, j0 - 1 - j) + 1)
+        values[j] += sum((w[k] * values[j + k]) >> q for k in inner)
         # each product: its weight's error times the value, and one floor
         rounding = math.fsum(err[k] * abs(values[j + k] / one) + 1.0 for k in inner)
-        bounds[j] = (math.fsum(w_hi[k] * bounds[j + k] for k in inner) + trunc
-                     + math.ldexp(rounding, -q))
+        bounds[j] += (math.fsum(w_hi[k] * bounds[j + k] for k in range(1, k_j + 1))
+                      + _fe_truncation(s + j, k_j, t_next, m) + math.ldexp(rounding, -q))
+    u = prec.unit_roundoff
     ctx = _combine_ctx(prec)
     if ctx is None:
         value = values[0] / one
@@ -923,7 +918,7 @@ def eval_functional_equation(
             f"functional-equation route certified only {bound:g} > eps={eps:g} "
             f"at s={s:g}; raise working_bits"
         )
-    return EvalResult(value, bound, sum(counts) + sum(ks), Method.FUNCTIONAL_EQUATION)
+    return EvalResult(value, bound, 2 * m + sum(ks), Method.FUNCTIONAL_EQUATION)
 
 
 def eval_phi_gamma(

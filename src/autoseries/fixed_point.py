@@ -218,10 +218,12 @@ class _Weights:
         return (w_m * step.factor(m, d - m)) >> step.scale
 
 
-def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext) -> tuple[list[int], int]:
+def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext,
+                     deep_from: int = 0) -> tuple[list[int], int]:
     """Partial sums of ``spec`` (an ``evaluator.SeriesSpec``) at the
-    exponents s, s + 1, ..., s + len(counts) - 1, the one at s + i over the
-    first ``counts[i]`` counters (``counts`` does not increase), in fixed
+    exponents s, s + 1, ..., s + len(counts) - 1, the one at s over the first
+    ``counts[0]`` counters and the one at s + i, i >= 1, over those from
+    ``deep_from`` up to ``counts[i]`` (``counts`` does not increase), in fixed
     point at P = ctx.prec bits: integers S_i and a shift e with sum_i =
     S_i 2^-e exactly, e >= P.  ``s`` is a float or an mpf, taken exactly
     (the binomial steps read its dyadic value, not a rounding of it).
@@ -242,8 +244,9 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext) -> tuple[list[i
     top = max(last for last, _ in lasts)
     primes = _odd_primes(math.isqrt(top))
     # an even d's odd part is at most d/2, an odd composite's cofactor at most d/3
-    needed = max(last // (2 if step == 1 else 3) for last, step in lasts) + 1
-    limit = max(2, min(_TABLE_LIMIT, needed))
+    needed = max(last // (2 if step == 1 else 3) for last, step in lasts)
+    # and a prime up to 4s + 2 steps from a neighbour, not a power, in it
+    limit = max(2, min(_TABLE_LIMIT, max(needed, min(top, int(4 * s) + 2)) + 1))
     weights = _Weights(s, top, limit, primes, ctx)
     table, two, odd = weights.table, weights.two, weights.odd
 
@@ -254,6 +257,8 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext) -> tuple[list[i
         # block offsets below which a counter also enters exponent s + 1, s + 2, ...
         deeper = [c - (lo - j0) for c in counts[1:] if c > lo - j0]
         first_deep = deeper[0] if deeper else 0
+        # and at which it starts to
+        start_deep = deep_from - (lo - j0)
         for sign, d0, step in spec.denominators(lo):
             # factors of the odd denominators past the table
             spf = None
@@ -281,7 +286,7 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext) -> tuple[list[i
                     o = d >> k
                     w = (two[k] * (table[o >> 1] if o < limit else odd(o))) >> prec
                 acc[v] += w
-                if i < first_deep:
+                if i < first_deep and i >= start_deep:
                     for m, stop in enumerate(deeper, 1):
                         if i >= stop:
                             break

@@ -12,7 +12,9 @@ and the remainder satisfies the first-omitted-term bound |R_v| <= |T_{v+1}|,
 which is valid for real s > 0 because every derivative of (x+a)^(-s) keeps
 a fixed sign on x >= 0.  The engine scans a fixed (N, v) schedule until
 |T_{v+1}| undershoots half the target tolerance, then sums the pieces with
-one ``fsum``; the reported bound is |T_{v+1}| plus a rounding budget.
+one ``fsum``; the reported bound is |T_{v+1}| plus a rounding budget.  At
+a >= 16 the schedule starts at N = 0, with no prefix: the naive route's
+mean-part leaves zeta(s, N1) sit far past the first prefix of 16.
 
 The engine runs over two number types, like ``evaluator._horner``: floats
 where ``ctx`` is None, mpfs of ``ctx`` otherwise.  A wider leaf runs in a
@@ -107,13 +109,17 @@ def _em_terms(s, base, ctx: MPContext | None):
         power = power * inv_base2
 
 
-def _schedule(s, a, eps: float, ctx: MPContext | None) -> tuple[int, int]:
-    """The first scheduled (N, v) with |T_{v+1}| <= eps/2."""
+def _schedule(s, a, eps: float, ctx: MPContext | None) -> tuple[int, list]:
+    """The first scheduled (N, v) with |T_{v+1}| <= eps/2, as N and the
+    terms T_1, ..., T_{v+1}; at a >= 16, past the schedule's first prefix
+    already, it starts at N = 0."""
     goal = eps * 0.5
-    for n_terms in _N_SCHEDULE:
-        for v, term in zip(range(_V_MAX), _em_terms(s, n_terms + a, ctx)):
+    for n_terms in ((0,) if a >= 16 else ()) + _N_SCHEDULE:
+        terms = []
+        for term in itertools.islice(_em_terms(s, n_terms + a, ctx), _V_MAX):
+            terms.append(term)
             if abs(term) <= goal:
-                return n_terms, v
+                return n_terms, terms
     raise ResourceLimitError(
         f"Euler-Maclaurin schedule exhausted before reaching eps={eps:g} "
         f"at s={float(s)}; raise target_eps or working_bits"
@@ -137,11 +143,11 @@ def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult
         s_, a_, power, fsum = s, a, pow, math.fsum
     else:
         s_, a_, power, fsum = ctx.mpf(s), ctx.convert(a), ctx.power, ctx.fsum
-    n_terms, v = _schedule(s_, a_, prec.target_eps, ctx)
+    n_terms, (*corrections, omitted) = _schedule(s_, a_, prec.target_eps, ctx)
+    v = len(corrections)
     base = n_terms + a_
     if ctx is None and (s + 2 * v + 1) * math.log2(base) > 1000:
         return None
-    *corrections, omitted = itertools.islice(_em_terms(s_, base, ctx), v + 1)
     remainder = abs(omitted)
     integral = power(base, 1 - s_) / (s_ - 1)
     minus_s = -s_
@@ -158,7 +164,7 @@ def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult
         bound = (remainder * (1 + rel) + rounding) * _SECOND_ORDER
         if not bound <= prec.target_eps:
             return None
-        return EvalResult(value, bound, n_terms + v, Method.EULER_MACLAURIN)
+        return EvalResult(value, bound, max(1, n_terms + v), Method.EULER_MACLAURIN)
 
     out = float(value) if prec.is_double else value
     if math.isinf(out):
@@ -178,7 +184,7 @@ def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult
             f"certified bound {bound:g} exceeds target_eps={prec.target_eps:g} "
             f"at working precision {prec.working_bits}; raise working_bits"
         )
-    return EvalResult(out, bound, n_terms + v, Method.EULER_MACLAURIN)
+    return EvalResult(out, bound, max(1, n_terms + v), Method.EULER_MACLAURIN)
 
 
 def _hurwitz_core(s: float, a, prec: Precision) -> EvalResult:

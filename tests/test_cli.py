@@ -177,13 +177,13 @@ def test_eval_cap_past_two_to_the_53_is_held_there(capsys, s):
 
 
 def test_eval_functional_equation_names_its_leaf_cap(capsys):
-    # no leaf of f takes fewer than 2 counters, so a cap of 1 is refused by
-    # the route's own limit; with a cap of 2 the levels go deep enough
+    # the levels' table holds 2M >= 2 counters, so a cap of 1 is refused by
+    # the route's own limit; with a cap of 2 (M = 1) the levels go deep enough
     code, _, err = run(capsys, "eval", "f", "2", "1e-10", "--max-terms", "1")
     assert code == 1
     assert err == (
         "error: functional-equation route for f at s=2 to eps=1e-10 needs "
-        "more than 1 terms in every leaf (cap 1)\n"
+        "a table of at least 2 terms (cap 1)\n"
     )
     code, out, _ = run(capsys, "eval", "f", "2", "1e-10", "--max-terms", "2")
     assert code == 0

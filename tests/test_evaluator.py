@@ -26,6 +26,7 @@ from autoseries.evaluator import (
     _FE_CAPS,
     _fe_plan,
     _fe_weights,
+    depth_for,
     eval_functional_equation,
     eval_naive,
     eval_phi_gamma,
@@ -206,17 +207,34 @@ def test_cross_method_grid():
 
 def test_functional_equation_levels_against_naive():
     # where the direct sum fits the path's direct cap the route takes it
-    # (and says so): float64 (3, 1e-12) and mpmath (6, 1e-14); the plans
+    # (and says so): float64 (3, 1e-12) and mpmath (8, 1e-14); the plans
     # below keep levels, which must agree with an independent naive sum
     assert eval_functional_equation(3.0, 1e-12).method is Method.NAIVE
-    assert eval_functional_equation(6.0, 1e-14).method is Method.NAIVE
-    for s, eps, j0 in ((2.0, 1e-10, 2), (2.0, 1e-12, 3), (3.0, 1e-13, 5), (3.0, 1e-14, 6), (4.0, 1e-14, 5)):
-        prec = Precision.for_eps(eps)
+    assert eval_functional_equation(8.0, 1e-14).method is Method.NAIVE
+    cells = [(2.0, 1e-10, 53, 3), (2.0, 1e-12, 53, 4), (2.5, 1e-12, 53, 3),
+             (3.0, 1e-13, 74, 9), (4.0, 1e-14, 77, 8), (3.0, 1e-8, 80, 5)]
+    for s, eps, bits, j0 in cells:
+        prec = Precision(bits, eps)
         assert _fe_plan(s, eps, prec, DEFAULT_MAX_TERMS)[0] == j0, (s, eps)
-        rf = eval_functional_equation(s, eps)
+        rf = eval_functional_equation(s, eps, prec)
         assert rf.method is Method.FUNCTIONAL_EQUATION
-        rn = eval_naive(F_SERIES, s, eps)
+        assert isinstance(rf.value, float) is (bits == 53)
+        rn = eval_naive(F_SERIES, s, eps, prec)
         assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, (s, eps)
+
+
+def _skipped_terms(p: float, depth: int, m: int) -> float:
+    """sum_{k>depth} w_k(p) 2(m+1)^-(p+k), summed term by term (in logs)
+    until a term no longer moves the sum."""
+    def term(k):
+        log_w = math.lgamma(p + k) - math.lgamma(p) - math.lgamma(k + 1) - (p + k) * math.log(2)
+        return 2.0 * math.exp(log_w - (p + k) * math.log(m + 1.0))
+
+    total, k = 0.0, depth + 1
+    while (t := term(k)) > 1e-18 * total or k < p:
+        total += t
+        k += 1
+    return total
 
 
 @pytest.mark.parametrize(
@@ -225,24 +243,29 @@ def test_functional_equation_levels_against_naive():
 )
 def test_functional_equation_plan_follows_the_term_caps(bits, epsilons):
     # J0 = 0 exactly when f(s) summed directly fits the direct cap, else
-    # the least J0 whose first leaf fits the leaf cap
+    # the least J0 >= 1 whose leaves g_M(s + J0 + i), each within the Abel
+    # tail 2(M+1)^-(s+J0) of 0, fit 0.45 eps, with each depth the least
+    # whose remainder fits 0.45 eps / J0
     def counters(p, tail):
         try:
             return F_SERIES.required_counters(p, tail, DEFAULT_MAX_TERMS)
         except ResourceLimitError:
             return math.inf
 
-    direct_cap, leaf_cap = _FE_CAPS[bits == 53]
+    direct_cap, m = _FE_CAPS[bits == 53]
     for s in (1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 40.0):
         for eps in epsilons:
-            j0, ks, counts = _fe_plan(s, eps, Precision(bits, eps), DEFAULT_MAX_TERMS)
+            j0, ks, plan_m = _fe_plan(s, eps, Precision(bits, eps), DEFAULT_MAX_TERMS)
             assert (j0 == 0) is (counters(s, 0.95 * eps) <= direct_cap), (s, eps)
             if j0 == 0:
-                assert ks == counts == []
+                assert ks == [] and plan_m == 0
                 continue
-            leaf = [counters(math.nextafter(s + j, 0.0), 0.45 * 0.95 * eps) for j in (j0 - 1, j0)]
-            assert leaf[1] <= leaf_cap and (j0 == 1 or leaf[0] > leaf_cap), (s, eps)
-            assert counts[0] == leaf[1] and len(ks) == j0
+            leaf = [2.0 * (m + 1.0) ** -math.nextafter(s + j, 0.0) for j in (j0 - 1, j0)]
+            assert plan_m == m and len(ks) == j0, (s, eps)
+            assert leaf[1] <= 0.45 * eps and (j0 == 1 or leaf[0] > 0.45 * eps), (s, eps)
+            for j, k in enumerate(ks):
+                assert k == depth_for(s + j, 0.45 * eps / j0, m)
+                assert _skipped_terms(s + j, k, m) <= 0.45 * eps / j0, (s, eps, j)
 
 
 # -- 0/1 series -------------------------------------------------------------------
@@ -608,14 +631,15 @@ _KERNEL_FORMS = {
 # at s = 6 and eps 1e-12 (64 bits) or 1e-16 (113 bits), as the per-term
 # mpmath loop that the kernel replaced reported them; the period-doubling
 # rows are those of its Abel tail (mu = 1/3, B = 1 + (log2 M)/4), which
-# replaced its constant majorant after the kernel
+# replaced its constant majorant after the kernel, and every mean-part leaf
+# zeta(s, N1), N1 >= 16, has since summed no prefix: 15 terms fewer each
 _KERNEL_COUNTS = {
-    ("t", "n", 64): (122, 6.669338617960209e-13),
-    ("t", "n", 113): (508, 6.967782049083893e-17),
-    ("t", "shifted", 64): (122, 6.669338617960209e-13),
-    ("t", "shifted", 113): (508, 6.967782049083893e-17),
-    ("t", "odd", 64): (69, 6.668452483021934e-13),
-    ("t", "odd", 113): (262, 6.969506078992407e-17),
+    ("t", "n", 64): (107, 6.679037819294748e-13),
+    ("t", "n", 113): (493, 6.968489644299286e-17),
+    ("t", "shifted", 64): (107, 6.679037819294748e-13),
+    ("t", "shifted", 113): (493, 6.968489644299286e-17),
+    ("t", "odd", 64): (54, 6.663475326001642e-13),
+    ("t", "odd", 113): (247, 6.972021570123546e-17),
     ("pm", "n", 64): (113, 9.111772587044397e-13),
     ("pm", "n", 113): (525, 9.443120481659301e-17),
     ("pm", "shifted", 64): (113, 9.111772587044397e-13),
@@ -624,32 +648,32 @@ _KERNEL_COUNTS = {
     ("pm", "odd", 113): (263, 9.336117403050857e-17),
     ("delta", "n", 64): (113, 9.111772587044397e-13),
     ("delta", "n", 113): (525, 9.443120481659301e-17),
-    ("pd", "n", 64): (157, 6.87707197526416e-13),
-    ("pd", "n", 113): (693, 6.962872006620825e-17),
-    ("pd", "odd", 64): (86, 6.56718373005256e-13),
-    ("pd", "odd", 113): (351, 6.886718874354267e-17),
-    ("pd", "composite9", 64): (173, 6.877072135401532e-13),
-    ("pd", "composite9", 113): (709, 6.962872058702976e-17),
+    ("pd", "n", 64): (142, 6.87782557339373e-13),
+    ("pd", "n", 113): (678, 6.962910129224643e-17),
+    ("pd", "odd", 64): (71, 6.569473481142944e-13),
+    ("pd", "odd", 113): (336, 6.886870334678854e-17),
+    ("pd", "composite9", 64): (143, 6.877825910258808e-13),
+    ("pd", "composite9", 113): (679, 6.962910190533032e-17),
     ("digitsum3", "n", 64): (307, 9.380404367029797e-13),
     ("digitsum3", "n", 113): (2027, 9.483464434723061e-17),
-    ("third-five-halves", "n", 64): (136, 6.911604576227344e-13),
-    ("third-five-halves", "n", 113): (576, 6.953808831900479e-17),
-    ("third-five-halves", "shifted", 64): (136, 6.911604576227344e-13),
-    ("third-five-halves", "shifted", 113): (576, 6.953808831900479e-17),
-    ("third-five-halves", "odd", 64): (76, 6.910993232280728e-13),
-    ("third-five-halves", "odd", 113): (296, 6.95597613435343e-17),
-    ("neg", "n", 64): (141, 6.875193707399289e-13),
-    ("neg", "n", 113): (599, 6.933069353815635e-17),
-    ("neg", "shifted", 64): (141, 6.875193707399289e-13),
-    ("neg", "shifted", 113): (599, 6.933069353815635e-17),
-    ("neg", "odd", 64): (79, 6.556577958026314e-13),
-    ("neg", "odd", 113): (308, 6.862995261945697e-17),
-    ("three-tenth", "n", 64): (142, 6.9180319412672e-13),
-    ("three-tenth", "n", 113): (604, 6.948155642542662e-17),
-    ("three-tenth", "shifted", 64): (142, 6.9180319412672e-13),
-    ("three-tenth", "shifted", 113): (604, 6.948155642542662e-17),
-    ("three-tenth", "odd", 64): (79, 6.917715529499621e-13),
-    ("three-tenth", "odd", 113): (310, 6.949895412637731e-17),
+    ("third-five-halves", "n", 64): (121, 6.922437441518106e-13),
+    ("third-five-halves", "n", 113): (561, 6.954532580387056e-17),
+    ("third-five-halves", "shifted", 64): (121, 6.922437441518106e-13),
+    ("third-five-halves", "shifted", 113): (561, 6.954532580387056e-17),
+    ("third-five-halves", "odd", 64): (61, 6.90378456560611e-13),
+    ("third-five-halves", "odd", 113): (281, 6.958582977933552e-17),
+    ("neg", "n", 64): (126, 6.878707470036041e-13),
+    ("neg", "n", 113): (584, 6.933301866156577e-17),
+    ("neg", "shifted", 64): (126, 6.878707470036041e-13),
+    ("neg", "shifted", 113): (584, 6.933301866156577e-17),
+    ("neg", "odd", 64): (64, 6.565874003631935e-13),
+    ("neg", "odd", 113): (293, 6.863824777650625e-17),
+    ("three-tenth", "n", 64): (127, 6.926237707013996e-13),
+    ("three-tenth", "n", 113): (589, 6.948694731979839e-17),
+    ("three-tenth", "shifted", 64): (127, 6.926237707013996e-13),
+    ("three-tenth", "shifted", 113): (589, 6.948694731979839e-17),
+    ("three-tenth", "odd", 64): (64, 6.911689005246462e-13),
+    ("three-tenth", "odd", 113): (295, 6.951846067462346e-17),
 }
 
 

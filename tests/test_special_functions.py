@@ -148,6 +148,23 @@ def test_hurwitz_core_beyond_one_against_mpmath(a):
                 assert abs(r.value - mpmath.zeta(s, a)) <= r.abs_error_bound
 
 
+@pytest.mark.parametrize("bits, eps", [(53, 1e-10), (77, 1e-14), (97, 1e-20)])
+def test_hurwitz_leaf_past_sixteen_sums_no_prefix(bits, eps):
+    # a mean-part leaf zeta(s, N1) at N1 >= 16 starts its schedule at N = 0
+    for a in (16, 300, 2114, 10**6):
+        r = _hurwitz_core(4.01, a, Precision(bits, eps))
+        assert 1 <= r.terms_used < 16 and r.abs_error_bound <= eps
+        with mpmath.workprec(2 * bits + 40):
+            assert abs(r.value - mpmath.zeta(4.01, a)) <= r.abs_error_bound
+
+
+@pytest.mark.parametrize("a", [1, 0.25, Fraction(3, 4), 15.5])
+def test_hurwitz_schedule_below_sixteen_keeps_its_prefix(a):
+    # zeta(s) and the leaves at a < 16 keep the schedule, hence every bit
+    for ctx in (None, _mp_context(100)):
+        assert special_functions._schedule(3.0, a, 1e-12, ctx)[0] >= 16
+
+
 def test_shared_contexts_give_fresh_context_results():
     # one mpmath context per bit width, shared by every call: interleaved
     # 80-, 120- and 80-bit calls must match calls made on fresh contexts
@@ -274,9 +291,12 @@ def mp_powers(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("bits, powers", [(53, (0, 0, 0)), (80, (22, 24, 29))])
+@pytest.mark.parametrize("bits, powers", [(53, (0, 0, 0)), (80, (21, 23, 12))])
 def test_mpmath_power_counts(mp_powers, bits, powers):
-    # the double path takes no mpmath power; the 80-bit path keeps its count
+    # the double path takes no mpmath power; on the 80-bit path each leaf
+    # takes its correction terms' power once, where the schedule's scan and
+    # the sum each took it (22, 24 and 29 powers before), and phi's mean
+    # leaf zeta(s, N1), N1 >= 16, sums no prefix
     calls = [
         lambda p: riemann_zeta(3.0, p),
         lambda p: dirichlet_eta(3.0, p),
