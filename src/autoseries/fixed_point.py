@@ -245,7 +245,7 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext,
     primes = _odd_primes(math.isqrt(top))
     # an even d's odd part is at most d/2, an odd composite's cofactor at most d/3
     needed = max(last // (2 if step == 1 else 3) for last, step in lasts)
-    # and a prime up to 4s + 2 steps from a neighbour, not a power, in it
+    # and a prime up to 4s + 2 in it steps from a neighbour, past it may take a power
     limit = max(2, min(_TABLE_LIMIT, max(needed, min(top, int(4 * s) + 2)) + 1))
     weights = _Weights(s, top, limit, primes, ctx)
     table, two, odd = weights.table, weights.two, weights.odd
@@ -257,7 +257,7 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext,
         # block offsets below which a counter also enters exponent s + 1, s + 2, ...
         deeper = [c - (lo - j0) for c in counts[1:] if c > lo - j0]
         first_deep = deeper[0] if deeper else 0
-        # and at which it starts to
+        # and from which on it does (``deep_from``)
         start_deep = deep_from - (lo - j0)
         for sign, d0, step in spec.denominators(lo):
             # factors of the odd denominators past the table
