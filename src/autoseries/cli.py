@@ -24,6 +24,7 @@ import os
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -122,10 +123,41 @@ def _parse_s_list(text: str) -> list[float]:
 _FORMATS = ("json", "csv", "text")
 
 
+class _OutOfRange(argparse.ArgumentTypeError):
+    """A setting that parses but lies where it may not; argparse prints
+    the message as it is."""
+
+
+# argparse names a type's converter in its messages ("invalid tolerance
+# value"), hence the plain names of the two below
+def tolerance(value) -> float:
+    """A tolerance as a float; a finite nonzero number past the float
+    range, which would read as 0 or infinity, is refused."""
+    eps = float(value)
+    if eps == 0.0 or math.isinf(eps):
+        exact = Decimal(str(value).strip())
+        if exact.is_finite() and exact != 0:
+            raise _OutOfRange(
+                f"eps={value} lies outside the float range "
+                f"[{math.ulp(0.0):g}, {sys.float_info.max:g}], where a tolerance must lie"
+            )
+    return eps
+
+
+def term_count(value) -> int:
+    """A term cap: an integer of at least 1."""
+    n = int(value)
+    if n < 1:
+        raise _OutOfRange(f"max_terms must be at least 1, got {n}")
+    return n
+
+
 def _setting(convert, value, name: str):
     """``convert(value)``, or a usage error naming the setting."""
     try:
         return convert(value)
+    except _OutOfRange as exc:
+        raise UsageError(f"{name}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed {name}: {value!r}") from exc
 
@@ -135,22 +167,23 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get("AUTOSERIES_CONFIG")
     if path:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            # decimals stay exact, so an eps past the float range is seen
+            data = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=Decimal)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
-        for key, convert in (("eps", float), ("precision_bits", int), ("max_terms", int)):
+        for key, convert in (("eps", tolerance), ("precision_bits", int), ("max_terms", term_count)):
             if data.get(key) is not None:
                 setattr(cfg, key, _setting(convert, data[key], f"config key {key} in {path}"))
         if data.get("format") is not None:
             if data["format"] not in _FORMATS:
                 raise UsageError(f"malformed config key format in {path}: {data['format']!r}")
             cfg.out_format = data["format"]
-    for key in ("precision_bits", "max_terms"):
+    for key, convert in (("precision_bits", int), ("max_terms", term_count)):
         var = f"AUTOSERIES_{key.upper()}"
         if os.environ.get(var):
-            setattr(cfg, key, _setting(int, os.environ[var], var))
+            setattr(cfg, key, _setting(convert, os.environ[var], var))
     for key in ("eps", "precision_bits", "max_terms", "out_format"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
@@ -369,9 +402,9 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps", type=float, default=None, help="absolute tolerance")
+    parser.add_argument("--eps", type=tolerance, default=None, help="absolute tolerance")
     parser.add_argument("--precision-bits", type=int, default=None, dest="precision_bits")
-    parser.add_argument("--max-terms", type=int, default=None, dest="max_terms")
+    parser.add_argument("--max-terms", type=term_count, default=None, dest="max_terms")
     parser.add_argument(
         "--format", choices=_FORMATS, default=None, dest="out_format"
     )
@@ -390,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help=f"evaluate a series ({_EVAL_CATALOG})")
     p_eval.add_argument("series")
     p_eval.add_argument("s", type=float)
-    p_eval.add_argument("eps_pos", type=float, nargs="?", default=None, metavar="eps")
+    p_eval.add_argument("eps_pos", type=tolerance, nargs="?", default=None, metavar="eps")
     p_eval.add_argument(
         "--method", choices=("auto", "naive", "odd", "functional"), default="auto"
     )

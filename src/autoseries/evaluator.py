@@ -13,7 +13,9 @@ live here; ``identities.eval_series_spec`` picks among all four:
 
   which is (1/2, 1/2) for t_n = {0, 1}, (0, 1) for e_n = {1, -1}, and, as
   sums of alphabets add their mu and B, (0, 1) for d_n = t_n - t_{n-1}.
-  For weights w_n decreasing to 0, Abel summation gives
+  Each entry a j + b of the ``denominators`` table is truncated on its
+  own, at its first omitted counter N1, with weights w_n = (a n + b)^-s
+  decreasing to 0.  Abel summation gives
   sum_{n>=N1} (c_n - mu) w_n = -R_{N1} w_{N1} + sum_{n>N1} R_n (w_{n-1} - w_n)
   (R_n w_n -> 0 as B grows like a logarithm).  With a constant B this
   lies within 2B w_{N1}.  With B(M) = B + g log2 M the second sum, summed
@@ -25,15 +27,48 @@ live here; ``identities.eval_series_spec`` picks among all four:
 
       [B(N1) + B(N1 + 1) + g (a+b)/(a s ln 2)] (a N1 + b)^-s,
 
-  for n^s: [2 + (log2 N1 + log2 (N1+1) + 1/(s ln 2))/4] N1^-s.  The mean
-  part mu sum_{n>=N1} w_n is the sum over the ``denominators`` table of
-  sign mu step^-s zeta(s, d/step): mu a^-s zeta(s, N1 + b/a) for one
-  progression a n + b, and mu (zeta(s, N1) - 4^-s zeta(s, N1 + 3/4)) for
-  composite9 (``SeriesSpec.mean_tail``).  The mean part (mu != 0 only)
-  comes from the Euler-Maclaurin engine.  ``required_counters`` solves
-  2B w <= eps_tail in closed form, and searches (``_truncation_search``)
-  where B grows.  Digit sums keep the (b-1)(log_b n + 1) majorant and its
-  integral, with the truncation point from ``_truncation_search``.
+  for n^s: [2 + (log2 N1 + log2 (N1+1) + 1/(s ln 2))/4] N1^-s.
+
+  Aligned blocks (alphabets over t).  Aligned Thue-Morse blocks of length
+  2^k annihilate every polynomial of degree < k (Prouhet-Tarry-Escott;
+  Allouche & Shallit, *Automatic Sequences*, CUP 2003; Allouche & Cohen,
+  Bull. LMS 17, 1985), so a cut where the first omitted index N1 - r of a
+  part {low, high} at shift r is a multiple 2^k m0 of 2^k (m0 >= 1)
+  bounds that part's oscillation, A = |high - low|/2 times e_{n-r}, by
+
+      |tail - mean part| <= 2A 2^(k(k-1)/2) a^k (s)_k (a N1 + b)^-(s+k),
+
+  k = 0 being the Abel law.  Proof: sum_{t<2^k} e_t x^t = prod_{i<k}
+  (1 - x^(2^i)) and e_(2^k m + t) = e_m e_t, so block m contributes e_m
+  Delta_k w(2^k m + r), Delta_k = prod_{i<k} (1 - S^(2^i)) with S the
+  shift.  Delta_k w(x) = (-1)^k times the integral of w^(k) over x plus a
+  box of sides 1, 2, ..., 2^(k-1), of volume 2^(k(k-1)/2); w^(k) keeps its
+  sign and |w^(k)| = a^k (s)_k (a x + b)^-(s+k) decreases, so the values
+  (-1)^k Delta_k w(2^k m + r) are positive, decreasing in m, and at most
+  2^(k(k-1)/2) |w^(k)(N1)| at m = m0.  The partial sums of e_m lie in
+  {-1, 0, 1}, so Abel summation over e_m, m >= m0, gives the factor 2.
+  Parts are summed: a stream's parts that read t_n (r = 0) and t_{n-1}
+  (r = 1) cannot both start a block at N1, so N1 goes on the multiple of
+  2^k for the r = 0 parts, and each r = 1 part adds its term at N1, less
+  its mean, sign (c_{N1} - mu_part) w(N1), to the value by hand
+  (``SeriesSpec.boundary_terms``; it needs no bound, only its rounding),
+  and starts its blocks at N1 + 1.  d_n = t_n - t_{n-1} takes one such
+  term.  ``required_counters`` solves the law in logs for every k (2^k
+  at most N1 - rho) and keeps the k with the fewest counters: g(2) to
+  1e-8 takes 111 counters at k = 4, where k = 0 took 14,509.
+
+  The entries of the table share the tail's eps in proportion to
+  a^(-s/(s+1)), which minimises their total count for power laws of one
+  constant; composite9's (4n+3)^-s entry stops at about a third of its
+  n^-s entry's counters from s of about 1.5 on (nearer s = 1 one cut of
+  both under the n^-s law at the whole share sums fewer weights, and is
+  kept: n^-s - (4n+3)^-s decreases and is at most n^-s).  The mean part mu sum_{n>=N1} w_n is the sum
+  over the entries, each at its own N1, of sign mu a^-s zeta(s, N1 +
+  b/a): mu (zeta(s, N1) - 4^-s zeta(s, N1' + 3/4)) for composite9
+  (``SeriesSpec.mean_tail``).  The mean part (mu != 0 only) comes from
+  the Euler-Maclaurin engine.  Period-doubling keeps the Abel law and
+  digit sums the (b-1)(log_b n + 1) majorant and its integral, each with
+  the truncation point from ``_truncation_search``.
 
 * ``eval_functional_equation``: the binomial functional equation
   f(p) = sum_{k>=1} w_k(p) f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0
@@ -75,7 +110,10 @@ On the double path every partial-sum loop uses compensated (Kahan)
 accumulation over fixed 2^14-term chunks, so results are bit-reproducible,
 and every reported bound adds an explicit rounding budget,
 ``_ROUNDING_OPS`` u times the absolute-sum majorant, on top of the
-analytic tail.  Wider working precisions sum in fixed point
+analytic tail.  Each entry of the denominator table adds to its own
+counters only: the float64 block stops an entry at its end
+(``SeriesSpec.term_block``), and the fixed-point kernel reads every entry
+from one weight table.  Wider working precisions sum in fixed point
 (``fixed_point.fixed_point_sums``) at P = working bits + 20 + log2 N bits.
 Only 2 and the odd primes below 4s take an ``mpmath`` power: n^-s is
 completely multiplicative, so a composite's weight is a product of two
@@ -104,7 +142,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from mpmath.ctx_mp import MPContext
@@ -113,7 +151,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 from .errors import DomainError, ResourceLimitError
 from .precision import GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
 from .result import EvalResult, Method
-from .sequences import CoefficientSequence
+from .sequences import CoefficientSequence, SequenceKind
 from .special_functions import _hurwitz_core
 
 #: Fixed summation chunk; fixed so chunk boundaries (and hence rounding)
@@ -147,6 +185,22 @@ class DenominatorForm(Enum):
     COMPOSITE9 = "composite9"   # c_n ((4n+3)^s - n^s) / (4n^2+3n)^s
 
 
+class Truncation(NamedTuple):
+    """Where ``eval_naive`` stops: ``counts[i]`` counters of denominator
+    entry i summed, the rest of that entry bounded over aligned blocks of
+    2^``ks[i]`` counters (``SeriesSpec.required_counters``), and the sum
+    of those bounds."""
+
+    counts: tuple[int, ...]
+    ks: tuple[int, ...]
+    bound: float
+
+    @property
+    def counters(self) -> int:
+        """The coefficients read: the longest entry's count."""
+        return max(self.counts)
+
+
 @dataclass(frozen=True)
 class SeriesSpec:
     """A Dirichlet series: coefficient stream and denominator form.
@@ -154,20 +208,20 @@ class SeriesSpec:
     A shift is the stream's: f(s) = sum e_{n-1}/n^s is the alphabet
     {1, -1} read at n - 1 (``CoefficientSequence.affine(1, -1, 1)``).
 
-    ``denominators`` is the one table of the forms; every other quantity
-    is one formula over it, most over its dominant (first) progression
-    a j + b, with j0 = ``counter_start``, j1 = j0 + n the first omitted
-    counter after n, B + g log2 j the discrepancy bound, C the majorant, mu
-    the mean:
+    ``denominators`` is the one table of the forms.  Each entry (sign, b,
+    a) at counter 0 is a progression a j + b, truncated on its own: with
+    j0 = ``counter_start`` and j1 = j0 + n the first counter it omits, mu
+    the mean, B + g log2 j the discrepancy bound and C the majorant,
 
-    * Abel tail (2B + g (log2 j1 + log2 (j1+1) + (a+b)/(a s ln 2)))
-      (a j1 + b)^-s, which for g = 0 is the power law 2B (a n + a j0 +
-      b)^-s (``_power_law``'s tuple (2B, a, a j0 + b));
-    * mean part after n counters: the sum over the table's entries
-      (sign, d, step) at counter j1 of sign mu step^-s zeta(s, d/step),
-      mu a^-s zeta(s, j1 + b/a) for a single progression;
-    * terms majorant C (1 + 1/(a (s-1))); composite9's n^-s - (4n+3)^-s
-      is at most n^-s.
+    * its tail law (``tail_bound``): for a sum of alphabets over t, in
+      aligned blocks of 2^k counters, sum over the parts of 2A 2^(k(k-1)/2)
+      a^k (s)_k (a j1 + b)^-(s+k), A = |high - low|/2 (k = 0 is the Abel
+      law 2B (a j1 + b)^-s); for a growing discrepancy (B(j1) + B(j1+1) +
+      g (a+b)/(a s ln 2)) (a j1 + b)^-s;
+    * its mean part: sign mu a^-s zeta(s, j1 + b/a) (``mean_tail``);
+    * terms majorant (``abs_sum_bound``) C (1 + (1 - (a (j0+n-1) +
+      b)^(1-s))/(a (s-1))) over the first entry's n counters; composite9's
+      n^-s - (4n+3)^-s is at most n^-s.
     """
 
     coeffs: CoefficientSequence
@@ -205,10 +259,23 @@ class SeriesSpec:
         return max(-((b - 1) // a) for _, b, a in self.denominators(0))
 
     @cached_property
-    def _progression(self) -> tuple[float, float, int]:
-        """(a, b, j0): the dominant denominator a j + b and ``counter_start``."""
-        _, b, a = self.denominators(0)[0]
-        return float(a), float(b), self.counter_start
+    def _progressions(self) -> tuple[tuple[float, float], ...]:
+        """(a, b) of each entry: its denominator at counter j is a j + b."""
+        return tuple((float(a), float(b)) for _, b, a in self.denominators(0))
+
+    @cached_property
+    def _oscillation(self) -> tuple[int, dict[int, float], float] | None:
+        """For a sum of alphabets over t: (rho, {shift r: the sum of 2A over
+        the parts at r}, 2B), rho = 1 when every part that oscillates reads
+        t_{n-1} (and there is one) and 0 otherwise; aligned blocks start
+        where j - rho is a multiple of 2^k.  None for the other streams."""
+        if self.coeffs.kind is not SequenceKind.AFFINE:
+            return None
+        amps: dict[int, float] = {}
+        for low, high, shift in self.coeffs.parts:
+            if low != high:
+                amps[shift] = amps.get(shift, 0.0) + abs(high - low)
+        return (1 if amps and 0 not in amps else 0), amps, 2.0 * self.coeffs.discrepancy[1]
 
     def label(self) -> str:
         if self.denom is DenominatorForm.POWER_OF_N:
@@ -217,15 +284,24 @@ class SeriesSpec:
 
     # -- terms ----------------------------------------------------------------
 
-    def term_block(self, lo: int, hi: int, s: float) -> np.ndarray:
-        """Terms for counters j in [lo, hi) as float64."""
+    def term_block(self, lo: int, hi: int, s: float,
+                   ends: tuple[int, ...] | None = None) -> np.ndarray:
+        """Terms for counters j in [lo, hi) as float64; where ``ends`` is
+        given, entry i of the table adds to the counters below ``ends[i]``
+        only (the first, dominant entry runs longest)."""
         # coefficients first: made after the weights, the freed arrays let
         # malloc trim the heap, and each chunk faulted in fresh pages
         c = self.coeffs.block(lo, hi)
         weights = None
-        for sign, d, step in self.denominators(lo):
-            w = np.arange(d, d + step * (hi - lo), step, dtype=np.float64) ** (-s)
-            weights = w if weights is None else weights + sign * w
+        for i, (sign, d, step) in enumerate(self.denominators(lo)):
+            top = hi if ends is None else min(hi, ends[i])
+            if top <= lo:
+                continue
+            w = np.arange(d, d + step * (top - lo), step, dtype=np.float64) ** (-s)
+            if weights is None:
+                weights = w
+            else:
+                weights[: top - lo] += sign * w
         return c * weights
 
     def _term_rows(self, lo: int, hi: int, s: float, rows: int) -> np.ndarray:
@@ -254,59 +330,81 @@ class SeriesSpec:
         disc = self.coeffs.discrepancy
         return 0.0 if disc is None else float(disc[0])
 
-    @cached_property
-    def _power_law(self) -> tuple[float, float, float] | None:
-        """(K, alpha, beta) with tail_bound(n) = K (alpha n + beta)^-s for a
-        bounded discrepancy: 2B times the first omitted weight; None where
-        the bound carries a logarithm (a growing discrepancy, digit sums)."""
-        disc = self.coeffs.discrepancy
-        if disc is None or disc[2]:
-            return None
-        a, b, j0 = self._progression
-        return 2.0 * disc[1], a, a * j0 + b
-
-    def tail_bound(self, n_counters: int, s: float) -> float:
+    def tail_bound(self, n_counters: int, s: float, k: int = 0) -> float:
         """Upper bound on |(sum of all terms beyond the first n_counters)
-        - (their mean part, ``mean_tail``)|."""
-        n = n_counters
+        - (their mean part, ``mean_tail``) - (their boundary terms,
+        ``boundary_terms``)|, every entry of the table cut there, over
+        aligned blocks of 2^k counters (k = 0: the Abel law)."""
+        if not k and len(self._progressions) == 1 and n_counters >= 1:
+            # the functional equation reads its leaves' Abel law here, up
+            # to some 60 times a call: the one entry's law, inline
+            osc = self._oscillation
+            if osc is not None:
+                a, b = self._progressions[0]
+                return osc[2] * (a * (self.counter_start + n_counters) + b) ** -s
+        bound = self._entry_tail(0, n_counters, s, k)
+        for i in range(1, len(self._progressions)):
+            bound += self._entry_tail(i, n_counters, s, k)
+        return bound
+
+    def _entry_tail(self, i: int, n: int, s: float, k: int) -> float:
+        """The tail law of entry i of the table cut after n counters (the
+        class docstring; proofs in the module docstring)."""
         if n < 1:
             raise DomainError("tail bound needs at least one summed term")
-        law = self._power_law
-        if law is not None:
-            k, alpha, beta = law
-            return k * (alpha * n + beta) ** -s
+        a, b = self._progressions[i]
+        j1 = self.counter_start + n
+        osc = self._oscillation
+        if osc is not None:
+            if k == 0:
+                return osc[2] * (a * j1 + b) ** -s
+            rho, amps, _ = osc
+            if not amps:
+                return 0.0
+            if (j1 - rho) % (1 << k) or j1 - rho < 1 << k:
+                raise DomainError(
+                    f"counter {j1} starts no aligned block of 2^{k} for {self.label()}"
+                )
+            # a part at shift r > rho starts its blocks at j1 + 1, after the
+            # boundary term at j1
+            log_c = _block_log_constant(s, k, a)
+            total = 0.0
+            for r, amp in amps.items():
+                total += amp * math.exp(log_c - (s + k) * math.log(a * (j1 + r - rho) + b))
+            return _SAFETY * total
+        if k:
+            raise DomainError(f"{self.label()} has no aligned-block tail law")
         disc = self.coeffs.discrepancy
         if disc is not None:
             # Abel with |R_j| <= B + g log2 j (module docstring)
             _, big_b, g = disc
-            a, b, j0 = self._progression
-            j1 = j0 + n
             growth = math.log2(j1) + math.log2(j1 + 1) + (a + b) / (a * s * math.log(2.0))
             return (2.0 * big_b + g * growth) * (a * j1 + b) ** -s
         # digit-sum majorant (b-1)(log_b x + 1), decreasing after division
         # by x^s once log_b x >= 1, hence the n >= base floor in the schedule
-        b = self.coeffs.base
-        lnb = math.log(b)
+        base = self.coeffs.base
+        lnb = math.log(base)
         ln_n = math.log(n)
         return (
-            (b - 1.0)
+            (base - 1.0)
             * float(n) ** (1.0 - s)
             * ((ln_n / (s - 1.0) + 1.0 / (s - 1.0) ** 2) / lnb + 1.0 / (s - 1.0))
         )
 
-    def mean_tail(self, n_counters: int, s: float, ctx: MPContext | None):
+    def mean_tail(self, counts: tuple[int, ...], s: float, ctx: MPContext | None):
         """(coefficient, x) pairs with mu * (sum of the weights beyond the
-        first n_counters) = sum of coefficient * zeta(s, x); for a series
-        with mu != 0.
+        first counts[i] counters of each entry i) = sum of coefficient *
+        zeta(s, x); for a series with mu != 0.
 
-        Entry (sign, d, step) of the table at the first omitted counter
+        Entry (sign, d, step) of the table at its first omitted counter
         holds the weights sign (d + step k)^-s, k >= 0, which sum to sign
         step^-s zeta(s, d/step): one pair for n^s and (2n+1)^s, and for
-        composite9 mu (zeta(s, N1) - 4^-s zeta(s, N1 + 3/4)).  ``ctx`` is
+        composite9 mu (zeta(s, N1) - 4^-s zeta(s, N1' + 3/4)).  ``ctx`` is
         ``_combine_ctx``'s context, where mu is exact to its rounding.
         """
         mu = self.coeffs.discrepancy[0]
-        table = self.denominators(self.counter_start + n_counters)
+        j0 = self.counter_start
+        table = [self.denominators(j0 + n)[i] for i, n in enumerate(counts)]
         if ctx is None:
             mu = float(mu)
             return [(sign * (mu * float(step) ** (-s)), d / step) for sign, d, step in table]
@@ -315,53 +413,201 @@ class SeriesSpec:
         return [(sign * (mu * ctx.power(float(step), -ctx.mpf(s))), d / step)
                 for sign, d, step in table]
 
+    def boundary_terms(self, cut: "Truncation", s: float, ctx: MPContext | None) -> list:
+        """The terms a truncation adds by hand: where an entry's blocks start
+        at t_{j1} (rho = 0) with k >= 1, each part read at t_{j1-1} omits
+        its term at j1 from its blocks, and adds it here less its mean,
+        sign (c_{j1} - mu_part) (d at j1)^-s: floats, or mpfs of ``ctx``."""
+        osc = self._oscillation
+        if osc is None or osc[0] or 1 not in osc[1]:
+            return []
+        j0 = self.counter_start
+        out = []
+        for i, (n, k) in enumerate(zip(cut.counts, cut.ks)):
+            if not k:
+                continue
+            sign, d, _ = self.denominators(j0 + n)[i]
+            odd = (j0 + n - 1).bit_count() & 1
+            for low, high, shift in self.coeffs.parts:
+                if shift and low != high:
+                    if ctx is None:
+                        osc_value = (high - low) / 2 if odd else (low - high) / 2
+                        out.append(sign * osc_value * float(d) ** -s)
+                    else:
+                        osc_value = (ctx.mpf(high) - ctx.mpf(low)) / 2
+                        term = osc_value * ctx.power(d, -ctx.mpf(s))
+                        out.append(sign * (term if odd else -term))
+        return out
+
+    def _growing_start(self, i: int, s: float, eps: float, cap: int, min_n: int) -> int:
+        """A count at most the least that entry i's Abel law of a growing
+        discrepancy admits.  The law at j1 is at least (2B + g G(j))
+        (a j1 + b)^-s for every j <= j1, G(j) = 2 log2 j + (a+b)/(a s ln
+        2), so where no j1 below some j fits, none below the j' that
+        solves this with G(j) does either: two such steps from G = 0 (less
+        one counter, for the logs' roundings); ``min_n`` past the cap."""
+        _, big_b, g = self.coeffs.discrepancy
+        a, b = self._progressions[i]
+        limit = math.log(a * 4.0 * cap)
+        const = (a + b) / (a * s * math.log(2.0))
+        j1 = 1.0
+        for _ in range(3):
+            law = 2.0 * big_b + g * (2.0 * math.log2(j1) + const) if j1 > 1.0 else 2.0 * big_b
+            log_x = (math.log(law) - math.log(eps)) / s
+            if log_x > limit:
+                return min_n
+            j1 = max(1.0, (math.exp(log_x) - b) / a)
+        return max(min_n, math.ceil(j1) - self.counter_start - 1)
+
     def abs_sum_bound(self, n_counters: int, s: float) -> float:
-        """Upper bound on sum of |terms|, used only for the rounding budget."""
+        """Upper bound on the sum of |terms| over the first n_counters, used
+        only for the rounding budget: C times the first weight plus the
+        integral of the first entry's (a x + b)^-s from j0 to j0 + n - 1,
+        at most 1 + (1 - (a (j0+n-1) + b)^(1-s))/(a (s-1)) as a j0 + b >= 1
+        (composite9's n^-s - (4n+3)^-s is at most n^-s).  Digit sums,
+        whose majorant C(n) grows, keep the whole series' 1 + 1/(a (s-1))."""
         cbound = self.coeffs.bound_constant
+        a, b = self._progressions[0]
         if cbound is None:
             cbound = self.coeffs.value_bound(max(n_counters, self.coeffs.base))
-        a, _, _ = self._progression
-        return cbound * (1.0 + 1.0 / (a * (s - 1.0)))
+            return cbound * (1.0 + 1.0 / (a * (s - 1.0)))
+        last = a * (self.counter_start + n_counters - 1) + b
+        return cbound * (1.0 - math.expm1((1.0 - s) * math.log(last)) / (a * (s - 1.0)))
 
-    def required_counters(self, s: float, eps_tail: float, max_terms: int) -> int:
-        """Smallest counter count whose tail bound undershoots eps_tail."""
+    @lru_cache(maxsize=256)
+    def required_counters(self, s: float, eps_tail: float, max_terms: int) -> Truncation:
+        """The cheapest truncation whose tail bound undershoots eps_tail
+        (cached: the functional equation's plan and the direct sum it may
+        hand f to ask the same question).
+
+        Each entry a j + b of the table gets its own cut and a share of
+        eps_tail in proportion to a^(-s/(s+1)): for laws K (a n)^-s of one
+        K, the shares that minimise the total count n_1 + n_2 + ... (each
+        share is then in proportion to its n).  A table of more entries
+        (composite9) may instead cut them all at one counter, under its
+        dominant entry's law at the whole eps_tail, where that sums fewer
+        weights (near s = 1, where halving a share nearly doubles a
+        count): the summed weight n^-s - (4n+3)^-s decreases and is at
+        most n^-s, and the period-doubling law has k = 0."""
+        n, k, bound = self._entry_cut(0, s, eps_tail, max_terms)
+        entries = len(self._progressions)
+        common = Truncation((n,) * entries, (k,) * entries, bound)
+        if entries == 1:
+            return common
+        weights = [a ** (-s / (s + 1.0)) for a, _ in self._progressions]
+        total = math.fsum(weights)
+        try:
+            cuts = [self._entry_cut(i, s, eps_tail * (w / total), max_terms)
+                    for i, w in enumerate(weights)]
+        except ResourceLimitError:
+            return common
+        if sum(common.counts) <= sum(n for n, _, _ in cuts):
+            return common
+        return Truncation(tuple(n for n, _, _ in cuts), tuple(k for _, k, _ in cuts),
+                          math.fsum(bound for _, _, bound in cuts))
+
+    def _entry_cut(self, i: int, s: float, eps: float, max_terms: int) -> tuple[int, int, float]:
+        """(n, k, tail bound) of entry i: for a sum of alphabets, the fewest
+        counters n over every block order k, n + j0 - rho a multiple of
+        2^k, solved in logs from the closed form; for the growing laws,
+        k = 0 and a search."""
+        cap, cap_text = _term_cap(max_terms)
         min_n = max(2, self.counter_start + 1)
-        what = f"naive evaluation of {self.label()} at s={s:g}"
-        law = self._power_law
-        if law is None:
+        osc = self._oscillation
+        if osc is None:
+            what = f"naive evaluation of {self.label()} at s={s:g}"
             # the digit-sum bound decreases from n = base on, the Abel bound
             # of a growing discrepancy from n = 1 on
             digits = self.coeffs.discrepancy is None
-            return _truncation_search(
-                lambda n: self.tail_bound(n, s),
-                max(min_n, self.coeffs.base, 16) if digits else min_n,
-                eps_tail,
+            n = _truncation_search(
+                lambda n: self._entry_tail(i, n, s, 0),
+                max(min_n, self.coeffs.base, 16) if digits
+                else self._growing_start(i, s, eps, cap, min_n),
+                eps,
                 max_terms,
                 what,
             )
-        k, alpha, beta = law
-        if k == 0.0:
-            return min_n
-        cap, cap_text = _term_cap(max_terms)
-        # K (alpha n + beta)^-s <= eps_tail, solved in logs so nothing overflows
-        log_x = (math.log(k) - math.log(eps_tail)) / s
-        if log_x > math.log(alpha * 4.0 * cap):
+            return n, 0, self._entry_tail(i, n, s, 0)
+        rho, amps, amp = osc
+        if not amps:
+            return min_n, 0, 0.0
+        a, b = self._progressions[i]
+        j0 = self.counter_start
+        # C_k (a j1 + b)^-(s+k) <= eps solved in logs, so nothing overflows:
+        # log x_k = (log C_k - log eps)/(s + k), C_k = 2B 2^(k(k-1)/2) a^k
+        # (s)_k, is quasiconvex in k (a convex numerator over a positive
+        # affine denominator), so the orders past its minimum are not tried
+        log_c = math.log(amp) - math.log(eps)
+        limit = math.log(a * 4.0 * cap)
+        guesses = []
+        need = least = last = math.inf
+        for k in range(_MAX_BLOCK_ORDER + 1):
+            block = 1 << k
+            # an aligned cut reads at least 2^k + rho - j0 counters
+            if block + rho - j0 >= least:
+                break
+            if k:
+                log_c += (k - 1) * _LN2 + math.log(a * (s + k - 1))
+            log_x = log_c / (s + k)
+            if log_x > last:
+                break
+            last = log_x
+            if log_x > limit:
+                need = min(need, math.exp(min(log_x, 700.0)) / a)
+                continue
+            n = max(min_n, math.ceil((math.exp(log_x) - (a * j0 + b)) / a))
+            if k:
+                n = rho - j0 + block * max(1, -(-(n + j0 - rho) // block))
+            guesses.append((n, k))
+            least = min(least, n)
+        # the exact law, from the most promising guess on; the closed form
+        # takes every part at j1, so where parts read t_{n-1} past the
+        # others' blocks (from j1 + 1) a guess may be a block or so high
+        best = None
+        for n, k in sorted(guesses):
+            block = 1 << k
+            if best is not None and n - block >= best[0]:
+                break
+            if k and len(amps) > 1:
+                while n - block >= min_n and n - block + j0 - rho >= block and \
+                        self._entry_tail(i, n - block, s, k) <= eps:
+                    n -= block
+            while (bound := self._entry_tail(i, n, s, k)) > eps:
+                n += block
+            if n > cap:
+                need = min(need, n)
+            elif best is None or n < best[0]:
+                best = (n, k, bound)
+        if best is None:
             raise ResourceLimitError(
-                f"{what} to eps={eps_tail:g} needs "
-                f"N~{math.exp(min(log_x, 700.0)) / alpha:.3g} terms (cap {cap_text})"
+                f"naive evaluation of {self.label()} at s={s:g} to eps={eps:g} "
+                f"needs N~{need:.3g} terms (cap {cap_text})"
             )
-        n = max(min_n, math.ceil((math.exp(log_x) - beta) / alpha))
-        while self.tail_bound(n, s) > eps_tail:
-            n += 1
-        if n > cap:
-            raise ResourceLimitError(
-                f"{what} to eps={eps_tail:g} needs N={n} terms (cap {cap_text})"
-            )
-        return n
+        return best
+
+
+#: The largest block order the truncation search tries: 2^62 counters is
+#: past every cap.
+_MAX_BLOCK_ORDER = 62
+
+#: Scale on the aligned-block law, far above the roundings of its logs.
+_SAFETY = 1.0 + 1e-9
+
+
+_LN2 = math.log(2.0)
+
+
+def _block_log_constant(s: float, k: int, a: float) -> float:
+    """log(2^(k(k-1)/2) a^k (s)_k), the aligned-block law's constant over
+    2A (a j1 + b)^-(s+k)."""
+    return k * (k - 1) / 2 * _LN2 + k * math.log(a) + math.lgamma(s + k) - math.lgamma(s)
 
 
 def _term_cap(max_terms: int) -> tuple[int, str]:
-    """The cap a term count is held to, ``max_terms`` or 2^53, and its text."""
+    """The cap a term count is held to, ``max_terms`` or 2^53, and its text;
+    a cap below one term is refused."""
+    if max_terms < 1:
+        raise DomainError(f"max_terms must be at least 1, got {max_terms}")
     if max_terms > _MAX_INDEX:
         return _MAX_INDEX, "2^53, past which float64 counters are not exact"
     return max_terms, str(max_terms)
@@ -371,20 +617,19 @@ def _truncation_search(tail, start: int, eps: float, max_terms: int, what: str) 
     """Smallest n >= ``start`` with ``tail(n) <= eps``, for a tail bound that
     does not increase from ``start`` on.
 
-    Doubles n from ``start`` until the tail fits, then bisects the last
-    doubling step.  Refuses with a ``ResourceLimitError`` naming the cap
-    once n passes ``max_terms``, or 2^53 above it; ``what`` opens the
-    message.
+    Gallops from ``start`` by 1, 2, 4, ... until the tail fits, so a
+    start just below the answer costs a few steps, then bisects the last
+    step.  Refuses with a ``ResourceLimitError`` naming the cap once n
+    passes ``max_terms``, or 2^53 above it; ``what`` opens the message.
     """
     cap, cap_text = _term_cap(max_terms)
-    n = start
-    while tail(n) > eps:
-        if n > 4 * cap:
+    lo, hi, step = start - 1, start, 1
+    while tail(hi) > eps:
+        if hi > 4 * cap:
             raise ResourceLimitError(
-                f"{what} to eps={eps:g} needs more than {n} terms (cap {cap_text})"
+                f"{what} to eps={eps:g} needs more than {hi} terms (cap {cap_text})"
             )
-        n *= 2
-    lo, hi = max(n // 2, start - 1), n
+        lo, hi, step = hi, hi + step, 2 * step
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if tail(mid) <= eps:
@@ -445,19 +690,21 @@ def chunked_kahan_sum(block_fn, start: int, count: int) -> float:
     return total
 
 
-def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision):
-    """The first ``n_counters`` terms: chunked float64 Kahan sum on the
-    double path, the fixed-point kernel at the working precision plus
-    20 + log2(n_counters) bits otherwise."""
+def _sum(spec: SeriesSpec, s, counts: tuple[int, ...], prec: Precision):
+    """The first ``counts[i]`` counters of each entry i of the table:
+    chunked float64 Kahan sum on the double path, the fixed-point kernel at
+    the working precision plus 20 + log2 N bits otherwise, N the longest
+    count."""
+    n = max(counts)
     if prec.is_double:
-        return chunked_kahan_sum(
-            lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
-        )
+        j0 = spec.counter_start
+        ends = None if min(counts) == n else tuple(j0 + c for c in counts)
+        return chunked_kahan_sum(lambda lo, hi: spec.term_block(lo, hi, s, ends), j0, n)
     # imported here, so that a process on the double path never loads it
     from .fixed_point import fixed_point_sums
 
-    ctx = _mp_context(prec.working_bits + 20 + max(0, n_counters.bit_length()))
-    (total,), shift = fixed_point_sums(spec, s, [n_counters], ctx)
+    ctx = _mp_context(prec.working_bits + 20 + max(0, n.bit_length()))
+    (total,), shift = fixed_point_sums(spec, s, [n], ctx, entries=counts)
     return ctx.ldexp(ctx.mpf(total), -shift)
 
 
@@ -469,7 +716,7 @@ def partial_sum(spec: SeriesSpec, s: float, n_terms: int, prec: Precision | None
     s = _check_s(s)
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    return _sum(spec, s, n_terms, prec or Precision())
+    return _sum(spec, s, (n_terms,) * len(spec.denominators(0)), prec or Precision())
 
 
 def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
@@ -635,11 +882,21 @@ def _zeta_leaf(zeta: Callable[[Precision], EvalResult], eps: float, prec: Precis
     return EvalResult(value, bound, z.terms_used, z.method)
 
 
-def _naive_counters(spec: SeriesSpec, s: float, eps: float, max_terms: int) -> int:
-    """Counters ``eval_naive`` sums for ``eps``: the tail bound gets 0.95 eps,
-    or 0.7 eps when the mean part's leaf takes 0.25 eps."""
-    share = _TAIL_FRACTION - (_MEAN_FRACTION if spec.mean else 0.0)
-    return spec.required_counters(s, eps * share, max_terms)
+def _naive_truncation(spec: SeriesSpec, s: float, eps: float, max_terms: int,
+                      prec: Precision) -> Truncation:
+    """Where ``eval_naive`` cuts for ``eps``: the tail bound gets 0.95 eps,
+    or 0.7 eps when the mean part's leaf takes 0.25 eps, and the rounding
+    budget the rest.  Where that budget takes more (near s = 1, where the
+    terms sum to about 1/(s-1)), the tail's share gives up twice the
+    excess: the finer cut reads a few more terms, whose sum grows by far
+    less."""
+    share = eps * (_TAIL_FRACTION - (_MEAN_FRACTION if spec.mean else 0.0))
+    cut = spec.required_counters(s, share, max_terms)
+    rounding = _ROUNDING_OPS * prec.unit_roundoff * spec.abs_sum_bound(cut.counters, s)
+    excess = rounding - (1.0 - _TAIL_FRACTION) * eps
+    if 0.0 < 2.0 * excess < share:
+        cut = spec.required_counters(s, share - 2.0 * excess, max_terms)
+    return cut
 
 
 def eval_naive(
@@ -653,36 +910,44 @@ def eval_naive(
 
     For a stream with mean mu != 0 the omitted terms' mean part,
     mu * zeta(s, a) (``SeriesSpec.mean_tail``), is added from the
-    Euler-Maclaurin engine.  The reported bound is the tail bound at the
-    chosen truncation, that leaf's bound, and an explicit rounding budget;
-    if the total cannot undershoot eps at the working precision, a resource
-    error is raised instead of returning an uncertified value.
+    Euler-Maclaurin engine, and so are the truncation's boundary terms
+    (``SeriesSpec.boundary_terms``).  The reported bound is the tail bound
+    at the chosen truncation, the leaves' bounds, and an explicit rounding
+    budget; if the total cannot undershoot eps at the working precision, a
+    resource error is raised instead of returning an uncertified value.
     """
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
     cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
-    n = _naive_counters(spec, s, eps, cap)
+    cut = _naive_truncation(spec, s, eps, cap, prec)
+    n = cut.counters
     u = prec.unit_roundoff
     abs_sum = spec.abs_sum_bound(n, s)
     rounding = _ROUNDING_OPS * u * abs_sum
-    bound = spec.tail_bound(n, s) + rounding
-    mean, terms = 0.0, n
+    bound = cut.bound + rounding
+    ctx = _combine_ctx(prec)
+    edges = spec.boundary_terms(cut, s, ctx)
+    extra, terms = 0.0, n + len(edges)
+    parts = leaf_bounds = 0.0
+    for term in edges:
+        extra += term
+        parts += abs(float(term))
     if spec.mean:
-        leaves = spec.mean_tail(n, s, _combine_ctx(prec))
+        leaves = spec.mean_tail(cut.counts, s, ctx)
         # each |coef| = |mu| step^-s <= |mu|, so sharing by |mu| also
         # survives step^-s underflowing to 0
         share = _MEAN_FRACTION * eps / (abs(spec.mean) * len(leaves))
-        parts = leaf_bounds = 0.0
         for coef, a in leaves:
             z = _zeta_leaf(lambda p, a=a: _hurwitz_core(s, a, p), share, prec)
             part = coef * z.value
-            mean += part
+            extra += part
             parts += abs(float(part))
             leaf_bounds += abs(float(coef)) * z.abs_error_bound
             terms += z.terms_used
-        # the leaves' bounds, then the coefficients, products, their sum
-        # and the final addition (parts <= abs_sum)
+    if edges or spec.mean:
+        # the leaves' bounds, then the boundary terms and coefficients,
+        # products, their sum and the final addition (parts <= abs_sum)
         bound += leaf_bounds + 4.0 * u * (abs_sum + parts)
     if bound > eps:
         raise ResourceLimitError(
@@ -690,7 +955,7 @@ def eval_naive(
             f"rounding budget {rounding:g} at working precision "
             f"{prec.working_bits}; raise working_bits"
         )
-    return EvalResult(_sum(spec, s, n, prec) + mean, bound, terms, Method.NAIVE)
+    return EvalResult(_sum(spec, s, cut.counts, prec) + extra, bound, terms, Method.NAIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +1061,7 @@ def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
     grows."""
     direct_cap, m = _FE_CAPS[prec.is_double]
     try:
-        direct = F_SERIES.required_counters(s, _TAIL_FRACTION * eps, cap)
+        direct = F_SERIES.required_counters(s, _TAIL_FRACTION * eps, cap).counters
     except ResourceLimitError:
         direct = math.inf
     if direct <= direct_cap:

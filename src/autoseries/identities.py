@@ -64,7 +64,7 @@ from .evaluator import (
     eval_naive,
     _combine_ctx,
     _linear_form,
-    _naive_counters,
+    _naive_truncation,
     _truncation_search,
     _zeta_leaf,
 )
@@ -345,7 +345,7 @@ def _eval_routed(
         if _decomposable(spec):
             try:
                 naive_cap = AUTO_NAIVE_CAP if prec.is_double else _AUTO_NAIVE_CAP_MP
-                if _naive_counters(spec, s, eps, cap) > naive_cap:
+                if _naive_truncation(spec, s, eps, cap, prec).counters > naive_cap:
                     route = Route.DECOMPOSED
             except ResourceLimitError:
                 route = Route.DECOMPOSED

@@ -19,7 +19,12 @@ mean-part leaves zeta(s, N1) sit far past the first prefix of 16.
 The engine runs over two number types, like ``evaluator._horner``: floats
 where ``ctx`` is None, mpfs of ``ctx`` otherwise.  A wider leaf runs in a
 context of working plus 20 guard bits, and its budget is
-8 (N + 3v + 16) 2^-(bits+20) (|value| + 1) plus the float conversion ulp.
+8 (N + 3v + 18 + P) 2^-(bits+20) (|value| + 1) plus the float conversion
+ulp.  There it takes one ``ctx.power`` per prime: (N+a)^-s, with
+(N+a)^(1-s) and (N+a)^(-s-1) one product and one quotient away, and for
+an integer a below 16 (zeta(s) itself) the prefix's composites as P
+products of smaller powers (``_prefix_powers``); each is one more
+rounding inside the budget.
 On the double path the arithmetic is float64, with no mpmath power,
 whenever every shift k + a with k <= 1024 is an exact float (integers,
 1/4, 1/2, 3/4, N1 + 1/2, N1 + 3/4; a 1/3 or a 0.3 takes the context).
@@ -97,11 +102,12 @@ def _b_over_fact(j: int, ctx: MPContext | None):
     return nearest if ctx is None else ctx.mpf(frac.numerator) / frac.denominator
 
 
-def _em_terms(s, base, ctx: MPContext | None):
-    """T_1, T_2, ... at N + a = ``base``: one power, base^(-s-1), then
-    two products per term."""
+def _em_terms(s, base, ctx: MPContext | None, base_pow=None):
+    """T_1, T_2, ... at N + a = ``base``: from base^(-s-1), one power in
+    floats or ``base_pow`` = base^-s over base in ``ctx``, then two
+    products per term."""
     rising = s
-    power = base ** (-s - 1) if ctx is None else ctx.power(base, -s - 1)
+    power = base ** (-s - 1) if ctx is None else base_pow / base
     inv_base2 = 1 / (base * base)
     for j in itertools.count(1):
         yield _b_over_fact(j, ctx) * rising * power
@@ -109,21 +115,50 @@ def _em_terms(s, base, ctx: MPContext | None):
         power = power * inv_base2
 
 
-def _schedule(s, a, eps: float, ctx: MPContext | None) -> tuple[int, list]:
-    """The first scheduled (N, v) with |T_{v+1}| <= eps/2, as N and the
-    terms T_1, ..., T_{v+1}; at a >= 16, past the schedule's first prefix
-    already, it starts at N = 0."""
+def _schedule(s, a, eps: float, ctx: MPContext | None) -> tuple[int, list, object]:
+    """The first scheduled (N, v) with |T_{v+1}| <= eps/2, as N, the
+    terms T_1, ..., T_{v+1} and, in ``ctx``, (N + a)^-s (None in floats);
+    at a >= 16, past the schedule's first prefix already, it starts at
+    N = 0."""
     goal = eps * 0.5
     for n_terms in ((0,) if a >= 16 else ()) + _N_SCHEDULE:
+        base = n_terms + a
+        base_pow = None if ctx is None else ctx.power(base, -s)
         terms = []
-        for term in itertools.islice(_em_terms(s, n_terms + a, ctx), _V_MAX):
+        for term in itertools.islice(_em_terms(s, base, ctx, base_pow), _V_MAX):
             terms.append(term)
             if abs(term) <= goal:
-                return n_terms, terms
+                return n_terms, terms, base_pow
     raise ResourceLimitError(
         f"Euler-Maclaurin schedule exhausted before reaching eps={eps:g} "
         f"at s={float(s)}; raise target_eps or working_bits"
     )
+
+
+def _prefix_powers(s, a, n_terms: int, ctx: MPContext) -> tuple[list, int]:
+    """(k + a)^-s for k < ``n_terms`` in ``ctx``, and the products made.
+
+    For an integer a below 16 one power per prime: m^-s is completely
+    multiplicative, so a composite m takes the product of its smallest
+    prime factor's and its cofactor's, made first.  Each product is one
+    more rounding: m^-s is within 2 Omega(m) - 1 <= 2 log2 m - 1 < 21
+    units of its own size (m <= 1039), far inside the 8 units per
+    operation of the prefix's budget."""
+    neg_s = -s
+    if a != int(a) or a >= 16:
+        return [ctx.power(k + a, neg_s) for k in range(n_terms)], 0
+    a = int(a)
+    top = a + n_terms - 1
+    powers = [ctx.one] * (top + 1)
+    products = 0
+    for m in range(2, top + 1):
+        p = next((q for q in range(2, math.isqrt(m) + 1) if m % q == 0), m)
+        if p == m:
+            powers[m] = ctx.power(m, neg_s)
+        else:
+            powers[m] = powers[p] * powers[m // p]
+            products += 1
+    return powers[a : top + 1], products
 
 
 def _exact_in_floats(s: float, a) -> bool:
@@ -140,19 +175,24 @@ def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult
     """zeta(s, a) in floats (``ctx`` None) or in ``ctx``; None where the
     float path cannot certify ``prec.target_eps``."""
     if ctx is None:
-        s_, a_, power, fsum = s, a, pow, math.fsum
+        s_, a_, fsum = s, a, math.fsum
     else:
-        s_, a_, power, fsum = ctx.mpf(s), ctx.convert(a), ctx.power, ctx.fsum
-    n_terms, (*corrections, omitted) = _schedule(s_, a_, prec.target_eps, ctx)
+        s_, a_, fsum = ctx.mpf(s), ctx.convert(a), ctx.fsum
+    n_terms, (*corrections, omitted), base_pow = _schedule(s_, a_, prec.target_eps, ctx)
     v = len(corrections)
     base = n_terms + a_
     if ctx is None and (s + 2 * v + 1) * math.log2(base) > 1000:
         return None
     remainder = abs(omitted)
-    integral = power(base, 1 - s_) / (s_ - 1)
-    minus_s = -s_
-    pieces = [power(k + a_, minus_s) for k in range(n_terms)]
-    pieces += integral, power(base, minus_s) / 2, *corrections
+    if ctx is None:
+        integral = base ** (1 - s_) / (s_ - 1)
+        minus_s = -s_
+        pieces = [(k + a_) ** minus_s for k in range(n_terms)]
+        pieces += integral, base ** minus_s / 2, *corrections
+    else:
+        # base^(1-s) and base^(-s-1) (``_em_terms``) from base^-s
+        pieces, products = _prefix_powers(s_, a_, n_terms, ctx)
+        pieces += base_pow * base / (s_ - 1), base_pow / 2, *corrections
     value = fsum(pieces)
 
     if ctx is None:
@@ -172,12 +212,12 @@ def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult
             f"zeta(s, a) at s={s:g}, a={a} is about {ctx.nstr(value, 3)}, "
             f"past the largest float"
         )
-    # rounding budget: ~(N + 3v) guarded operations plus the conversion ulp
-    ops = n_terms + 3 * v + 16
-    slack = ctx.mpf(8 * ops) * ctx.mpf(2.0) ** (-(prec.working_bits + _GUARD_BITS)) * (
-        abs(value) + 1
-    )
-    conv = abs(value) * ctx.mpf(2.0) ** (1 - prec.working_bits)
+    # rounding budget: ~(N + 3v) guarded operations, the prefix's
+    # products and the two powers of the base derived from base^-s, plus
+    # the conversion ulp
+    ops = n_terms + 3 * v + 16 + products + 2
+    slack = ctx.ldexp(ctx.mpf(8 * ops), -(prec.working_bits + _GUARD_BITS)) * (abs(value) + 1)
+    conv = ctx.ldexp(abs(value), 1 - prec.working_bits)
     bound = float((remainder + slack + conv) * (1 + ctx.mpf(1e-9)))
     if bound > prec.target_eps:
         raise ResourceLimitError(
@@ -249,6 +289,6 @@ def dirichlet_eta(s: float, prec: Precision | None = None) -> EvalResult:
         ) * _SECOND_ORDER
         return EvalResult(value, bound, inner.terms_used, Method.EULER_MACLAURIN)
     value = factor * ctx.convert(inner.value)
-    slack = abs(value) * ctx.mpf(2.0) ** (2 - prec.working_bits)
+    slack = ctx.ldexp(abs(value), 2 - prec.working_bits)
     bound = float(factor * inner.abs_error_bound + slack)
     return EvalResult(value, bound, inner.terms_used, Method.EULER_MACLAURIN)

@@ -63,12 +63,16 @@ def test_parse_real_rejects_junk():
 
 
 def test_eval_f_json(capsys):
+    # at (2, 1e-10) f is summed directly in 224 counters; at (3, 1e-13) on
+    # the mpmath path the functional equation's levels run
     code, out, _ = run(capsys, "eval", "f", "2", "1e-10")
     assert code == 0
     payload = json.loads(out)
     assert payload["series"] == "f"
     assert float(payload["abs_error_bound"]) <= 1e-10
-    assert payload["method"] == "functional-equation"
+    assert payload["method"] == "naive"
+    code, out, _ = run(capsys, "eval", "f", "3", "1e-13")
+    assert code == 0 and json.loads(out)["method"] == "functional-equation"
 
 
 def test_eval_csv_is_a_header_and_a_value_row(capsys):
@@ -156,7 +160,8 @@ def test_eval_domain_error_exit_one(capsys):
 
 
 def test_eval_resource_error_exit_one(capsys):
-    code, _, err = run(capsys, "eval", "g", "2", "1e-6", "--method", "naive", "--max-terms", "1000")
+    # g(2) to 1e-6 takes 55 counters
+    code, _, err = run(capsys, "eval", "g", "2", "1e-6", "--method", "naive", "--max-terms", "10")
     assert code == 1
     assert "cap" in err
 
@@ -165,10 +170,12 @@ def test_eval_resource_error_exit_one(capsys):
 def test_eval_cap_past_two_to_the_53_is_held_there(capsys, s):
     # no kernel can index more than 2^53 terms, whatever --max-terms says:
     # the request is refused at once instead of summing for ever (or, on the
-    # mpmath path, sieving primes up to 10^10)
+    # mpmath path, sieving primes up to 10^10).  composite9's growing
+    # discrepancy needs about 10^20 or more terms here (f, with aligned
+    # blocks, now certifies these cells in 20,000-40,000)
     t0 = time.perf_counter()
     code, _, err = run(
-        capsys, "eval", "f", s, "1e-30", "--method", "naive",
+        capsys, "eval", "composite9", s, "1e-30", "--method", "naive",
         "--max-terms", "10000000000000000000000000000000",
     )
     assert time.perf_counter() - t0 < 1.0
@@ -588,10 +595,10 @@ def test_list_prints_registry(capsys):
 
 
 def test_env_max_terms_applies(capsys, monkeypatch):
-    monkeypatch.setenv("AUTOSERIES_MAX_TERMS", "1000")
+    monkeypatch.setenv("AUTOSERIES_MAX_TERMS", "10")
     code, _, err = run(capsys, "eval", "g", "2", "1e-6", "--method", "naive")
     assert code == 1
-    assert "cap 1000" in err
+    assert "cap 10)" in err
 
 
 def test_flag_overrides_env(capsys, monkeypatch):
@@ -686,7 +693,7 @@ def test_consecutive_main_calls_share_no_state(capsys):
     assert "summary: 3/3 passed" in out
     code, out, _ = run(capsys, "eval", "f", "2", "1e-8", "--method", "naive")
     assert json.loads(out)["method"] == "naive"
-    code, out, _ = run(capsys, "eval", "f", "2", "1e-10")
+    code, out, _ = run(capsys, "eval", "f", "3", "1e-13")
     assert json.loads(out)["method"] == "functional-equation"
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
@@ -752,3 +759,48 @@ def test_python_dash_m_runs_the_command_line(capsys):
     done = subprocess.run([sys.executable, "-m", "autoseries", "verify", "nope"], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 2 and "unknown identity" in done.stderr
+
+
+def _exit_code(capsys, *argv):
+    """(exit code, stderr) of a command line, argparse's usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("how", ["flag", "env", "config"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_term_cap_below_one_is_a_usage_error(capsys, monkeypatch, tmp_path, how, cap):
+    # it crashed with a traceback from math.log of a non-positive number
+    argv = ["eval", "g", "2", "1e-8"]
+    if how == "flag":
+        argv += ["--max-terms", cap]
+    elif how == "env":
+        monkeypatch.setenv("AUTOSERIES_MAX_TERMS", cap)
+    else:
+        cfg = tmp_path / "autoseries.json"
+        cfg.write_text(f'{{"max_terms": {cap}}}')
+        argv += ["--config", str(cfg)]
+    code, err = _exit_code(capsys, *argv)
+    assert code == 2 and f"max_terms must be at least 1, got {cap}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "f", "3", "1e-1000"), ("eval", "f", "3", "1e400"), ("eval", "f", "3", "--eps", "1e-1000"),
+     ("verify", "lemma1", "--eps", "1e-400"), ("eval", "f", "3", "--config", None)],
+    ids=["positional-tiny", "positional-huge", "flag", "verify-flag", "config"],
+)
+def test_an_eps_past_the_float_range_is_a_usage_error(capsys, tmp_path, argv):
+    # 1e-1000 read as 0.0 and was refused as "eps must be positive, got 0.0"
+    if argv[-1] is None:
+        cfg = tmp_path / "autoseries.json"
+        cfg.write_text('{"eps": 1e-1000}')
+        argv = argv[:-1] + (str(cfg),)
+    code, err = _exit_code(capsys, *argv)
+    assert code == 2 and "outside the float range" in err, err
+    assert "must be positive" not in err
+    # zero is still refused as not positive
+    assert _exit_code(capsys, "eval", "f", "3", "0")[0] == 1

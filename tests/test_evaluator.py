@@ -85,8 +85,9 @@ def test_naive_zeta_coefficients():
 
 
 def test_naive_reports_required_terms_beyond_cap():
+    # aligned 2^k blocks cut g(1.05) at 1e-12 after 768 counters
     with pytest.raises(ResourceLimitError, match=r"N"):
-        eval_naive(G_SERIES, 1.05, 1e-12, max_terms=10**6)
+        eval_naive(G_SERIES, 1.05, 1e-12, max_terms=100)
 
 
 def test_naive_rejects_bad_domain():
@@ -144,9 +145,12 @@ def test_odd_series_even_odd_split_of_g():
 
 
 def test_decomposed_zeta_only_is_tagged_euler_maclaurin():
-    # the all-ones alphabet has beta = 0, so only the zeta leaf runs
+    # the all-ones alphabet has beta = 0, so only the zeta leaf runs; phi's
+    # f leaf names the result: the FE's levels at (3, 1e-13), where f summed
+    # directly takes more than the mpmath path's direct cap
     assert eval_series_spec(ZETA_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.EULER_MACLAURIN
-    assert eval_series_spec(PHI_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.FUNCTIONAL_EQUATION
+    assert eval_series_spec(PHI_SERIES, 3, 1e-13, Route.DECOMPOSED).method is Method.FUNCTIONAL_EQUATION
+    assert eval_series_spec(PHI_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.NAIVE
 
 
 def test_f_via_odd_split_method_tag():
@@ -205,14 +209,18 @@ def test_cross_method_grid():
         assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, s
 
 
-def test_functional_equation_levels_against_naive():
+def test_functional_equation_levels_against_naive(monkeypatch):
     # where the direct sum fits the path's direct cap the route takes it
-    # (and says so): float64 (3, 1e-12) and mpmath (8, 1e-14); the plans
-    # below keep levels, which must agree with an independent naive sum
-    assert eval_functional_equation(3.0, 1e-12).method is Method.NAIVE
+    # (and says so): float64 (2, 1e-12) and mpmath (8, 1e-14) and (3, 1e-8);
+    # the plans below keep levels (in float64 only with the direct cap
+    # forced to 0: aligned blocks sum f directly in at most 640 counters
+    # there), which must agree with an independent naive sum
+    assert eval_functional_equation(2.0, 1e-12).method is Method.NAIVE
     assert eval_functional_equation(8.0, 1e-14).method is Method.NAIVE
+    assert eval_functional_equation(3.0, 1e-8, Precision(80, 1e-8)).method is Method.NAIVE
+    monkeypatch.setitem(_FE_CAPS, True, (0, _FE_CAPS[True][1]))
     cells = [(2.0, 1e-10, 53, 3), (2.0, 1e-12, 53, 4), (2.5, 1e-12, 53, 3),
-             (3.0, 1e-13, 74, 9), (4.0, 1e-14, 77, 8), (3.0, 1e-8, 80, 5)]
+             (3.0, 1e-13, 74, 9), (4.0, 1e-14, 77, 8), (6.0, 1e-20, 97, 11)]
     for s, eps, bits, j0 in cells:
         prec = Precision(bits, eps)
         assert _fe_plan(s, eps, prec, DEFAULT_MAX_TERMS)[0] == j0, (s, eps)
@@ -248,7 +256,7 @@ def test_functional_equation_plan_follows_the_term_caps(bits, epsilons):
     # whose remainder fits 0.45 eps / J0
     def counters(p, tail):
         try:
-            return F_SERIES.required_counters(p, tail, DEFAULT_MAX_TERMS)
+            return F_SERIES.required_counters(p, tail, DEFAULT_MAX_TERMS).counters
         except ResourceLimitError:
             return math.inf
 
@@ -389,7 +397,7 @@ def test_period_doubling_series_against_itself_wider():
     for s in _PD_GRID_S:
         for eps in _PD_GRID_EPS:
             ref_eps = eps * 1e-3
-            if spec.required_counters(s, 0.7 * ref_eps, 10**12) > 2 * 10**5:
+            if spec.required_counters(s, 0.7 * ref_eps, 10**12).counters > 2 * 10**5:
                 continue
             for prec, cap in _pd_paths(eps):
                 r = eval_naive(spec, s, eps, prec, cap)
@@ -530,10 +538,18 @@ def test_abel_tail_bound_honesty(spec, letters):
 
 
 def test_abel_tail_counts_for_g_at_two():
-    # 2B (N+1)^-s <= 0.95 eps with B = 1: N = ceil(sqrt(2/(0.95e-8))) - 1
+    # the Abel law 2B (N+1)^-s <= 0.95 eps took N = 14,509 counters; blocks
+    # of 2^4 cut at N + 1 = 112 (= 7 * 16), and no aligned cut of any order
+    # with fewer counters fits 0.95 eps
     r = eval_naive(G_SERIES, 2.0, 1e-8)
-    assert r.terms_used == math.ceil(math.sqrt(2.0 / 0.95e-8)) - 1
-    assert G_SERIES.tail_bound(r.terms_used, 2.0) <= 0.95e-8 < G_SERIES.tail_bound(r.terms_used - 1, 2.0)
+    assert r.terms_used == 111
+    assert G_SERIES.required_counters(2.0, 0.95e-8, DEFAULT_MAX_TERMS).ks == (4,)
+    assert G_SERIES.tail_bound(111, 2.0, 4) <= 0.95e-8
+    assert G_SERIES.tail_bound(14_509, 2.0) <= 0.95e-8 < G_SERIES.tail_bound(14_508, 2.0)
+    for k in range(8):
+        for n in range((1 << k) - 1, 111, 1 << k):
+            if n >= 2:
+                assert G_SERIES.tail_bound(n, 2.0, k) > 0.95e-8, (n, k)
 
 
 def test_odd_mean_tail_at_huge_s():
@@ -628,52 +644,53 @@ _KERNEL_FORMS = {
 }
 
 # (stream, form, working bits) -> eval_naive's (terms_used, abs_error_bound)
-# at s = 6 and eps 1e-12 (64 bits) or 1e-16 (113 bits), as the per-term
-# mpmath loop that the kernel replaced reported them; the period-doubling
-# rows are those of its Abel tail (mu = 1/3, B = 1 + (log2 M)/4), which
-# replaced its constant majorant after the kernel, and every mean-part leaf
-# zeta(s, N1), N1 >= 16, has since summed no prefix: 15 terms fewer each
+# at s = 6 and eps 1e-12 (64 bits) or 1e-16 (113 bits).  The alphabets cut
+# where aligned 2^k blocks of t bound their tails (2^k <= 16 here, so 36-161
+# counters where the Abel law of the per-term loop the kernel replaced took
+# 54-589); period-doubling keeps its Abel tail (mu = 1/3, B = 1 + (log2
+# M)/4), composite9 with each progression cut on its own share; every
+# mean-part leaf zeta(s, N1), N1 >= 16, sums no prefix
 _KERNEL_COUNTS = {
-    ("t", "n", 64): (107, 6.679037819294748e-13),
-    ("t", "n", 113): (493, 6.968489644299286e-17),
-    ("t", "shifted", 64): (107, 6.679037819294748e-13),
-    ("t", "shifted", 113): (493, 6.968489644299286e-17),
-    ("t", "odd", 64): (54, 6.663475326001642e-13),
-    ("t", "odd", 113): (247, 6.972021570123546e-17),
-    ("pm", "n", 64): (113, 9.111772587044397e-13),
-    ("pm", "n", 113): (525, 9.443120481659301e-17),
-    ("pm", "shifted", 64): (113, 9.111772587044397e-13),
-    ("pm", "shifted", 113): (525, 9.443120481659301e-17),
-    ("pm", "odd", 64): (57, 8.646590082147597e-13),
-    ("pm", "odd", 113): (263, 9.336117403050857e-17),
-    ("delta", "n", 64): (113, 9.111772587044397e-13),
-    ("delta", "n", 113): (525, 9.443120481659301e-17),
-    ("pd", "n", 64): (142, 6.87782557339373e-13),
-    ("pd", "n", 113): (678, 6.962910129224643e-17),
-    ("pd", "odd", 64): (71, 6.569473481142944e-13),
-    ("pd", "odd", 113): (336, 6.886870334678854e-17),
-    ("pd", "composite9", 64): (143, 6.877825910258808e-13),
-    ("pd", "composite9", 113): (679, 6.962910190533032e-17),
-    ("digitsum3", "n", 64): (307, 9.380404367029797e-13),
-    ("digitsum3", "n", 113): (2027, 9.483464434723061e-17),
-    ("third-five-halves", "n", 64): (121, 6.922437441518106e-13),
-    ("third-five-halves", "n", 113): (561, 6.954532580387056e-17),
-    ("third-five-halves", "shifted", 64): (121, 6.922437441518106e-13),
-    ("third-five-halves", "shifted", 113): (561, 6.954532580387056e-17),
-    ("third-five-halves", "odd", 64): (61, 6.90378456560611e-13),
-    ("third-five-halves", "odd", 113): (281, 6.958582977933552e-17),
-    ("neg", "n", 64): (126, 6.878707470036041e-13),
-    ("neg", "n", 113): (584, 6.933301866156577e-17),
-    ("neg", "shifted", 64): (126, 6.878707470036041e-13),
-    ("neg", "shifted", 113): (584, 6.933301866156577e-17),
-    ("neg", "odd", 64): (64, 6.565874003631935e-13),
-    ("neg", "odd", 113): (293, 6.863824777650625e-17),
-    ("three-tenth", "n", 64): (127, 6.926237707013996e-13),
-    ("three-tenth", "n", 113): (589, 6.948694731979839e-17),
-    ("three-tenth", "shifted", 64): (127, 6.926237707013996e-13),
-    ("three-tenth", "shifted", 113): (589, 6.948694731979839e-17),
-    ("three-tenth", "odd", 64): (64, 6.911689005246462e-13),
-    ("three-tenth", "odd", 113): (295, 6.951846067462346e-17),
+    ('t', 'n', 64): (56, 4.963394756727586e-13),
+    ('t', 'n', 113): (144, 5.0490797695970194e-17),
+    ('t', 'shifted', 64): (57, 4.232510725269734e-13),
+    ('t', 'shifted', 113): (145, 4.711483279635222e-17),
+    ('t', 'odd', 64): (37, 4.166716208010117e-13),
+    ('t', 'odd', 113): (97, 5.78816853799695e-17),
+    ('pm', 'n', 64): (63, 5.968600619716834e-13),
+    ('pm', 'n', 113): (159, 7.823109634593155e-17),
+    ('pm', 'shifted', 64): (56, 8.464234669769495e-13),
+    ('pm', 'shifted', 113): (144, 9.421319554863307e-17),
+    ('pm', 'odd', 64): (36, 8.33275056253892e-13),
+    ('pm', 'odd', 113): (96, 8.636517343470042e-17),
+    ('delta', 'n', 64): (56, 9.19506046611026e-13),
+    ('delta', 'n', 113): (160, 7.609805793233215e-17),
+    ('pd', 'n', 64): (142, 6.877825573396487e-13),
+    ('pd', 'n', 113): (678, 6.962910129224643e-17),
+    ('pd', 'odd', 64): (71, 6.569473481142987e-13),
+    ('pd', 'odd', 113): (336, 6.886870334678854e-17),
+    ('pd', 'composite9', 64): (150, 6.656920962239824e-13),
+    ('pd', 'composite9', 113): (710, 6.966193794625144e-17),
+    ('digitsum3', 'n', 64): (307, 9.380404367029797e-13),
+    ('digitsum3', 'n', 113): (2027, 9.483464434723061e-17),
+    ('third-five-halves', 'n', 64): (64, 6.466422986229584e-13),
+    ('third-five-halves', 'n', 113): (160, 3.81472799014968e-17),
+    ('third-five-halves', 'shifted', 64): (65, 5.712125065186001e-13),
+    ('third-five-halves', 'shifted', 113): (161, 3.5843080425592197e-17),
+    ('third-five-halves', 'odd', 64): (41, 3.9291810721414653e-13),
+    ('third-five-halves', 'odd', 113): (105, 6.12412539931672e-17),
+    ('neg', 'n', 64): (64, 4.814020714702841e-13),
+    ('neg', 'n', 113): (160, 4.840973517265781e-17),
+    ('neg', 'shifted', 64): (65, 4.206519502077863e-13),
+    ('neg', 'shifted', 113): (161, 4.5485608712265636e-17),
+    ('neg', 'odd', 64): (41, 4.986695367551991e-13),
+    ('neg', 'odd', 113): (113, 4.0015331426717696e-17),
+    ('three-tenth', 'n', 64): (64, 4.327747308503365e-13),
+    ('three-tenth', 'n', 113): (160, 5.1056316251079546e-17),
+    ('three-tenth', 'shifted', 64): (65, 3.764120885841672e-13),
+    ('three-tenth', 'shifted', 113): (161, 4.7972362063042666e-17),
+    ('three-tenth', 'odd', 64): (41, 5.258956781276295e-13),
+    ('three-tenth', 'odd', 113): (113, 4.220023641211151e-17),
 }
 
 
@@ -802,12 +819,12 @@ def _primes_below(top: float) -> list[int]:
 
 
 def test_mp_kernel_powers_only_at_primes(monkeypatch):
-    # N = 2061 denominators and pi(2061) = 310 primes among them, but only
+    # N = 191 denominators and pi(191) = 43 primes among them, but only
     # 2 and the odd primes below 4s = 16.08 take a power; every other prime
     # is a binomial step from a neighbour
     bases = _counting_powers(monkeypatch)
     r = eval_naive(G_SERIES, 4.02, 1e-13)
-    assert r.terms_used == 2061
+    assert r.terms_used == 191
     assert sorted(bases) == _primes_below(4 * 4.02) == [2, 3, 5, 7, 11, 13]
 
 

@@ -22,6 +22,7 @@ from autoseries.evaluator import (
     GAMMA_SERIES,
     PHI_SERIES,
     SeriesSpec,
+    _FE_CAPS,
     _fe_plan,
     eval_functional_equation,
 )
@@ -161,6 +162,9 @@ def test_mpmath_call_builds_one_table_and_powers_only_small_primes(monkeypatch, 
 
 @pytest.mark.parametrize("s, eps", [(2.2, 1e-12), (2.5, 1e-12), (2.0, 1e-10), (1.1, 1e-8)])
 def test_float_call_builds_one_block(monkeypatch, s, eps):
+    # aligned blocks sum f directly in at most 640 float64 counters at
+    # these eps, so the levels run only with the direct cap forced to 0
+    monkeypatch.setitem(_FE_CAPS, True, (0, _FE_CAPS[True][1]))
     rows = _spy(monkeypatch, SeriesSpec, "_term_rows")
     blocks = _spy(monkeypatch, SeriesSpec, "term_block")
     r = eval_functional_equation(s, eps)

@@ -291,12 +291,14 @@ def mp_powers(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("bits, powers", [(53, (0, 0, 0)), (80, (21, 23, 12))])
+@pytest.mark.parametrize("bits, powers", [(53, (0, 0, 0)), (80, (7, 8, 8))])
 def test_mpmath_power_counts(mp_powers, bits, powers):
     # the double path takes no mpmath power; on the 80-bit path each leaf
-    # takes its correction terms' power once, where the schedule's scan and
-    # the sum each took it (22, 24 and 29 powers before), and phi's mean
-    # leaf zeta(s, N1), N1 >= 16, sums no prefix
+    # takes one power per prime: its base's (N+a)^-s, and zeta(s)'s prefix
+    # composites as products, and its budget scales by 2^-k with ldexp (21,
+    # 23 and 12 powers before, and 22, 24 and 29 before the schedule's scan
+    # and the sum shared their terms); phi's naive sum cuts after 112
+    # counters, and its mean leaf zeta(s, N1), N1 >= 16, sums no prefix
     calls = [
         lambda p: riemann_zeta(3.0, p),
         lambda p: dirichlet_eta(3.0, p),
@@ -308,6 +310,21 @@ def test_mpmath_power_counts(mp_powers, bits, powers):
         call(Precision(bits, 1e-10))
         counts.append(mp_powers[0])
     assert tuple(counts) == powers
+
+
+@pytest.mark.parametrize("s", [1.5, 2.0, 3.5, 4.0, 6.0])
+def test_mpmath_leaves_take_one_power_per_prime(mp_powers, s):
+    # zeta(s) at 77 bits: its prefix 1..16 takes the primes below 16 and its
+    # base 17 one power (19 before: 16 for the prefix, 3 for the base); a
+    # Hurwitz leaf at a >= 16 sums no prefix and takes its base's alone
+    ctx = mpmath.MPContext()
+    ctx.prec = 200
+    for a, bound in ((1, 7), (96.5, 1), (4097.0, 1)):
+        mp_powers[0] = 0
+        r = _hurwitz_core(s, a, Precision(77, 1e-13))
+        assert mp_powers[0] <= bound, (a, mp_powers[0])
+        ref = ctx.zeta(ctx.mpf(s), ctx.mpf(a))
+        assert abs(ctx.mpf(r.value) - ref) <= r.abs_error_bound, a
 
 
 @pytest.mark.parametrize("a", [0.25, Fraction(1, 4)])
