@@ -13,9 +13,8 @@ live here; ``identities.eval_series_spec`` picks among all four:
 
   which is (1/2, 1/2) for t_n = {0, 1}, (0, 1) for e_n = {1, -1}, and, as
   sums of alphabets add their mu and B, (0, 1) for d_n = t_n - t_{n-1}.
-  Each entry a j + b of the ``denominators`` table is truncated on its
-  own, at its first omitted counter N1, with weights w_n = (a n + b)^-s
-  decreasing to 0.  Abel summation gives
+  For weights w_n decreasing to 0 (the dominant entry a n + b of the
+  ``denominators`` table, w_n = (a n + b)^-s), Abel summation gives
   sum_{n>=N1} (c_n - mu) w_n = -R_{N1} w_{N1} + sum_{n>N1} R_n (w_{n-1} - w_n)
   (R_n w_n -> 0 as B grows like a logarithm).  With a constant B this
   lies within 2B w_{N1}.  With B(M) = B + g log2 M the second sum, summed
@@ -57,18 +56,14 @@ live here; ``identities.eval_series_spec`` picks among all four:
   at most N1 - rho) and keeps the k with the fewest counters: g(2) to
   1e-8 takes 111 counters at k = 4, where k = 0 took 14,509.
 
-  The entries of the table share the tail's eps in proportion to
-  a^(-s/(s+1)), which minimises their total count for power laws of one
-  constant; composite9's (4n+3)^-s entry stops at about a third of its
-  n^-s entry's counters from s of about 1.5 on (nearer s = 1 one cut of
-  both under the n^-s law at the whole share sums fewer weights, and is
-  kept: n^-s - (4n+3)^-s decreases and is at most n^-s).  The mean part mu sum_{n>=N1} w_n is the sum
-  over the entries, each at its own N1, of sign mu a^-s zeta(s, N1 +
-  b/a): mu (zeta(s, N1) - 4^-s zeta(s, N1' + 3/4)) for composite9
-  (``SeriesSpec.mean_tail``).  The mean part (mu != 0 only) comes from
-  the Euler-Maclaurin engine.  Period-doubling keeps the Abel law and
-  digit sums the (b-1)(log_b n + 1) majorant and its integral, each with
-  the truncation point from ``_truncation_search``.
+  The mean part mu sum_{n>=N1} w_n is the sum over the ``denominators``
+  table of sign mu step^-s zeta(s, d/step): mu a^-s zeta(s, N1 + b/a) for
+  one progression a n + b, and mu (zeta(s, N1) - 4^-s zeta(s, N1 + 3/4))
+  for composite9 (``SeriesSpec.mean_tail``), whose weight n^-s - (4n+3)^-s
+  decreases and is at most n^-s, so it takes the n^-s law.  The mean part
+  (mu != 0 only) comes from the Euler-Maclaurin engine.  Period-doubling
+  keeps the Abel law and digit sums the (b-1)(log_b n + 1) majorant and
+  its integral, each with the truncation point from ``_truncation_search``.
 
 * ``eval_functional_equation``: the binomial functional equation
   f(p) = sum_{k>=1} w_k(p) f(p+k), w_k(p) = 2^(-p-k) binom(p+k-1, k) > 0
@@ -88,10 +83,10 @@ live here; ``identities.eval_series_spec`` picks among all four:
   gives their geometric majorant (``_fe_truncation``).  A level's bound
   is sum_k w_k bound_{j+k} plus its truncation, rounding and row bound;
   the weights sum to 1 - 2^-p < 1, so the error does not grow with depth.
-  ``_fe_plan`` reads two constants per path (``_FE_CAPS``): J0 = 0, f(s)
+  ``_fe_plan`` reads the path's direct cap (``_FE_CAPS``): J0 = 0, f(s)
   summed by ``eval_naive``, while that takes at most the direct cap of
-  terms, and otherwise M, with J0 the least level whose leaf bound fits
-  0.45 eps.  At large s the direct sum is the only plan.
+  terms, and otherwise M = ``_FE_M``, with J0 the least level whose leaf
+  bound fits 0.45 eps.  At large s the direct sum is the only plan.
 
 * The zeta + f decomposition and the odd-index split need no kernel of
   their own: each is a linear form sum_i c_i(2^s) leaf_i, certified by
@@ -110,10 +105,7 @@ On the double path every partial-sum loop uses compensated (Kahan)
 accumulation over fixed 2^14-term chunks, so results are bit-reproducible,
 and every reported bound adds an explicit rounding budget,
 ``_ROUNDING_OPS`` u times the absolute-sum majorant, on top of the
-analytic tail.  Each entry of the denominator table adds to its own
-counters only: the float64 block stops an entry at its end
-(``SeriesSpec.term_block``), and the fixed-point kernel reads every entry
-from one weight table.  Wider working precisions sum in fixed point
+analytic tail.  Wider working precisions sum in fixed point
 (``fixed_point.fixed_point_sums``) at P = working bits + 20 + log2 N bits.
 Only 2 and the odd primes below 4s take an ``mpmath`` power: n^-s is
 completely multiplicative, so a composite's weight is a product of two
@@ -186,19 +178,13 @@ class DenominatorForm(Enum):
 
 
 class Truncation(NamedTuple):
-    """Where ``eval_naive`` stops: ``counts[i]`` counters of denominator
-    entry i summed, the rest of that entry bounded over aligned blocks of
-    2^``ks[i]`` counters (``SeriesSpec.required_counters``), and the sum
-    of those bounds."""
+    """Where ``eval_naive`` stops: the first ``counters`` counters summed,
+    the rest bounded over aligned blocks of 2^``k`` counters
+    (``SeriesSpec.required_counters``) within ``bound``."""
 
-    counts: tuple[int, ...]
-    ks: tuple[int, ...]
+    counters: int
+    k: int
     bound: float
-
-    @property
-    def counters(self) -> int:
-        """The coefficients read: the longest entry's count."""
-        return max(self.counts)
 
 
 @dataclass(frozen=True)
@@ -208,19 +194,22 @@ class SeriesSpec:
     A shift is the stream's: f(s) = sum e_{n-1}/n^s is the alphabet
     {1, -1} read at n - 1 (``CoefficientSequence.affine(1, -1, 1)``).
 
-    ``denominators`` is the one table of the forms.  Each entry (sign, b,
-    a) at counter 0 is a progression a j + b, truncated on its own: with
-    j0 = ``counter_start`` and j1 = j0 + n the first counter it omits, mu
-    the mean, B + g log2 j the discrepancy bound and C the majorant,
+    ``denominators`` is the one table of the forms; every other quantity
+    is one formula over it, most over its dominant (first) progression
+    a j + b, with j0 = ``counter_start``, j1 = j0 + n the first omitted
+    counter after n, mu the mean, B + g log2 j the discrepancy bound and
+    C the majorant:
 
-    * its tail law (``tail_bound``): for a sum of alphabets over t, in
-      aligned blocks of 2^k counters, sum over the parts of 2A 2^(k(k-1)/2)
+    * tail law (``tail_bound``): for a sum of alphabets over t, in aligned
+      blocks of 2^k counters, the sum over the parts of 2A 2^(k(k-1)/2)
       a^k (s)_k (a j1 + b)^-(s+k), A = |high - low|/2 (k = 0 is the Abel
       law 2B (a j1 + b)^-s); for a growing discrepancy (B(j1) + B(j1+1) +
       g (a+b)/(a s ln 2)) (a j1 + b)^-s;
-    * its mean part: sign mu a^-s zeta(s, j1 + b/a) (``mean_tail``);
+    * mean part after n counters: the sum over the table's entries
+      (sign, d, step) at counter j1 of sign mu step^-s zeta(s, d/step),
+      mu a^-s zeta(s, j1 + b/a) for a single progression (``mean_tail``);
     * terms majorant (``abs_sum_bound``) C (1 + (1 - (a (j0+n-1) +
-      b)^(1-s))/(a (s-1))) over the first entry's n counters; composite9's
+      b)^(1-s))/(a (s-1))) over the first n counters; composite9's
       n^-s - (4n+3)^-s is at most n^-s.
     """
 
@@ -259,9 +248,10 @@ class SeriesSpec:
         return max(-((b - 1) // a) for _, b, a in self.denominators(0))
 
     @cached_property
-    def _progressions(self) -> tuple[tuple[float, float], ...]:
-        """(a, b) of each entry: its denominator at counter j is a j + b."""
-        return tuple((float(a), float(b)) for _, b, a in self.denominators(0))
+    def _progression(self) -> tuple[float, float]:
+        """(a, b): the dominant denominator a j + b at counter j."""
+        _, b, a = self.denominators(0)[0]
+        return float(a), float(b)
 
     @cached_property
     def _oscillation(self) -> tuple[int, dict[int, float], float] | None:
@@ -284,43 +274,16 @@ class SeriesSpec:
 
     # -- terms ----------------------------------------------------------------
 
-    def term_block(self, lo: int, hi: int, s: float,
-                   ends: tuple[int, ...] | None = None) -> np.ndarray:
-        """Terms for counters j in [lo, hi) as float64; where ``ends`` is
-        given, entry i of the table adds to the counters below ``ends[i]``
-        only (the first, dominant entry runs longest)."""
+    def term_block(self, lo: int, hi: int, s: float) -> np.ndarray:
+        """Terms for counters j in [lo, hi) as float64."""
         # coefficients first: made after the weights, the freed arrays let
         # malloc trim the heap, and each chunk faulted in fresh pages
         c = self.coeffs.block(lo, hi)
         weights = None
-        for i, (sign, d, step) in enumerate(self.denominators(lo)):
-            top = hi if ends is None else min(hi, ends[i])
-            if top <= lo:
-                continue
-            w = np.arange(d, d + step * (top - lo), step, dtype=np.float64) ** (-s)
-            if weights is None:
-                weights = w
-            else:
-                weights[: top - lo] += sign * w
-        return c * weights
-
-    def _term_rows(self, lo: int, hi: int, s: float, rows: int) -> np.ndarray:
-        """Terms for counters j in [lo, hi) at the exponents s + i, i <
-        ``rows``, one float64 row per exponent.
-
-        Row 0 is d^-s and each next row multiplies by 1/d, so no exponent is
-        rounded; an entry of row i is within (2i + 3) u of its term,
-        relatively, and d = 1 is exact."""
-        c = self.coeffs.block(lo, hi)
-        block = None
         for sign, d, step in self.denominators(lo):
-            dens = np.arange(d, d + step * (hi - lo), step, dtype=np.float64)
-            w = np.empty((rows, hi - lo))
-            w[0] = dens ** (-s)
-            w[1:] = 1.0 / dens
-            np.cumprod(w, axis=0, out=w)
-            block = w if block is None else block + sign * w
-        return c * block
+            w = np.arange(d, d + step * (hi - lo), step, dtype=np.float64) ** (-s)
+            weights = w if weights is None else weights + sign * w
+        return c * weights
 
     # -- analytic bounds -------------------------------------------------------
 
@@ -333,26 +296,13 @@ class SeriesSpec:
     def tail_bound(self, n_counters: int, s: float, k: int = 0) -> float:
         """Upper bound on |(sum of all terms beyond the first n_counters)
         - (their mean part, ``mean_tail``) - (their boundary terms,
-        ``boundary_terms``)|, every entry of the table cut there, over
-        aligned blocks of 2^k counters (k = 0: the Abel law)."""
-        if not k and len(self._progressions) == 1 and n_counters >= 1:
-            # the functional equation reads its leaves' Abel law here, up
-            # to some 60 times a call: the one entry's law, inline
-            osc = self._oscillation
-            if osc is not None:
-                a, b = self._progressions[0]
-                return osc[2] * (a * (self.counter_start + n_counters) + b) ** -s
-        bound = self._entry_tail(0, n_counters, s, k)
-        for i in range(1, len(self._progressions)):
-            bound += self._entry_tail(i, n_counters, s, k)
-        return bound
-
-    def _entry_tail(self, i: int, n: int, s: float, k: int) -> float:
-        """The tail law of entry i of the table cut after n counters (the
-        class docstring; proofs in the module docstring)."""
+        ``boundary_terms``)|, over aligned blocks of 2^k counters (k = 0:
+        the Abel law); the class docstring gives the laws, the module
+        docstring their proofs."""
+        n = n_counters
         if n < 1:
             raise DomainError("tail bound needs at least one summed term")
-        a, b = self._progressions[i]
+        a, b = self._progression
         j1 = self.counter_start + n
         osc = self._oscillation
         if osc is not None:
@@ -391,20 +341,19 @@ class SeriesSpec:
             * ((ln_n / (s - 1.0) + 1.0 / (s - 1.0) ** 2) / lnb + 1.0 / (s - 1.0))
         )
 
-    def mean_tail(self, counts: tuple[int, ...], s: float, ctx: MPContext | None):
+    def mean_tail(self, n_counters: int, s: float, ctx: MPContext | None):
         """(coefficient, x) pairs with mu * (sum of the weights beyond the
-        first counts[i] counters of each entry i) = sum of coefficient *
-        zeta(s, x); for a series with mu != 0.
+        first n_counters) = sum of coefficient * zeta(s, x); for a series
+        with mu != 0.
 
-        Entry (sign, d, step) of the table at its first omitted counter
+        Entry (sign, d, step) of the table at the first omitted counter
         holds the weights sign (d + step k)^-s, k >= 0, which sum to sign
         step^-s zeta(s, d/step): one pair for n^s and (2n+1)^s, and for
-        composite9 mu (zeta(s, N1) - 4^-s zeta(s, N1' + 3/4)).  ``ctx`` is
+        composite9 mu (zeta(s, N1) - 4^-s zeta(s, N1 + 3/4)).  ``ctx`` is
         ``_combine_ctx``'s context, where mu is exact to its rounding.
         """
         mu = self.coeffs.discrepancy[0]
-        j0 = self.counter_start
-        table = [self.denominators(j0 + n)[i] for i, n in enumerate(counts)]
+        table = self.denominators(self.counter_start + n_counters)
         if ctx is None:
             mu = float(mu)
             return [(sign * (mu * float(step) ** (-s)), d / step) for sign, d, step in table]
@@ -413,21 +362,18 @@ class SeriesSpec:
         return [(sign * (mu * ctx.power(float(step), -ctx.mpf(s))), d / step)
                 for sign, d, step in table]
 
-    def boundary_terms(self, cut: "Truncation", s: float, ctx: MPContext | None) -> list:
-        """The terms a truncation adds by hand: where an entry's blocks start
-        at t_{j1} (rho = 0) with k >= 1, each part read at t_{j1-1} omits
-        its term at j1 from its blocks, and adds it here less its mean,
+    def boundary_terms(self, cut: Truncation, s: float, ctx: MPContext | None) -> list:
+        """The terms a truncation adds by hand: where blocks start at
+        t_{j1} (rho = 0) with k >= 1, each part read at t_{j1-1} omits its
+        term at j1 from its blocks, and adds it here less its mean,
         sign (c_{j1} - mu_part) (d at j1)^-s: floats, or mpfs of ``ctx``."""
         osc = self._oscillation
-        if osc is None or osc[0] or 1 not in osc[1]:
+        if not cut.k or osc is None or osc[0] or 1 not in osc[1]:
             return []
-        j0 = self.counter_start
+        j1 = self.counter_start + cut.counters
+        odd = (j1 - 1).bit_count() & 1
         out = []
-        for i, (n, k) in enumerate(zip(cut.counts, cut.ks)):
-            if not k:
-                continue
-            sign, d, _ = self.denominators(j0 + n)[i]
-            odd = (j0 + n - 1).bit_count() & 1
+        for sign, d, _ in self.denominators(j1):
             for low, high, shift in self.coeffs.parts:
                 if shift and low != high:
                     if ctx is None:
@@ -439,15 +385,15 @@ class SeriesSpec:
                         out.append(sign * (term if odd else -term))
         return out
 
-    def _growing_start(self, i: int, s: float, eps: float, cap: int, min_n: int) -> int:
-        """A count at most the least that entry i's Abel law of a growing
+    def _growing_start(self, s: float, eps: float, cap: int, min_n: int) -> int:
+        """A count at most the least that the Abel law of a growing
         discrepancy admits.  The law at j1 is at least (2B + g G(j))
         (a j1 + b)^-s for every j <= j1, G(j) = 2 log2 j + (a+b)/(a s ln
         2), so where no j1 below some j fits, none below the j' that
         solves this with G(j) does either: two such steps from G = 0 (less
         one counter, for the logs' roundings); ``min_n`` past the cap."""
         _, big_b, g = self.coeffs.discrepancy
-        a, b = self._progressions[i]
+        a, b = self._progression
         limit = math.log(a * 4.0 * cap)
         const = (a + b) / (a * s * math.log(2.0))
         j1 = 1.0
@@ -462,12 +408,12 @@ class SeriesSpec:
     def abs_sum_bound(self, n_counters: int, s: float) -> float:
         """Upper bound on the sum of |terms| over the first n_counters, used
         only for the rounding budget: C times the first weight plus the
-        integral of the first entry's (a x + b)^-s from j0 to j0 + n - 1,
-        at most 1 + (1 - (a (j0+n-1) + b)^(1-s))/(a (s-1)) as a j0 + b >= 1
-        (composite9's n^-s - (4n+3)^-s is at most n^-s).  Digit sums,
-        whose majorant C(n) grows, keep the whole series' 1 + 1/(a (s-1))."""
+        integral of (a x + b)^-s from j0 to j0 + n - 1, at most 1 + (1 -
+        (a (j0+n-1) + b)^(1-s))/(a (s-1)) as a j0 + b >= 1 (composite9's
+        n^-s - (4n+3)^-s is at most n^-s).  Digit sums, whose majorant
+        C(n) grows, keep the whole series' 1 + 1/(a (s-1))."""
         cbound = self.coeffs.bound_constant
-        a, b = self._progressions[0]
+        a, b = self._progression
         if cbound is None:
             cbound = self.coeffs.value_bound(max(n_counters, self.coeffs.base))
             return cbound * (1.0 + 1.0 / (a * (s - 1.0)))
@@ -478,39 +424,11 @@ class SeriesSpec:
     def required_counters(self, s: float, eps_tail: float, max_terms: int) -> Truncation:
         """The cheapest truncation whose tail bound undershoots eps_tail
         (cached: the functional equation's plan and the direct sum it may
-        hand f to ask the same question).
+        hand f ask the same question).
 
-        Each entry a j + b of the table gets its own cut and a share of
-        eps_tail in proportion to a^(-s/(s+1)): for laws K (a n)^-s of one
-        K, the shares that minimise the total count n_1 + n_2 + ... (each
-        share is then in proportion to its n).  A table of more entries
-        (composite9) may instead cut them all at one counter, under its
-        dominant entry's law at the whole eps_tail, where that sums fewer
-        weights (near s = 1, where halving a share nearly doubles a
-        count): the summed weight n^-s - (4n+3)^-s decreases and is at
-        most n^-s, and the period-doubling law has k = 0."""
-        n, k, bound = self._entry_cut(0, s, eps_tail, max_terms)
-        entries = len(self._progressions)
-        common = Truncation((n,) * entries, (k,) * entries, bound)
-        if entries == 1:
-            return common
-        weights = [a ** (-s / (s + 1.0)) for a, _ in self._progressions]
-        total = math.fsum(weights)
-        try:
-            cuts = [self._entry_cut(i, s, eps_tail * (w / total), max_terms)
-                    for i, w in enumerate(weights)]
-        except ResourceLimitError:
-            return common
-        if sum(common.counts) <= sum(n for n, _, _ in cuts):
-            return common
-        return Truncation(tuple(n for n, _, _ in cuts), tuple(k for _, k, _ in cuts),
-                          math.fsum(bound for _, _, bound in cuts))
-
-    def _entry_cut(self, i: int, s: float, eps: float, max_terms: int) -> tuple[int, int, float]:
-        """(n, k, tail bound) of entry i: for a sum of alphabets, the fewest
-        counters n over every block order k, n + j0 - rho a multiple of
-        2^k, solved in logs from the closed form; for the growing laws,
-        k = 0 and a search."""
+        For a sum of alphabets, the fewest counters n over every block
+        order k, n + j0 - rho a multiple of 2^k, solved in logs from the
+        closed form; for the growing laws, k = 0 and a search."""
         cap, cap_text = _term_cap(max_terms)
         min_n = max(2, self.counter_start + 1)
         osc = self._oscillation
@@ -520,24 +438,24 @@ class SeriesSpec:
             # of a growing discrepancy from n = 1 on
             digits = self.coeffs.discrepancy is None
             n = _truncation_search(
-                lambda n: self._entry_tail(i, n, s, 0),
+                lambda n: self.tail_bound(n, s),
                 max(min_n, self.coeffs.base, 16) if digits
-                else self._growing_start(i, s, eps, cap, min_n),
-                eps,
+                else self._growing_start(s, eps_tail, cap, min_n),
+                eps_tail,
                 max_terms,
                 what,
             )
-            return n, 0, self._entry_tail(i, n, s, 0)
+            return Truncation(n, 0, self.tail_bound(n, s))
         rho, amps, amp = osc
         if not amps:
-            return min_n, 0, 0.0
-        a, b = self._progressions[i]
+            return Truncation(min_n, 0, 0.0)
+        a, b = self._progression
         j0 = self.counter_start
         # C_k (a j1 + b)^-(s+k) <= eps solved in logs, so nothing overflows:
         # log x_k = (log C_k - log eps)/(s + k), C_k = 2B 2^(k(k-1)/2) a^k
         # (s)_k, is quasiconvex in k (a convex numerator over a positive
         # affine denominator), so the orders past its minimum are not tried
-        log_c = math.log(amp) - math.log(eps)
+        log_c = math.log(amp) - math.log(eps_tail)
         limit = math.log(a * 4.0 * cap)
         guesses = []
         need = least = last = math.inf
@@ -566,21 +484,21 @@ class SeriesSpec:
         best = None
         for n, k in sorted(guesses):
             block = 1 << k
-            if best is not None and n - block >= best[0]:
+            if best is not None and n - block >= best.counters:
                 break
             if k and len(amps) > 1:
                 while n - block >= min_n and n - block + j0 - rho >= block and \
-                        self._entry_tail(i, n - block, s, k) <= eps:
+                        self.tail_bound(n - block, s, k) <= eps_tail:
                     n -= block
-            while (bound := self._entry_tail(i, n, s, k)) > eps:
+            while (bound := self.tail_bound(n, s, k)) > eps_tail:
                 n += block
             if n > cap:
                 need = min(need, n)
-            elif best is None or n < best[0]:
-                best = (n, k, bound)
+            elif best is None or n < best.counters:
+                best = Truncation(n, k, bound)
         if best is None:
             raise ResourceLimitError(
-                f"naive evaluation of {self.label()} at s={s:g} to eps={eps:g} "
+                f"naive evaluation of {self.label()} at s={s:g} to eps={eps_tail:g} "
                 f"needs N~{need:.3g} terms (cap {cap_text})"
             )
         return best
@@ -690,21 +608,19 @@ def chunked_kahan_sum(block_fn, start: int, count: int) -> float:
     return total
 
 
-def _sum(spec: SeriesSpec, s, counts: tuple[int, ...], prec: Precision):
-    """The first ``counts[i]`` counters of each entry i of the table:
-    chunked float64 Kahan sum on the double path, the fixed-point kernel at
-    the working precision plus 20 + log2 N bits otherwise, N the longest
-    count."""
-    n = max(counts)
+def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision):
+    """The first ``n_counters`` terms: chunked float64 Kahan sum on the
+    double path, the fixed-point kernel at the working precision plus
+    20 + log2(n_counters) bits otherwise."""
     if prec.is_double:
-        j0 = spec.counter_start
-        ends = None if min(counts) == n else tuple(j0 + c for c in counts)
-        return chunked_kahan_sum(lambda lo, hi: spec.term_block(lo, hi, s, ends), j0, n)
+        return chunked_kahan_sum(
+            lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
+        )
     # imported here, so that a process on the double path never loads it
     from .fixed_point import fixed_point_sums
 
-    ctx = _mp_context(prec.working_bits + 20 + max(0, n.bit_length()))
-    (total,), shift = fixed_point_sums(spec, s, [n], ctx, entries=counts)
+    ctx = _mp_context(prec.working_bits + 20 + max(0, n_counters.bit_length()))
+    (total,), shift = fixed_point_sums(spec, s, [n_counters], ctx)
     return ctx.ldexp(ctx.mpf(total), -shift)
 
 
@@ -716,7 +632,7 @@ def partial_sum(spec: SeriesSpec, s: float, n_terms: int, prec: Precision | None
     s = _check_s(s)
     if n_terms < 1:
         raise DomainError("n_terms must be >= 1")
-    return _sum(spec, s, (n_terms,) * len(spec.denominators(0)), prec or Precision())
+    return _sum(spec, s, n_terms, prec or Precision())
 
 
 def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
@@ -934,7 +850,7 @@ def eval_naive(
         extra += term
         parts += abs(float(term))
     if spec.mean:
-        leaves = spec.mean_tail(cut.counts, s, ctx)
+        leaves = spec.mean_tail(n, s, ctx)
         # each |coef| = |mu| step^-s <= |mu|, so sharing by |mu| also
         # survives step^-s underflowing to 0
         share = _MEAN_FRACTION * eps / (abs(spec.mean) * len(leaves))
@@ -955,7 +871,7 @@ def eval_naive(
             f"rounding budget {rounding:g} at working precision "
             f"{prec.working_bits}; raise working_bits"
         )
-    return EvalResult(_sum(spec, s, cut.counts, prec) + extra, bound, terms, Method.NAIVE)
+    return EvalResult(_sum(spec, s, n, prec) + extra, bound, terms, Method.NAIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -981,13 +897,17 @@ def _combine_ctx(prec: Precision) -> MPContext | None:
 _FE_LEAF_SHARE = 0.45
 _FE_TRUNC_SHARE = 0.45
 
-# (direct cap, M) on the float64 (True) and the mpmath (False) path
+# The direct cap on the float64 (True) and the mpmath (False) path, and M
 # (``_fe_plan``): f(s) is summed directly while that takes at most the
 # direct cap of counters, and otherwise the levels recur on f's tail past M
-# terms.  In a forced sweep (ROADMAP item 12) the levels cost a near-fixed
-# 100-200 us in float64 and 300-900 us in mpmath, about what a direct sum
-# of 16,000 and 100-200 terms takes, and these M were at or near the best.
-_FE_CAPS = {True: (1 << 14, 256), False: (1 << 7, 16)}
+# terms.  In a forced sweep (ROADMAP item 12) a direct sum of 16,000
+# float64 or 100-200 mpmath terms cost about what the levels did, and
+# M = 16 was at or near the best on the mpmath path.  f summed directly in
+# float64 reads at most a few hundred counters at every eps that path
+# serves, so there only a term cap below that reaches the levels, which
+# then run in fixed point as on the mpmath path.
+_FE_CAPS = {True: 1 << 14, False: 1 << 7}
+_FE_M = 16
 
 
 @lru_cache(maxsize=64)
@@ -1049,24 +969,24 @@ def depth_for(s: float, eps: float, m: int) -> int:
 
 
 def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
-    """(J0, truncation depth K_j of each level j < J0, M), by the two
-    constants of the path (``_FE_CAPS``).
+    """(J0, truncation depth K_j of each level j < J0, M), by the path's
+    direct cap (``_FE_CAPS``).
 
     J0 = 0, f(s) summed directly (``eval_naive``, its tail at 0.95 eps),
     while that takes at most the direct cap of counters.  Otherwise M is
-    the path's, or half of ``cap`` where that is less, and J0 is the least
+    ``_FE_M``, or half of ``cap`` where that is less, and J0 is the least
     level whose leaves, each within 2(M+1)^-(s+J0) of 0, fit 0.45 eps.
     Each level's truncation remainder gets 0.45 eps / J0; the deepest
     level has the largest K, because the weights move outward as s + j
     grows."""
-    direct_cap, m = _FE_CAPS[prec.is_double]
+    direct_cap = _FE_CAPS[prec.is_double]
     try:
         direct = F_SERIES.required_counters(s, _TAIL_FRACTION * eps, cap).counters
     except ResourceLimitError:
         direct = math.inf
     if direct <= direct_cap:
         return 0, [], 0
-    m = min(m, cap // 2)
+    m = min(_FE_M, cap // 2)
     if m < 1:
         raise ResourceLimitError(
             f"functional-equation route for f at s={s:g} to eps={eps:g} needs "
@@ -1086,35 +1006,22 @@ def _exponent_floor(s: float, m: int) -> float:
 def _fe_rows(s: float, j0: int, m: int, prec: Precision, q: int):
     """The levels' own terms as integers scaled by 2^q, and their bounds:
     P_2M(s), f's first 2M terms, for level 0, and h_M(s + j), its terms
-    M < n <= 2M, for each level 0 < j < J0; all from one table of n^-s
-    over 2M counters: one float64 block (``SeriesSpec._term_rows``) or one
-    fixed-point table (``fixed_point_sums``).
+    M < n <= 2M, for each level 0 < j < J0; all from one fixed-point table
+    of n^-s over 2M counters (``fixed_point_sums``).
 
     A bound is the row's rounding and a unit of the scaling.  Row 0 stays
-    inside the naive route's ``_ROUNDING_OPS`` u envelope on both paths,
-    as for one exponent, over its own absolute sum.  In the block, an
-    entry of row j is within (2j + 3) u of its term, so an h row, M terms
-    each at most (M+1)^-(s+j), takes 2j u more than that envelope; in
-    fixed point each of its M weights is within 11 units of 2^-P."""
-    u = prec.unit_roundoff
-    if prec.is_double:
-        lo = F_SERIES.counter_start
-        block = F_SERIES._term_rows(lo, lo + 2 * m, s, j0)
-        # the first term, 1^-s, is exact, and added last
-        sums = [block[0, 0] + np.sum(block[0, 1:]), *np.sum(block[1:, m:], axis=1)]
-        rows = [(num << q) // den for num, den in map(float.as_integer_ratio, sums)]
-        h_bounds = [(_ROUNDING_OPS + 2 * j) * u * m * (m + 1.0) ** -_exponent_floor(s, j)
-                    for j in range(1, j0)]
-    else:
-        from .fixed_point import _WEIGHT_UNITS, fixed_point_sums
+    inside the naive route's ``_ROUNDING_OPS`` u envelope, as for one
+    exponent, over its own absolute sum; each of an h row's M weights is
+    within 11 units of 2^-P."""
+    from .fixed_point import _WEIGHT_UNITS, fixed_point_sums
 
-        ctx = _mp_context(prec.working_bits + 20 + (2 * m).bit_length())
-        totals, shift = fixed_point_sums(F_SERIES, s, [2 * m] * j0, ctx, m)
-        rows = [x << (q - shift) if q >= shift else x >> (shift - q) for x in totals]
-        h_bounds = [_WEIGHT_UNITS * m * 2.0 ** -ctx.prec] * (j0 - 1)
+    ctx = _mp_context(prec.working_bits + 20 + (2 * m).bit_length())
+    totals, shift = fixed_point_sums(F_SERIES, s, [2 * m] * j0, ctx, m)
+    rows = [x << (q - shift) if q >= shift else x >> (shift - q) for x in totals]
     # row 0's terms sum to at most 1 + int_1^2M x^-s dx in absolute value
     abs_row0 = 1.0 - math.expm1((1.0 - s) * math.log(2 * m)) / (s - 1.0)
-    bounds = [_ROUNDING_OPS * u * abs_row0, *h_bounds]
+    bounds = [_ROUNDING_OPS * prec.unit_roundoff * abs_row0,
+              *[_WEIGHT_UNITS * m * 2.0 ** -ctx.prec] * (j0 - 1)]
     return rows, [b + math.ldexp(1.0, -q) for b in bounds]
 
 

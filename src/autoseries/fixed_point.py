@@ -219,18 +219,14 @@ class _Weights:
 
 
 def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext,
-                     deep_from: int = 0, entries: tuple[int, ...] | None = None
-                     ) -> tuple[list[int], int]:
+                     deep_from: int = 0) -> tuple[list[int], int]:
     """Partial sums of ``spec`` (an ``evaluator.SeriesSpec``) at the
     exponents s, s + 1, ..., s + len(counts) - 1, the one at s over the first
     ``counts[0]`` counters and the one at s + i, i >= 1, over those from
     ``deep_from`` up to ``counts[i]`` (``counts`` does not increase), in fixed
     point at P = ctx.prec bits: integers S_i and a shift e with sum_i =
-    S_i 2^-e exactly, e >= P.  Where ``entries`` is given, entry i of the
-    denominator table adds at s over its first ``entries[i]`` counters only
-    (``counts`` then holds their largest alone), all from one weight table.
-    ``s`` is a float or an mpf, taken exactly (the binomial steps read its
-    dyadic value, not a rounding of it).
+    S_i 2^-e exactly, e >= P.  ``s`` is a float or an mpf, taken exactly
+    (the binomial steps read its dyadic value, not a rounding of it).
 
     The weights at s (``_Weights``) take ``ctx.power`` only at 2 and at the
     odd primes below 4s (past the table only where the table is too small
@@ -244,9 +240,7 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext,
     prec = ctx.prec
     j0 = spec.counter_start
     end = j0 + counts[0]
-    table0 = spec.denominators(j0)
-    ends = [end] * len(table0) if entries is None else [j0 + n for n in entries]
-    lasts = [(d + step * (e - j0 - 1), step) for (_, d, step), e in zip(table0, ends) if e > j0]
+    lasts = [(d + step * (counts[0] - 1), step) for _, d, step in spec.denominators(j0)]
     top = max(last for last, _ in lasts)
     primes = _odd_primes(math.isqrt(top))
     # an even d's odd part is at most d/2, an odd composite's cofactor at most d/3
@@ -265,18 +259,14 @@ def fixed_point_sums(spec, s, counts: list[int], ctx: MPContext,
         first_deep = deeper[0] if deeper else 0
         # and from which on it does (``deep_from``)
         start_deep = deep_from - (lo - j0)
-        for (sign, d0, step), entry_end in zip(spec.denominators(lo), ends):
-            # this entry's counters in the block
-            here = min(count, entry_end - lo)
-            if here <= 0:
-                continue
+        for sign, d0, step in spec.denominators(lo):
             # factors of the odd denominators past the table
             spf = None
-            if d0 + step * (here - 1) >= limit:
-                spf = _smallest_odd_factors(d0, step, here, primes)
+            if d0 + step * (count - 1) >= limit:
+                spf = _smallest_odd_factors(d0, step, count, primes)
             accs = [dict.fromkeys(letters, 0) for _ in range(1 + len(deeper))]
             acc = accs[0]
-            for i, v in enumerate(letters[:here] if here < count else letters):
+            for i, v in enumerate(letters):
                 if not v:
                     continue
                 d = d0 + step * i

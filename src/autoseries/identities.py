@@ -73,9 +73,12 @@ from .evaluator import (
 #: accelerated decomposition when one exists.
 AUTO_NAIVE_CAP = 30_000_000
 
-# The same on the mpmath path, whose naive terms cost about a hundred
-# times more: 2^16 of them take about 0.1 s, the decomposition a few ms.
-_AUTO_NAIVE_CAP_MP = 1 << 16
+# The same on the mpmath path, where aligned-block tails leave the naive
+# route a few hundred counters at 1e-13 to 1e-30: the decomposition (a zeta
+# leaf and the functional equation, about 0.6-3 ms at 74-130 bits) was the
+# faster route in nearly every grid cell past 384 counters, the naive sum
+# in nearly every cell below (ROADMAP item 12).
+_AUTO_NAIVE_CAP_MP = 384
 
 _SQRT2 = math.sqrt(2.0)
 

@@ -1,6 +1,5 @@
 """Naive tails over aligned 2^k Thue-Morse blocks: the law against closed
-forms, the counters it saves, one truncation per denominator entry, and
-the refusal of a term cap below one."""
+forms, the counters it saves, and the refusal of a term cap below one."""
 
 import math
 import time
@@ -140,11 +139,11 @@ def test_naive_work_guards(spec, s, eps, most):
     assert r.terms_used <= most and r.abs_error_bound <= eps
 
 
-def test_composite9_cuts_each_progression_on_its_own():
-    # n^-s and (4n+3)^-s each get their own cut and share; the Abel tail of
-    # the composite took 3,262 counters of both at (4, 1e-13)
+def test_composite9_cuts_both_progressions_at_one_counter():
+    # n^-s - (4n+3)^-s decreases and is at most n^-s, so one cut of both
+    # under the n^-s law (period-doubling keeps k = 0)
     cut = COMPOSITE9_SERIES.required_counters(4.0, 0.7e-13, DEFAULT_MAX_TERMS)
-    assert (cut.counts, cut.ks) == ((3508, 1128), (0, 0))
+    assert (cut.counters, cut.k) == (3262, 0)
     r = eval_series_spec(COMPOSITE9_SERIES, 4.0, 1e-13)
     ctx = _ctx()
     ref = ctx.power(4, -4) * ctx.zeta(4, ctx.mpf(1) / 4)

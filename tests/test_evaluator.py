@@ -24,6 +24,7 @@ from autoseries.evaluator import (
     SeriesSpec,
     ZETA_SERIES,
     _FE_CAPS,
+    _FE_M,
     _fe_plan,
     _fe_weights,
     depth_for,
@@ -209,22 +210,22 @@ def test_cross_method_grid():
         assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, s
 
 
-def test_functional_equation_levels_against_naive(monkeypatch):
+def test_functional_equation_levels_against_naive():
     # where the direct sum fits the path's direct cap the route takes it
     # (and says so): float64 (2, 1e-12) and mpmath (8, 1e-14) and (3, 1e-8);
-    # the plans below keep levels (in float64 only with the direct cap
-    # forced to 0: aligned blocks sum f directly in at most 640 counters
-    # there), which must agree with an independent naive sum
+    # the plans below keep levels (in float64 only under a term cap below
+    # the direct count: aligned blocks sum f directly in a few hundred
+    # counters there), which must agree with an independent naive sum
     assert eval_functional_equation(2.0, 1e-12).method is Method.NAIVE
     assert eval_functional_equation(8.0, 1e-14).method is Method.NAIVE
     assert eval_functional_equation(3.0, 1e-8, Precision(80, 1e-8)).method is Method.NAIVE
-    monkeypatch.setitem(_FE_CAPS, True, (0, _FE_CAPS[True][1]))
-    cells = [(2.0, 1e-10, 53, 3), (2.0, 1e-12, 53, 4), (2.5, 1e-12, 53, 3),
-             (3.0, 1e-13, 74, 9), (4.0, 1e-14, 77, 8), (6.0, 1e-20, 97, 11)]
-    for s, eps, bits, j0 in cells:
+    cells = [(2.0, 1e-10, 53, 64, 7), (2.0, 1e-12, 53, 64, 9), (2.5, 1e-12, 53, 64, 8),
+             (3.0, 1e-13, 74, DEFAULT_MAX_TERMS, 9), (4.0, 1e-14, 77, DEFAULT_MAX_TERMS, 8),
+             (6.0, 1e-20, 97, DEFAULT_MAX_TERMS, 11)]
+    for s, eps, bits, cap, j0 in cells:
         prec = Precision(bits, eps)
-        assert _fe_plan(s, eps, prec, DEFAULT_MAX_TERMS)[0] == j0, (s, eps)
-        rf = eval_functional_equation(s, eps, prec)
+        assert _fe_plan(s, eps, prec, cap)[0] == j0, (s, eps)
+        rf = eval_functional_equation(s, eps, prec, cap)
         assert rf.method is Method.FUNCTIONAL_EQUATION
         assert isinstance(rf.value, float) is (bits == 53)
         rn = eval_naive(F_SERIES, s, eps, prec)
@@ -260,7 +261,7 @@ def test_functional_equation_plan_follows_the_term_caps(bits, epsilons):
         except ResourceLimitError:
             return math.inf
 
-    direct_cap, m = _FE_CAPS[bits == 53]
+    direct_cap, m = _FE_CAPS[bits == 53], _FE_M
     for s in (1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 40.0):
         for eps in epsilons:
             j0, ks, plan_m = _fe_plan(s, eps, Precision(bits, eps), DEFAULT_MAX_TERMS)
@@ -543,7 +544,7 @@ def test_abel_tail_counts_for_g_at_two():
     # with fewer counters fits 0.95 eps
     r = eval_naive(G_SERIES, 2.0, 1e-8)
     assert r.terms_used == 111
-    assert G_SERIES.required_counters(2.0, 0.95e-8, DEFAULT_MAX_TERMS).ks == (4,)
+    assert G_SERIES.required_counters(2.0, 0.95e-8, DEFAULT_MAX_TERMS).k == 4
     assert G_SERIES.tail_bound(111, 2.0, 4) <= 0.95e-8
     assert G_SERIES.tail_bound(14_509, 2.0) <= 0.95e-8 < G_SERIES.tail_bound(14_508, 2.0)
     for k in range(8):
@@ -648,7 +649,7 @@ _KERNEL_FORMS = {
 # where aligned 2^k blocks of t bound their tails (2^k <= 16 here, so 36-161
 # counters where the Abel law of the per-term loop the kernel replaced took
 # 54-589); period-doubling keeps its Abel tail (mu = 1/3, B = 1 + (log2
-# M)/4), composite9 with each progression cut on its own share; every
+# M)/4), composite9 both progressions at one cut under the n^-s law; every
 # mean-part leaf zeta(s, N1), N1 >= 16, sums no prefix
 _KERNEL_COUNTS = {
     ('t', 'n', 64): (56, 4.963394756727586e-13),
@@ -669,8 +670,8 @@ _KERNEL_COUNTS = {
     ('pd', 'n', 113): (678, 6.962910129224643e-17),
     ('pd', 'odd', 64): (71, 6.569473481142987e-13),
     ('pd', 'odd', 113): (336, 6.886870334678854e-17),
-    ('pd', 'composite9', 64): (150, 6.656920962239824e-13),
-    ('pd', 'composite9', 113): (710, 6.966193794625144e-17),
+    ('pd', 'composite9', 64): (143, 6.877825910261564e-13),
+    ('pd', 'composite9', 113): (679, 6.962910190533032e-17),
     ('digitsum3', 'n', 64): (307, 9.380404367029797e-13),
     ('digitsum3', 'n', 113): (2027, 9.483464434723061e-17),
     ('third-five-halves', 'n', 64): (64, 6.466422986229584e-13),

@@ -22,9 +22,9 @@ from autoseries.evaluator import (
     GAMMA_SERIES,
     PHI_SERIES,
     SeriesSpec,
-    _FE_CAPS,
     _fe_plan,
     eval_functional_equation,
+    eval_naive,
 )
 from autoseries.fixed_point import _odd_primes
 from autoseries.identities import Route, eval_series_spec
@@ -162,14 +162,16 @@ def test_mpmath_call_builds_one_table_and_powers_only_small_primes(monkeypatch, 
 
 @pytest.mark.parametrize("s, eps", [(2.2, 1e-12), (2.5, 1e-12), (2.0, 1e-10), (1.1, 1e-8)])
 def test_float_call_builds_one_block(monkeypatch, s, eps):
-    # aligned blocks sum f directly in at most 640 float64 counters at
-    # these eps, so the levels run only with the direct cap forced to 0
-    monkeypatch.setitem(_FE_CAPS, True, (0, _FE_CAPS[True][1]))
-    rows = _spy(monkeypatch, SeriesSpec, "_term_rows")
+    # aligned blocks sum f directly in a few hundred float64 counters at
+    # these eps, so the levels run only under a term cap below that; they
+    # read one fixed-point table, as on the mpmath path, and no float64 block
+    tables = _spy(monkeypatch, fixed_point, "_Weights")
     blocks = _spy(monkeypatch, SeriesSpec, "term_block")
-    r = eval_functional_equation(s, eps)
+    r = eval_functional_equation(s, eps, max_terms=64)
     assert r.method is Method.FUNCTIONAL_EQUATION and isinstance(r.value, float)
-    assert len(rows) == 1 and blocks == []
+    assert len(tables) == 1 and blocks == []
+    rn = eval_naive(F_SERIES, s, eps)
+    assert abs(rn.value - r.value) <= rn.abs_error_bound + r.abs_error_bound
 
 
 def test_plan_asks_for_counters_at_most_twice(monkeypatch):

@@ -20,6 +20,7 @@ from autoseries.evaluator import (
     PHI_SERIES,
     SeriesSpec,
     eval_functional_equation,
+    eval_naive,
 )
 from autoseries.identities import (
     Eta,
@@ -33,6 +34,7 @@ from autoseries.identities import (
     Sqrt,
     TwoPowerRatio,
     Zeta,
+    _AUTO_NAIVE_CAP_MP,
     _EvalCache,
     _ODD_SPLIT,
     _decomposable,
@@ -405,14 +407,22 @@ def test_delta_is_f_over_one_minus_two_to_minus_s():
 @pytest.mark.parametrize("s, eps", [(1.1, 1e-10), (1.1, 1e-12), (1.1, 1e-14), (2.0, 1e-14)])
 def test_delta_auto_certifies_where_naive_cannot(s, eps):
     # under the Abel law these cells needed 2.4e9 naive terms at (1.1,
-    # 1e-10) and 1.5e7 mpmath terms at (2, 1e-14), and AUTO took the
-    # decomposition; aligned 2^k blocks cut them after at most 1,153, so
-    # AUTO sums them naively
+    # 1e-10) and 1.5e7 mpmath terms at (2, 1e-14); aligned 2^k blocks cut
+    # them after at most 1,151 counters and a boundary term.  AUTO takes
+    # the faster route: the naive sum in float64, the decomposition past
+    # the mpmath path's cap (639 and 1,151 counters at 1e-14, where the
+    # naive sum takes about twice the decomposition's 0.6-1.3 ms)
+    naive = eval_naive(DELTA_SERIES, s, eps)
+    assert naive.terms_used <= 1_152
     t0 = time.perf_counter()
     r = eval_series_spec(DELTA_SERIES, s, eps)
-    assert time.perf_counter() - t0 < 1.0
+    assert time.perf_counter() - t0 < 0.25
     assert r.abs_error_bound <= eps
-    assert r.method is Method.NAIVE and r.terms_used <= 1_153
+    if isinstance(r.value, float):
+        assert r.method is Method.NAIVE and r.terms_used == naive.terms_used
+    else:
+        assert naive.terms_used > _AUTO_NAIVE_CAP_MP
+        assert r.method is Method.FUNCTIONAL_EQUATION
 
 
 def test_decomposed_delta_calls_the_functional_equation_once(monkeypatch):
