@@ -257,8 +257,10 @@ def _value_text(value, bound: float) -> str:
         return repr(value)
     digits = 17
     if bound > 0.0:
-        scale = max(abs(float(value)), bound) / bound
-        digits = max(digits, 4 + math.ceil(math.log10(scale)))
+        # two logs, not one of the ratio, which overflows for a bound
+        # below the normal float range
+        scale = math.log10(max(abs(float(value)), bound)) - math.log10(bound)
+        digits = max(digits, 4 + math.ceil(scale))
     return to_str(value._mpf_, digits)
 
 

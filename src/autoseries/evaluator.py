@@ -83,10 +83,11 @@ live here; ``identities.eval_series_spec`` picks among all four:
   gives their geometric majorant (``_fe_truncation``).  A level's bound
   is sum_k w_k bound_{j+k} plus its truncation, rounding and row bound;
   the weights sum to 1 - 2^-p < 1, so the error does not grow with depth.
-  ``_fe_plan`` reads the path's direct cap (``_FE_CAPS``): J0 = 0, f(s)
-  summed by ``eval_naive``, while that takes at most the direct cap of
-  terms, and otherwise M = ``_FE_M``, with J0 the least level whose leaf
-  bound fits 0.45 eps.  At large s the direct sum is the only plan.
+  ``_fe_plan`` reads the path's direct caps (``_FE_CAPS``): J0 = 0, f(s)
+  summed by ``eval_naive``, while that takes at most the float64 cap of
+  counters and, on the mpmath path, a fixed-point head of at most the
+  mpmath cap, and otherwise M = ``_FE_M``, with J0 the least level whose
+  leaf bound fits 0.45 eps.  At large s the direct sum is the only plan.
 
 * The zeta + f decomposition and the odd-index split need no kernel of
   their own: each is a linear form sum_i c_i(2^s) leaf_i, certified by
@@ -105,8 +106,19 @@ On the double path every partial-sum loop uses compensated (Kahan)
 accumulation over fixed 2^14-term chunks, so results are bit-reproducible,
 and every reported bound adds an explicit rounding budget,
 ``_ROUNDING_OPS`` u times the absolute-sum majorant, on top of the
-analytic tail.  Wider working precisions sum in fixed point
-(``fixed_point.fixed_point_sums``) at P = working bits + 20 + log2 N bits.
+analytic tail.  Wider working precisions split a naive sum of N counters
+at a head h (``_naive_head``): the least h such that the float64 kernel's
+budget over counters h..N-1, ``_ROUNDING_OPS`` 2^-52 times their
+absolute-sum majorant (``abs_sum_bound`` from counter h), fits
+``_FLOAT_SHARE`` = eps/1024.  Those counters go through the float64
+kernel above, whose budget joins the bound (``_naive_truncation`` counts
+eps/1024 in its rounding share, so the cut allows for it), and the head
+through the fixed-point kernel (``fixed_point.fixed_point_sums``) at P =
+working bits + 20 + log2 h bits; the two add at the head's width.  The
+terms fall fast enough that h is a few to a few thousand counters where N
+runs to millions (composite9 at (3, 1e-20): 19,074 of 12,572,796).  The
+functional equation's plan and AUTO's mpmath test read h, not N
+(``_sums_directly``).  ``partial_sum`` keeps the whole sum in fixed point.
 Only 2 and the odd primes below 4s take an ``mpmath`` power: n^-s is
 completely multiplicative, so a composite's weight is a product of two
 smaller ones, and every other prime's is a binomial step w(m + r) = w(m)
@@ -141,7 +153,7 @@ from mpmath.ctx_mp import MPContext
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DomainError, ResourceLimitError
-from .precision import GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
+from .precision import DOUBLE_BITS, GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
 from .result import EvalResult, Method
 from .sequences import CoefficientSequence, SequenceKind
 from .special_functions import _hurwitz_core
@@ -169,6 +181,20 @@ _MEAN_FRACTION = 0.25
 # pairwise summation, and the cross-chunk Kahan combination, in units of
 # unit roundoff times the absolute-sum majorant.
 _ROUNDING_OPS = 32.0
+
+# The unit roundoff of float64, the one the float64 kernel's budget reads
+# on either path.
+_DOUBLE_UNIT = 2.0 ** (1 - DOUBLE_BITS)
+
+# The share of eps that the float64 part of a naive sum on the mpmath path
+# may take: the counters past the fixed-point head (``_naive_head``) are
+# summed by the float64 kernel, within ``_ROUNDING_OPS`` 2^-52 of their
+# absolute sum.
+_FLOAT_SHARE = 2.0 ** -10
+
+# The float64 part runs only where every weight d^-s, d the largest
+# denominator at the last counter, is at least 2^-this: normal, with room.
+_NORMAL_EXPONENT = 1000.0
 
 
 class DenominatorForm(Enum):
@@ -209,8 +235,9 @@ class SeriesSpec:
       (sign, d, step) at counter j1 of sign mu step^-s zeta(s, d/step),
       mu a^-s zeta(s, j1 + b/a) for a single progression (``mean_tail``);
     * terms majorant (``abs_sum_bound``) C (1 + (1 - (a (j0+n-1) +
-      b)^(1-s))/(a (s-1))) over the first n counters; composite9's
-      n^-s - (4n+3)^-s is at most n^-s.
+      b)^(1-s))/(a (s-1))) over the first n counters, and the same first
+      weight plus integral from any later counter; composite9's n^-s -
+      (4n+3)^-s is at most n^-s.
     """
 
     coeffs: CoefficientSequence
@@ -405,20 +432,27 @@ class SeriesSpec:
             j1 = max(1.0, (math.exp(log_x) - b) / a)
         return max(min_n, math.ceil(j1) - self.counter_start - 1)
 
-    def abs_sum_bound(self, n_counters: int, s: float) -> float:
-        """Upper bound on the sum of |terms| over the first n_counters, used
-        only for the rounding budget: C times the first weight plus the
-        integral of (a x + b)^-s from j0 to j0 + n - 1, at most 1 + (1 -
-        (a (j0+n-1) + b)^(1-s))/(a (s-1)) as a j0 + b >= 1 (composite9's
-        n^-s - (4n+3)^-s is at most n^-s).  Digit sums, whose majorant
-        C(n) grows, keep the whole series' 1 + 1/(a (s-1))."""
+    def abs_sum_bound(self, n_counters: int, s: float, start: int = 0) -> float:
+        """Upper bound on the sum of |terms| over the counters from the
+        ``start``-th to the ``n_counters``-th, used only for rounding
+        budgets: C times the first weight (a j + b)^-s, j = j0 + start,
+        plus the integral of (a x + b)^-s from j to j0 + n - 1, which is
+        1 + (1 - (a (j0+n-1) + b)^(1-s))/(a (s-1)) from the first counter
+        on, as a j0 + b = 1 (composite9's n^-s - (4n+3)^-s is at most
+        n^-s).  Digit sums, whose majorant C(n) grows, take C at the last
+        counter and the integral to infinity (the whole series' 1 + 1/(a
+        (s-1)) from the first counter on).  0 for an empty range."""
+        if start >= n_counters:
+            return 0.0
         cbound = self.coeffs.bound_constant
         a, b = self._progression
+        first = a * (self.counter_start + start) + b
         if cbound is None:
             cbound = self.coeffs.value_bound(max(n_counters, self.coeffs.base))
-            return cbound * (1.0 + 1.0 / (a * (s - 1.0)))
+            return cbound * (first ** -s + first ** (1.0 - s) / (a * (s - 1.0)))
         last = a * (self.counter_start + n_counters - 1) + b
-        return cbound * (1.0 - math.expm1((1.0 - s) * math.log(last)) / (a * (s - 1.0)))
+        span = math.expm1((1.0 - s) * (math.log(last) - math.log(first)))
+        return cbound * (first ** -s - first ** (1.0 - s) * span / (a * (s - 1.0)))
 
     @lru_cache(maxsize=256)
     def required_counters(self, s: float, eps_tail: float, max_terms: int) -> Truncation:
@@ -608,24 +642,33 @@ def chunked_kahan_sum(block_fn, start: int, count: int) -> float:
     return total
 
 
-def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision):
+def _sum(spec: SeriesSpec, s, n_counters: int, prec: Precision, head: int | None = None):
     """The first ``n_counters`` terms: chunked float64 Kahan sum on the
-    double path, the fixed-point kernel at the working precision plus
-    20 + log2(n_counters) bits otherwise."""
+    double path.  Otherwise the first ``head`` (all by default) in fixed
+    point at the working precision plus 20 + log2(head) bits, and the rest
+    by the float64 kernel (``_naive_head`` bounds it), added to the head
+    at the head's width."""
     if prec.is_double:
         return chunked_kahan_sum(
             lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start, n_counters
         )
+    head = n_counters if head is None else head
+    rest = chunked_kahan_sum(
+        lambda lo, hi: spec.term_block(lo, hi, s), spec.counter_start + head, n_counters - head
+    )
+    if head == 0:
+        return _combine_ctx(prec).mpf(rest)
     # imported here, so that a process on the double path never loads it
     from .fixed_point import fixed_point_sums
 
-    ctx = _mp_context(prec.working_bits + 20 + max(0, n_counters.bit_length()))
-    (total,), shift = fixed_point_sums(spec, s, [n_counters], ctx)
-    return ctx.ldexp(ctx.mpf(total), -shift)
+    ctx = _mp_context(prec.working_bits + 20 + head.bit_length())
+    (total,), shift = fixed_point_sums(spec, s, [head], ctx)
+    return ctx.ldexp(ctx.mpf(total), -shift) + rest
 
 
 def partial_sum(spec: SeriesSpec, s: float, n_terms: int, prec: Precision | None = None):
-    """Sum of the first ``n_terms`` terms, with no tail accounting.
+    """Sum of the first ``n_terms`` terms, with no tail accounting: on the
+    mpmath path all of them in fixed point, with no float64 part.
 
     Mainly useful for prefix checks and term-level algebra tests.
     """
@@ -798,17 +841,63 @@ def _zeta_leaf(zeta: Callable[[Precision], EvalResult], eps: float, prec: Precis
     return EvalResult(value, bound, z.terms_used, z.method)
 
 
+def _float_budget(spec: SeriesSpec, s: float, start: int, n_counters: int) -> float:
+    """The float64 kernel's bound over the counters from the ``start``-th
+    to the ``n_counters``-th: ``_ROUNDING_OPS`` 2^-52 times their
+    absolute-sum majorant, plus 2^-1070 per counter for the roundings that
+    land below the normal range, where they are absolute, not relative
+    (each of a term's few operations then errs by at most 2^-1075; the
+    caller keeps every weight normal).  0 for an all-zero stream, whose
+    terms are exact zeros."""
+    if start >= n_counters or spec.coeffs.bound_constant == 0:
+        return 0.0
+    return (_ROUNDING_OPS * _DOUBLE_UNIT * spec.abs_sum_bound(n_counters, s, start)
+            + (n_counters - start) * 2.0 ** -1070)
+
+
+def _naive_head(spec: SeriesSpec, s: float, eps: float, n_counters: int) -> tuple[int, float]:
+    """(h, bound): on the mpmath path the first h of the ``n_counters``
+    counters are summed in fixed point and the rest by the float64 kernel,
+    h the least head whose rest's ``_float_budget``, ``bound``, fits
+    ``_FLOAT_SHARE`` eps.  All of them go in fixed point where a weight at
+    the last counter would leave the normal float range."""
+    last = spec.denominators(spec.counter_start + n_counters - 1)
+    if s * math.log2(max(d for _, d, _ in last)) > _NORMAL_EXPONENT:
+        return n_counters, 0.0
+    target = _FLOAT_SHARE * eps
+
+    def fits(h: int) -> bool:
+        return _float_budget(spec, s, h, n_counters) <= target
+
+    # gallop from 0, then bisect; the budget does not increase with h and
+    # is 0 at h = n
+    lo, hi = -1, 0
+    while hi < n_counters and not fits(hi):
+        lo, hi = hi, max(1, 2 * hi)
+    hi = min(hi, n_counters)
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, _float_budget(spec, s, hi, n_counters)
+
+
 def _naive_truncation(spec: SeriesSpec, s: float, eps: float, max_terms: int,
                       prec: Precision) -> Truncation:
     """Where ``eval_naive`` cuts for ``eps``: the tail bound gets 0.95 eps,
     or 0.7 eps when the mean part's leaf takes 0.25 eps, and the rounding
-    budget the rest.  Where that budget takes more (near s = 1, where the
-    terms sum to about 1/(s-1)), the tail's share gives up twice the
-    excess: the finer cut reads a few more terms, whose sum grows by far
-    less."""
+    budget the rest, on the mpmath path with the float64 part's
+    ``_FLOAT_SHARE`` eps in it.  Where that budget takes more (near s = 1,
+    where the terms sum to about 1/(s-1)), the tail's share gives up twice
+    the excess: the finer cut reads a few more terms, whose sum grows by
+    far less."""
     share = eps * (_TAIL_FRACTION - (_MEAN_FRACTION if spec.mean else 0.0))
     cut = spec.required_counters(s, share, max_terms)
     rounding = _ROUNDING_OPS * prec.unit_roundoff * spec.abs_sum_bound(cut.counters, s)
+    if not prec.is_double:
+        rounding += _FLOAT_SHARE * eps
     excess = rounding - (1.0 - _TAIL_FRACTION) * eps
     if 0.0 < 2.0 * excess < share:
         cut = spec.required_counters(s, share - 2.0 * excess, max_terms)
@@ -840,7 +929,8 @@ def eval_naive(
     n = cut.counters
     u = prec.unit_roundoff
     abs_sum = spec.abs_sum_bound(n, s)
-    rounding = _ROUNDING_OPS * u * abs_sum
+    head, rounding = (n, 0.0) if prec.is_double else _naive_head(spec, s, eps, n)
+    rounding += _ROUNDING_OPS * u * abs_sum
     bound = cut.bound + rounding
     ctx = _combine_ctx(prec)
     edges = spec.boundary_terms(cut, s, ctx)
@@ -871,7 +961,7 @@ def eval_naive(
             f"rounding budget {rounding:g} at working precision "
             f"{prec.working_bits}; raise working_bits"
         )
-    return EvalResult(_sum(spec, s, n, prec) + extra, bound, terms, Method.NAIVE)
+    return EvalResult(_sum(spec, s, n, prec, head) + extra, bound, terms, Method.NAIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -897,16 +987,19 @@ def _combine_ctx(prec: Precision) -> MPContext | None:
 _FE_LEAF_SHARE = 0.45
 _FE_TRUNC_SHARE = 0.45
 
-# The direct cap on the float64 (True) and the mpmath (False) path, and M
-# (``_fe_plan``): f(s) is summed directly while that takes at most the
-# direct cap of counters, and otherwise the levels recur on f's tail past M
+# The direct caps (``_sums_directly``), and M (``_fe_plan``): f(s) is
+# summed directly while that takes at most the float64 (True) cap of
+# counters and, on the mpmath path, a fixed-point head of at most the
+# mpmath (False) cap, and otherwise the levels recur on f's tail past M
 # terms.  In a forced sweep (ROADMAP item 12) a direct sum of 16,000
-# float64 or 100-200 mpmath terms cost about what the levels did, and
-# M = 16 was at or near the best on the mpmath path.  f summed directly in
-# float64 reads at most a few hundred counters at every eps that path
-# serves, so there only a term cap below that reaches the levels, which
-# then run in fixed point as on the mpmath path.
-_FE_CAPS = {True: 1 << 14, False: 1 << 7}
+# float64 terms cost about what the levels did, and so did a mixed sum
+# with a head of 140-250 counters at 77-130 bits (AUTO's naive sums stayed
+# ahead of the decomposition up to heads of about 250); M = 16 was at or
+# near the best on the mpmath path.  f summed directly in float64 reads at
+# most a few hundred counters at every eps that path serves, so there
+# only a term cap below that reaches the levels, which then run in fixed
+# point as on the mpmath path.
+_FE_CAPS = {True: 1 << 14, False: 1 << 8}
 _FE_M = 16
 
 
@@ -968,23 +1061,34 @@ def depth_for(s: float, eps: float, m: int) -> int:
     raise ResourceLimitError(f"no workable truncation depth below 1000 for s={s:g}, eps={eps:g}")
 
 
+def _sums_directly(spec: SeriesSpec, s: float, eps: float, counters: float,
+                   prec: Precision) -> bool:
+    """Whether a naive sum of ``counters`` counters is within the path's
+    direct caps (``_FE_CAPS``): at most the float64 cap of counters, and
+    on the mpmath path a fixed-point head (``_naive_head``) of at most the
+    mpmath cap.  The functional equation's plan and AUTO's mpmath test both
+    read it."""
+    if counters > _FE_CAPS[True]:
+        return False
+    return prec.is_double or _naive_head(spec, s, eps, counters)[0] <= _FE_CAPS[False]
+
+
 def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
     """(J0, truncation depth K_j of each level j < J0, M), by the path's
-    direct cap (``_FE_CAPS``).
+    direct caps (``_FE_CAPS``).
 
     J0 = 0, f(s) summed directly (``eval_naive``, its tail at 0.95 eps),
-    while that takes at most the direct cap of counters.  Otherwise M is
+    while that fits the direct caps (``_sums_directly``).  Otherwise M is
     ``_FE_M``, or half of ``cap`` where that is less, and J0 is the least
     level whose leaves, each within 2(M+1)^-(s+J0) of 0, fit 0.45 eps.
     Each level's truncation remainder gets 0.45 eps / J0; the deepest
     level has the largest K, because the weights move outward as s + j
     grows."""
-    direct_cap = _FE_CAPS[prec.is_double]
     try:
         direct = F_SERIES.required_counters(s, _TAIL_FRACTION * eps, cap).counters
     except ResourceLimitError:
         direct = math.inf
-    if direct <= direct_cap:
+    if _sums_directly(F_SERIES, s, eps, direct, prec):
         return 0, [], 0
     m = min(_FE_M, cap // 2)
     if m < 1:

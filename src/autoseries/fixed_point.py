@@ -1,8 +1,10 @@
 """Fixed-point partial sums of Dirichlet series, the mpmath summation path.
 
 ``fixed_point_sums`` sums c_j times each of a series' denominator powers
-d^-s at a context width P (``evaluator._sum`` picks P = working bits + 20
-+ log2 N), and, from the same table, at s + 1, s + 2, ... when asked.
+d^-s at a context width P, and, from the same table, at s + 1, s + 2, ...
+when asked.  ``evaluator._sum`` hands it a naive sum's head, the first h
+counters, at P = working bits + 20 + log2 h (the float64 kernel sums the
+rest, ``evaluator._naive_head``), or every counter for ``partial_sum``.
 Denominator d gets an integer weight w(d) within ``_WEIGHT_UNITS`` = 11
 units of 2^P d^-s (``_Weights``), for every s > 1.  Only 2 and the odd
 primes below about 4s take a ``ctx.power`` (a log and an exp); every other

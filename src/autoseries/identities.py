@@ -65,20 +65,16 @@ from .evaluator import (
     _combine_ctx,
     _linear_form,
     _naive_truncation,
+    _sums_directly,
     _truncation_search,
     _zeta_leaf,
 )
 
 #: Above this many naive terms, auto-routed series fall back to the
-#: accelerated decomposition when one exists.
+#: accelerated decomposition when one exists, on the double path; on the
+#: mpmath path AUTO reads the functional equation's direct caps
+#: (``evaluator._sums_directly``).
 AUTO_NAIVE_CAP = 30_000_000
-
-# The same on the mpmath path, where aligned-block tails leave the naive
-# route a few hundred counters at 1e-13 to 1e-30: the decomposition (a zeta
-# leaf and the functional equation, about 0.6-3 ms at 74-130 bits) was the
-# faster route in nearly every grid cell past 384 counters, the naive sum
-# in nearly every cell below (ROADMAP item 12).
-_AUTO_NAIVE_CAP_MP = 384
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -347,8 +343,10 @@ def _eval_routed(
         route = Route.NAIVE
         if _decomposable(spec):
             try:
-                naive_cap = AUTO_NAIVE_CAP if prec.is_double else _AUTO_NAIVE_CAP_MP
-                if _naive_truncation(spec, s, eps, cap, prec).counters > naive_cap:
+                counters = _naive_truncation(spec, s, eps, cap, prec).counters
+                naive = (counters <= AUTO_NAIVE_CAP if prec.is_double
+                         else _sums_directly(spec, s, eps, counters, prec))
+                if not naive:
                     route = Route.DECOMPOSED
             except ResourceLimitError:
                 route = Route.DECOMPOSED

@@ -3,10 +3,14 @@
 The default arithmetic is IEEE double (53 mantissa bits) with compensated
 summation in every partial-sum loop, which keeps accumulation error at the
 few-ulp level independent of the number of terms.  Requesting more than 53
-bits routes scalar work and summation loops through mpmath at the stated
-mantissa size.  Every reported error bound includes a rounding budget
-computed from the precision actually used, so bounds stay honest on both
-paths.
+bits routes scalar work through mpmath at the stated mantissa size, and a
+naive sum splits: its first terms, the head, go through a fixed-point
+kernel at the working width plus guard bits, and the rest, whose float64
+rounding budget fits 1/1024 of eps, through the same float64 kernel as
+the double path (``evaluator._naive_head``).  So the working width sets
+how finely the head is summed, and the eps how long the head is.  Every
+reported error bound includes a rounding budget computed from the
+precision actually used on each part, so bounds stay honest on both paths.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ allows, at s in {3, 4} and eps in {1e-8, 1e-13}, against values recorded
 from an earlier commit in ``data/eval_bit_identity.json``.  Each command
 runs under a cap of 10^5 terms, so the guard takes about a second: the one
 cell past it, digitsum:3 at (3, 1e-13), sums 1.3e7 terms on the mpmath
-path in over a minute.
+path.
 
 The value is compared as the command line prints it (a float's repr, or an
 mpf's decimal string), and the bound, the term count and the method must
@@ -15,12 +15,18 @@ Regenerate the data at the commit whose values are the reference, from the
 repository root:
 
     PYTHONPATH=src python tests/test_bit_identity.py
+
+It re-runs every cell and writes nothing unless each cell's bound is at
+most its eps and each cell that moved lies within its recorded bound plus
+its new bound of the recorded value; it prints the moved, unchanged, new
+and dropped cells either way, and exits 1 when it refuses.
 """
 
 import contextlib
 import io
 import json
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 
@@ -74,6 +80,57 @@ def test_every_recorded_cell_is_bit_identical():
         assert got == want, row["argv"]
 
 
-if __name__ == "__main__":
-    DATA.write_text(json.dumps(_record(), indent=1) + "\n", encoding="utf-8")
+def _faults(old, new):
+    """Why ``new``, a fresh row, may not replace ``old``, the recorded row
+    of the same command line (None for a new cell)."""
+    eps = Decimal(new["argv"][3])
+    value, bound = Decimal(new["value"]), Decimal(new["abs_error_bound"])
+    faults = [] if bound <= eps else [f"bound {bound} exceeds eps {eps}"]
+    if old is not None:
+        moved = abs(value - Decimal(old["value"]))
+        allowed = Decimal(old["abs_error_bound"]) + bound
+        if moved > allowed:
+            faults.append(f"value moved by {moved:.3e} > old + new bound {allowed:.3e}")
+    return faults
+
+
+def _cell(argv) -> str:
+    """series, s, eps and method of a recorded command line."""
+    return " ".join((*argv[1:4], argv[5]))
+
+
+def _rerecord() -> int:
+    """Write the fresh rows if every cell passes ``_faults``; 1 if not."""
+    old = {tuple(row["argv"]): row for row in _recorded()}
+    new = {tuple(row["argv"]): row for row in _record()}
+    groups = {"unchanged": [], "moved": [], "new": [], "dropped": sorted(old.keys() - new.keys())}
+    refused = []
+    for argv, row in new.items():
+        before = old.get(argv)
+        group = "new" if before is None else "unchanged" if before == row else "moved"
+        groups[group].append(argv)
+        refused += [(argv, fault) for fault in _faults(before, row)]
+    for group, cells in groups.items():
+        print(f"{group}: {len(cells)}")
+        for argv in cells:
+            if group == "moved":
+                before, row = old[argv], new[argv]
+                rise = Decimal(row["abs_error_bound"]) - Decimal(before["abs_error_bound"])
+                print(f"  {_cell(argv)}: {before['value']} +- {before['abs_error_bound']} "
+                      f"({before['method']}, {before['terms_used']} terms) -> {row['value']} "
+                      f"+- {row['abs_error_bound']} ({row['method']}, {row['terms_used']} terms); "
+                      f"bound {rise / Decimal(argv[3]):+.2e} eps")
+            else:
+                print(f"  {_cell(argv)}")
+    for argv, fault in refused:
+        print(f"REFUSED {_cell(argv)}: {fault}", file=sys.stderr)
+    if refused:
+        print(f"left {DATA} as it was", file=sys.stderr)
+        return 1
+    DATA.write_text(json.dumps(list(new.values()), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {DATA}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_rerecord())

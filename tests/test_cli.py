@@ -63,7 +63,7 @@ def test_parse_real_rejects_junk():
 
 
 def test_eval_f_json(capsys):
-    # at (2, 1e-10) f is summed directly in 224 counters; at (3, 1e-13) on
+    # at (2, 1e-10) f is summed directly in 224 counters; at (3, 1e-20) on
     # the mpmath path the functional equation's levels run
     code, out, _ = run(capsys, "eval", "f", "2", "1e-10")
     assert code == 0
@@ -71,7 +71,7 @@ def test_eval_f_json(capsys):
     assert payload["series"] == "f"
     assert float(payload["abs_error_bound"]) <= 1e-10
     assert payload["method"] == "naive"
-    code, out, _ = run(capsys, "eval", "f", "3", "1e-13")
+    code, out, _ = run(capsys, "eval", "f", "3", "1e-20")
     assert code == 0 and json.loads(out)["method"] == "functional-equation"
 
 
@@ -693,7 +693,7 @@ def test_consecutive_main_calls_share_no_state(capsys):
     assert "summary: 3/3 passed" in out
     code, out, _ = run(capsys, "eval", "f", "2", "1e-8", "--method", "naive")
     assert json.loads(out)["method"] == "naive"
-    code, out, _ = run(capsys, "eval", "f", "3", "1e-13")
+    code, out, _ = run(capsys, "eval", "f", "3", "1e-20")
     assert json.loads(out)["method"] == "functional-equation"
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
@@ -804,3 +804,18 @@ def test_an_eps_past_the_float_range_is_a_usage_error(capsys, tmp_path, argv):
     assert "must be positive" not in err
     # zero is still refused as not positive
     assert _exit_code(capsys, "eval", "f", "3", "0")[0] == 1
+
+
+def test_a_bound_below_the_normal_float_range_prints_its_digits(capsys):
+    # max(|value|, bound) / bound overflowed a float for a subnormal bound,
+    # and the command ended in an OverflowError traceback
+    code, out, _ = run(capsys, "eval", "f", "3", "1e-310")
+    assert code == 0
+    payload = json.loads(out)
+    bound = Decimal(payload["abs_error_bound"])
+    assert 0 < bound <= Decimal("1e-310")
+    # 4 digits past those the bound leaves: log10(0.85 / 2.95e-313) < 313
+    value = payload["value"]
+    assert len(value.removeprefix("0.")) == 4 + 313
+    ref = Decimal("0.851013104683688984044948599811267622924")
+    assert abs(Decimal(value) - ref) <= bound + Decimal("1e-39")

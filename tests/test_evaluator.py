@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from mpmath.ctx_base import StandardBaseContext
 
+from autoseries import fixed_point
 from autoseries.errors import DomainError, ResourceLimitError
 from autoseries.evaluator import (
     COMPOSITE9_SERIES,
@@ -25,8 +26,13 @@ from autoseries.evaluator import (
     ZETA_SERIES,
     _FE_CAPS,
     _FE_M,
+    _ROUNDING_OPS,
     _fe_plan,
     _fe_weights,
+    _float_budget,
+    _naive_head,
+    _naive_truncation,
+    _sum,
     depth_for,
     eval_functional_equation,
     eval_naive,
@@ -147,10 +153,10 @@ def test_odd_series_even_odd_split_of_g():
 
 def test_decomposed_zeta_only_is_tagged_euler_maclaurin():
     # the all-ones alphabet has beta = 0, so only the zeta leaf runs; phi's
-    # f leaf names the result: the FE's levels at (3, 1e-13), where f summed
-    # directly takes more than the mpmath path's direct cap
+    # f leaf names the result: the FE's levels at (3, 1e-20), where f summed
+    # directly has a fixed-point head past the mpmath path's cap
     assert eval_series_spec(ZETA_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.EULER_MACLAURIN
-    assert eval_series_spec(PHI_SERIES, 3, 1e-13, Route.DECOMPOSED).method is Method.FUNCTIONAL_EQUATION
+    assert eval_series_spec(PHI_SERIES, 3, 1e-20, Route.DECOMPOSED).method is Method.FUNCTIONAL_EQUATION
     assert eval_series_spec(PHI_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.NAIVE
 
 
@@ -211,17 +217,20 @@ def test_cross_method_grid():
 
 
 def test_functional_equation_levels_against_naive():
-    # where the direct sum fits the path's direct cap the route takes it
-    # (and says so): float64 (2, 1e-12) and mpmath (8, 1e-14) and (3, 1e-8);
-    # the plans below keep levels (in float64 only under a term cap below
-    # the direct count: aligned blocks sum f directly in a few hundred
-    # counters there), which must agree with an independent naive sum
+    # where the direct sum fits the path's direct caps the route takes it
+    # (and says so): float64 (2, 1e-12) and mpmath (8, 1e-14), (3, 1e-8),
+    # and (3, 1e-13), (4, 1e-14) and (6, 1e-20), whose fixed-point heads
+    # are 6, 7 and 43 counters; the plans below keep levels (in float64
+    # only under a term cap below the direct count: aligned blocks sum f
+    # directly in a few hundred counters there), which must agree with an
+    # independent naive sum
     assert eval_functional_equation(2.0, 1e-12).method is Method.NAIVE
-    assert eval_functional_equation(8.0, 1e-14).method is Method.NAIVE
+    for s, eps in ((8.0, 1e-14), (3.0, 1e-13), (4.0, 1e-14), (6.0, 1e-20)):
+        assert eval_functional_equation(s, eps).method is Method.NAIVE
     assert eval_functional_equation(3.0, 1e-8, Precision(80, 1e-8)).method is Method.NAIVE
     cells = [(2.0, 1e-10, 53, 64, 7), (2.0, 1e-12, 53, 64, 9), (2.5, 1e-12, 53, 64, 8),
-             (3.0, 1e-13, 74, DEFAULT_MAX_TERMS, 9), (4.0, 1e-14, 77, DEFAULT_MAX_TERMS, 8),
-             (6.0, 1e-20, 97, DEFAULT_MAX_TERMS, 11)]
+             (1.5, 1e-13, 74, DEFAULT_MAX_TERMS, 10), (2.0, 1e-14, 77, DEFAULT_MAX_TERMS, 10),
+             (4.0, 1e-20, 97, DEFAULT_MAX_TERMS, 13), (6.0, 1e-30, 130, DEFAULT_MAX_TERMS, 19)]
     for s, eps, bits, cap, j0 in cells:
         prec = Precision(bits, eps)
         assert _fe_plan(s, eps, prec, cap)[0] == j0, (s, eps)
@@ -251,21 +260,25 @@ def _skipped_terms(p: float, depth: int, m: int) -> float:
     [(53, (1e-4, 1e-6, 1e-8, 1e-10, 1e-11, 1e-12)), (120, (1e-8, 1e-12, 1e-14, 1e-20, 1e-30))],
 )
 def test_functional_equation_plan_follows_the_term_caps(bits, epsilons):
-    # J0 = 0 exactly when f(s) summed directly fits the direct cap, else
-    # the least J0 >= 1 whose leaves g_M(s + J0 + i), each within the Abel
-    # tail 2(M+1)^-(s+J0) of 0, fit 0.45 eps, with each depth the least
-    # whose remainder fits 0.45 eps / J0
-    def counters(p, tail):
+    # J0 = 0 exactly when f(s) summed directly fits the direct caps (at
+    # most the float64 cap of counters, and on the mpmath path a
+    # fixed-point head of at most the mpmath cap), else the least J0 >= 1
+    # whose leaves g_M(s + J0 + i), each within the Abel tail 2(M+1)^-(s+J0)
+    # of 0, fit 0.45 eps, with each depth the least whose remainder fits
+    # 0.45 eps / J0
+    def direct(p, eps):
         try:
-            return F_SERIES.required_counters(p, tail, DEFAULT_MAX_TERMS).counters
+            n = F_SERIES.required_counters(p, 0.95 * eps, DEFAULT_MAX_TERMS).counters
         except ResourceLimitError:
-            return math.inf
+            return False
+        return n <= _FE_CAPS[True] and (
+            bits == 53 or _naive_head(F_SERIES, p, eps, n)[0] <= _FE_CAPS[False])
 
-    direct_cap, m = _FE_CAPS[bits == 53], _FE_M
+    m = _FE_M
     for s in (1.01, 1.1, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 40.0):
         for eps in epsilons:
             j0, ks, plan_m = _fe_plan(s, eps, Precision(bits, eps), DEFAULT_MAX_TERMS)
-            assert (j0 == 0) is (counters(s, 0.95 * eps) <= direct_cap), (s, eps)
+            assert (j0 == 0) is direct(s, eps), (s, eps)
             if j0 == 0:
                 assert ks == [] and plan_m == 0
                 continue
@@ -650,48 +663,49 @@ _KERNEL_FORMS = {
 # counters where the Abel law of the per-term loop the kernel replaced took
 # 54-589); period-doubling keeps its Abel tail (mu = 1/3, B = 1 + (log2
 # M)/4), composite9 both progressions at one cut under the n^-s law; every
-# mean-part leaf zeta(s, N1), N1 >= 16, sums no prefix
+# mean-part leaf zeta(s, N1), N1 >= 16, sums no prefix.  Each bound holds
+# the float64 part's budget past the fixed-point head, under eps/1024
 _KERNEL_COUNTS = {
-    ('t', 'n', 64): (56, 4.963394756727586e-13),
-    ('t', 'n', 113): (144, 5.0490797695970194e-17),
-    ('t', 'shifted', 64): (57, 4.232510725269734e-13),
-    ('t', 'shifted', 113): (145, 4.711483279635222e-17),
-    ('t', 'odd', 64): (37, 4.166716208010117e-13),
-    ('t', 'odd', 113): (97, 5.78816853799695e-17),
-    ('pm', 'n', 64): (63, 5.968600619716834e-13),
-    ('pm', 'n', 113): (159, 7.823109634593155e-17),
-    ('pm', 'shifted', 64): (56, 8.464234669769495e-13),
-    ('pm', 'shifted', 113): (144, 9.421319554863307e-17),
-    ('pm', 'odd', 64): (36, 8.33275056253892e-13),
-    ('pm', 'odd', 113): (96, 8.636517343470042e-17),
-    ('delta', 'n', 64): (56, 9.19506046611026e-13),
-    ('delta', 'n', 113): (160, 7.609805793233215e-17),
-    ('pd', 'n', 64): (142, 6.877825573396487e-13),
-    ('pd', 'n', 113): (678, 6.962910129224643e-17),
-    ('pd', 'odd', 64): (71, 6.569473481142987e-13),
-    ('pd', 'odd', 113): (336, 6.886870334678854e-17),
-    ('pd', 'composite9', 64): (143, 6.877825910261564e-13),
-    ('pd', 'composite9', 113): (679, 6.962910190533032e-17),
-    ('digitsum3', 'n', 64): (307, 9.380404367029797e-13),
-    ('digitsum3', 'n', 113): (2027, 9.483464434723061e-17),
-    ('third-five-halves', 'n', 64): (64, 6.466422986229584e-13),
-    ('third-five-halves', 'n', 113): (160, 3.81472799014968e-17),
-    ('third-five-halves', 'shifted', 64): (65, 5.712125065186001e-13),
-    ('third-five-halves', 'shifted', 113): (161, 3.5843080425592197e-17),
-    ('third-five-halves', 'odd', 64): (41, 3.9291810721414653e-13),
-    ('third-five-halves', 'odd', 113): (105, 6.12412539931672e-17),
-    ('neg', 'n', 64): (64, 4.814020714702841e-13),
-    ('neg', 'n', 113): (160, 4.840973517265781e-17),
-    ('neg', 'shifted', 64): (65, 4.206519502077863e-13),
-    ('neg', 'shifted', 113): (161, 4.5485608712265636e-17),
-    ('neg', 'odd', 64): (41, 4.986695367551991e-13),
-    ('neg', 'odd', 113): (113, 4.0015331426717696e-17),
-    ('three-tenth', 'n', 64): (64, 4.327747308503365e-13),
-    ('three-tenth', 'n', 113): (160, 5.1056316251079546e-17),
-    ('three-tenth', 'shifted', 64): (65, 3.764120885841672e-13),
-    ('three-tenth', 'shifted', 113): (161, 4.7972362063042666e-17),
-    ('three-tenth', 'odd', 64): (41, 5.258956781276295e-13),
-    ('three-tenth', 'odd', 113): (113, 4.220023641211151e-17),
+    ('t', 'n', 64): (56, 4.964949068933826e-13),
+    ('t', 'n', 113): (144, 5.056127081341663e-17),
+    ('t', 'shifted', 64): (57, 4.234065037478406e-13),
+    ('t', 'shifted', 113): (145, 4.7185305914612455e-17),
+    ('t', 'odd', 64): (37, 4.1668429165873156e-13),
+    ('t', 'odd', 113): (97, 5.790708859593123e-17),
+    ('pm', 'n', 64): (63, 5.97015493193699e-13),
+    ('pm', 'n', 113): (159, 7.830156947315901e-17),
+    ('pm', 'shifted', 64): (56, 8.465788981978167e-13),
+    ('pm', 'shifted', 113): (144, 9.42836686668933e-17),
+    ('pm', 'odd', 64): (36, 8.332877271116118e-13),
+    ('pm', 'odd', 113): (96, 8.639057665066216e-17),
+    ('delta', 'n', 64): (56, 9.196614778316499e-13),
+    ('delta', 'n', 113): (160, 7.61685310595596e-17),
+    ('pd', 'n', 64): (142, 6.879379885630707e-13),
+    ('pd', 'n', 113): (678, 6.969957443344799e-17),
+    ('pd', 'odd', 64): (71, 6.569600189723987e-13),
+    ('pd', 'odd', 113): (336, 6.889410656554023e-17),
+    ('pd', 'composite9', 64): (143, 6.879380222495785e-13),
+    ('pd', 'composite9', 113): (679, 6.969957504653188e-17),
+    ('digitsum3', 'n', 64): (307, 9.38227575530505e-13),
+    ('digitsum3', 'n', 113): (2027, 9.49088369533236e-17),
+    ('third-five-halves', 'n', 64): (64, 6.470308766779974e-13),
+    ('third-five-halves', 'n', 113): (160, 3.824087067248341e-17),
+    ('third-five-halves', 'shifted', 64): (65, 5.716010845739102e-13),
+    ('third-five-halves', 'shifted', 113): (161, 3.593667119765774e-17),
+    ('third-five-halves', 'odd', 64): (41, 3.929497843588535e-13),
+    ('third-five-halves', 'odd', 113): (105, 6.130476203538584e-17),
+    ('neg', 'n', 64): (64, 4.817129339143153e-13),
+    ('neg', 'n', 113): (160, 4.84846077894471e-17),
+    ('neg', 'shifted', 64): (65, 4.209628126520344e-13),
+    ('neg', 'shifted', 113): (161, 4.5560481329918075e-17),
+    ('neg', 'odd', 64): (41, 4.986948784709646e-13),
+    ('neg', 'odd', 113): (113, 4.006613786165482e-17),
+    ('three-tenth', 'n', 64): (64, 4.332410245163833e-13),
+    ('three-tenth', 'n', 113): (160, 5.1120265055345644e-17),
+    ('three-tenth', 'shifted', 64): (65, 3.768783822505393e-13),
+    ('three-tenth', 'shifted', 113): (161, 4.803631086860349e-17),
+    ('three-tenth', 'odd', 64): (41, 5.259336907012778e-13),
+    ('three-tenth', 'odd', 113): (113, 4.227644606451719e-17),
 }
 
 
@@ -772,12 +786,18 @@ def _oracle_check(spec: SeriesSpec, s: float, n: int, bits: int) -> None:
     "stream, form, bits", list(_KERNEL_COUNTS), ids=["-".join(map(str, k)) for k in _KERNEL_COUNTS]
 )
 def test_fixed_point_kernel_against_mpmath_oracle(stream, form, bits):
+    _oracle_check(_kernel_spec(stream, form), 2.7183, 1200, bits)
+
+
+@pytest.mark.parametrize(
+    "stream, form, bits", list(_KERNEL_COUNTS), ids=["-".join(map(str, k)) for k in _KERNEL_COUNTS]
+)
+def test_mp_naive_terms_and_bounds(stream, form, bits):
     spec = _kernel_spec(stream, form)
     eps = 1e-12 if bits == 64 else 1e-16
     r = eval_naive(spec, 6.0, eps, Precision(bits, eps))
     assert not isinstance(r.value, float)
     assert (r.terms_used, r.abs_error_bound) == _KERNEL_COUNTS[stream, form, bits]
-    _oracle_check(spec, 2.7183, 1200, bits)
 
 
 @pytest.mark.parametrize("form", list(_KERNEL_FORMS))
@@ -824,9 +844,99 @@ def test_mp_kernel_powers_only_at_primes(monkeypatch):
     # 2 and the odd primes below 4s = 16.08 take a power; every other prime
     # is a binomial step from a neighbour
     bases = _counting_powers(monkeypatch)
+    partial_sum(G_SERIES, 4.02, 191, Precision.for_eps(1e-13))
+    assert sorted(bases) == _primes_below(4 * 4.02) == [2, 3, 5, 7, 11, 13]
+    # eval_naive cuts g there after 191 counters and sums the first 3 in
+    # fixed point, the rest in float64
+    bases.clear()
     r = eval_naive(G_SERIES, 4.02, 1e-13)
     assert r.terms_used == 191
-    assert sorted(bases) == _primes_below(4 * 4.02) == [2, 3, 5, 7, 11, 13]
+    assert sorted(bases) == [2, 3]
+
+
+# -- the mixed-precision naive sum of the mpmath path ----------------------------
+
+# every form each stream admits: composite9 takes period-doubling only,
+# and (2n+1)^s reads counter 0, before delta and the digit sums start
+_MIXED_FORMS = {"t": ("n", "odd"), "pm": ("n", "odd"), "delta": ("n",),
+                "pd": ("n", "odd", "composite9"), "digitsum3": ("n",)}
+_MIXED_CASES = [(stream, form, bits)
+                for stream, forms in _MIXED_FORMS.items() for form in forms for bits in (64, 113)]
+
+
+@pytest.mark.parametrize(
+    "stream, form, bits", _MIXED_CASES, ids=["-".join(map(str, k)) for k in _MIXED_CASES]
+)
+def test_mixed_sum_agrees_with_the_fixed_point_sum(stream, form, bits):
+    # the first h counters in fixed point and the rest in float64 against
+    # all of them in fixed point: apart by at most the float64 part's
+    # budget and both sums' fixed-point rounding envelopes
+    spec = _kernel_spec(stream, form)
+    s, n = 3.5, 3000
+    eps = 1e-12 if bits == 64 else 1e-16
+    prec = Precision(bits, eps)
+    head, budget = _naive_head(spec, s, eps, n)
+    assert 0 < head < n and budget <= eps / 1024
+    mixed = _sum(spec, s, n, prec, head)
+    pure = partial_sum(spec, s, n, prec)
+    envelope = _ROUNDING_OPS * prec.unit_roundoff * spec.abs_sum_bound(n, s)
+    assert abs(mixed - pure) <= budget + 2 * envelope
+    # the budget is the float64 kernel's over the counters past the head
+    assert budget == _ROUNDING_OPS * 2.0**-52 * spec.abs_sum_bound(n, s, head) + (n - head) * 2.0**-1070
+    assert _float_budget(spec, s, head - 1, n) > eps / 1024
+
+
+def test_abs_sum_bound_from_a_later_counter():
+    # the first weight plus the integral over the range bounds the sum of
+    # |terms| over it, and for f, whose |c_n| = 1, within 3 times
+    for spec in (F_SERIES, ODD_PLUS_MINUS_SERIES, COMPOSITE9_SERIES,
+                 SeriesSpec(CoefficientSequence.digit_sum(3))):
+        terms = np.abs(spec.term_block(spec.counter_start, spec.counter_start + 5000, 2.5))
+        for start in (0, 1, 7, 100, 4999):
+            bound = spec.abs_sum_bound(5000, 2.5, start)
+            assert math.fsum(terms[start:]) <= bound
+            if spec == F_SERIES:
+                assert bound <= 3.0 * math.fsum(terms[start:])
+        assert spec.abs_sum_bound(5000, 2.5, 5000) == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec, s, eps, bits, counters, head",
+    [(COMPOSITE9_SERIES, 4.0, 1e-13, None, 3262, 3),
+     (SeriesSpec(CoefficientSequence.digit_sum(3)), 4.0, 1e-10, 64, 3960, 1),
+     (F_SERIES, 3.02, 1e-13, None, 320, 6),
+     (F_SERIES, 3.0, 1e-30, None, 11264, 11264),
+     (G_SERIES, 100.0, 1e-310, None, 1199, 1199)],
+    ids=["composite9-4-1e-13", "digitsum3-4-1e-10-64", "f-3.02-1e-13", "f-3-1e-30",
+         "g-100-1e-310"],
+)
+def test_fixed_point_heads(spec, s, eps, bits, counters, head):
+    # at g(100, 1e-310) the budget alone would leave counters 997 on to
+    # float64, where 1199^-100 is below the normal range, so all go in
+    # fixed point
+    prec = Precision(bits, eps) if bits else Precision.for_eps(eps)
+    cut = _naive_truncation(spec, s, eps, DEFAULT_MAX_TERMS, prec)
+    assert (cut.counters, _naive_head(spec, s, eps, cut.counters)[0]) == (counters, head)
+    if spec == F_SERIES:
+        # f goes direct where its head fits the mpmath path's cap
+        method = eval_functional_equation(s, eps).method
+        assert (method is Method.NAIVE) is (head <= _FE_CAPS[False] < counters)
+
+
+def test_composite9_at_1e20_sums_a_short_head(monkeypatch):
+    # 12,572,796 terms, of which the fixed-point kernel sums 19,074 and the
+    # float64 kernel the rest (the per-term fixed-point loop took 31-35 s)
+    heads = []
+    original = fixed_point.fixed_point_sums
+
+    def spied(spec, s, counts, ctx, deep_from=0):
+        heads.append((counts, ctx.prec))
+        return original(spec, s, counts, ctx, deep_from)
+
+    monkeypatch.setattr(fixed_point, "fixed_point_sums", spied)
+    r = eval_naive(COMPOSITE9_SERIES, 3.0, 1e-20)
+    assert r.terms_used == 12_572_796 and r.abs_error_bound <= 1e-20
+    assert heads == [([19_074], 97 + 20 + 15)]
 
 
 @pytest.mark.parametrize("form", list(_KERNEL_FORMS))

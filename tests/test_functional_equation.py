@@ -149,11 +149,15 @@ def _spy(monkeypatch, owner, name: str) -> list:
     return calls
 
 
-@pytest.mark.parametrize("s, eps", [(3.02, 1e-13), (3.51, 1e-13), (4.01, 1e-14), (2.0, 1e-30), (8.0, 1e-20)])
+@pytest.mark.parametrize("s, eps", [(3.02, 1e-13), (3.51, 1e-13), (4.01, 1e-14), (2.0, 1e-30), (8.0, 1e-20),
+                                    (1.51, 1e-13), (2.02, 1e-14), (4.01, 1e-20)])
 def test_mpmath_call_builds_one_table_and_powers_only_small_primes(monkeypatch, s, eps):
+    # a term cap of 128, below every direct count here, keeps the levels
+    # at M = 16 where f summed directly has a short fixed-point head (the
+    # first five cells); the last three take the levels by default too
     tables = _spy(monkeypatch, fixed_point, "_Weights")
     bases = _spy(monkeypatch, StandardBaseContext, "power")
-    r = eval_functional_equation(s, eps)
+    r = eval_functional_equation(s, eps, max_terms=128)
     assert r.method is Method.FUNCTIONAL_EQUATION and not isinstance(r.value, float)
     assert len(tables) == 1
     allowed = {2} | {p for p in _odd_primes(math.ceil(4 * s)) if p < 4 * s}

@@ -19,6 +19,10 @@ from autoseries.evaluator import (
     GAMMA_SERIES,
     PHI_SERIES,
     SeriesSpec,
+    DEFAULT_MAX_TERMS,
+    _FE_CAPS,
+    _naive_head,
+    _naive_truncation,
     eval_functional_equation,
     eval_naive,
 )
@@ -34,7 +38,6 @@ from autoseries.identities import (
     Sqrt,
     TwoPowerRatio,
     Zeta,
-    _AUTO_NAIVE_CAP_MP,
     _EvalCache,
     _ODD_SPLIT,
     _decomposable,
@@ -410,8 +413,9 @@ def test_delta_auto_certifies_where_naive_cannot(s, eps):
     # 1e-10) and 1.5e7 mpmath terms at (2, 1e-14); aligned 2^k blocks cut
     # them after at most 1,151 counters and a boundary term.  AUTO takes
     # the faster route: the naive sum in float64, the decomposition past
-    # the mpmath path's cap (639 and 1,151 counters at 1e-14, where the
-    # naive sum takes about twice the decomposition's 0.6-1.3 ms)
+    # the mpmath path's head cap (fixed-point heads of 341 and 1,148 of the
+    # 639 and 1,151 counters at 1e-14, where the naive sum takes longer than the
+    # decomposition's 0.6-1.3 ms)
     naive = eval_naive(DELTA_SERIES, s, eps)
     assert naive.terms_used <= 1_152
     t0 = time.perf_counter()
@@ -421,7 +425,8 @@ def test_delta_auto_certifies_where_naive_cannot(s, eps):
     if isinstance(r.value, float):
         assert r.method is Method.NAIVE and r.terms_used == naive.terms_used
     else:
-        assert naive.terms_used > _AUTO_NAIVE_CAP_MP
+        cut = _naive_truncation(DELTA_SERIES, s, eps, DEFAULT_MAX_TERMS, Precision.for_eps(eps))
+        assert _naive_head(DELTA_SERIES, s, eps, cut.counters)[0] > _FE_CAPS[False]
         assert r.method is Method.FUNCTIONAL_EQUATION
 
 

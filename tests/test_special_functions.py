@@ -10,7 +10,7 @@ from autoseries.errors import DomainError, ResourceLimitError
 from mpmath.ctx_mp_python import _mpf
 
 from autoseries import special_functions
-from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES, eval_naive
+from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES, eval_naive, partial_sum
 from autoseries.precision import Precision, _mp_context
 from autoseries.result import Method
 from autoseries.special_functions import _hurwitz_core, dirichlet_eta, hurwitz_zeta, riemann_zeta
@@ -291,17 +291,21 @@ def mp_powers(monkeypatch):
     return count
 
 
-@pytest.mark.parametrize("bits, powers", [(53, (0, 0, 0)), (80, (7, 8, 8))])
+@pytest.mark.parametrize("bits, powers", [(53, (0, 0, 0, 0)), (80, (7, 8, 6, 2))])
 def test_mpmath_power_counts(mp_powers, bits, powers):
     # the double path takes no mpmath power; on the 80-bit path each leaf
     # takes one power per prime: its base's (N+a)^-s, and zeta(s)'s prefix
     # composites as products, and its budget scales by 2^-k with ldexp (21,
     # 23 and 12 powers before, and 22, 24 and 29 before the schedule's scan
     # and the sum shared their terms); phi's naive sum cuts after 112
-    # counters, and its mean leaf zeta(s, N1), N1 >= 16, sums no prefix
+    # counters, which the fixed-point kernel sums with 6 powers (2 and the
+    # odd primes below 4s), its mean leaf zeta(s, N1), N1 >= 16, sums no
+    # prefix, and eval_naive sums all 112 in float64 (its head is empty at
+    # eps 1e-10), so only the leaf's base and the boundary term take one
     calls = [
         lambda p: riemann_zeta(3.0, p),
         lambda p: dirichlet_eta(3.0, p),
+        lambda p: partial_sum(PHI_SERIES, 3.3, 112, p),
         lambda p: eval_naive(PHI_SERIES, 3.3, 1e-10, p),
     ]
     counts = []
