@@ -331,10 +331,11 @@ class SeriesSpec:
             raise DomainError("tail bound needs at least one summed term")
         a, b = self._progression
         j1 = self.counter_start + n
+        x = a * j1 + b
         osc = self._oscillation
         if osc is not None:
             if k == 0:
-                return osc[2] * (a * j1 + b) ** -s
+                return _rounded_up(osc[2] * x ** -s, osc[2], -s * math.log(x))
             rho, amps, _ = osc
             if not amps:
                 return 0.0
@@ -345,10 +346,12 @@ class SeriesSpec:
             # a part at shift r > rho starts its blocks at j1 + 1, after the
             # boundary term at j1
             log_c = _block_log_constant(s, k, a)
-            total = 0.0
+            total, top = 0.0, -math.inf
             for r, amp in amps.items():
-                total += amp * math.exp(log_c - (s + k) * math.log(a * (j1 + r - rho) + b))
-            return _SAFETY * total
+                w = log_c - (s + k) * math.log(a * (j1 + r - rho) + b)
+                total += amp * math.exp(w)
+                top = max(top, w)
+            return _rounded_up(_SAFETY * total, sum(amps.values()), top)
         if k:
             raise DomainError(f"{self.label()} has no aligned-block tail law")
         disc = self.coeffs.discrepancy
@@ -356,17 +359,16 @@ class SeriesSpec:
             # Abel with |R_j| <= B + g log2 j (module docstring)
             _, big_b, g = disc
             growth = math.log2(j1) + math.log2(j1 + 1) + (a + b) / (a * s * math.log(2.0))
-            return (2.0 * big_b + g * growth) * (a * j1 + b) ** -s
+            c = 2.0 * big_b + g * growth
+            return _rounded_up(c * x ** -s, c, -s * math.log(x))
         # digit-sum majorant (b-1)(log_b x + 1), decreasing after division
         # by x^s once log_b x >= 1, hence the n >= base floor in the schedule
         base = self.coeffs.base
         lnb = math.log(base)
         ln_n = math.log(n)
-        return (
-            (base - 1.0)
-            * float(n) ** (1.0 - s)
-            * ((ln_n / (s - 1.0) + 1.0 / (s - 1.0) ** 2) / lnb + 1.0 / (s - 1.0))
-        )
+        c = (ln_n / (s - 1.0) + 1.0 / (s - 1.0) ** 2) / lnb + 1.0 / (s - 1.0)
+        return _rounded_up((base - 1.0) * float(n) ** (1.0 - s) * c, (base - 1.0) * c,
+                           (1.0 - s) * ln_n)
 
     def mean_tail(self, n_counters: int, s: float, ctx: MPContext | None):
         """(coefficient, x) pairs with mu * (sum of the weights beyond the
@@ -553,6 +555,15 @@ def _block_log_constant(s: float, k: int, a: float) -> float:
     """log(2^(k(k-1)/2) a^k (s)_k), the aligned-block law's constant over
     2A (a j1 + b)^-(s+k)."""
     return k * (k - 1) / 2 * _LN2 + k * math.log(a) + math.lgamma(s + k) - math.lgamma(s)
+
+
+def _rounded_up(law: float, c: float, w: float) -> float:
+    """A tail law ``law`` whose exact value is at most c e^w; below the
+    normal range, where it may have underflowed to 0, c e^w from logs, 1e-9
+    above for their roundings and one unit up for exp's (0 where c is)."""
+    if law >= 2.0 ** -1022 or c <= 0.0:
+        return law
+    return math.nextafter(math.exp(math.log(c) + w + 1e-9), math.inf)
 
 
 def _term_cap(max_terms: int) -> tuple[int, str]:
@@ -855,12 +866,14 @@ def _float_budget(spec: SeriesSpec, s: float, start: int, n_counters: int) -> fl
             + (n_counters - start) * 2.0 ** -1070)
 
 
+@lru_cache(maxsize=8)
 def _naive_head(spec: SeriesSpec, s: float, eps: float, n_counters: int) -> tuple[int, float]:
     """(h, bound): on the mpmath path the first h of the ``n_counters``
     counters are summed in fixed point and the rest by the float64 kernel,
     h the least head whose rest's ``_float_budget``, ``bound``, fits
     ``_FLOAT_SHARE`` eps.  All of them go in fixed point where a weight at
-    the last counter would leave the normal float range."""
+    the last counter would leave the normal float range.  Cached: AUTO's
+    route test asks it before ``eval_naive`` does."""
     last = spec.denominators(spec.counter_start + n_counters - 1)
     if s * math.log2(max(d for _, d, _ in last)) > _NORMAL_EXPONENT:
         return n_counters, 0.0
@@ -1096,8 +1109,10 @@ def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
             f"functional-equation route for f at s={s:g} to eps={eps:g} needs "
             f"a table of at least 2 terms (cap {cap})"
         )
+    # a share that rounds to 0 is refused here: no leaf bound reaches it
+    leaf_share = _check_eps(_FE_LEAF_SHARE * eps)
     j0 = 1
-    while F_SERIES.tail_bound(m, _exponent_floor(s, j0)) > _FE_LEAF_SHARE * eps:
+    while F_SERIES.tail_bound(m, _exponent_floor(s, j0)) > leaf_share:
         j0 += 1
     return j0, [depth_for(s + j, _FE_TRUNC_SHARE * eps / j0, m) for j in range(j0)], m
 

@@ -25,8 +25,9 @@ shares 0.45 (right) or 0.98 (left) of eps/2 among its nonzero terms.
 
 Two classical digit-sum checks and the alternating binary product have no
 exponent parameter; they are registered as fixed-form entries whose left
-side is a float64 partial sum with a rigorous tail (for the product, the
-sum of its logs, paired so that Abel summation bounds the tail) and are
+side is a float64 partial sum with a rigorous tail (for the digit sums, one
+digit of self-similarity folds the tail back onto the sum; for the product,
+the sum of its logs, paired so that Abel summation bounds the tail) and are
 verified at their natural tolerance like every other record.
 """
 
@@ -43,7 +44,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
-from .precision import DOUBLE_BITS, Precision, _check_eps, _check_s
+from .precision import Precision, _check_eps, _check_s
 from .result import EvalResult, Method
 from .sequences import CoefficientSequence, SequenceKind, digit_sum_block, pm_thue_morse_block
 from .special_functions import dirichlet_eta, hurwitz_zeta, riemann_zeta
@@ -59,6 +60,7 @@ from .evaluator import (
     PHI_SERIES,
     SeriesSpec,
     TwoPowerRatio,
+    _DOUBLE_UNIT,
     chunked_kahan_sum,
     eval_functional_equation,
     eval_naive,
@@ -524,47 +526,43 @@ def make_corollary2_identity(
 # fixed-form series
 # ---------------------------------------------------------------------------
 
-#: Unit roundoff of the float64 arithmetic every fixed-form sum runs in,
-#: whatever the working precision of the rest of the check.
-_DOUBLE_U = 2.0 ** (1 - DOUBLE_BITS)
-
 
 def _fixed_form_lhs(
-    block: Callable[[int, int], np.ndarray],
+    partial: Callable[[int], float],
     tail: Callable[[int], float],
     start: int,
     what: str,
-    first: int = 1,
     abs_sum: float | None = None,
+    ops: float = 32.0,
 ) -> Callable[[float, int], EvalResult]:
-    """Left side of a fixed series sum_{n >= first} a_n.
+    """Left side of a fixed series, cut after n terms.
 
-    ``block(lo, hi)`` gives the terms lo <= n < hi as float64, and
-    ``tail(n)`` bounds |sum of the terms from first + n on|, not increasing
-    from n = ``start`` on; the truncation keeps the n terms before that.
-    ``abs_sum`` majorizes sum |a_n|; left out, the terms are positive and
-    the partial sum itself caps it.  Terms and sum are float64 on every
-    path, so the rounding budget is 32 double unit roundoffs times
-    (abs_sum + 1), never the working precision's.
+    ``partial(n)`` is its float64 value from the first n terms, and
+    ``tail(n)`` bounds how far that lies from the series, not increasing
+    from n = ``start`` on.  ``abs_sum`` majorizes the sum of |terms|; left
+    out, the value itself caps what rounds.  Terms and sums are float64 on
+    every path, so the rounding budget is ``ops`` double unit roundoffs
+    times (abs_sum + 1), never the working precision's: 32 for one
+    chunked Kahan sum.
 
     The truncation targets 0.95 eps, or eps less the budget when that
-    leaves too little room (positive terms then stay below value + tail(n)
-    in sum); only a budget that alone reaches eps is refused, before the
-    sum where its floor ``rounding(0)`` already does.
+    leaves too little room (the value of any finer cut then stays within
+    2 tail(n) of this one); only a budget that alone reaches eps is
+    refused, before the sum where its floor ``rounding(0)`` already does.
     """
 
     def rounding(majorant: float) -> float:
-        return 32.0 * _DOUBLE_U * ((majorant if abs_sum is None else abs_sum) + 1.0)
+        return ops * _DOUBLE_UNIT * ((majorant if abs_sum is None else abs_sum) + 1.0)
 
     def evaluate(eps: float, max_terms: int) -> EvalResult:
         budget = rounding(0.0)
         if budget < eps:
             n = _truncation_search(tail, start, 0.95 * eps, max_terms, what)
-            value = chunked_kahan_sum(block, first, n)
+            value = partial(n)
             budget = rounding(value)
             if tail(n) + budget <= eps:
                 return EvalResult(value, tail(n) + budget, n, Method.NAIVE)
-            budget = rounding(value + tail(n))
+            budget = rounding(value + 2.0 * tail(n))
         if budget >= eps:
             raise ResourceLimitError(
                 f"cannot certify {what} to eps={eps:g}: its double rounding budget alone "
@@ -572,39 +570,57 @@ def _fixed_form_lhs(
             )
         # one step below the rounded eps - budget, so tail + budget <= eps
         n = _truncation_search(tail, start, math.nextafter(eps - budget, 0.0), max_terms, what)
-        return EvalResult(chunked_kahan_sum(block, first, n), tail(n) + budget, n, Method.NAIVE)
+        return EvalResult(partial(n), tail(n) + budget, n, Method.NAIVE)
 
     return evaluate
 
 
-def _digit_harmonic_lhs(base: int) -> Callable[[float, int], EvalResult]:
-    """sum_{n>=1} s_b(n)/(n(n+1)) with the digit-sum integral tail."""
-    lnb = math.log(base)
+def _digit_sum_lhs(base: int, d: int) -> Callable[[float, int], EvalResult]:
+    """S = sum_{n>=1} s_b(n) w(n), w(n) = n^-d - (n+1)^-d, by one digit of
+    self-similarity, s_b(hb + L) = s_b(h) + L (README, Numerics notes):
 
-    def tail(n: float) -> float:
-        return (base - 1.0) * ((math.log(n) + 1.0) / (lnb * n) + 1.0 / n)
+        (1 - b^-d) S = P(N) - b^-d P(H) + ((b-1)/2) N^-d + R
+
+    at N = Hb, P(M) = sum_{1<=n<M} s_b(n) w(n), and Abel summation puts R =
+    sum_{n>=N} ((n mod b) - (b-1)/2) w(n) in [-K w(N), 0], K = floor(b^2/4)/2.
+    So the value P(H) + M (Q + ((b-1)/2) N^-d - K w(N)/2), M = b^d/(b^d - 1)
+    and Q = P(N) - P(H), is within the law M K w(N)/2 of S.  Correction and
+    law are integer ratios rounded once (the law up), and a cut reads its
+    N - 1 terms once.
+
+    Rounding, with V+ = P(H) + M (Q + ((b-1)/2) N^-d) above every part: the
+    Kahan sums err by 32u P(H) and 32u Q, so by 32u M Q after M; M, M Q, the
+    correction and two additions round once each, under u V+: 36u V+, the
+    helper's budget at 36 ops, whose +1 covers V+ - value (the law, at most
+    1/4: floor(b^2/4) w(b) <= 1/4 and M <= 2) and the u^2 terms.
+    """
+    power = base**d
+    ratio = power / (power - 1)
+    quarter = base * base // 4
 
     def block(lo: int, hi: int) -> np.ndarray:
         n = np.arange(lo, hi, dtype=np.float64)
         c = digit_sum_block(lo, hi, base).astype(np.float64)
-        return c / (n * (n + 1.0))
+        return c * ((n + 1.0) ** d - n**d) / (n * (n + 1.0)) ** d
 
-    return _fixed_form_lhs(block, tail, max(base, 16), f"digit-sum series (base {base})")
+    def over_weight(cut: int, numerator: int) -> float:
+        """M numerator / (4 (N (N+1))^d), rounded once."""
+        return power * numerator / (4 * (power - 1) * (cut * (cut + 1)) ** d)
 
+    def partial(n: int) -> float:
+        h = (n + 1) // base
+        cut = h * base
+        head = chunked_kahan_sum(block, 1, h - 1)
+        rest = chunked_kahan_sum(block, h, cut - h)
+        centre = 2 * (base - 1) * (cut + 1) ** d - quarter * ((cut + 1) ** d - cut**d)
+        return head + ratio * rest + over_weight(cut, centre)
 
-def _binary_weighted_lhs() -> Callable[[float, int], EvalResult]:
-    """sum_{n>=1} s_2(n)(2n+1)/(n^2 (n+1)^2), tail <= 2 (log2 n + 1)/n^2 style."""
-    ln2 = math.log(2.0)
+    def tail(n: int) -> float:
+        cut = (n + 1) // base * base
+        return math.nextafter(over_weight(cut, quarter * ((cut + 1) ** d - cut**d)), math.inf)
 
-    def tail(n: float) -> float:
-        return 2.0 * ((math.log(n) / 2.0 + 0.25) / ln2 + 0.5) / (n * n)
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        n = np.arange(lo, hi, dtype=np.float64)
-        c = digit_sum_block(lo, hi, 2).astype(np.float64)
-        return c * (2.0 * n + 1.0) / (n * n * (n + 1.0) * (n + 1.0))
-
-    return _fixed_form_lhs(block, tail, 16, "binary weighted series")
+    what = f"digit-sum series (base {base}, d={d})"
+    return _fixed_form_lhs(partial, tail, base - 1, what, ops=36.0)
 
 
 def _woods_robbins_lhs() -> Callable[[float, int], EvalResult]:
@@ -638,12 +654,13 @@ def _woods_robbins_lhs() -> Callable[[float, int], EvalResult]:
     def tail(m: int) -> float:
         return -2.0 * math.log1p(-1.0 / ((2.0 * m + 1.0) * (4.0 * m + 3.0)))
 
-    log_sum = _fixed_form_lhs(block, tail, 1, "Woods-Robbins product", first=0, abs_sum=1.0)
+    log_sum = _fixed_form_lhs(lambda n: chunked_kahan_sum(block, 0, n), tail, 1,
+                              "Woods-Robbins product", abs_sum=1.0)
 
     def evaluate(eps: float, max_terms: int) -> EvalResult:
         log = log_sum(eps, max_terms // 2)
         value = math.exp(log.value)
-        bound = value * (math.expm1(log.abs_error_bound) + 4.0 * _DOUBLE_U)
+        bound = value * (math.expm1(log.abs_error_bound) + 4.0 * _DOUBLE_UNIT)
         return EvalResult(value, bound, 2 * log.terms_used, Method.NAIVE)
 
     return evaluate
@@ -785,27 +802,17 @@ def _registry() -> tuple[Identity, ...]:
             description="period-doubling composite series equals 4^-s zeta(s, 1/4)",
         )
     )
-    for base in (2, 3, 10):
-        entries.append(
-            Identity(
-                identity_id=f"shallit:{base}",
-                lhs=(),
-                rhs=((_const(Fraction(base, base - 1)), Log(Fraction(base))),),
-                default_eps=1e-4,
-                fixed_lhs=_digit_harmonic_lhs(base),
-                description=f"sum(s_{base}(n)/(n(n+1))) = ({base}/{base - 1}) log {base}",
-            )
-        )
-    entries.append(
-        Identity(
-            identity_id="allouche-shallit",
-            lhs=(),
-            rhs=((_const(Fraction(1, 9)), Pi(2)),),
-            default_eps=1e-8,
-            fixed_lhs=_binary_weighted_lhs(),
-            description="sum(s_2(n)(2n+1)/(n^2 (n+1)^2)) = pi^2/9",
-        )
-    )
+    # the digit-sum records: (id, base, d of the weight n^-d - (n+1)^-d, rhs, eps, text)
+    digit_sums = [
+        (f"shallit:{b}", b, 1, ((_const(Fraction(b, b - 1)), Log(Fraction(b))),), 1e-4,
+         f"sum(s_{b}(n)/(n(n+1))) = ({b}/{b - 1}) log {b}")
+        for b in (2, 3, 10)
+    ]
+    digit_sums.append(("allouche-shallit", 2, 2, ((_const(Fraction(1, 9)), Pi(2)),), 1e-8,
+                       "sum(s_2(n)(2n+1)/(n^2 (n+1)^2)) = pi^2/9"))
+    for identity_id, base, d, rhs, eps, description in digit_sums:
+        entries.append(Identity(identity_id, (), rhs, default_eps=eps, description=description,
+                                fixed_lhs=_digit_sum_lhs(base, d)))
     entries.append(
         Identity(
             identity_id="woods-robbins",

@@ -248,9 +248,10 @@ def test_eval_g_at_two_to_1e12_is_naive_and_agrees_with_odd_split(capsys):
 
 @pytest.mark.parametrize("ident", ["shallit:10", "allouche-shallit"])
 def test_verify_fixed_form_over_max_terms_names_the_cap(capsys, ident):
-    code, out, err = run(capsys, "verify", ident, "--eps", "1e-6", "--max-terms", "1000")
+    # allouche-shallit needs about 140 terms at 1e-6, shallit:10 about 5,000
+    code, out, err = run(capsys, "verify", ident, "--eps", "1e-6", "--max-terms", "100")
     assert (code, err) == (1, "")
-    assert "cap 1000" in refusal(out)
+    assert "(cap 100)" in refusal(out)
 
 
 @pytest.mark.parametrize("ident", ["woods-robbins", "allouche-shallit"])

@@ -574,6 +574,19 @@ def test_odd_mean_tail_at_huge_s():
     assert r.value == 0.0 and r.abs_error_bound <= 1e-8
 
 
+def test_tail_law_below_the_normal_range_rounds_up():
+    # 2 * 3^-700, about 1e-334, underflowed, and the cut reported a 0.0 tail
+    cut = _naive_truncation(G_SERIES, 700.0, 1e-300, DEFAULT_MAX_TERMS, Precision.for_eps(1e-300))
+    assert (cut.counters, cut.k) == (2, 0)
+    assert 0.0 < cut.bound and 2 * mpmath.mpf(3) ** -700 <= cut.bound < 1e-320
+    # every law: aligned blocks, a growing discrepancy, the digit-sum majorant
+    digits = SeriesSpec(CoefficientSequence.digit_sum(3))
+    for spec, n, k in ((G_SERIES, 15, 4), (COMPOSITE9_SERIES, 10, 0), (digits, 10, 0)):
+        assert spec.tail_bound(n, 700.0, k) > 0.0, spec.label()
+    # laws in the normal range are as they were
+    assert G_SERIES.tail_bound(2, 2.0) == 2.0 * 3.0**-2.0
+
+
 def test_constant_alphabet_is_all_mean():
     # B = 0: two summed terms, the rest is zeta(s, 3) from Euler-Maclaurin
     r = eval_naive(ZETA_SERIES, 2.0, 1e-12)

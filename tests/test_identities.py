@@ -649,6 +649,15 @@ def test_verify_budgets_each_side_to_half_eps():
             assert rec.rhs_bound <= ident.default_eps / 2, (ident.identity_id, s, rec)
 
 
+def test_auto_works_out_the_naive_head_once():
+    # AUTO's mpmath route test and the naive sum it picks share one head
+    _naive_head.cache_clear()
+    r = eval_series_spec(DELTA_SERIES, 4.0, 1e-13)
+    assert r.method is Method.NAIVE
+    info = _naive_head.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 @pytest.mark.parametrize("ident", ["allouche-shallit", "woods-robbins"])
 def test_fixed_form_lhs_is_float64_at_any_working_precision(ident):
     # the fixed-form sums run in float64 on every path, so a wider working
