@@ -44,9 +44,11 @@ from .evaluator import (
     SeriesSpec,
 )
 from .identities import (
+    _ODD_SPLIT,
     IdentityKind,
     Route,
     VerificationRecord,
+    accelerated_route,
     builtin_registry,
     eval_series_spec,
     get_identity,
@@ -200,22 +202,16 @@ def _precision(cfg: RunConfig, eps: float) -> Precision:
 # eval subcommand
 # ---------------------------------------------------------------------------
 
-#: name -> (series, route of ``--method auto``); digitsum:B and affine
-#: names are parsed and go AUTO
-_CATALOG = {
-    "f": (F_SERIES, Route.FUNCTIONAL_EQUATION),
-    "g": (G_SERIES, Route.AUTO),
-    "phi": (PHI_SERIES, Route.DECOMPOSED),
-    "gamma": (GAMMA_SERIES, Route.DECOMPOSED),
-    "delta": (DELTA_SERIES, Route.AUTO),
-    "odd-epsilon": (ODD_PLUS_MINUS_SERIES, Route.NAIVE),
-    "composite9": (COMPOSITE9_SERIES, Route.AUTO),
-}
+#: name -> series; digitsum:B and affine names are parsed.  No name picks
+#: a route: ``eval NAME`` gives what ``eval_series_spec`` does on AUTO.
+_CATALOG = {"f": F_SERIES, "g": G_SERIES, "phi": PHI_SERIES, "gamma": GAMMA_SERIES,
+            "delta": DELTA_SERIES, "odd-epsilon": ODD_PLUS_MINUS_SERIES,
+            "composite9": COMPOSITE9_SERIES}
 _EVAL_CATALOG = ", ".join([*_CATALOG, "digitsum:B", "affine:A:B[:shifted]"])
 
 
-def _catalog_series(name: str) -> tuple[SeriesSpec, Route]:
-    """Resolve a catalog name to (spec, route of --method auto)."""
+def _catalog_series(name: str) -> SeriesSpec:
+    """Resolve a catalog name to its series."""
     if name in _CATALOG:
         return _CATALOG[name]
     if name.startswith("digitsum:"):
@@ -225,28 +221,25 @@ def _catalog_series(name: str) -> tuple[SeriesSpec, Route]:
             raise UsageError(f"bad digit-sum base in {name!r}") from exc
         if base < 2:
             raise UsageError(f"digit-sum base must be >= 2, got {base}")
-        return SeriesSpec(CoefficientSequence.digit_sum(base)), Route.AUTO
+        return SeriesSpec(CoefficientSequence.digit_sum(base))
     if name.startswith("affine:"):
         parts = name.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "shifted"):
             raise UsageError(f"affine series syntax is affine:A:B[:shifted], got {name!r}")
         low, high = parse_real(parts[1]), parse_real(parts[2])
         # the ":shifted" suffix reads the alphabet at n - 1
-        return SeriesSpec(CoefficientSequence.affine(low, high, len(parts) - 3)), Route.AUTO
+        return SeriesSpec(CoefficientSequence.affine(low, high, len(parts) - 3))
     raise UsageError(f"unknown series {name!r}; catalog: {_EVAL_CATALOG}")
 
 
-def _method_route(name: str, method: str, auto: Route) -> Route:
-    """The route ``--method`` picks for series ``name``."""
-    if method == "auto":
-        return auto
-    if method == "naive":
-        return Route.NAIVE
-    if method == "odd" and name in ("f", "g"):
-        return Route.ODD_SPLIT
-    if method == "functional" and auto in (Route.FUNCTIONAL_EQUATION, Route.DECOMPOSED):
-        return auto
-    raise UsageError(f"method {method!r} does not apply to {name}")
+def _method_route(name: str, spec: SeriesSpec, method: str) -> Route:
+    """The route ``--method`` pins for ``spec``, which ``name`` names."""
+    if method in ("auto", "naive"):
+        return Route(method)
+    route = accelerated_route(spec) if method == "functional" else Route.ODD_SPLIT
+    if route is None or route is Route.ODD_SPLIT and spec not in _ODD_SPLIT:
+        raise UsageError(f"method {method!r} does not apply to {name}")
+    return route
 
 
 def _value_text(value, bound: float) -> str:
@@ -268,8 +261,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     eps = args.eps_pos if args.eps_pos is not None else (cfg.eps or 1e-8)
     name = args.series.strip().lower()
-    spec, auto = _catalog_series(name)
-    route = _method_route(name, args.method, auto)
+    spec = _catalog_series(name)
+    route = _method_route(name, spec, args.method)
     result = eval_series_spec(spec, args.s, eps, route, _precision(cfg, eps), cfg.max_terms)
     payload = {
         "series": name,

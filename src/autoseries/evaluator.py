@@ -117,7 +117,7 @@ through the fixed-point kernel (``fixed_point.fixed_point_sums``) at P =
 working bits + 20 + log2 h bits; the two add at the head's width.  The
 terms fall fast enough that h is a few to a few thousand counters where N
 runs to millions (composite9 at (3, 1e-20): 19,074 of 12,572,796).  The
-functional equation's plan and AUTO's mpmath test read h, not N
+functional equation's plan and AUTO's route test read h, not N
 (``_sums_directly``).  ``partial_sum`` keeps the whole sum in fixed point.
 Only 2 and the odd primes below 4s take an ``mpmath`` power: n^-s is
 completely multiplicative, so a composite's weight is a product of two
@@ -557,6 +557,12 @@ def _block_log_constant(s: float, k: int, a: float) -> float:
     return k * (k - 1) / 2 * _LN2 + k * math.log(a) + math.lgamma(s + k) - math.lgamma(s)
 
 
+def _up(part: float) -> float:
+    """A bound's part, exactly positive and rounded once: one unit up below
+    the normal range, where that rounding is absolute and may reach 0."""
+    return part if part >= 2.0 ** -1022 else math.nextafter(part, math.inf)
+
+
 def _rounded_up(law: float, c: float, w: float) -> float:
     """A tail law ``law`` whose exact value is at most c e^w; below the
     normal range, where it may have underflowed to 0, c e^w from logs, 1e-9
@@ -713,10 +719,11 @@ def _weighted_sum(pairs, prec: Precision, remainder: float = 0.0):
         t = total + y
         comp = (t - total) - y
         total = t
-        bound += abs(float(c)) * r.abs_error_bound
+        bound += _up(abs(float(c)) * r.abs_error_bound) if r.abs_error_bound else 0.0
         abs_sum += abs(float(contrib))
         terms += r.terms_used
-    return total, remainder + bound + 8.0 * prec.unit_roundoff * abs_sum, terms
+    rounding = _up(8.0 * prec.unit_roundoff * abs_sum) if abs_sum else 0.0
+    return total, remainder + bound + rounding, terms
 
 
 def _linear_form(terms, s: float | None, prec: Precision, evaluate):
@@ -1079,8 +1086,7 @@ def _sums_directly(spec: SeriesSpec, s: float, eps: float, counters: float,
     """Whether a naive sum of ``counters`` counters is within the path's
     direct caps (``_FE_CAPS``): at most the float64 cap of counters, and
     on the mpmath path a fixed-point head (``_naive_head``) of at most the
-    mpmath cap.  The functional equation's plan and AUTO's mpmath test both
-    read it."""
+    mpmath cap.  The functional equation's plan and AUTO both read it."""
     if counters > _FE_CAPS[True]:
         return False
     return prec.is_double or _naive_head(spec, s, eps, counters)[0] <= _FE_CAPS[False]
@@ -1109,12 +1115,18 @@ def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
             f"functional-equation route for f at s={s:g} to eps={eps:g} needs "
             f"a table of at least 2 terms (cap {cap})"
         )
-    # a share that rounds to 0 is refused here: no leaf bound reaches it
-    leaf_share = _check_eps(_FE_LEAF_SHARE * eps)
+    leaf_share = _FE_LEAF_SHARE * eps
     j0 = 1
-    while F_SERIES.tail_bound(m, _exponent_floor(s, j0)) > leaf_share:
+    while leaf_share and F_SERIES.tail_bound(m, _exponent_floor(s, j0)) > leaf_share:
         j0 += 1
-    return j0, [depth_for(s + j, _FE_TRUNC_SHARE * eps / j0, m) for j in range(j0)], m
+    # a share that rounds to 0 is refused here, not as the user's eps
+    level_share = _FE_TRUNC_SHARE * eps / j0
+    if not level_share:
+        raise ResourceLimitError(
+            f"functional-equation route for f at s={s:g} to eps={eps:g}: the per-level share "
+            f"0.45 eps/{j0} underflows below the float range (least {math.ulp(0.0):g})"
+        )
+    return j0, [depth_for(s + j, level_share, m) for j in range(j0)], m
 
 
 def _exponent_floor(s: float, m: int) -> float:
@@ -1139,9 +1151,9 @@ def _fe_rows(s: float, j0: int, m: int, prec: Precision, q: int):
     rows = [x << (q - shift) if q >= shift else x >> (shift - q) for x in totals]
     # row 0's terms sum to at most 1 + int_1^2M x^-s dx in absolute value
     abs_row0 = 1.0 - math.expm1((1.0 - s) * math.log(2 * m)) / (s - 1.0)
-    bounds = [_ROUNDING_OPS * prec.unit_roundoff * abs_row0,
-              *[_WEIGHT_UNITS * m * 2.0 ** -ctx.prec] * (j0 - 1)]
-    return rows, [b + math.ldexp(1.0, -q) for b in bounds]
+    bounds = [_up(_ROUNDING_OPS * prec.unit_roundoff * abs_row0),
+              *[_up(math.ldexp(_WEIGHT_UNITS * m, -ctx.prec))] * (j0 - 1)]
+    return rows, [b + _up(math.ldexp(1.0, -q)) for b in bounds]
 
 
 def eval_functional_equation(
@@ -1187,15 +1199,17 @@ def eval_functional_equation(
     for j in range(j0 - 1, -1, -1):
         k_j = ks[j]
         w, err = _fe_weights(s, k_j, q, j)
-        w_hi = [x / one + math.ldexp(e, -q) for x, e in zip(w, err)]
-        t_next = w_hi[k_j + 1] * F_SERIES.tail_bound(m, _exponent_floor(s, j + k_j + 1))
+        w_hi = [x / one + _up(math.ldexp(e, -q)) for x, e in zip(w, err)]
+        t_next = _up(w_hi[k_j + 1] * F_SERIES.tail_bound(m, _exponent_floor(s, j + k_j + 1)))
         # the leaves are 0: only the levels above j enter the value
         inner = range(1, min(k_j, j0 - 1 - j) + 1)
         values[j] += sum((w[k] * values[j + k]) >> q for k in inner)
         # each product: its weight's error times the value, and one floor
         rounding = math.fsum(err[k] * abs(values[j + k] / one) + 1.0 for k in inner)
-        bounds[j] += (math.fsum(w_hi[k] * bounds[j + k] for k in range(1, k_j + 1))
-                      + _fe_truncation(s + j, k_j, t_next, m) + math.ldexp(rounding, -q))
+        reads = [w_hi[k] * bounds[j + k] for k in range(1, k_j + 1)]
+        # below the normal range a read may have rounded down by half a unit
+        bounds[j] += (math.fsum(reads) + k_j * math.ulp(0.0) * (min(reads) < 2.0 ** -1022)
+                      + _up(_fe_truncation(s + j, k_j, t_next, m)) + _up(math.ldexp(rounding, -q)))
     u = prec.unit_roundoff
     ctx = _combine_ctx(prec)
     if ctx is None:
@@ -1203,11 +1217,12 @@ def eval_functional_equation(
         bound = bounds[0] + u * abs(value)
     else:
         value = ctx.make_mpf(from_man_exp(values[0], -q, ctx.prec, round_nearest))
-        bound = bounds[0] + 2.0 ** (1 - ctx.prec) * abs(float(value))
+        bound = bounds[0] + _up(math.ldexp(abs(float(value)), 1 - ctx.prec))
     if bound > eps:
         raise ResourceLimitError(
             f"functional-equation route certified only {bound:g} > eps={eps:g} "
-            f"at s={s:g}; raise working_bits"
+            f"at s={s:g}; " + ("its bound's parts round up below the normal float range"
+                               if bound < 2.0 ** -1022 else "raise working_bits")
         )
     return EvalResult(value, bound, 2 * m + sum(ks), Method.FUNCTIONAL_EQUATION)
 

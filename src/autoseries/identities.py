@@ -72,12 +72,6 @@ from .evaluator import (
     _zeta_leaf,
 )
 
-#: Above this many naive terms, auto-routed series fall back to the
-#: accelerated decomposition when one exists, on the double path; on the
-#: mpmath path AUTO reads the functional equation's direct caps
-#: (``evaluator._sums_directly``).
-AUTO_NAIVE_CAP = 30_000_000
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -291,6 +285,14 @@ def _decomposable(spec: SeriesSpec) -> bool:
     return spec.coeffs.kind is SequenceKind.AFFINE and spec.denom is DenominatorForm.POWER_OF_N
 
 
+def accelerated_route(spec: SeriesSpec) -> Route | None:
+    """Where AUTO does not sum ``spec`` naively: f's functional equation, any
+    other sum of alphabets over t DECOMPOSED, and None for any other series."""
+    if not _decomposable(spec):
+        return None
+    return Route.FUNCTIONAL_EQUATION if spec == F_SERIES else Route.DECOMPOSED
+
+
 #: The odd split's coefficient of A per series: f = 2^s/(2^s+1) A and
 #: g = -2^s/(2^s-1) A, that is A/(1+q) and -A/(1-q) with q = 2^-s.
 _ODD_SPLIT = {
@@ -328,14 +330,8 @@ def _decomposition(spec: SeriesSpec, eps: float):
     return [term for term in terms if not term[0].is_zero]
 
 
-def _eval_routed(
-    spec: SeriesSpec,
-    route: Route,
-    s: float,
-    eps: float,
-    prec: Precision,
-    cache: _EvalCache,
-) -> EvalResult:
+def _eval_routed(spec: SeriesSpec, route: Route, s: float, eps: float, prec: Precision,
+                 cache: _EvalCache) -> EvalResult:
     """``spec`` on ``route``.  DECOMPOSED and ODD_SPLIT are linear forms over
     the leaves ``_ZETA``, ``_F`` and ``_A``, each cached under itself, so
     the terms and both sides of an identity share them."""
@@ -346,28 +342,22 @@ def _eval_routed(
         if _decomposable(spec):
             try:
                 counters = _naive_truncation(spec, s, eps, cap, prec).counters
-                naive = (counters <= AUTO_NAIVE_CAP if prec.is_double
-                         else _sums_directly(spec, s, eps, counters, prec))
-                if not naive:
-                    route = Route.DECOMPOSED
             except ResourceLimitError:
-                route = Route.DECOMPOSED
+                counters = math.inf
+            if not _sums_directly(spec, s, eps, counters, prec):
+                route = accelerated_route(spec)
     if route is Route.NAIVE:
         return eval_naive(spec, s, eps, prec, max_terms)
     if route is Route.FUNCTIONAL_EQUATION:
         if spec != F_SERIES:
-            raise DomainError(
-                f"the functional-equation route evaluates f only, not {spec.label()}"
-            )
+            raise DomainError(f"the functional-equation route evaluates f only, not {spec.label()}")
         return eval_functional_equation(s, eps, prec=prec, max_terms=max_terms)
     if route is Route.ODD_SPLIT:
         if spec not in _ODD_SPLIT:
             raise DomainError(f"odd-split route does not apply to {spec.label()}")
         terms = [(_ODD_SPLIT[spec], _A, 0.98 * eps)]
-    elif route is Route.DECOMPOSED:
-        terms = _decomposition(spec, eps)
     else:
-        raise DomainError(f"unknown route {route}")
+        terms = _decomposition(spec, eps)
     value, bound, used = _linear_form(
         terms, s, prec, lambda leaf, e: leaf.bracket(s, e, prec, cache)
     )
@@ -396,8 +386,9 @@ def eval_series_spec(
 ) -> EvalResult:
     """Evaluate one series on ``route``: the one way a series value is made.
 
-    AUTO sums naively when affordable and falls back to the zeta + f
-    decomposition otherwise.  FUNCTIONAL_EQUATION applies to f only,
+    AUTO, the one place a route is chosen, sums naively while that fits the
+    direct caps (``_sums_directly``, on both paths) and otherwise takes
+    ``accelerated_route(spec)``.  FUNCTIONAL_EQUATION applies to f only,
     ODD_SPLIT to f and g only, DECOMPOSED to sums of alphabets over t with
     an n^s denominator."""
     s = _check_s(s)

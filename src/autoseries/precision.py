@@ -83,8 +83,8 @@ class Precision:
 
     @property
     def unit_roundoff(self) -> float:
-        """Upper bound on the relative error of one arithmetic operation."""
-        return 2.0 ** (1 - self.working_bits)
+        """Bound on one operation's relative error; never 0 (past 1,075 bits, 2^-1074)."""
+        return 2.0 ** (1 - self.working_bits) or math.ulp(0.0)
 
 
 @lru_cache(maxsize=128)

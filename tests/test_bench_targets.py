@@ -2,9 +2,10 @@
 
 ``perfbench/tracer.py`` patches the functions named in its ``TARGETS`` by
 module and attribute path, and ``perfbench/make_refs.py`` builds its
-request pools from the registry and the solver.  A rename or deletion in
-``autoseries`` that drops one of them would break the benchmark; these
-tests make the suite fail first.
+request pools from the registry and the solver; the pools in
+``perfbench/refs`` name their series as ``eval`` reads them.  A rename or
+deletion in ``autoseries`` that drops one of them would break the
+benchmark; these tests make the suite fail first.
 """
 
 import importlib
@@ -61,6 +62,18 @@ def test_make_refs_still_reads_the_registry_and_the_solver():
     assert solve_case("pows", 1.0, 9.0 / 7.0).s == pytest.approx(3.0)
     with pytest.raises(ValueError):
         solve_case("pows", 1.0, 1.0)
+
+
+def test_every_pool_series_resolves_through_the_cli_catalog():
+    # the pools reach the program only through cli.main, so a series name
+    # the catalog drops would fail every request of its stratum
+    from autoseries.cli import _catalog_series
+
+    names = {stratum["series"] for path in sorted((PERFBENCH / "refs").glob("*.json"))
+             for stratum in json.loads(path.read_text())["strata"] if stratum.get("series")}
+    assert {"f", "g", "phi", "gamma", "delta", "composite9", "digitsum:3"} <= names
+    for name in sorted(names):
+        _catalog_series(name)
 
 
 def test_recorder_installs_and_uninstalls():

@@ -14,14 +14,27 @@ import pytest
 
 import autoseries.cli as cli
 from autoseries.cli import UsageError, main, parse_real
+from autoseries.errors import AutoseriesError
+from autoseries.evaluator import (
+    COMPOSITE9_SERIES,
+    DELTA_SERIES,
+    F_SERIES,
+    G_SERIES,
+    GAMMA_SERIES,
+    ODD_PLUS_MINUS_SERIES,
+    PHI_SERIES,
+    SeriesSpec,
+)
 from autoseries.identities import (
     Identity,
     Sqrt,
     TwoPowerRatio,
     builtin_registry,
+    eval_series_spec,
     get_identity,
 )
 from autoseries.report import CSV_COLUMNS, ReportDocument
+from autoseries.sequences import CoefficientSequence
 
 
 def run(capsys, *argv):
@@ -274,15 +287,17 @@ def test_verify_fixed_form_refuses_a_budget_above_eps(capsys):
 
 
 def test_eval_method_mismatch_is_usage_error(capsys):
-    code, _, err = run(capsys, "eval", "delta", "2", "1e-6", "--method", "functional")
+    # composite9 has no decomposition, so no accelerated route
+    code, _, err = run(capsys, "eval", "composite9", "2", "1e-6", "--method", "functional")
     assert code == 2
+    assert err == "error: method 'functional' does not apply to composite9\n"
 
 
 _GRID_NAMES = ("f", "g", "phi", "gamma", "delta", "odd-epsilon", "composite9", "digitsum:3")
 # every name has an auto and a naive route; odd is f and g only; functional
-# is f and the two decomposed 0/1 series only
-_GRID_OK = {("odd", "f"), ("odd", "g"), ("functional", "f"), ("functional", "phi"),
-            ("functional", "gamma")}
+# is every series with a decomposition (f on its functional equation)
+_GRID_OK = {("odd", "f"), ("odd", "g"), ("functional", "f"), ("functional", "g"),
+            ("functional", "phi"), ("functional", "gamma"), ("functional", "delta")}
 
 
 @pytest.mark.parametrize("method", ["auto", "naive", "odd", "functional"])
@@ -293,6 +308,44 @@ def test_eval_name_method_exit_codes(capsys, name, method):
     assert code == expected
     if code == 0:
         assert float(json.loads(out)["abs_error_bound"]) <= 1e-8
+
+
+# every catalog name, and an affine alphabet, with the series it names
+_NAMED_SERIES = {
+    "f": F_SERIES, "g": G_SERIES, "phi": PHI_SERIES, "gamma": GAMMA_SERIES,
+    "delta": DELTA_SERIES, "odd-epsilon": ODD_PLUS_MINUS_SERIES,
+    "composite9": COMPOSITE9_SERIES, "digitsum:3": SeriesSpec(CoefficientSequence.digit_sum(3)),
+    "affine:1:4": SeriesSpec(CoefficientSequence.affine(1.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("s, eps", [("3", "1e-8"), ("2", "1e-12"), ("4", "1e-13"), ("3", "1e-20")])
+@pytest.mark.parametrize("name", _NAMED_SERIES)
+def test_eval_prints_what_the_library_gives(capsys, name, s, eps):
+    # no name picks a route: ``eval NAME`` is eval_series_spec on AUTO, on
+    # both paths, refusals included (digitsum:3 at 2 and at 1e-20)
+    code, out, err = run(capsys, "eval", name, s, eps, "--format", "json")
+    try:
+        r = eval_series_spec(_NAMED_SERIES[name], float(s), float(eps))
+    except AutoseriesError as exc:
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+        return
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["value"] == cli._value_text(r.value, r.abs_error_bound)
+    assert (payload["abs_error_bound"], payload["terms_used"], payload["method"]) == (
+        repr(r.abs_error_bound), r.terms_used, r.method.value)
+
+
+@pytest.mark.parametrize("method", ["odd", "functional"])
+def test_eval_method_reads_the_series_not_its_name(capsys, method):
+    # affine:1:-1:shifted is f, so the routes that apply to f apply to it
+    code, out, _ = run(capsys, "eval", "affine:1:-1:shifted", "3", "1e-9", "--method", method)
+    assert code == 0
+    by_alphabet = json.loads(out)
+    code, out, _ = run(capsys, "eval", "f", "3", "1e-9", "--method", method)
+    assert code == 0
+    assert {**by_alphabet, "series": "f"} == json.loads(out)
 
 
 @pytest.mark.parametrize("command", [["eval", "f", "3", "1e-8"], ["verify", "lemma1"],
@@ -820,3 +873,23 @@ def test_a_bound_below_the_normal_float_range_prints_its_digits(capsys):
     assert len(value.removeprefix("0.")) == 4 + 313
     ref = Decimal("0.851013104683688984044948599811267622924")
     assert abs(Decimal(value) - ref) <= bound + Decimal("1e-39")
+
+
+def test_a_bound_past_the_float_range_never_reads_zero(capsys):
+    # at 1,095 working bits the functional equation's row bounds, its final
+    # rounding and the unit roundoff underflowed to 0, and so did g's
+    # weighted leaf bound: this printed "bound = 0.000000e+00".  Each such
+    # part now rounds up, and their total exceeds eps
+    code, out, err = run(capsys, "eval", "g", "3", "1e-320", "--format", "text")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: functional-equation route certified only ")
+    assert err.endswith("its bound's parts round up below the normal float range\n")
+
+
+def test_an_eps_share_that_underflows_is_refused_by_name(capsys):
+    # 0.45 eps / J0 rounds to 0, which was refused as the user's eps:
+    # "eps must be positive, got 0.0"
+    code, out, err = run(capsys, "eval", "f", "3", "1e-323")
+    assert (code, out) == (1, "")
+    assert "the per-level share 0.45 eps/" in err and "underflows below the float range" in err
+    assert "must be positive" not in err

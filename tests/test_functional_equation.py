@@ -208,3 +208,35 @@ def test_grid_cells_at_1e14_answer_within_a_second(spec, route, s):
     else:
         assert r.abs_error_bound <= 1e-14
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("s, eps", [(3.0, 1e-20), (1.1, 1e-14), (2.0, 1e-30), (3.0, 1e-8)])
+@pytest.mark.parametrize("max_terms", [None, 2])
+def test_auto_f_is_the_functional_equation(s, eps, max_terms):
+    # AUTO sums f naively by the plan's own rule and otherwise takes the
+    # functional equation, never the one-leaf decomposition 1 f at 0.45 eps
+    auto = eval_series_spec(F_SERIES, s, eps, max_terms=max_terms)
+    fe = eval_functional_equation(s, eps, max_terms=max_terms)
+    assert type(auto.value) is type(fe.value) and auto.value == fe.value
+    assert (auto.abs_error_bound, auto.terms_used, auto.method) == (
+        fe.abs_error_bound, fe.terms_used, fe.method)
+
+
+def test_a_bound_below_the_normal_range_is_rounded_up():
+    # at 1e-318 every part of the bound lies below the normal float range;
+    # rounded up one unit each, they still fit eps
+    deep = eval_functional_equation(3.0, 1e-318)
+    assert 0.0 < deep.abs_error_bound <= 1e-318
+    ref = eval_functional_equation(3.0, 1e-300)
+    assert abs(deep.value - ref.value) <= deep.abs_error_bound + ref.abs_error_bound
+    # at 3.5e-321 they do not, and the refusal says why: the bound read 0.0
+    with pytest.raises(ResourceLimitError, match="round up below the normal float range"):
+        eval_functional_equation(3.0, 3.5e-321)
+
+
+def test_an_underflowing_share_is_refused_by_name():
+    # the per-level share 0.45 eps/J0 rounds to 0; depth_for refused it as
+    # "eps must be positive, got 0.0"
+    with pytest.raises(ResourceLimitError,
+                       match=r"per-level share 0\.45 eps/\d+ underflows below the float range"):
+        eval_functional_equation(3.0, 1e-321)
