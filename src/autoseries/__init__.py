@@ -10,12 +10,11 @@ __version__ = "0.1.0"
 
 from .errors import AutoseriesError, DomainError, ResourceLimitError
 from .precision import Precision
-from .result import EvalResult
+from .result import EvalResult, Route
 from .special_functions import riemann_zeta
 from .evaluator import F_SERIES, eval_functional_equation, eval_naive
 from .identities import (
     IdentityKind,
-    Route,
     builtin_registry,
     eval_series_spec,
     get_identity,

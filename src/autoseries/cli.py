@@ -44,7 +44,6 @@ from .evaluator import (
     SeriesSpec,
 )
 from .identities import (
-    _ODD_SPLIT,
     IdentityKind,
     Route,
     VerificationRecord,
@@ -52,6 +51,7 @@ from .identities import (
     builtin_registry,
     eval_series_spec,
     get_identity,
+    route_serves,
     verify,
 )
 from .precision import Precision
@@ -233,11 +233,13 @@ def _catalog_series(name: str) -> SeriesSpec:
 
 
 def _method_route(name: str, spec: SeriesSpec, method: str) -> Route:
-    """The route ``--method`` pins for ``spec``, which ``name`` names."""
-    if method in ("auto", "naive"):
-        return Route(method)
-    route = accelerated_route(spec) if method == "functional" else Route.ODD_SPLIT
-    if route is None or route is Route.ODD_SPLIT and spec not in _ODD_SPLIT:
+    """The route ``--method`` pins for ``spec``, which ``name`` names; one
+    that does not serve it (``route_serves``) is a usage error."""
+    if method == "functional":
+        route = accelerated_route(spec)
+    else:
+        route = Route.ODD_SPLIT if method == "odd" else Route(method)
+    if not route_serves(route, spec):
         raise UsageError(f"method {method!r} does not apply to {name}")
     return route
 

@@ -154,7 +154,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DomainError, ResourceLimitError
 from .precision import DOUBLE_BITS, GUARD_BITS, Precision, _check_eps, _check_s, _mp_context
-from .result import EvalResult, Method
+from .result import EvalResult, Route
 from .sequences import CoefficientSequence, SequenceKind
 from .special_functions import _hurwitz_core
 
@@ -879,29 +879,15 @@ def _naive_head(spec: SeriesSpec, s: float, eps: float, n_counters: int) -> tupl
     counters are summed in fixed point and the rest by the float64 kernel,
     h the least head whose rest's ``_float_budget``, ``bound``, fits
     ``_FLOAT_SHARE`` eps.  All of them go in fixed point where a weight at
-    the last counter would leave the normal float range.  Cached: AUTO's
-    route test asks it before ``eval_naive`` does."""
+    the last counter would leave the normal float range.  Cached: the
+    direct-sum test (``_sums_directly``) asks it before ``eval_naive`` does."""
     last = spec.denominators(spec.counter_start + n_counters - 1)
     if s * math.log2(max(d for _, d, _ in last)) > _NORMAL_EXPONENT:
         return n_counters, 0.0
-    target = _FLOAT_SHARE * eps
-
-    def fits(h: int) -> bool:
-        return _float_budget(spec, s, h, n_counters) <= target
-
-    # gallop from 0, then bisect; the budget does not increase with h and
-    # is 0 at h = n
-    lo, hi = -1, 0
-    while hi < n_counters and not fits(hi):
-        lo, hi = hi, max(1, 2 * hi)
-    hi = min(hi, n_counters)
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi, _float_budget(spec, s, hi, n_counters)
+    # the budget does not increase with h and is 0 from h = n on
+    h = _truncation_search(lambda head: _float_budget(spec, s, head, n_counters), 0,
+                           _FLOAT_SHARE * eps, n_counters, "fixed-point head")
+    return h, _float_budget(spec, s, h, n_counters)
 
 
 def _naive_truncation(spec: SeriesSpec, s: float, eps: float, max_terms: int,
@@ -981,7 +967,7 @@ def eval_naive(
             f"rounding budget {rounding:g} at working precision "
             f"{prec.working_bits}; raise working_bits"
         )
-    return EvalResult(_sum(spec, s, n, prec, head) + extra, bound, terms, Method.NAIVE)
+    return EvalResult(_sum(spec, s, n, prec, head) + extra, bound, terms, Route.NAIVE)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,12 +1067,18 @@ def depth_for(s: float, eps: float, m: int) -> int:
     raise ResourceLimitError(f"no workable truncation depth below 1000 for s={s:g}, eps={eps:g}")
 
 
-def _sums_directly(spec: SeriesSpec, s: float, eps: float, counters: float,
-                   prec: Precision) -> bool:
-    """Whether a naive sum of ``counters`` counters is within the path's
-    direct caps (``_FE_CAPS``): at most the float64 cap of counters, and
-    on the mpmath path a fixed-point head (``_naive_head``) of at most the
-    mpmath cap.  The functional equation's plan and AUTO both read it."""
+def _sums_directly(spec: SeriesSpec, s: float, eps: float, prec: Precision,
+                   max_terms: int) -> bool:
+    """Whether ``eval_naive``'s cut (``_naive_truncation``) fits the path's
+    direct caps (``_FE_CAPS``): at most the float64 cap of counters, and on
+    the mpmath path a fixed-point head (``_naive_head``) of at most the
+    mpmath cap; no cut within ``max_terms`` fits none.  The one direct-sum
+    test: the functional equation's plan and AUTO both ask it, and the
+    caches on the cut and the head hand its answer to the sum it picks."""
+    try:
+        counters = _naive_truncation(spec, s, eps, max_terms, prec).counters
+    except ResourceLimitError:
+        return False
     if counters > _FE_CAPS[True]:
         return False
     return prec.is_double or _naive_head(spec, s, eps, counters)[0] <= _FE_CAPS[False]
@@ -1096,18 +1088,14 @@ def _fe_plan(s: float, eps: float, prec: Precision, cap: int):
     """(J0, truncation depth K_j of each level j < J0, M), by the path's
     direct caps (``_FE_CAPS``).
 
-    J0 = 0, f(s) summed directly (``eval_naive``, its tail at 0.95 eps),
-    while that fits the direct caps (``_sums_directly``).  Otherwise M is
+    J0 = 0, f(s) summed directly (``eval_naive``), while its cut fits the
+    direct caps (``_sums_directly``).  Otherwise M is
     ``_FE_M``, or half of ``cap`` where that is less, and J0 is the least
     level whose leaves, each within 2(M+1)^-(s+J0) of 0, fit 0.45 eps.
     Each level's truncation remainder gets 0.45 eps / J0; the deepest
     level has the largest K, because the weights move outward as s + j
     grows."""
-    try:
-        direct = F_SERIES.required_counters(s, _TAIL_FRACTION * eps, cap).counters
-    except ResourceLimitError:
-        direct = math.inf
-    if _sums_directly(F_SERIES, s, eps, direct, prec):
+    if _sums_directly(F_SERIES, s, eps, prec, cap):
         return 0, [], 0
     m = min(_FE_M, cap // 2)
     if m < 1:
@@ -1224,7 +1212,7 @@ def eval_functional_equation(
             f"at s={s:g}; " + ("its bound's parts round up below the normal float range"
                                if bound < 2.0 ** -1022 else "raise working_bits")
         )
-    return EvalResult(value, bound, 2 * m + sum(ks), Method.FUNCTIONAL_EQUATION)
+    return EvalResult(value, bound, 2 * m + sum(ks), Route.FUNCTIONAL_EQUATION)
 
 
 def eval_phi_gamma(
@@ -1241,7 +1229,7 @@ def eval_phi_gamma(
         gamma(s) = sum t_n/n^s     = zeta(s)/2 + (1+2^s)/(2(2^s-1)) f(s)
     """
     # imported here: the router imports this module
-    from .identities import Route, eval_series_spec
+    from .identities import eval_series_spec
 
     spec = {"phi": PHI_SERIES, "gamma": GAMMA_SERIES}[which]
     return eval_series_spec(spec, s, eps, Route.DECOMPOSED, prec, max_terms)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .precision import Precision, _check_eps, _check_s
-from .result import EvalResult, Method
+from .result import EvalResult, Route
 from .sequences import CoefficientSequence, SequenceKind, digit_sum_block, pm_thue_morse_block
 from .special_functions import dirichlet_eta, hurwitz_zeta, riemann_zeta
 from .evaluator import (
@@ -66,7 +66,6 @@ from .evaluator import (
     eval_naive,
     _combine_ctx,
     _linear_form,
-    _naive_truncation,
     _sums_directly,
     _truncation_search,
     _zeta_leaf,
@@ -166,14 +165,6 @@ ZERO_RHS: tuple[tuple[TwoPowerRatio, Expr], ...] = ()
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
-
-
-class Route(Enum):
-    AUTO = "auto"
-    NAIVE = "naive"
-    FUNCTIONAL_EQUATION = "functional-equation"
-    ODD_SPLIT = "odd-split"
-    DECOMPOSED = "decomposed"
 
 
 @dataclass(frozen=True)
@@ -285,20 +276,37 @@ def _decomposable(spec: SeriesSpec) -> bool:
     return spec.coeffs.kind is SequenceKind.AFFINE and spec.denom is DenominatorForm.POWER_OF_N
 
 
-def accelerated_route(spec: SeriesSpec) -> Route | None:
-    """Where AUTO does not sum ``spec`` naively: f's functional equation, any
-    other sum of alphabets over t DECOMPOSED, and None for any other series."""
-    if not _decomposable(spec):
-        return None
-    return Route.FUNCTIONAL_EQUATION if spec == F_SERIES else Route.DECOMPOSED
-
-
 #: The odd split's coefficient of A per series: f = 2^s/(2^s+1) A and
 #: g = -2^s/(2^s-1) A, that is A/(1+q) and -A/(1-q) with q = 2^-s.
 _ODD_SPLIT = {
     F_SERIES: TwoPowerRatio((0.0, 1.0), (1.0, 1.0)),
     G_SERIES: TwoPowerRatio((0.0, -1.0), (-1.0, 1.0)),
 }
+
+
+def route_serves(route: Route, spec: SeriesSpec) -> bool:
+    """Whether ``route``, asked for, evaluates ``spec``: AUTO and NAIVE every
+    series, FUNCTIONAL_EQUATION f only, ODD_SPLIT f and g only, DECOMPOSED
+    the sums of alphabets over t with an n^s denominator, EULER_MACLAURIN
+    (a result's route, the zeta engine's) none.  The router refuses the
+    rest with a ``DomainError``, the command line with a usage error."""
+    if route is Route.FUNCTIONAL_EQUATION:
+        return spec == F_SERIES
+    if route is Route.ODD_SPLIT:
+        return spec in _ODD_SPLIT
+    if route is Route.DECOMPOSED:
+        return _decomposable(spec)
+    return route is not Route.EULER_MACLAURIN
+
+
+def accelerated_route(spec: SeriesSpec) -> Route:
+    """The route AUTO takes for a sum of alphabets over t that it does not
+    sum directly, and the one ``--method functional`` asks for: the
+    functional equation where it serves ``spec`` (f), else DECOMPOSED."""
+    if route_serves(Route.FUNCTIONAL_EQUATION, spec):
+        return Route.FUNCTIONAL_EQUATION
+    return Route.DECOMPOSED
+
 
 #: The leaves of the two linear-form routes.
 _ZETA = Zeta()
@@ -314,8 +322,6 @@ def _decomposition(spec: SeriesSpec, eps: float):
     at r = 1 or (b-a) (1+q)/(2-2q) at r = 0.  With c, G the exact sums of
     those (a-b)/2 and b-a, beta is c, G (1+q)/(2-2q) (G outside the ratio)
     or ((G-2c) + (G+2c) 2^s)/(2 2^s - 2); zeta gets 0.25 eps, f 0.45 eps."""
-    if not _decomposable(spec):
-        raise DomainError(f"{spec.label()} has no alphabet decomposition")
     parts = [(Fraction(low), Fraction(high), shift) for low, high, shift in spec.coeffs.parts]
     alpha = sum((low + high) / 2 for low, high, _ in parts)
     c = sum((low - high) / 2 for low, high, shift in parts if shift)
@@ -332,48 +338,37 @@ def _decomposition(spec: SeriesSpec, eps: float):
 
 def _eval_routed(spec: SeriesSpec, route: Route, s: float, eps: float, prec: Precision,
                  cache: _EvalCache) -> EvalResult:
-    """``spec`` on ``route``.  DECOMPOSED and ODD_SPLIT are linear forms over
-    the leaves ``_ZETA``, ``_F`` and ``_A``, each cached under itself, so
-    the terms and both sides of an identity share them."""
+    """``spec`` on ``route``, refused where the route does not serve it
+    (``route_serves``).  DECOMPOSED and ODD_SPLIT are linear forms over the
+    leaves ``_ZETA``, ``_F`` and ``_A``, each cached under itself, so the
+    terms and both sides of an identity share them; their result names the
+    route itself, whatever its leaves ran (the all-zero alphabet runs none
+    and still counts one term)."""
+    if not route_serves(route, spec):
+        raise DomainError(f"the {route.value} route does not apply to {spec.label()}")
     max_terms = cache.max_terms
-    cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
     if route is Route.AUTO:
         route = Route.NAIVE
-        if _decomposable(spec):
-            try:
-                counters = _naive_truncation(spec, s, eps, cap, prec).counters
-            except ResourceLimitError:
-                counters = math.inf
-            if not _sums_directly(spec, s, eps, counters, prec):
-                route = accelerated_route(spec)
+        cap = max_terms if max_terms is not None else DEFAULT_MAX_TERMS
+        if _decomposable(spec) and not _sums_directly(spec, s, eps, prec, cap):
+            route = accelerated_route(spec)
     if route is Route.NAIVE:
         return eval_naive(spec, s, eps, prec, max_terms)
     if route is Route.FUNCTIONAL_EQUATION:
-        if spec != F_SERIES:
-            raise DomainError(f"the functional-equation route evaluates f only, not {spec.label()}")
         return eval_functional_equation(s, eps, prec=prec, max_terms=max_terms)
     if route is Route.ODD_SPLIT:
-        if spec not in _ODD_SPLIT:
-            raise DomainError(f"odd-split route does not apply to {spec.label()}")
         terms = [(_ODD_SPLIT[spec], _A, 0.98 * eps)]
     else:
         terms = _decomposition(spec, eps)
     value, bound, used = _linear_form(
         terms, s, prec, lambda leaf, e: leaf.bracket(s, e, prec, cache)
     )
-    if route is Route.ODD_SPLIT:
-        return EvalResult(value, bound, used, Method.ODD_DECOMPOSITION)
     if bound > eps:
         raise ResourceLimitError(
-            f"{spec.label()} decomposition certified only {bound:g} > eps={eps:g} at s={s:g}"
+            f"{spec.label()} on the {route.value} route certified only {bound:g} > "
+            f"eps={eps:g} at s={s:g}"
         )
-    # the f leaf's route names the result; without one only the
-    # Euler-Maclaurin zeta ran (or, for the all-zero alphabet, nothing,
-    # which still counts as one term)
-    method = Method.EULER_MACLAURIN
-    if any(leaf is _F for _, leaf, _ in terms):
-        method = cache[(_F, s)].method
-    return EvalResult(value, bound, max(used, 1), method)
+    return EvalResult(value, bound, max(used, 1), route)
 
 
 def eval_series_spec(
@@ -386,11 +381,13 @@ def eval_series_spec(
 ) -> EvalResult:
     """Evaluate one series on ``route``: the one way a series value is made.
 
-    AUTO, the one place a route is chosen, sums naively while that fits the
-    direct caps (``_sums_directly``, on both paths) and otherwise takes
-    ``accelerated_route(spec)``.  FUNCTIONAL_EQUATION applies to f only,
-    ODD_SPLIT to f and g only, DECOMPOSED to sums of alphabets over t with
-    an n^s denominator."""
+    AUTO, the one place a route is chosen, sums naively unless ``spec`` is
+    a sum of alphabets over t whose naive cut misses the direct caps
+    (``_sums_directly``, on both paths), which takes ``accelerated_route``.
+    A pinned route serves the series ``route_serves`` names and refuses
+    the rest with a ``DomainError``.  The result's ``method`` is the route
+    that ran: NAIVE for any direct sum, FUNCTIONAL_EQUATION only where the
+    levels ran, and ODD_SPLIT or DECOMPOSED for the linear forms."""
     s = _check_s(s)
     eps = _check_eps(eps)
     prec = prec if prec is not None else Precision.for_eps(eps)
@@ -552,7 +549,7 @@ def _fixed_form_lhs(
             value = partial(n)
             budget = rounding(value)
             if tail(n) + budget <= eps:
-                return EvalResult(value, tail(n) + budget, n, Method.NAIVE)
+                return EvalResult(value, tail(n) + budget, n, Route.NAIVE)
             budget = rounding(value + 2.0 * tail(n))
         if budget >= eps:
             raise ResourceLimitError(
@@ -561,7 +558,7 @@ def _fixed_form_lhs(
             )
         # one step below the rounded eps - budget, so tail + budget <= eps
         n = _truncation_search(tail, start, math.nextafter(eps - budget, 0.0), max_terms, what)
-        return EvalResult(partial(n), tail(n) + budget, n, Method.NAIVE)
+        return EvalResult(partial(n), tail(n) + budget, n, Route.NAIVE)
 
     return evaluate
 
@@ -652,7 +649,7 @@ def _woods_robbins_lhs() -> Callable[[float, int], EvalResult]:
         log = log_sum(eps, max_terms // 2)
         value = math.exp(log.value)
         bound = value * (math.expm1(log.abs_error_bound) + 4.0 * _DOUBLE_UNIT)
-        return EvalResult(value, bound, 2 * log.terms_used, Method.NAIVE)
+        return EvalResult(value, bound, 2 * log.terms_used, Route.NAIVE)
 
     return evaluate
 

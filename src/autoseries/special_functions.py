@@ -75,7 +75,7 @@ from mpmath.ctx_mp import MPContext
 
 from .errors import DomainError, ResourceLimitError
 from .precision import Precision, _check_s, _mp_context
-from .result import EvalResult, Method
+from .result import EvalResult, Route
 
 _N_SCHEDULE = (16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
 _V_MAX = 60
@@ -204,7 +204,7 @@ def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult
         bound = (remainder * (1 + rel) + rounding) * _SECOND_ORDER
         if not bound <= prec.target_eps:
             return None
-        return EvalResult(value, bound, max(1, n_terms + v), Method.EULER_MACLAURIN)
+        return EvalResult(value, bound, max(1, n_terms + v), Route.EULER_MACLAURIN)
 
     out = float(value) if prec.is_double else value
     if math.isinf(out):
@@ -224,7 +224,7 @@ def _euler_maclaurin(s, a, prec: Precision, ctx: MPContext | None) -> EvalResult
             f"certified bound {bound:g} exceeds target_eps={prec.target_eps:g} "
             f"at working precision {prec.working_bits}; raise working_bits"
         )
-    return EvalResult(out, bound, max(1, n_terms + v), Method.EULER_MACLAURIN)
+    return EvalResult(out, bound, max(1, n_terms + v), Route.EULER_MACLAURIN)
 
 
 def _hurwitz_core(s: float, a, prec: Precision) -> EvalResult:
@@ -287,8 +287,8 @@ def dirichlet_eta(s: float, prec: Precision | None = None) -> EvalResult:
             + factor_err * (abs(inner.value) + inner.abs_error_bound)
             + _U * abs(value)
         ) * _SECOND_ORDER
-        return EvalResult(value, bound, inner.terms_used, Method.EULER_MACLAURIN)
+        return EvalResult(value, bound, inner.terms_used, Route.EULER_MACLAURIN)
     value = factor * ctx.convert(inner.value)
     slack = ctx.ldexp(abs(value), 2 - prec.working_bits)
     bound = float(factor * inner.abs_error_bound + slack)
-    return EvalResult(value, bound, inner.terms_used, Method.EULER_MACLAURIN)
+    return EvalResult(value, bound, inner.terms_used, Route.EULER_MACLAURIN)

@@ -14,7 +14,7 @@ import pytest
 
 import autoseries.cli as cli
 from autoseries.cli import UsageError, main, parse_real
-from autoseries.errors import AutoseriesError
+from autoseries.errors import AutoseriesError, DomainError
 from autoseries.evaluator import (
     COMPOSITE9_SERIES,
     DELTA_SERIES,
@@ -27,6 +27,7 @@ from autoseries.evaluator import (
 )
 from autoseries.identities import (
     Identity,
+    Route,
     Sqrt,
     TwoPowerRatio,
     builtin_registry,
@@ -236,7 +237,7 @@ def test_eval_odd_method_reports_odd_decomposition(capsys, series, reference):
     code, out, _ = run(capsys, "eval", series, "3", "1e-9", "--method", "odd")
     assert code == 0
     odd = json.loads(out)
-    assert odd["method"] == "odd-decomposition"
+    assert odd["method"] == "odd-split"
     code, out, _ = run(capsys, "eval", series, "3", "1e-9", "--method", reference)
     assert code == 0
     ref = json.loads(out)
@@ -293,21 +294,57 @@ def test_eval_method_mismatch_is_usage_error(capsys):
     assert err == "error: method 'functional' does not apply to composite9\n"
 
 
-_GRID_NAMES = ("f", "g", "phi", "gamma", "delta", "odd-epsilon", "composite9", "digitsum:3")
-# every name has an auto and a naive route; odd is f and g only; functional
-# is every series with a decomposition (f on its functional equation)
-_GRID_OK = {("odd", "f"), ("odd", "g"), ("functional", "f"), ("functional", "g"),
-            ("functional", "phi"), ("functional", "gamma"), ("functional", "delta")}
+_GRID_NAMES = ("f", "g", "phi", "gamma", "delta", "odd-epsilon", "composite9", "digitsum:3",
+               "affine:1:4", "affine:-1:0:shifted", "affine:1:-1:shifted")
+
+
+def _asked_route(method: str, spec: SeriesSpec) -> Route:
+    """The route ``--method`` asks for: functional is f's functional
+    equation and every other series' decomposition."""
+    if method == "functional":
+        return Route.FUNCTIONAL_EQUATION if spec == F_SERIES else Route.DECOMPOSED
+    return {"auto": Route.AUTO, "naive": Route.NAIVE, "odd": Route.ODD_SPLIT}[method]
 
 
 @pytest.mark.parametrize("method", ["auto", "naive", "odd", "functional"])
 @pytest.mark.parametrize("name", _GRID_NAMES)
 def test_eval_name_method_exit_codes(capsys, name, method):
-    code, out, _ = run(capsys, "eval", name, "3", "1e-8", "--method", method)
-    expected = 0 if method in ("auto", "naive") or (method, name) in _GRID_OK else 2
-    assert code == expected
-    if code == 0:
-        assert float(json.loads(out)["abs_error_bound"]) <= 1e-8
+    # a usage error (exit 2) exactly where the router refuses the route as
+    # not serving the series; otherwise the router's result or refusal
+    code, out, err = run(capsys, "eval", name, "3", "1e-8", "--method", method)
+    spec = cli._catalog_series(name)
+    try:
+        r = eval_series_spec(spec, 3.0, 1e-8, _asked_route(method, spec))
+    except DomainError as exc:
+        assert "route does not apply" in str(exc)
+        assert (code, out) == (2, "")
+        assert err == f"error: method {method!r} does not apply to {name}\n"
+        return
+    except AutoseriesError as exc:
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+        return
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["abs_error_bound"], payload["terms_used"], payload["method"]) == (
+        repr(r.abs_error_bound), r.terms_used, r.method.value)
+    assert r.abs_error_bound <= 1e-8
+
+
+@pytest.mark.parametrize("argv, method", [
+    (["delta", "3", "1e-8", "--method", "functional"], "decomposed"),
+    (["phi", "3", "1e-8", "--method", "functional"], "decomposed"),
+    (["gamma", "2", "1e-14"], "decomposed"),
+    (["g", "3", "1e-9", "--method", "odd"], "odd-split"),
+    (["f", "2", "1e-14"], "functional-equation"),
+    (["f", "1000", "1e-8"], "naive"),
+    (["f", "1000", "1e-8", "--method", "functional"], "naive"),
+])
+def test_eval_names_the_route_that_ran(capsys, argv, method):
+    # a linear form names its own route, whatever its leaves ran; a direct
+    # sum is naive whichever route asked for it
+    code, out, err = run(capsys, "eval", *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == method
 
 
 # every catalog name, and an affine alphabet, with the series it names

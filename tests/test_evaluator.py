@@ -42,7 +42,7 @@ from autoseries.evaluator import (
 from autoseries.fixed_point import _WEIGHT_UNITS, _odd_primes, _Weights
 from autoseries.identities import Route, eval_series_spec
 from autoseries.precision import Precision
-from autoseries.result import Method
+from autoseries.result import EvalResult
 from autoseries.sequences import CoefficientSequence, pm_thue_morse, thue_morse
 from autoseries.special_functions import riemann_zeta
 
@@ -88,7 +88,7 @@ def test_naive_zeta_coefficients():
     r = eval_naive(ZETA_SERIES, 2.0, 1e-6)
     assert abs(r.value - math.pi**2 / 6) <= 1e-6
     assert r.abs_error_bound <= 1e-6
-    assert r.method is Method.NAIVE
+    assert r.method is Route.NAIVE
 
 
 def test_naive_reports_required_terms_beyond_cap():
@@ -151,18 +151,29 @@ def test_odd_series_even_odd_split_of_g():
     assert resid <= a.abs_error_bound + abs(factor) * g.abs_error_bound
 
 
-def test_decomposed_zeta_only_is_tagged_euler_maclaurin():
-    # the all-ones alphabet has beta = 0, so only the zeta leaf runs; phi's
-    # f leaf names the result: the FE's levels at (3, 1e-20), where f summed
-    # directly has a fixed-point head past the mpmath path's cap
-    assert eval_series_spec(ZETA_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.EULER_MACLAURIN
-    assert eval_series_spec(PHI_SERIES, 3, 1e-20, Route.DECOMPOSED).method is Method.FUNCTIONAL_EQUATION
-    assert eval_series_spec(PHI_SERIES, 2, 1e-12, Route.DECOMPOSED).method is Method.NAIVE
+def test_decomposed_results_name_the_decomposition():
+    # the result names the route, whatever its leaves ran: the zeta leaf
+    # alone (the all-ones alphabet has beta = 0), no leaf at all (the
+    # all-zero alphabet, one term), and phi's f leaf on the FE's levels at
+    # (3, 1e-20), where f summed directly has a fixed-point head past the
+    # mpmath path's cap, or summed directly at (2, 1e-12)
+    zero = SeriesSpec(CoefficientSequence.affine(0.0, 0.0))
+    for spec, s, eps in ((ZETA_SERIES, 2, 1e-12), (zero, 2, 1e-12), (PHI_SERIES, 3, 1e-20),
+                         (PHI_SERIES, 2, 1e-12)):
+        r = eval_series_spec(spec, s, eps, Route.DECOMPOSED)
+        assert r.method is Route.DECOMPOSED and r.terms_used >= 1, (spec, s, eps)
+    # AUTO past the direct caps, gamma at (2, 1e-14), says the same
+    assert eval_series_spec(GAMMA_SERIES, 2, 1e-14).method is Route.DECOMPOSED
+
+
+def test_a_result_never_names_auto():
+    with pytest.raises(ValueError, match="never AUTO"):
+        EvalResult(1.0, 0.0, 1, Route.AUTO)
 
 
 def test_f_via_odd_split_method_tag():
     r = eval_series_spec(F_SERIES, 3.0, 1e-9, Route.ODD_SPLIT)
-    assert r.method is Method.ODD_DECOMPOSITION
+    assert r.method is Route.ODD_SPLIT
     f = eval_functional_equation(3.0, 1e-10)
     assert abs(r.value - f.value) <= r.abs_error_bound + f.abs_error_bound
 
@@ -224,10 +235,10 @@ def test_functional_equation_levels_against_naive():
     # only under a term cap below the direct count: aligned blocks sum f
     # directly in a few hundred counters there), which must agree with an
     # independent naive sum
-    assert eval_functional_equation(2.0, 1e-12).method is Method.NAIVE
+    assert eval_functional_equation(2.0, 1e-12).method is Route.NAIVE
     for s, eps in ((8.0, 1e-14), (3.0, 1e-13), (4.0, 1e-14), (6.0, 1e-20)):
-        assert eval_functional_equation(s, eps).method is Method.NAIVE
-    assert eval_functional_equation(3.0, 1e-8, Precision(80, 1e-8)).method is Method.NAIVE
+        assert eval_functional_equation(s, eps).method is Route.NAIVE
+    assert eval_functional_equation(3.0, 1e-8, Precision(80, 1e-8)).method is Route.NAIVE
     cells = [(2.0, 1e-10, 53, 64, 7), (2.0, 1e-12, 53, 64, 9), (2.5, 1e-12, 53, 64, 8),
              (1.5, 1e-13, 74, DEFAULT_MAX_TERMS, 10), (2.0, 1e-14, 77, DEFAULT_MAX_TERMS, 10),
              (4.0, 1e-20, 97, DEFAULT_MAX_TERMS, 13), (6.0, 1e-30, 130, DEFAULT_MAX_TERMS, 19)]
@@ -235,7 +246,7 @@ def test_functional_equation_levels_against_naive():
         prec = Precision(bits, eps)
         assert _fe_plan(s, eps, prec, cap)[0] == j0, (s, eps)
         rf = eval_functional_equation(s, eps, prec, cap)
-        assert rf.method is Method.FUNCTIONAL_EQUATION
+        assert rf.method is Route.FUNCTIONAL_EQUATION
         assert isinstance(rf.value, float) is (bits == 53)
         rn = eval_naive(F_SERIES, s, eps, prec)
         assert abs(rn.value - rf.value) <= rn.abs_error_bound + rf.abs_error_bound, (s, eps)
@@ -933,7 +944,7 @@ def test_fixed_point_heads(spec, s, eps, bits, counters, head):
     if spec == F_SERIES:
         # f goes direct where its head fits the mpmath path's cap
         method = eval_functional_equation(s, eps).method
-        assert (method is Method.NAIVE) is (head <= _FE_CAPS[False] < counters)
+        assert (method is Route.NAIVE) is (head <= _FE_CAPS[False] < counters)
 
 
 def test_composite9_at_1e20_sums_a_short_head(monkeypatch):

@@ -29,7 +29,6 @@ from autoseries.evaluator import (
 from autoseries.fixed_point import _odd_primes
 from autoseries.identities import Route, eval_series_spec
 from autoseries.precision import Precision
-from autoseries.result import Method
 
 #: f(s) at eps 1e-40, recorded from the route before it recurred on f's
 #: tail (its levels summed every leaf f(s + J0 + i) directly): each row's
@@ -158,7 +157,7 @@ def test_mpmath_call_builds_one_table_and_powers_only_small_primes(monkeypatch, 
     tables = _spy(monkeypatch, fixed_point, "_Weights")
     bases = _spy(monkeypatch, StandardBaseContext, "power")
     r = eval_functional_equation(s, eps, max_terms=128)
-    assert r.method is Method.FUNCTIONAL_EQUATION and not isinstance(r.value, float)
+    assert r.method is Route.FUNCTIONAL_EQUATION and not isinstance(r.value, float)
     assert len(tables) == 1
     allowed = {2} | {p for p in _odd_primes(math.ceil(4 * s)) if p < 4 * s}
     assert {int(base) for _, base, _ in bases} <= allowed
@@ -172,7 +171,7 @@ def test_float_call_builds_one_block(monkeypatch, s, eps):
     tables = _spy(monkeypatch, fixed_point, "_Weights")
     blocks = _spy(monkeypatch, SeriesSpec, "term_block")
     r = eval_functional_equation(s, eps, max_terms=64)
-    assert r.method is Method.FUNCTIONAL_EQUATION and isinstance(r.value, float)
+    assert r.method is Route.FUNCTIONAL_EQUATION and isinstance(r.value, float)
     assert len(tables) == 1 and blocks == []
     rn = eval_naive(F_SERIES, s, eps)
     assert abs(rn.value - r.value) <= rn.abs_error_bound + r.abs_error_bound

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from autoseries import identities
 from autoseries.errors import DomainError, ResourceLimitError
 from autoseries.evaluator import (
+    COMPOSITE9_SERIES,
     DELTA_SERIES,
     F_SERIES,
     G_SERIES,
     GAMMA_SERIES,
+    ODD_PLUS_MINUS_SERIES,
     PHI_SERIES,
     SeriesSpec,
     DEFAULT_MAX_TERMS,
@@ -47,10 +49,10 @@ from autoseries.identities import (
     eval_series_spec,
     get_identity,
     make_corollary2_identity,
+    route_serves,
     verify,
 )
 from autoseries.precision import Precision
-from autoseries.result import Method
 from autoseries.sequences import CoefficientSequence, pm_thue_morse, thue_morse
 from autoseries.special_functions import riemann_zeta
 
@@ -397,6 +399,28 @@ def test_delta_decomposed_agrees_with_naive(s):
     assert abs(decomposed.value - naive.value) <= decomposed.abs_error_bound + naive.abs_error_bound
 
 
+_RULE_SERIES = {"f": F_SERIES, "g": G_SERIES, "phi": PHI_SERIES, "gamma": GAMMA_SERIES,
+                "delta": DELTA_SERIES, "odd-epsilon": ODD_PLUS_MINUS_SERIES,
+                "composite9": COMPOSITE9_SERIES,
+                "affine:1:4": SeriesSpec(CoefficientSequence.affine(1.0, 4.0))}
+
+
+@pytest.mark.parametrize("route, served", [
+    (Route.AUTO, set(_RULE_SERIES)), (Route.NAIVE, set(_RULE_SERIES)),
+    (Route.FUNCTIONAL_EQUATION, {"f"}), (Route.ODD_SPLIT, {"f", "g"}),
+    (Route.DECOMPOSED, {"f", "g", "phi", "gamma", "delta", "affine:1:4"}),
+    (Route.EULER_MACLAURIN, set()),
+], ids=[route.value for route in Route])
+def test_the_router_refuses_exactly_what_the_rule_excludes(route, served):
+    assert {name for name, spec in _RULE_SERIES.items() if route_serves(route, spec)} == served
+    for name, spec in _RULE_SERIES.items():
+        if name in served:
+            assert eval_series_spec(spec, 3.0, 1e-8, route).abs_error_bound <= 1e-8, name
+        else:
+            with pytest.raises(DomainError, match=f"the {route.value} route does not apply"):
+                eval_series_spec(spec, 3.0, 1e-8, route)
+
+
 def test_delta_is_f_over_one_minus_two_to_minus_s():
     # {0, 1} at n and {0, -1} at n - 1: alpha = 0 and beta = 1/(1 - 2^-s)
     (beta, leaf, _), = _decomposition(DELTA_SERIES, 1.0)
@@ -423,11 +447,11 @@ def test_delta_auto_certifies_where_naive_cannot(s, eps):
     assert time.perf_counter() - t0 < 0.25
     assert r.abs_error_bound <= eps
     if isinstance(r.value, float):
-        assert r.method is Method.NAIVE and r.terms_used == naive.terms_used
+        assert r.method is Route.NAIVE and r.terms_used == naive.terms_used
     else:
         cut = _naive_truncation(DELTA_SERIES, s, eps, DEFAULT_MAX_TERMS, Precision.for_eps(eps))
         assert _naive_head(DELTA_SERIES, s, eps, cut.counters)[0] > _FE_CAPS[False]
-        assert r.method is Method.FUNCTIONAL_EQUATION
+        assert r.method is Route.DECOMPOSED
 
 
 def test_decomposed_delta_calls_the_functional_equation_once(monkeypatch):
@@ -653,7 +677,7 @@ def test_auto_works_out_the_naive_head_once():
     # AUTO's mpmath route test and the naive sum it picks share one head
     _naive_head.cache_clear()
     r = eval_series_spec(DELTA_SERIES, 4.0, 1e-13)
-    assert r.method is Method.NAIVE
+    assert r.method is Route.NAIVE
     info = _naive_head.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 

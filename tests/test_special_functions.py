@@ -12,7 +12,7 @@ from mpmath.ctx_mp_python import _mpf
 from autoseries import special_functions
 from autoseries.evaluator import GAMMA_SERIES, PHI_SERIES, eval_naive, partial_sum
 from autoseries.precision import Precision, _mp_context
-from autoseries.result import Method
+from autoseries.result import Route
 from autoseries.special_functions import _hurwitz_core, dirichlet_eta, hurwitz_zeta, riemann_zeta
 
 P12 = Precision(target_eps=1e-12)
@@ -26,7 +26,7 @@ def test_zeta_two():
     r = riemann_zeta(2.0, P12)
     assert abs(r.value - math.pi**2 / 6) <= 1e-12
     assert r.abs_error_bound <= 1e-12
-    assert r.method is Method.EULER_MACLAURIN
+    assert r.method is Route.EULER_MACLAURIN
 
 
 def test_zeta_four():
